@@ -111,10 +111,9 @@ Result RunScenario(const MutexAttr* attr, const char* label, bool print_timeline
     std::printf("\n--- %s ---\n", label);
     std::printf("trace (who ran / lock events; P1=low id%u, P2=medium id%u, P3=high id%u):\n",
                 s.p1_id, s.p2_id, s.p3_id);
-    const int64_t t0 =
-        debug::trace::Count() > 0 ? debug::trace::Get(0).t_ns : 0;
-    for (size_t i = 0; i < debug::trace::Count(); ++i) {
-      const auto rec = debug::trace::Get(i);
+    const std::vector<debug::trace::Record> recs = debug::trace::SnapshotAll();
+    const int64_t t0 = recs.empty() ? 0 : recs.front().t_ns;
+    for (const debug::trace::Record& rec : recs) {
       const char* who = rec.a == s.p1_id   ? "P1"
                         : rec.a == s.p2_id ? "P2"
                         : rec.a == s.p3_id ? "P3"

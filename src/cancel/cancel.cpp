@@ -3,7 +3,7 @@
 #include <cerrno>
 
 #include "src/core/api_internal.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/signals/fake_call.hpp"
 #include "src/signals/sigmodel.hpp"
@@ -37,7 +37,7 @@ bool IsInterruptionPoint(BlockReason r) {
 // (paper: "the interruptibility state of the receiving thread is changed to disabled, all
 // other signals are disabled for this thread, and a fake call to pthread_exit is pushed").
 void ActOn(Tcb* t) {
-  debug::trace::Log(debug::trace::Event::kCancel, t->id, 1);
+  debug::obs::Emit(debug::obs::Event::kCancel, t, t->id, 1);
   t->intr_enabled = false;
   sig::NoteSigmaskSet(t, kSigSetAll);
   t->pending &= ~SigBit(kSigCancel);
@@ -54,7 +54,7 @@ void CancelAction(Tcb* t) {
   FSUP_ASSERT(kernel::InKernel());
   switch (t->interruptibility()) {
     case Interruptibility::kDisabled:
-      debug::trace::Log(debug::trace::Event::kCancel, t->id, 0);
+      debug::obs::Emit(debug::obs::Event::kCancel, t, t->id, 0);
       t->pending |= SigBit(kSigCancel);  // Table 1 row 1: pends until enabled
       return;
     case Interruptibility::kControlled:

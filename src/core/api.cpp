@@ -18,8 +18,8 @@
 #include "src/debug/export.hpp"
 #include "src/debug/introspect.hpp"
 #include "src/debug/metrics.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/profiler.hpp"
-#include "src/debug/trace.hpp"
 #include "src/io/io.hpp"
 #include "src/libc/reentrant.hpp"
 #include "src/kernel/kernel.hpp"
@@ -112,7 +112,7 @@ void ExitCurrent(void* retval) {
   kernel::Enter();
   KernelState& k = kernel::ks();
   self->retval = retval;
-  debug::metrics::OnStateChange(self, ThreadState::kTerminated);
+  debug::obs::Emit(debug::obs::Event::kExit, self, self->id, 0);
   self->state = ThreadState::kTerminated;
   sig::ForgetThread(self);
   io::ForgetThread(self);
@@ -162,7 +162,7 @@ void pt_dump_threads(uint32_t max_threads) { debug::DumpThreads(max_threads); }
 
 void pt_metrics_enable(bool on) { debug::metrics::Enable(on); }
 
-bool pt_metrics_enabled() { return debug::metrics::Enabled(); }
+bool pt_metrics_enabled() { return debug::obs::On(debug::obs::kMetrics); }
 
 debug::metrics::MetricsSnapshot pt_metrics_snapshot() {
   debug::metrics::MetricsSnapshot snap;
@@ -182,7 +182,7 @@ int pt_trace_dump(const char* path) {
 }
 
 void pt_trace_user(uint32_t a, uint32_t b) {
-  debug::trace::Log(debug::trace::Event::kUser, a, b);
+  debug::obs::Emit(debug::obs::Event::kUser, nullptr, a, b);
 }
 
 int pt_profile_start(int hz) { return debug::profiler::Start(hz); }
@@ -242,7 +242,7 @@ int pt_create(pt_thread_t* thread, const ThreadAttr* attr, void* (*fn)(void*), v
   ++k.live_threads;
   // Stamp the newborn's metrics clock before its first state transition: the recycled TCB
   // slot may carry a previous tenant's accumulators under the current epoch.
-  debug::metrics::OnThreadCreate(t);
+  debug::obs::Emit(debug::obs::Event::kCreate, t, t->id, 0);
 
   if (a.lazy) {
     t->lazy = true;
@@ -536,7 +536,7 @@ int pt_cancel(pt_thread_t t) {
   if (t->lazy && api::ActivateLazyInKernel(t) != 0) {
     // No stack to run cancellation on: mark the thread terminated directly — it never
     // started, so there are no cleanup handlers or TSD destructors to honor.
-    debug::metrics::OnStateChange(t, ThreadState::kTerminated);
+    debug::obs::Emit(debug::obs::Event::kExit, t, t->id, 0);
     t->state = ThreadState::kTerminated;
     t->retval = kCanceled;
     Tcb* j;

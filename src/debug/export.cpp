@@ -69,9 +69,7 @@ int TraceDumpJson(const char* path) {
   using trace::Event;
   using trace::Record;
 
-  std::vector<Record> recs(trace::Capacity());
-  const size_t n = trace::Snapshot(recs.data(), recs.size());
-  recs.resize(n);
+  std::vector<Record> recs = trace::SnapshotAll();
   // Slot order can lag timestamp order by one slot when a signal handler interrupted a Log
   // call mid-write; the trace_event format wants non-decreasing ts.
   std::stable_sort(recs.begin(), recs.end(),

@@ -1,6 +1,6 @@
 #include "src/debug/introspect.hpp"
 
-#include "src/debug/metrics.hpp"
+#include "src/debug/obs.hpp"
 #include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/kernel/stack_pool.hpp"
@@ -64,7 +64,7 @@ void DumpThreads(uint32_t max_threads) {
       log::RawWriteCstr(" commits=");
       log::RawWriteInt(static_cast<int64_t>(t->metrics.stack_commits));
     }
-    if (metrics::Enabled()) {
+    if (obs::On(obs::kMetrics)) {
       const TcbMetrics& m = t->metrics;
       log::RawWriteCstr(" vol=");
       log::RawWriteInt(static_cast<int64_t>(m.voluntary));

@@ -38,18 +38,16 @@ struct Globals {
 
 Globals g_state;
 
-#ifndef FSUP_NO_METRICS
-
 // Generation counter for the lazy per-thread reset. Enable(true) bumps it; a TCB whose
 // metrics.epoch is stale has not been touched since enable and its accumulators are garbage
 // from a previous enable span (or from a recycled TCB slot). Lives outside Globals so the
 // accumulator reset in Enable cannot clobber it.
 uint32_t g_epoch = 0;
 
-// Brings t's accumulators into the current epoch. A stale thread has taken no hook since
-// enable time, and hooks fire on every state transition — so it has been sitting in its
-// current state since the clock started. Hooks call this before reading or mutating any
-// per-thread field; state-transition hooks therefore run BEFORE t->state mutates.
+// Brings t's accumulators into the current epoch. A stale thread has seen no event since
+// enable time, and events fire on every state transition — so it has been sitting in its
+// current state since the clock started. Consume calls this before reading or mutating any
+// per-thread field; state-transition events therefore fire BEFORE t->state mutates.
 void Touch(Tcb* t) {
   TcbMetrics& m = t->metrics;
   if (m.epoch == g_epoch) {
@@ -86,7 +84,71 @@ int64_t FoldStateTime(Tcb* t, int64_t now) {
   return d;
 }
 
-#endif  // FSUP_NO_METRICS
+void ChangeState(Tcb* t, ThreadState new_state, int64_t now) {
+  FoldStateTime(t, now);
+  t->metrics.acct_state = static_cast<uint8_t>(new_state);
+}
+
+void OnSwitch(Tcb* from, Tcb* to, int64_t now) {
+  Touch(from);
+  if (g_state.next_switch_preempted) {
+    g_state.next_switch_preempted = false;
+    ++g_state.preempted_switches;
+    ++from->metrics.preempted;
+  } else {
+    ++g_state.voluntary_switches;
+    ++from->metrics.voluntary;
+  }
+  // `to` goes ready -> running: the time it just spent in ready is its scheduling latency.
+  const int64_t ready_time = FoldStateTime(to, now);
+  if (to->metrics.acct_state == static_cast<uint8_t>(ThreadState::kReady)) {
+    g_state.sched_latency.Add(ready_time);
+  }
+  to->metrics.acct_state = static_cast<uint8_t>(ThreadState::kRunning);
+}
+
+// A lock event closes the wait a block event opened (if any) and opens a hold; a recursive
+// re-acquisition only deepens the hold already open.
+void OnLock(Tcb* t, uint32_t tag, int64_t now) {
+  TcbMetrics& m = t->metrics;
+  if (m.wait_since_ns != 0) {
+    const int64_t wait = now - m.wait_since_ns;
+    m.wait_since_ns = 0;
+    ++m.mutex_blocks;
+    m.mutex_wait_ns += wait;
+    g_state.mutex_wait.Add(wait);
+  }
+  TcbMetrics::Held* free_slot = nullptr;
+  for (TcbMetrics::Held& h : m.held) {
+    if (h.tag == tag) {
+      ++h.depth;
+      return;
+    }
+    if (h.tag == 0 && free_slot == nullptr) {
+      free_slot = &h;
+    }
+  }
+  if (free_slot != nullptr) {
+    *free_slot = TcbMetrics::Held{tag, 0, now};
+  }
+}
+
+// An unlock event closes the matching hold (holds opened before metrics were enabled have no
+// slot and are not sampled).
+void OnUnlock(Tcb* t, uint32_t tag, int64_t now) {
+  for (TcbMetrics::Held& h : t->metrics.held) {
+    if (h.tag != tag) {
+      continue;
+    }
+    if (h.depth > 0) {
+      --h.depth;
+    } else {
+      g_state.mutex_hold.Add(now - h.since_ns);
+      h = TcbMetrics::Held{};
+    }
+    return;
+  }
+}
 
 void FillThreadSnap(const Tcb* t, ThreadSnap* out) {
   out->id = t->id;
@@ -107,88 +169,91 @@ void FillThreadSnap(const Tcb* t, ThreadSnap* out) {
 
 }  // namespace
 
-#ifndef FSUP_NO_METRICS
-
-bool g_enabled = false;
-
 void Enable(bool on) {
   kernel::EnsureInit();
   kernel::Enter();
-  if (on && !g_enabled) {
+  if (on && !obs::On(obs::kMetrics)) {
     g_state = Globals{};
     g_state.enabled_since_ns = NowNs();
     // O(1) regardless of thread count: invalidate instead of walking a million TCBs. Each
-    // thread's accumulators reset lazily (Touch) the first time a hook sees it.
+    // thread's accumulators reset lazily (Touch) the first time an event sees it.
     ++g_epoch;
   }
-  g_enabled = on;
-  // Metrics bracket hold times on the kernel path: demote (or restore) the kernel-bypassing
-  // sync fast paths so every acquisition is observed.
+  obs::Set(obs::kMetrics, on);
+  // Metrics time holds on the kernel path: demote (or restore) the kernel-bypassing sync
+  // fast paths so every acquisition is observed.
   sync::fastpath::Recompute();
   kernel::Exit();
 }
 
-void OnThreadCreateSlow(Tcb* t) {
-  // A thread born after enable starts its clock now, not at enable time — and its recycled
-  // TCB slot may carry a stale-but-matching epoch from a previous tenant, so the reset is
-  // unconditional.
-  t->metrics = TcbMetrics{};
-  t->metrics.epoch = g_epoch;
-  t->metrics.acct_state = static_cast<uint8_t>(t->state);
-  t->metrics.state_since_ns = NowNs();
-}
-
-int64_t EnabledSinceNs() { return g_state.enabled_since_ns; }
-
-void OnStateChangeSlow(Tcb* t, ThreadState new_state) {
-  Touch(t);
-  FoldStateTime(t, NowNs());
-  t->metrics.acct_state = static_cast<uint8_t>(new_state);
-}
-
-void OnSwitchSlow(Tcb* from, Tcb* to) {
-  Touch(from);
-  Touch(to);
-  if (g_state.next_switch_preempted) {
-    g_state.next_switch_preempted = false;
-    ++g_state.preempted_switches;
-    ++from->metrics.preempted;
-  } else {
-    ++g_state.voluntary_switches;
-    ++from->metrics.voluntary;
+void Consume(obs::Event e, Tcb* t, uint32_t b, int64_t now) {
+  using obs::Event;
+  switch (e) {
+    case Event::kCreate:
+      // A thread born after enable starts its clock now, not at enable time — and its
+      // recycled TCB slot may carry a stale-but-matching epoch from a previous tenant, so
+      // the reset is unconditional.
+      t->metrics = TcbMetrics{};
+      t->metrics.epoch = g_epoch;
+      t->metrics.acct_state = static_cast<uint8_t>(t->state);
+      t->metrics.state_since_ns = now;
+      return;
+    case Event::kTimerTick:
+      ++g_state.timer_ticks;
+      return;
+    case Event::kIdlePoll:
+      ++g_state.idle_polls;
+      return;
+    case Event::kSignal:
+      ++g_state.signals_delivered;
+      return;
+    default:
+      break;
   }
-  // `to` goes ready -> running: the time it just spent in ready is its scheduling latency.
-  const int64_t ready_time = FoldStateTime(to, NowNs());
-  if (to->metrics.acct_state == static_cast<uint8_t>(ThreadState::kReady)) {
-    g_state.sched_latency.Add(ready_time);
+  Touch(t);
+  switch (e) {
+    case Event::kSwitch:
+      OnSwitch(kernel::ks().current, t, now);  // the switch has not mutated current yet
+      break;
+    case Event::kSuspend:
+      ChangeState(t, ThreadState::kBlocked, now);
+      break;
+    case Event::kPreempt:
+      g_state.next_switch_preempted = true;
+      [[fallthrough]];
+    case Event::kWake:
+    case Event::kYield:
+      ChangeState(t, ThreadState::kReady, now);
+      break;
+    case Event::kResume:
+      ChangeState(t, ThreadState::kRunning, now);
+      break;
+    case Event::kExit:
+      ChangeState(t, ThreadState::kTerminated, now);
+      break;
+    case Event::kMutexBlock:
+      if (t->metrics.wait_since_ns == 0) {
+        t->metrics.wait_since_ns = now;
+      }
+      break;
+    case Event::kDeadlock:
+    case Event::kLockFailed:
+      t->metrics.wait_since_ns = 0;  // the acquisition was abandoned (EDEADLK, EINVAL)
+      break;
+    case Event::kMutexLock:
+      OnLock(t, b, now);
+      break;
+    case Event::kMutexUnlock:
+      OnUnlock(t, b, now);
+      break;
+    case Event::kFakeCall:
+      ++t->metrics.fake_calls;
+      ++g_state.fake_calls;
+      break;
+    default:
+      break;
   }
-  to->metrics.acct_state = static_cast<uint8_t>(ThreadState::kRunning);
 }
-
-void MarkPreemptionSlow() { g_state.next_switch_preempted = true; }
-
-void OnMutexWaitSlow(Tcb* t, int64_t wait_ns) {
-  Touch(t);
-  ++t->metrics.mutex_blocks;
-  t->metrics.mutex_wait_ns += wait_ns;
-  g_state.mutex_wait.Add(wait_ns);
-}
-
-void OnMutexHoldSlow(int64_t hold_ns) { g_state.mutex_hold.Add(hold_ns); }
-
-void OnSignalDeliveredSlow(Tcb*) { ++g_state.signals_delivered; }
-
-void OnFakeCallSlow(Tcb* t) {
-  Touch(t);
-  ++t->metrics.fake_calls;
-  ++g_state.fake_calls;
-}
-
-void OnTimerTickSlow() { ++g_state.timer_ticks; }
-
-void OnIdlePollSlow() { ++g_state.idle_polls; }
-
-#endif  // FSUP_NO_METRICS
 
 void Capture(MetricsSnapshot* out) {
   *out = MetricsSnapshot{};
@@ -199,7 +264,7 @@ void Capture(MetricsSnapshot* out) {
   }
   KernelState& k = kernel::ks();
 
-  out->enabled = Enabled();
+  out->enabled = obs::On(obs::kMetrics);
   out->live_threads = k.live_threads;
   out->ctx_switches = k.ctx_switches;
   out->dispatches = k.dispatches;
@@ -245,23 +310,20 @@ void Capture(MetricsSnapshot* out) {
   out->mutex_wait = g_state.mutex_wait;
   out->mutex_hold = g_state.mutex_hold;
 
-#ifndef FSUP_NO_METRICS
   // Bring the snapshotted threads' time-in-state current so a snapshot taken mid-run does
   // not hide the open interval of the running thread. Only the threads being copied out are
   // folded — a capture must stay O(kMaxSnapshotThreads) even with a million threads live.
-  const int64_t now = Enabled() ? NowNs() : 0;
-#endif
+  const bool enabled = obs::On(obs::kMetrics);
+  const int64_t now = enabled ? NowNs() : 0;
   uint32_t n = 0;
   for (Tcb* t : k.all_threads) {
     if (n >= kMaxSnapshotThreads) {
       break;
     }
-#ifndef FSUP_NO_METRICS
-    if (Enabled()) {
+    if (enabled) {
       Touch(t);
       FoldStateTime(t, now);
     }
-#endif
     FillThreadSnap(t, &out->threads[n]);
     ++n;
   }

@@ -1,12 +1,12 @@
 // Per-thread and kernel-wide runtime metrics (paper, Future Work: "Information could be
 // extracted from the thread control block and made available to the user").
 //
-// The dispatcher, the sync paths and the signal machinery call the inline hooks below at
-// every interesting transition. With metrics disabled (the default) each hook is one load
-// and one predicted branch; configuring with -DFSUP_METRICS=OFF defines FSUP_NO_METRICS and
-// compiles the hooks out entirely, restoring the pre-instrumentation code byte for byte.
-// The bench_metrics_ablation binary quantifies the disabled-hook cost against a replica of
-// the uninstrumented fast path.
+// This module is the kMetrics consumer of the observation funnel (debug/obs.hpp): the
+// dispatcher, the sync paths and the signal machinery emit one event per transition, and
+// Consume folds it into the accumulators while the metrics bit of the observer mask is set.
+// Mutex wait and hold times are derived from the events themselves — a block opens a wait,
+// the next lock by the same thread closes it and opens a hold, the matching unlock closes
+// the hold — so the sync code carries no metrics bookkeeping of its own.
 //
 // Everything here is kernel-safe: fixed storage, no allocation, no syscalls. Aggregation
 // into histograms uses log2 buckets so Add() is a bit-scan plus an increment.
@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/debug/obs.hpp"
 #include "src/kernel/types.hpp"
 
 namespace fsup {
@@ -30,16 +31,11 @@ struct Tcb;
 
 namespace fsup::debug::metrics {
 
-// ---------------------------------------------------------------------------------------
-// Types — unconditionally defined so the snapshot API keeps one ABI across FSUP_METRICS
-// configurations (only the hooks compile out).
-// ---------------------------------------------------------------------------------------
-
 inline constexpr int kHistBuckets = 40;  // log2(ns): bucket i holds [2^(i-1), 2^i) ns
 inline constexpr int kMaxSnapshotThreads = 64;
 
-// Fixed-bucket log2 latency histogram. Header-inline so the FSUP_NO_METRICS configuration
-// stays self-contained (no library symbols needed to consume a snapshot).
+// Fixed-bucket log2 latency histogram. Header-inline: consuming a snapshot needs no library
+// symbols.
 struct LatencyHist {
   uint64_t buckets[kHistBuckets] = {};
   uint64_t count = 0;
@@ -180,7 +176,7 @@ struct MetricsSnapshot {
 };
 
 // Captures a snapshot (enters the kernel unless already inside). Always available; with
-// metrics disabled (or compiled out) the gated fields are zero. Flushes the in-progress
+// metrics disabled the gated fields are zero. Flushes the in-progress
 // time-in-state of every thread so the totals are current to the call.
 void Capture(MetricsSnapshot* out);
 
@@ -190,103 +186,17 @@ void Capture(MetricsSnapshot* out);
 // population; large-scale callers pass a small cap and get a "... and N more" footer).
 int DumpText(int fd, uint32_t max_threads = 0);
 
-#ifndef FSUP_NO_METRICS
-
-// One flag read on every hook: the disabled cost is this load + branch.
-extern bool g_enabled;
-inline bool Enabled() { return g_enabled; }
-
-// Enables/disables collection. Enabling resets the global accumulators and bumps the
-// per-thread epoch — O(1) regardless of how many threads are live; each TCB's accumulators
-// are lazily reset the first time a hook touches it afterwards. Also demotes the sync fast
-// paths to the kernel path (sync::fastpath::Recompute) so every acquisition is observed.
-// Enters the kernel.
+// Enables/disables collection (the metrics bit of the observer mask). Enabling resets the
+// global accumulators and bumps the per-thread epoch — O(1) regardless of how many threads
+// are live; each TCB's accumulators are lazily reset the first time an event touches it
+// afterwards. Also demotes the sync fast paths to the kernel path
+// (sync::fastpath::Recompute) so every acquisition is observed. Enters the kernel.
 void Enable(bool on);
 
-// -- slow paths (called only when enabled; defined in metrics.cpp) ----------------------
-void OnThreadCreateSlow(Tcb* t);
-void OnStateChangeSlow(Tcb* t, ThreadState new_state);
-void OnSwitchSlow(Tcb* from, Tcb* to);
-void MarkPreemptionSlow();
-void OnMutexWaitSlow(Tcb* t, int64_t wait_ns);
-void OnMutexHoldSlow(int64_t hold_ns);
-void OnSignalDeliveredSlow(Tcb* t);
-void OnFakeCallSlow(Tcb* t);
-void OnTimerTickSlow();
-void OnIdlePollSlow();
-int64_t EnabledSinceNs();
-
-// -- hooks (one predicted branch when disabled) -----------------------------------------
-// State-transition hooks fire BEFORE the state field mutates: the lazy epoch reset reads
-// t->state to learn what the thread has been doing since enable time, so the pre-transition
-// value must still be visible at hook time.
-inline void OnThreadCreate(Tcb* t) {
-  if (g_enabled) {
-    OnThreadCreateSlow(t);
-  }
-}
-inline void OnStateChange(Tcb* t, ThreadState new_state) {
-  if (g_enabled) {
-    OnStateChangeSlow(t, new_state);
-  }
-}
-inline void OnSwitch(Tcb* from, Tcb* to) {
-  if (g_enabled) {
-    OnSwitchSlow(from, to);
-  }
-}
-inline void MarkPreemption() {
-  if (g_enabled) {
-    MarkPreemptionSlow();
-  }
-}
-inline void OnMutexWait(Tcb* t, int64_t wait_ns) {
-  if (g_enabled) {
-    OnMutexWaitSlow(t, wait_ns);
-  }
-}
-inline void OnMutexHold(int64_t hold_ns) {
-  if (g_enabled) {
-    OnMutexHoldSlow(hold_ns);
-  }
-}
-inline void OnSignalDelivered(Tcb* t) {
-  if (g_enabled) {
-    OnSignalDeliveredSlow(t);
-  }
-}
-inline void OnFakeCall(Tcb* t) {
-  if (g_enabled) {
-    OnFakeCallSlow(t);
-  }
-}
-inline void OnTimerTick() {
-  if (g_enabled) {
-    OnTimerTickSlow();
-  }
-}
-inline void OnIdlePoll() {
-  if (g_enabled) {
-    OnIdlePollSlow();
-  }
-}
-
-#else  // FSUP_NO_METRICS: the zero-overhead configuration — hooks vanish at compile time.
-
-constexpr bool Enabled() { return false; }
-inline void Enable(bool) {}
-inline void OnThreadCreate(Tcb*) {}
-inline void OnStateChange(Tcb*, ThreadState) {}
-inline void OnSwitch(Tcb*, Tcb*) {}
-inline void MarkPreemption() {}
-inline void OnMutexWait(Tcb*, int64_t) {}
-inline void OnMutexHold(int64_t) {}
-inline void OnSignalDelivered(Tcb*) {}
-inline void OnFakeCall(Tcb*) {}
-inline void OnTimerTick() {}
-inline void OnIdlePoll() {}
-
-#endif  // FSUP_NO_METRICS
+// The funnel's metrics consumer (called only by obs::EmitSlow, before the emitting site
+// mutates t's state). b is the event's second operand: the mutex tag for mutex events, the
+// signal number for kSignal.
+void Consume(obs::Event e, Tcb* t, uint32_t b, int64_t now);
 
 }  // namespace fsup::debug::metrics
 

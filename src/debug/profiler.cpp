@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/stats_shm.hpp"
 #include "src/hostos/unix_if.hpp"
@@ -31,8 +32,6 @@ extern "C" void* __libc_stack_end;
 
 namespace fsup::debug::profiler {
 
-bool g_offcpu = false;
-bool g_tick_sampling = false;
 volatile bool g_signal_sampling = false;
 
 namespace {
@@ -72,12 +71,13 @@ std::atomic<uint64_t> g_read{0};     // drain cursor; sampler reads it to bound 
 std::atomic<uint64_t> g_dropped{0};  // ring-full + drain-window + agg-cap drops
 volatile bool g_draining = false;
 
-void EmitSample(const Sample& s) {
+// Returns false when the sample was dropped.
+bool EmitSample(const Sample& s) {
   uint64_t seq = g_reserved.load(std::memory_order_relaxed);
   for (int tries = 0;; ++tries) {
     if (seq - g_read.load(std::memory_order_relaxed) >= kRingCap || tries >= 8) {
       g_dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return false;
     }
     if (g_reserved.compare_exchange_weak(seq, seq + 1, std::memory_order_relaxed)) {
       break;
@@ -85,7 +85,10 @@ void EmitSample(const Sample& s) {
   }
   g_ring[seq % kRingCap] = s;
   g_committed.fetch_add(1, std::memory_order_release);
+  return true;
 }
+
+uint64_t g_offcpu_emitted = 0;  // off-CPU samples committed to the ring (in-kernel writer)
 
 // ---------------------------------------------------------------------------------------------
 // Frame-pointer stack walking. The library builds with -fno-omit-frame-pointer, so a frame is
@@ -465,34 +468,33 @@ void AtExitDump() {
 // Hot-path hooks
 // ---------------------------------------------------------------------------------------------
 
-void OnBlockSlow(Tcb* t) {
+void CaptureBlock(Tcb* t, BlockReason reason, int64_t now, void* fp, void* pc) {
   TcbProfile& p = t->profile;
   p.session = g_session;
-  p.block_since_ns = NowNs();
-  p.block_reason = static_cast<uint8_t>(t->block_reason);
+  p.block_since_ns = now;
+  p.block_reason = static_cast<uint8_t>(reason);
   p.block_tag = 0;
-  if (t->block_reason == BlockReason::kMutex && t->waiting_on_mutex != nullptr) {
+  if (reason == BlockReason::kMutex && t->waiting_on_mutex != nullptr) {
     p.block_tag = t->waiting_on_mutex->tag;
-  } else if (t->block_reason == BlockReason::kCond && t->waiting_on_cond != nullptr) {
+  } else if (reason == BlockReason::kCond && t->waiting_on_cond != nullptr) {
     p.block_tag = t->waiting_on_cond->tag;
   }
   // Walk our own live stack: the chain through Suspend and the sync layer up into user code.
-  const uintptr_t fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-  const WalkBounds b = BoundsFor(t, fp);
-  const auto pc = reinterpret_cast<uintptr_t>(__builtin_return_address(0));
+  const auto f = reinterpret_cast<uintptr_t>(fp);
+  const WalkBounds b = BoundsFor(t, f);
   uintptr_t pcs[TcbProfile::kMaxDepth];
-  const int depth = WalkFrames(pc, fp, b, pcs, TcbProfile::kMaxDepth);
+  const int depth =
+      WalkFrames(reinterpret_cast<uintptr_t>(pc), f, b, pcs, TcbProfile::kMaxDepth);
   p.depth = static_cast<uint8_t>(depth);
   std::memcpy(p.pcs, pcs, sizeof(uintptr_t) * depth);
 }
 
-void OnUnblockSlow(Tcb* t) {
+void CloseBlock(Tcb* t, int64_t now) {
   TcbProfile& p = t->profile;
-  if (t->state != ThreadState::kBlocked || p.depth == 0 || p.session != g_session) {
+  if (p.depth == 0 || p.session != g_session) {
     return;
   }
   Sample s;
-  const int64_t now = NowNs();
   s.weight = now > p.block_since_ns ? static_cast<uint64_t>(now - p.block_since_ns) : 0;
   s.tid = t->id;
   s.tag = p.block_tag;
@@ -508,25 +510,27 @@ void OnUnblockSlow(Tcb* t) {
       kRingCap - kRingCap / 4) {
     DrainRing();
   }
-  EmitSample(s);
+  if (EmitSample(s)) {
+    ++g_offcpu_emitted;
+  }
 }
 
-void OnTickSlow() {
+void TickSample(void* fp, void* pc) {
   // Deterministic-mode on-CPU sample: ticks are recorded/replayed decisions, so sampling here
   // (instead of from an unsynchronized ITIMER_PROF) makes the sample sequence reproducible.
   // The tick runs in-kernel on the interrupted thread's behalf; we sample the live kernel
   // call stack, which chains back into the interrupted user frames on the same stack.
   Tcb* t = kernel::ks().current;
-  const uintptr_t fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-  const WalkBounds b = BoundsFor(t, fp);
-  const auto pc = reinterpret_cast<uintptr_t>(__builtin_return_address(0));
+  const auto f = reinterpret_cast<uintptr_t>(fp);
+  const WalkBounds b = BoundsFor(t, f);
   Sample s;
   s.weight = 1;
   s.tid = t != nullptr ? t->id : 0;
   s.tag = 0;
   s.kind = 0;
   s.reason = 0;
-  s.depth = static_cast<uint8_t>(WalkFrames(pc, fp, b, s.pcs, kMaxDepth));
+  s.depth = static_cast<uint8_t>(WalkFrames(reinterpret_cast<uintptr_t>(pc), f, b, s.pcs,
+                                            kMaxDepth));
   // In-kernel emitter, same overflow discipline as the off-CPU path: with no collector
   // running in deterministic mode, the ring's only consumers are these eager folds and the
   // final Stop/Dump drain.
@@ -598,9 +602,9 @@ int StartImpl(int hz, bool reset) {
   } else {
     // Record or replay: an unsynchronized itimer would make the two runs sample differently.
     // Piggyback on the timer tick — a recorded decision — so both runs take identical samples.
-    g_tick_sampling = true;
+    obs::Set(obs::kTickSample, true);
   }
-  g_offcpu = true;
+  obs::Set(obs::kOffCpu, true);
 
   if (const char* shm_path = std::getenv("FSUP_STATS_SHM");
       shm_path != nullptr && shm_path[0] != '\0') {
@@ -655,8 +659,7 @@ int Stop() {
     return EINVAL;
   }
   g_signal_sampling = false;
-  g_tick_sampling = false;
-  g_offcpu = false;
+  obs::Set(obs::kTickSample | obs::kOffCpu, false);
   if (g_itimer_armed) {
     DisarmItimer();
     g_itimer_armed = false;
@@ -683,6 +686,8 @@ int Stop() {
 bool Active() { return g_active; }
 
 uint64_t SampleCount() { return g_committed.load(std::memory_order_acquire); }
+
+uint64_t OffCpuSampleCount() { return g_offcpu_emitted; }
 
 uint64_t DroppedCount() { return g_dropped.load(std::memory_order_relaxed); }
 

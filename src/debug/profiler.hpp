@@ -6,9 +6,10 @@
 // record/replay the itimer is never armed; sampling piggybacks on the (recorded, replayed)
 // timer tick instead, so sample counts are bit-identical across a record→replay pair.
 //
-// Off-CPU: kernel::Suspend snapshots the blocking call stack into the suspending thread's TCB
-// (profile capture buffer); kernel::MakeReady closes the capture into one ring record weighted
-// by blocked nanoseconds and tagged with the wait object (mutex#/cond# tag + BlockReason).
+// Off-CPU: the kOffCpu consumer of the observation funnel (debug/obs.hpp). The suspend event
+// snapshots the blocking call stack into the suspending thread's TCB (profile capture
+// buffer); the wake event closes the capture into one ring record weighted by blocked
+// nanoseconds and tagged with the wait object (mutex#/cond# tag + BlockReason).
 //
 // A collector — an ordinary library thread — drains the ring periodically, folds samples into
 // (stack hash → weight) aggregates, publishes a seqlock-versioned shared-memory stats block
@@ -18,13 +19,15 @@
 // Export: pt_profile_dump writes flamegraph.pl-compatible folded stacks ("0xPC;0xPC N") with
 // a /proc/self/maps sidecar for offline symbolization; FSUP_PROFILE_FILE arms an atexit dump.
 //
-// Disabled cost: each hook is one predicted branch on a global bool, same discipline as
-// debug/metrics — bench_profiler_ablation holds the "statistically free" bar.
+// Disabled cost: the funnel's one mask test at each transition site, shared with trace and
+// metrics — bench_observe_ablation measures it against the compiled-out build.
 
 #ifndef FSUP_SRC_DEBUG_PROFILER_HPP_
 #define FSUP_SRC_DEBUG_PROFILER_HPP_
 
 #include <cstdint>
+
+#include "src/kernel/types.hpp"
 
 namespace fsup {
 struct Tcb;
@@ -63,6 +66,9 @@ int Dump(const char* path);
 uint64_t SampleCount();
 uint64_t DroppedCount();
 
+// Off-CPU samples committed so far (one per wake of a thread whose suspend was captured).
+uint64_t OffCpuSampleCount();
+
 // Environment hooks (FSUP_PROFILE, FSUP_PROFILE_HZ, FSUP_PROFILE_FILE, FSUP_STATS_SHM), called
 // at the tail of kernel::EnsureInit — after replay::InitFromEnv, so mode-dependent sampling
 // setup sees the real replay mode. Re-reads the environment every call (pt_reinit).
@@ -73,40 +79,22 @@ void InitFromEnv();
 void ShutdownForReinit();
 
 // ---------------------------------------------------------------------------------------------
-// Hot-path hooks. One predicted branch when profiling is off.
+// Funnel consumers (called only by obs::EmitSlow). fp/pc are the emitting frame and its return
+// address: the walk starts there, so the stack reads as it did at the transition site.
 // ---------------------------------------------------------------------------------------------
 
-extern bool g_offcpu;                 // off-CPU hooks armed
-extern bool g_tick_sampling;          // deterministic mode: sample from the timer tick
 extern volatile bool g_signal_sampling;  // live mode: SIGPROF branch armed (read in handler)
 
-void OnBlockSlow(Tcb* t);
-void OnUnblockSlow(Tcb* t);
-void OnTickSlow();
+// Suspend (kOffCpu): capture the blocking stack and wait object into t->profile.
+void CaptureBlock(Tcb* t, BlockReason reason, int64_t now, void* fp, void* pc);
 
-// kernel::Suspend, after block_reason is assigned, before the dispatcher runs: capture the
-// blocking stack into t->profile.
-inline void OnBlock(Tcb* t) {
-  if (g_offcpu) {
-    OnBlockSlow(t);
-  }
-}
+// Wake of a blocked thread (kOffCpu), before any mutation: emit the off-CPU sample for the
+// closing wait.
+void CloseBlock(Tcb* t, int64_t now);
 
-// kernel::MakeReady, on a thread still in kBlocked state, before any mutation: emit the
-// off-CPU sample for the closing wait.
-inline void OnUnblock(Tcb* t) {
-  if (g_offcpu) {
-    OnUnblockSlow(t);
-  }
-}
-
-// signals/timers TickImpl: one deterministic on-CPU sample per tick when tick sampling is on
-// (ticks are recorded/replayed decisions, so replay reproduces the exact sample sequence).
-inline void OnTick() {
-  if (g_tick_sampling) {
-    OnTickSlow();
-  }
-}
+// Timer tick (kTickSample): one deterministic on-CPU sample per tick (ticks are
+// recorded/replayed decisions, so replay reproduces the exact sample sequence).
+void TickSample(void* fp, void* pc);
 
 // The SIGPROF branch of the universal handler. Called with the raw ucontext_t* (as void* to
 // keep <ucontext.h> out of this header); async-signal-safe, touches only the sample ring and

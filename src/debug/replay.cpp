@@ -8,6 +8,7 @@
 #include <sys/time.h>
 
 #include "src/debug/introspect.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/io/io.hpp"
@@ -22,15 +23,17 @@ namespace fsup::debug::replay {
 
 uint8_t g_mode = 0;
 uint64_t g_decisions = 0;
-volatile bool g_gate_pending = false;
+#if !FSUP_NO_OBSERVE
+volatile uint8_t g_gate_pending = 0;
 bool g_exit_hook = false;
+#endif
 
 namespace {
 
 constexpr size_t kRecordCap = 1 << 20;  // decisions per log (12 MB); enough for a full suite
 constexpr size_t kNoSlot = ~static_cast<size_t>(0);
 constexpr uint64_t kFileMagic = 0x314c50525055'5346ull;  // "FSUPRPL1" little-endian
-constexpr uint32_t kFileVersion = 1;
+constexpr uint32_t kFileVersion = 2;  // 2: async records carry their firing site
 constexpr uint32_t kFlagTruncated = 1u << 0;
 constexpr size_t kMaxPoints = 64;
 
@@ -52,7 +55,6 @@ size_t g_cap = 0;
 size_t g_len = 0;     // records in the log (record: appended; replay: loaded)
 size_t g_cursor = 0;  // replay: next record to consume
 bool g_truncated = false;
-bool g_firing = false;      // a gate is mid-delivery of an async record
 bool g_need_rearm = false;  // replay ended outside the kernel; re-arm at the next Exit
 
 // Perturbation (exploration) state.
@@ -88,10 +90,57 @@ bool EnsureCap(size_t n) {
 
 bool IsAsync(Decision d) { return d == Decision::kTick || d == Decision::kExtSignal; }
 
+uint32_t SiteBit(AsyncSite site) {
+  return site == AsyncSite::kInDispatcher ? kSiteDispatcher : 0;
+}
+
+// kernel_entries when the last decision was logged (record) or consumed (replay). An async
+// record also stores the kernel entries since then: the site tells the entry gate from the
+// dispatch loop, the count tells one kernel section from the next — two sections can pass
+// between decisions, so "the next dispatch loop" is not enough.
+uint64_t g_entries_mark = 0;
+constexpr uint32_t kEntriesShift = 2;  // kTick/kExtSignal b: entries since the last decision
+constexpr uint64_t kEntriesUnknown = (uint64_t{1} << 30) - 1;  // saturated: due anywhere
+
+uint64_t EntriesSinceMark() { return kernel::ks().kernel_entries - g_entries_mark; }
+
+void MarkEntries() { g_entries_mark = kernel::ks().kernel_entries; }
+
+uint32_t AsyncB(AsyncSite site) {
+  const uint64_t n = EntriesSinceMark() < kEntriesUnknown ? EntriesSinceMark() : kEntriesUnknown;
+  return SiteBit(site) | static_cast<uint32_t>(n << kEntriesShift);
+}
+
+// True if the record at the cursor is an async event the recorded run took at `site`,
+// `entries` kernel entries after the previous decision.
+bool AsyncDue(AsyncSite site, uint64_t entries) {
+  if (g_mode != static_cast<uint8_t>(Mode::kReplay) || g_cursor >= g_len) {
+    return false;
+  }
+  const LogRecord& r = g_buf[g_cursor];
+  const uint64_t want = r.b >> kEntriesShift;
+  return IsAsync(r.kind) && (r.b & kSiteDispatcher) == SiteBit(site) &&
+         (want == entries || want == kEntriesUnknown);
+}
+
 void UpdateFlags() {
+#if !FSUP_NO_OBSERVE
   const bool replaying = g_mode == static_cast<uint8_t>(Mode::kReplay);
   g_exit_hook = g_perturb_active || replaying || g_need_rearm;
-  g_gate_pending = replaying && g_cursor < g_len && IsAsync(g_buf[g_cursor].kind);
+  uint8_t gate = 0;
+  if (replaying && g_cursor < g_len && IsAsync(g_buf[g_cursor].kind)) {
+    gate = kGateEntry;
+    if ((g_buf[g_cursor].b & kSiteDispatcher) != 0) {
+      gate |= kGateDispatcher;
+    }
+  }
+  g_gate_pending = gate;
+  // An in-dispatcher record due in the current kernel section: the recorded run's deferred
+  // signal set dispatch_pending here, so the section's exit runs the loop that fires it.
+  if (AsyncDue(AsyncSite::kInDispatcher, EntriesSinceMark())) {
+    kernel::ks().dispatch_pending = 1;
+  }
+#endif
 }
 
 // Rewinds the thread-id counter to just past the highest live (or unreaped) id. Ids stamp
@@ -190,6 +239,15 @@ void Append(Decision kind, uint32_t a, uint32_t b) {
   }
   g_buf[g_len++] = LogRecord{a, b, kind};
   ++g_decisions;
+  MarkEntries();
+}
+
+// Replay: the record at the cursor has been consumed.
+void Advance() {
+  ++g_cursor;
+  ++g_decisions;
+  MarkEntries();
+  UpdateFlags();
 }
 
 // Consumes the next record, which must be of `kind`; advances the decision counter.
@@ -203,9 +261,7 @@ LogRecord Consume(Decision kind, uint32_t actual_a, uint32_t actual_b) {
   if (r.kind != kind) {
     Diverge("decision kind mismatch", kind, actual_a, actual_b);
   }
-  ++g_cursor;
-  ++g_decisions;
-  UpdateFlags();
+  Advance();
   return r;
 }
 
@@ -287,6 +343,7 @@ void StartRecording() {
     }
   }
   g_mode = static_cast<uint8_t>(Mode::kRecord);
+  MarkEntries();
   UpdateFlags();
 }
 
@@ -401,6 +458,7 @@ int StartReplay(const char* path) {
   g_need_rearm = false;
   sync::ResetSyncTags();
   g_mode = static_cast<uint8_t>(Mode::kReplay);
+  MarkEntries();
   UpdateFlags();
   return 0;
 }
@@ -523,14 +581,14 @@ void OnSwitchSlow(uint32_t from, uint32_t to) {
   }
 }
 
-size_t BeginTick() {
+size_t BeginTick(AsyncSite site) {
   switch (static_cast<Mode>(g_mode)) {
     case Mode::kOff:
       ++g_decisions;
       return kNoSlot;
     case Mode::kRecord: {
       const size_t slot = g_len;
-      Append(Decision::kTick, 0, 0);
+      Append(Decision::kTick, 0, AsyncB(site));
       return g_mode == static_cast<uint8_t>(Mode::kRecord) ? slot : kNoSlot;
     }
     case Mode::kReplay:
@@ -546,21 +604,18 @@ void EndTick(size_t slot, uint32_t expired, bool slice_fired) {
     return;
   }
   g_buf[slot].a = expired;
-  g_buf[slot].b = slice_fired ? 1 : 0;
+  g_buf[slot].b |= slice_fired ? kSliceFired : 0;
 }
 
-void OnExtSignal(int signo) {
+void OnExtSignal(int signo, AsyncSite site) {
   switch (static_cast<Mode>(g_mode)) {
     case Mode::kOff:
       ++g_decisions;
       return;
     case Mode::kRecord:
-      Append(Decision::kExtSignal, static_cast<uint32_t>(signo), 0);
+      Append(Decision::kExtSignal, static_cast<uint32_t>(signo), AsyncB(site));
       return;
     case Mode::kReplay:
-      if (g_firing) {
-        return;  // gate-driven delivery: the record was already consumed
-      }
       Diverge("unexpected external signal", Decision::kExtSignal,
               static_cast<uint32_t>(signo), 0);
   }
@@ -602,9 +657,7 @@ int ReplayFault(uint32_t call) {
     // decisions; non-firing calls are not logged).
     return 0;
   }
-  ++g_cursor;
-  ++g_decisions;
-  UpdateFlags();
+  Advance();
   return static_cast<int>(r.b);
 }
 
@@ -637,9 +690,7 @@ void ReplayIdleIo() {
     const LogRecord r = g_buf[g_cursor];
     switch (r.kind) {
       case Decision::kIoWake: {
-        ++g_cursor;
-        ++g_decisions;
-        UpdateFlags();
+        Advance();
         Tcb* t = FindThread(r.a);
         if (t == nullptr) {
           Diverge("io wake for unknown thread", Decision::kIoWake, r.a, r.b);
@@ -655,16 +706,12 @@ void ReplayIdleIo() {
             call != hostos::Call::kEpollCtl) {
           Diverge("idle poll pass not in log", Decision::kIoDone, 0, 0);
         }
-        ++g_cursor;
-        ++g_decisions;
-        UpdateFlags();
-        trace::Log(trace::Event::kFault, r.a, r.b);
+        Advance();
+        obs::Emit(obs::Event::kFault, nullptr, r.a, r.b);
         break;
       }
       case Decision::kIoDone:
-        ++g_cursor;
-        ++g_decisions;
-        UpdateFlags();
+        Advance();
         return;
       default:
         // Record always terminates a pass with kIoDone, so any other kind here means the
@@ -674,42 +721,48 @@ void ReplayIdleIo() {
   }
 }
 
+namespace {
+
+// Fires the async record at the cursor (AsyncDue said it is due here).
+void FireAsync() {
+  const LogRecord r = g_buf[g_cursor];
+  Advance();
+  if (r.kind == Decision::kTick) {
+    sig::ForceTimerTick(r.a, (r.b & kSliceFired) != 0);
+  } else {
+    sig::DeliverToProcess(static_cast<int>(r.a), sig::Cause::kExternal, nullptr);
+  }
+}
+
+}  // namespace
+
 bool GateInDispatcher() {
-  if (!Replaying() || g_cursor >= g_len) {
+  if (!AsyncDue(AsyncSite::kInDispatcher, EntriesSinceMark())) {
     return false;
   }
-  const LogRecord r = g_buf[g_cursor];
-  if (r.kind == Decision::kTick) {
-    ++g_cursor;
-    ++g_decisions;
-    UpdateFlags();
-    g_firing = true;
-    sig::ForceTimerTick(r.a, r.b != 0);
-    g_firing = false;
-    return true;
-  }
-  if (r.kind == Decision::kExtSignal) {
-    ++g_cursor;
-    ++g_decisions;
-    UpdateFlags();
-    g_firing = true;
-    sig::DeliverToProcess(static_cast<int>(r.a), sig::Cause::kExternal, nullptr);
-    g_firing = false;
-    return true;
-  }
-  return false;
+  FireAsync();
+  return true;
 }
 
 void RunGate() {
-  g_gate_pending = false;
-  if (!Replaying()) {
+  // The kernel entry about to happen is entry EntriesSinceMark() + 1 of this decision gap.
+  // An in-dispatcher record due in that section gets its dispatch_pending, as the recorded
+  // deferred signal set it.
+  if (AsyncDue(AsyncSite::kInDispatcher, EntriesSinceMark() + 1)) {
+    kernel::ks().dispatch_pending = 1;
     return;
   }
-  // Mirror the universal handler's out-of-kernel path: enter, run the delivery, dispatch.
-  // The handler's sigprocmask traffic is skipped — no physical signal is in flight.
-  kernel::Enter();
-  GateInDispatcher();
-  kernel::Dispatch();
+#if !FSUP_NO_OBSERVE
+  // A pre-entry record: the recorded universal handler entered the kernel itself to deliver
+  // it, and the Enter below mirrors that entry (sigprocmask traffic skipped — no physical
+  // signal is in flight).
+  while (AsyncDue(AsyncSite::kPreEntry, EntriesSinceMark() + 1)) {
+    g_gate_pending = 0;  // our own Enter below must not recurse; firing recomputes the flags
+    kernel::Enter();
+    FireAsync();
+    kernel::Dispatch();
+  }
+#endif
 }
 
 void OnKernelExitGate() {
@@ -725,9 +778,7 @@ void OnKernelExitGate() {
       if (r.a != ord) {
         Diverge("forced switch ordinal", Decision::kForced, static_cast<uint32_t>(ord), 0);
       }
-      ++g_cursor;
-      ++g_decisions;
-      UpdateFlags();
+      Advance();
       if (!sched::ForceSwitchNow()) {
         Diverge("forced switch not applicable", Decision::kForced,
                 static_cast<uint32_t>(ord), 0);

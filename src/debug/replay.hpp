@@ -38,8 +38,8 @@ enum class Mode : uint8_t { kOff = 0, kRecord = 1, kReplay = 2 };
 // marked "verified" are recomputed by the replayed run and checked against the log.
 enum class Decision : uint8_t {
   kSwitch = 0,  // verified: a = from thread id, b = to thread id
-  kTick,        // steered:  a = expired timer entries, b = slice fired (0/1)
-  kExtSignal,   // steered:  a = signo delivered to the process from outside
+  kTick,        // steered:  a = expired timer entries, b = kSliceFired | site (see below)
+  kExtSignal,   // steered:  a = signo delivered to the process from outside, b = site
   kIoWake,      // steered:  a = woken thread id, b = delivered readiness mask
   kIoDone,      // steered:  a = wakeups in this idle poll pass (terminates the pass)
   kFault,       // steered:  a = hostos::Call ordinal, b = injected errno
@@ -54,12 +54,34 @@ struct LogRecord {
   Decision kind;
 };
 
+// Where the recorded run took an asynchronous event (kTick / kExtSignal): in the universal
+// handler before any kernel entry (the thread was in user code), or inside the dispatcher
+// (the signal arrived in the kernel, was deferred, and the dispatch loop or the idle wait
+// handled it). The record's b carries the site bit and, above it (bits 2..31), the number of
+// kernel entries since the previous decision, which names the kernel section. Replay fires
+// each record at its own site's mirror in that section: kernel::Enter for pre-entry, the
+// dispatch loop for in-dispatcher.
+enum class AsyncSite : uint8_t { kPreEntry = 0, kInDispatcher = 1 };
+inline constexpr uint32_t kSliceFired = 1u << 0;     // kTick b: the slice expired
+inline constexpr uint32_t kSiteDispatcher = 1u << 1;  // kTick/kExtSignal b: in-dispatcher
+
+// g_gate_pending bits, set while the next log record is an async event: kernel::Enter must
+// call RunGate; for an in-dispatcher record the dispatch loop must call GateInDispatcher.
+inline constexpr uint8_t kGateEntry = 1u << 0;
+inline constexpr uint8_t kGateDispatcher = 1u << 1;
+
 // -- hot-path state (extern so the kernel's inline Enter and the trace ring can read it
 // without a function call; written only by this module) ---------------------------------
 extern uint8_t g_mode;             // Mode as a raw byte
 extern uint64_t g_decisions;       // logical decision counter, advances in every mode
-extern volatile bool g_gate_pending;  // replay only: next log record is an async event
-extern bool g_exit_hook;           // kernel::Exit must call OnKernelExitGate
+#if FSUP_NO_OBSERVE
+// The observation-free baseline build (debug/obs.hpp): the kernel's replay gates compile out.
+inline constexpr uint8_t g_gate_pending = 0;
+inline constexpr bool g_exit_hook = false;
+#else
+extern volatile uint8_t g_gate_pending;  // replay only: kGate* bits for the next record
+extern bool g_exit_hook;                 // kernel::Exit must call OnKernelExitGate
+#endif
 
 inline Mode CurrentMode() { return static_cast<Mode>(g_mode); }
 inline bool Replaying() { return g_mode == static_cast<uint8_t>(Mode::kReplay); }
@@ -132,11 +154,11 @@ inline void OnSwitch(uint32_t from, uint32_t to) {
 
 // Timer ticks patch their payload in after the expiry loop ran: BeginTick reserves the
 // decision slot (so records logged *during* the tick stamp after it), EndTick fills it.
-size_t BeginTick();
+size_t BeginTick(AsyncSite site);
 void EndTick(size_t slot, uint32_t expired, bool slice_fired);
 
-// An external (asynchronous process-level) signal reached the delivery model.
-void OnExtSignal(int signo);
+// An external (asynchronous process-level) signal reached the delivery model at `site`.
+void OnExtSignal(int signo, AsyncSite site);
 
 // The idle poll woke tid with the given readiness mask / finished a pass with `woke` wakeups.
 void OnIoWakeSlow(uint32_t tid, uint32_t mask);
@@ -163,13 +185,16 @@ void OnRngPick(uint64_t value);
 // kIoDone terminator, waking the logged threads. Called from io::PollOnce in replay mode.
 void ReplayIdleIo();
 
-// Dispatcher-loop gate: if the next log record is an async event that the recorded run took
-// inside the dispatcher (a deferred tick or external signal), fire it now. Returns true if
-// something fired (the caller restarts its selection loop).
+// Dispatcher-loop gate (called when g_gate_pending has kGateDispatcher): if the next log record
+// is an async event that the recorded run took inside the dispatcher of this kernel section
+// (a deferred tick or external signal), fire it now. Returns true if something fired (the
+// caller restarts its selection loop).
 bool GateInDispatcher();
 
-// Pre-kernel gate (called by kernel::Enter when g_gate_pending): mirrors the universal
-// handler's out-of-kernel path — enter, fire the async event, dispatch.
+// Pre-kernel gate (called by kernel::Enter while g_gate_pending has kGateEntry). A pre-entry
+// record due at this entry mirrors the universal handler's out-of-kernel path: enter, fire the
+// async event, dispatch. An in-dispatcher record due in the section this entry opens raises
+// dispatch_pending, as the deferred signal did on record, so the section's exit dispatches.
 void RunGate();
 
 // kernel::Exit gate: applies/records exploration forced switches; consumes kForced records.

@@ -5,7 +5,6 @@
 #include "src/debug/replay.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sync/fastpath.hpp"
-#include "src/util/dual_loop_timer.hpp"
 
 namespace fsup::debug::trace {
 namespace {
@@ -13,9 +12,8 @@ namespace {
 constexpr size_t kCapacity = 1 << 16;
 
 Record g_ring[kCapacity];
-bool g_enabled = false;
 
-// Reserve/commit pair: Log bumps g_reserved, fills the slot, then bumps g_committed. When the
+// Reserve/commit pair: Append bumps g_reserved, fills the slot, then bumps g_committed. When the
 // two are equal no writer is mid-flight. Both only ever grow; slot = sequence % capacity.
 std::atomic<uint64_t> g_reserved{0};
 std::atomic<uint64_t> g_committed{0};
@@ -32,13 +30,9 @@ size_t CopyWindow(Record* out, uint64_t end, size_t n) {
 }  // namespace
 
 void Enable(bool on) {
-  g_enabled = on;
-  // Tracing wants every sync event logged from inside the monitor: demote (or restore) the
-  // kernel-bypassing sync fast paths.
+  obs::Set(obs::kTrace, on);
   sync::fastpath::Recompute();
 }
-
-bool Enabled() { return g_enabled; }
 
 void Clear() {
   g_reserved.store(0, std::memory_order_relaxed);
@@ -47,28 +41,15 @@ void Clear() {
 
 size_t Capacity() { return kCapacity; }
 
-void Log(Event e, uint32_t a, uint32_t b) {
-  if (!g_enabled) {
-    return;
-  }
+void Append(Event e, uint32_t a, uint32_t b, int64_t now) {
   KernelState& k = kernel::ks();
-  const uint32_t tid = k.current != nullptr ? k.current->id : 0;
+  // A switch fires before `current` changes; its record belongs to the incoming thread (b).
+  const uint32_t tid = e == Event::kSwitch ? b : (k.current != nullptr ? k.current->id : 0);
   // A signal handler interrupting us between the reservation and the commit logs into later
   // slots; our slot commits when we resume. Readers see reserved != committed meanwhile.
   const uint64_t seq = g_reserved.fetch_add(1, std::memory_order_relaxed);
-  g_ring[seq % kCapacity] = Record{NowNs(), replay::DecisionCount(), tid, a, b, e};
+  g_ring[seq % kCapacity] = Record{now, replay::DecisionCount(), tid, a, b, e};
   g_committed.fetch_add(1, std::memory_order_release);
-}
-
-size_t Count() {
-  const uint64_t w = g_committed.load(std::memory_order_acquire);
-  return w < kCapacity ? static_cast<size_t>(w) : kCapacity;
-}
-
-Record Get(size_t i) {
-  const uint64_t w = g_committed.load(std::memory_order_acquire);
-  const uint64_t oldest = w <= kCapacity ? 0 : w % kCapacity;
-  return g_ring[(oldest + i) % kCapacity];
 }
 
 uint64_t TotalLogged() { return g_committed.load(std::memory_order_acquire); }
@@ -77,7 +58,7 @@ size_t Snapshot(Record* out, size_t max) {
   for (int attempt = 0; attempt < 8; ++attempt) {
     const uint64_t w0 = g_committed.load(std::memory_order_acquire);
     if (g_reserved.load(std::memory_order_relaxed) != w0) {
-      continue;  // a Log call is mid-flight below us on the stack or was interrupted
+      continue;  // an Append call is mid-flight below us on the stack or was interrupted
     }
     const size_t avail = w0 < kCapacity ? static_cast<size_t>(w0) : kCapacity;
     const size_t n = avail < max ? avail : max;
@@ -106,6 +87,12 @@ size_t Snapshot(Record* out, size_t max) {
     kernel::Exit();
   }
   return n;
+}
+
+std::vector<Record> SnapshotAll() {
+  std::vector<Record> recs(kCapacity);
+  recs.resize(Snapshot(recs.data(), recs.size()));
+  return recs;
 }
 
 const char* Name(Event e) {
@@ -146,6 +133,12 @@ const char* Name(Event e) {
       return "cond-requeue";
     case Event::kStackCommit:
       return "stack-commit";
+    case Event::kSuspend:
+      return "suspend";
+    case Event::kWake:
+      return "wake";
+    default:
+      break;  // consumer-only events never reach the ring
   }
   return "?";
 }

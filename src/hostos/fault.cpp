@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "src/debug/replay.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 
 namespace fsup::hostos::fault {
 namespace {
@@ -246,8 +246,8 @@ int ShouldFail(Call c) {
     const int err = debug::replay::ReplayFault(static_cast<uint32_t>(c));
     if (err != 0) {
       ++g_total_injected;
-      debug::trace::Log(debug::trace::Event::kFault, static_cast<uint32_t>(c),
-                        static_cast<uint32_t>(err));
+      debug::obs::Emit(debug::obs::Event::kFault, nullptr, static_cast<uint32_t>(c),
+                       static_cast<uint32_t>(err));
     }
     return err;
   }
@@ -275,8 +275,8 @@ int ShouldFail(Call c) {
   // The firing is a scheduling decision: record it (before the trace record, so the ring
   // stamp matches the replay side) and a replayed run will re-inject it at the same index.
   debug::replay::OnFault(static_cast<uint32_t>(c), static_cast<uint32_t>(r.err));
-  debug::trace::Log(debug::trace::Event::kFault, static_cast<uint32_t>(c),
-                    static_cast<uint32_t>(r.err));
+  debug::obs::Emit(debug::obs::Event::kFault, nullptr, static_cast<uint32_t>(c),
+                   static_cast<uint32_t>(r.err));
   return r.err;
 }
 

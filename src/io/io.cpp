@@ -10,7 +10,7 @@
 #include <new>
 
 #include "src/cancel/cancel.hpp"
-#include "src/debug/metrics.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
@@ -384,7 +384,7 @@ int ClampedPollTimeoutMs(int64_t remaining_ns) {
 void PollOnce(int64_t timeout_ns) {
   FSUP_ASSERT(kernel::InKernel());
   ResolveBackend();
-  debug::metrics::OnIdlePoll();
+  debug::obs::Emit(debug::obs::Event::kIdlePoll, nullptr, 0, 0);
   ++g_stats.probes;
   if (debug::replay::Replaying()) {
     // The pass is virtualized: no syscall runs; the log supplies the wakeups (and any fault

@@ -7,9 +7,8 @@
 
 #include <cerrno>
 
-#include "src/debug/metrics.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
-#include "src/debug/trace.hpp"
 #include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sched/perverted.hpp"
@@ -32,16 +31,16 @@ void SwitchTo(Tcb* next) {
   // The paper swaps UNIX's global error number with the thread's on every switch.
   cur->err_no = errno;
 
-  // Metrics fire before the state mutation so the epoch-lazy reset can still read the state
-  // `next` held since enable time.
-  debug::metrics::OnSwitch(cur, next);
+  // The switch is a verified replay decision; its event fires after the decision (so the trace
+  // record carries the switch's own decision stamp) and before any mutation (so the metrics
+  // epoch-lazy reset can still read the state `next` held since enable time).
+  debug::replay::OnSwitch(cur->id, next->id);
+  debug::obs::Emit(debug::obs::Event::kSwitch, next, cur->id, next->id);
   next->state = ThreadState::kRunning;
   next->block_reason = BlockReason::kNone;
   ++next->switches_in;
   ++k.ctx_switches;
   k.current = next;
-  debug::replay::OnSwitch(cur->id, next->id);
-  debug::trace::OnSwitch(cur->id, next->id);
 
   StackPool::EnsureSignalHeadroom(next);
   sig::OnDispatch(next);
@@ -85,7 +84,7 @@ void IdleWait() {
   // Under replay the wall clock is meaningless — ticks fire only when the log says so (the
   // dispatch loop's replay gate), never from a live deadline comparison.
   if (!debug::replay::Replaying() && deadline >= 0 && NowNs() >= deadline) {
-    sig::OnTimerTick();
+    sig::OnTimerTick(debug::replay::AsyncSite::kInDispatcher);
   }
   const SigSet deferred = k.sigs_caught_in_kernel.exchange(0, std::memory_order_relaxed);
   if (deferred != 0) {
@@ -112,7 +111,8 @@ void DispatchKeepKernel() {
 
     // Replay-side twin of the deferred-signal check: async log records whose recorded firing
     // point was inside the dispatcher (deferred ticks, idle-wait wakeups) fire here.
-    if (debug::replay::g_gate_pending && debug::replay::GateInDispatcher()) {
+    if ((debug::replay::g_gate_pending & debug::replay::kGateDispatcher) != 0 &&
+        debug::replay::GateInDispatcher()) {
       continue;
     }
 
@@ -122,11 +122,10 @@ void DispatchKeepKernel() {
     if (cur->state == ThreadState::kRunning) {
       // The running thread stays unless a strictly higher-priority thread is ready.
       if (k.ready.TopPrio() > cur->prio) {
-        debug::metrics::OnStateChange(cur, ThreadState::kReady);
+        debug::obs::Emit(debug::obs::Event::kPreempt, cur, cur->id, 0);
         cur->state = ThreadState::kReady;
         k.ready.PushFront(cur);  // preempted: head of its level, it did not consume its turn
         ++k.preemptions;
-        debug::metrics::MarkPreemption();
         next = k.ready.PopHighest();
       } else {
         return;  // keep running
@@ -151,7 +150,7 @@ void DispatchKeepKernel() {
       }
       if (next == cur) {
         // The current thread yielded / was requeued and won selection again.
-        debug::metrics::OnStateChange(cur, ThreadState::kRunning);
+        debug::obs::Emit(debug::obs::Event::kResume, cur, cur->id, 0);
         cur->state = ThreadState::kRunning;
         cur->block_reason = BlockReason::kNone;
         sig::OnDispatch(cur);

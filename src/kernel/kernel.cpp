@@ -12,6 +12,7 @@
 #include "src/debug/export.hpp"
 #include "src/debug/introspect.hpp"
 #include "src/debug/metrics.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/profiler.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/trace.hpp"
@@ -140,11 +141,9 @@ void MakeReady(Tcb* t, bool front) {
     FSUP_ASSERT(k.sigwait_blocked > 0);
     --k.sigwait_blocked;
   }
-  // Off-CPU profiling: close the wait interval opened by Suspend, before any state mutation.
-  debug::profiler::OnUnblock(t);
   // t may be the current thread: a blocked thread with no runnable peer idles on its own
   // stack inside the dispatcher, and its own timer/IO wakeup re-readies it.
-  debug::metrics::OnStateChange(t, ThreadState::kReady);
+  debug::obs::Emit(debug::obs::Event::kWake, t, t->id, static_cast<uint32_t>(t->block_reason));
   t->state = ThreadState::kReady;
   t->block_reason = BlockReason::kNone;
   if (front) {
@@ -163,11 +162,9 @@ void Suspend(BlockReason reason) {
   FSUP_ASSERT(k.in_kernel != 0);
   Tcb* self = k.current;
   FSUP_ASSERT(self->state == ThreadState::kRunning);
-  debug::metrics::OnStateChange(self, ThreadState::kBlocked);
+  debug::obs::Emit(debug::obs::Event::kSuspend, self, self->id, static_cast<uint32_t>(reason));
   self->state = ThreadState::kBlocked;
   self->block_reason = reason;
-  // Off-CPU profiling: capture the blocking call stack + wait object while both are live.
-  debug::profiler::OnBlock(self);
   if (reason == BlockReason::kSigwait) {
     ++k.sigwait_blocked;  // paired with the decrement in MakeReady
   }
@@ -181,7 +178,7 @@ void Yield() {
   KernelState& k = ks();
   FSUP_ASSERT(k.in_kernel != 0);
   Tcb* self = k.current;
-  debug::metrics::OnStateChange(self, ThreadState::kReady);
+  debug::obs::Emit(debug::obs::Event::kYield, self, self->id, 0);
   self->state = ThreadState::kReady;
   k.ready.PushBack(self);
   DispatchKeepKernel();
@@ -227,9 +224,8 @@ void ReapZombies() {
 void TerminateCurrent() {
   KernelState& k = ks();
   FSUP_ASSERT(k.in_kernel != 0);
-  Tcb* self = k.current;
-  // The caller fired the kTerminated state hook before mutating self->state.
-  FSUP_ASSERT(self->state == ThreadState::kTerminated);
+  // The caller emitted the kExit event before mutating the state.
+  FSUP_ASSERT(k.current->state == ThreadState::kTerminated);
   FSUP_CHECK(k.live_threads > 0);
   --k.live_threads;
   if (k.live_threads == 0) {

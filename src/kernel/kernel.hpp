@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdint>
 
+#include "src/debug/replay.hpp"
 #include "src/kernel/ready_queue.hpp"
 #include "src/kernel/stack_pool.hpp"
 #include "src/kernel/tcb.hpp"
@@ -25,13 +26,6 @@
 #include "src/kernel/types.hpp"
 #include "src/util/intrusive_list.hpp"
 #include "src/util/rng.hpp"
-
-namespace fsup::debug::replay {
-// See debug/replay.hpp. Declared here so the inline kernel entry can poll the replay gate
-// without pulling the replay module into every kernel include.
-extern volatile bool g_gate_pending;
-void RunGate();
-}  // namespace fsup::debug::replay
 
 namespace fsup {
 
@@ -135,7 +129,7 @@ inline bool InKernel() { return ks().in_kernel != 0; }
 // (ticks, external signals) that the recorded run took *outside* the kernel are fired here,
 // before this entry proceeds — the replay-side stand-in for the universal signal handler.
 inline void Enter() {
-  while (debug::replay::g_gate_pending) {
+  if (__builtin_expect((debug::replay::g_gate_pending & debug::replay::kGateEntry) != 0, 0)) {
     debug::replay::RunGate();
   }
   KernelState& k = ks();

@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/util/assert.hpp"
 
@@ -264,7 +264,7 @@ bool StackPool::CommitFaultOnThread(const void* addr, Tcb* t) {
   const auto committed = static_cast<uint32_t>(t->stack_commit_lo - base);
   t->stack_commit_lo = base;
   ++t->metrics.stack_commits;
-  debug::trace::Log(debug::trace::Event::kStackCommit, t->id, committed);
+  debug::obs::Emit(debug::obs::Event::kStackCommit, t, t->id, committed);
   return true;
 }
 

@@ -57,23 +57,37 @@ struct CleanupNode {
   CleanupNode* next = nullptr;
 };
 
-// Per-thread metrics accumulators (debug/metrics.hpp). Always present so the TCB layout is
-// identical across FSUP_METRICS configurations; with metrics disabled or compiled out the
-// fields simply stay zero. All mutation happens under the kernel monitor.
+// Per-thread metrics accumulators (debug/metrics.hpp). Always present so the TCB layout does
+// not depend on the observer mask; with metrics disabled the fields simply stay zero. All
+// mutation happens under the kernel monitor.
 struct TcbMetrics {
+  // Mutex holds the metrics consumer is timing (lock event -> matching unlock event), keyed by
+  // mutex tag. Two limits, both costing hold samples, never wait samples or counts: a hold
+  // opened while all kHeldSlots slots are busy is not sampled, and since record/replay start
+  // rewinds the tag counter, a mutex created after that can share a tag with an older one —
+  // holding both at once reads as one recursive hold.
+  static constexpr int kHeldSlots = 4;
+  struct Held {
+    uint32_t tag = 0;    // mutex tag, 0 = free slot
+    uint32_t depth = 0;  // recursive re-acquisitions on top of the first
+    int64_t since_ns = 0;
+  };
+
   uint64_t voluntary = 0;      // context switches away while blocking/yielding
   uint64_t preempted = 0;      // context switches away forced by preemption / the slice
   uint64_t fake_calls = 0;     // fake-call frames pushed for this thread
-  uint64_t mutex_blocks = 0;   // suspensions on a mutex
+  uint64_t mutex_blocks = 0;   // contended mutex acquisitions (suspended at least once)
   uint64_t stack_commits = 0;  // SIGSEGV demand-commit faults grown on this thread's stack
   int64_t mutex_wait_ns = 0;   // total contended-acquisition wait
   int64_t running_ns = 0;      // time-in-state accumulators...
   int64_t ready_ns = 0;
   int64_t blocked_ns = 0;
   int64_t state_since_ns = 0;  // ...clocked from this stamp (0 = not yet stamped)
+  int64_t wait_since_ns = 0;   // first mutex block of the acquisition in progress (0 = none)
+  Held held[kHeldSlots];
   uint8_t acct_state = 0;      // ThreadState the open interval belongs to
   // Lazy-reset generation: metrics::Enable bumps a global epoch instead of walking every
-  // thread; a hook that finds a stale epoch zeroes this struct first (O(1) enable at any
+  // thread; an event that finds a stale epoch zeroes this struct first (O(1) enable at any
   // thread count).
   uint32_t epoch = 0;
 };
@@ -204,7 +218,7 @@ struct Tcb {
   // -- statistics ------------------------------------------------------------------------
   uint64_t switches_in = 0;        // times this thread was dispatched
   uint64_t signals_taken = 0;      // user handlers run on this thread
-  TcbMetrics metrics;              // gated accumulators (debug/metrics.hpp)
+  TcbMetrics metrics;              // metrics consumer accumulators (debug/metrics.hpp)
   TcbProfile profile;              // off-CPU capture buffer (debug/profiler.hpp)
 
   bool terminated() const { return state == ThreadState::kTerminated; }

@@ -1,6 +1,6 @@
 #include "src/sched/policy.hpp"
 
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sync/cond.hpp"
 #include "src/sync/mutex.hpp"
@@ -54,8 +54,8 @@ void BoostChain(Tcb* holder, int prio) {
   // are application deadlocks, found by the deadlock detector, not here).
   int depth = 0;
   while (holder != nullptr && holder->prio < prio && depth++ < 64) {
-    debug::trace::Log(debug::trace::Event::kPrioBoost, holder->id,
-                      static_cast<uint32_t>(prio));
+    debug::obs::Emit(debug::obs::Event::kPrioBoost, holder, holder->id,
+                     static_cast<uint32_t>(prio));
     ApplyPriority(holder, prio, /*to_head=*/true);
     if (holder->state == ThreadState::kBlocked &&
         holder->block_reason == BlockReason::kMutex && holder->waiting_on_mutex != nullptr &&

@@ -5,8 +5,7 @@
 
 #include "src/arch/context.hpp"
 #include "src/core/api_internal.hpp"
-#include "src/debug/metrics.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 #include "src/io/io.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/sync/cond.hpp"
@@ -161,15 +160,13 @@ void FakeCallUserHandler(Tcb* t, int signo, const VSigAction& action) {
   // During the handler: the sigaction mask plus the delivered signal are blocked.
   NoteSigmaskSet(t, t->sigmask | action.mask | SigBit(signo));
   ++t->signals_taken;
-  debug::trace::Log(debug::trace::Event::kSignal, t->id, static_cast<uint32_t>(signo));
-  debug::metrics::OnSignalDelivered(t);
+  debug::obs::Emit(debug::obs::Event::kSignal, t, t->id, static_cast<uint32_t>(signo));
 
   if (t == kernel::Current()) {
     rec->self_direct = true;  // drained by RunSelfHandlers() after kernel exit
     return;
   }
-  debug::trace::Log(debug::trace::Event::kFakeCall, t->id, static_cast<uint32_t>(signo));
-  debug::metrics::OnFakeCall(t);
+  debug::obs::Emit(debug::obs::Event::kFakeCall, t, t->id, static_cast<uint32_t>(signo));
   InstallOnThread(t, &UserHandlerTramp, rec);
 }
 
@@ -180,9 +177,7 @@ void FakeCallCancel(Tcb* t) {
   rec->signo = kSigCancel;
   rec->handler = nullptr;
   rec->saved_mask = t->sigmask;
-  debug::trace::Log(debug::trace::Event::kSignal, t->id, kSigCancel);
-  debug::trace::Log(debug::trace::Event::kFakeCall, t->id, kSigCancel);
-  debug::metrics::OnFakeCall(t);
+  debug::obs::Emit(debug::obs::Event::kFakeCall, t, t->id, kSigCancel);
   InstallOnThread(t, &CancelTramp, rec);
 }
 

@@ -111,9 +111,6 @@ void DeliverToProcess(int signo, Cause cause, Tcb* hint) {
       DeliverToThread(k.current, signo);
       return;
     case Cause::kExternal:
-      // An asynchronous process-level signal is a scheduling decision: its arrival point is
-      // recorded, and a replayed run refires it from the log at the same decision index.
-      debug::replay::OnExtSignal(signo);
       break;
   }
 
@@ -190,16 +187,23 @@ void CheckPendingAfterUnmask(Tcb* t) {
   }
 }
 
+void DeliverAsync(int signo, debug::replay::AsyncSite site) {
+  if (signo == SIGALRM) {
+    OnTimerTick(site);
+    return;
+  }
+  // An asynchronous process-level signal is a scheduling decision: its arrival point is
+  // recorded, and a replayed run refires it from the log at the same decision index and site.
+  debug::replay::OnExtSignal(signo, site);
+  DeliverToProcess(signo, Cause::kExternal, nullptr);
+}
+
 void HandleDeferred(SigSet set) {
   FSUP_ASSERT(kernel::InKernel());
   while (set != 0) {
     const int s = LowestSignal(set);
     set &= ~SigBit(s);
-    if (s == SIGALRM) {
-      OnTimerTick();
-    } else {
-      DeliverToProcess(s, Cause::kExternal, nullptr);
-    }
+    DeliverAsync(s, debug::replay::AsyncSite::kInDispatcher);
   }
 }
 

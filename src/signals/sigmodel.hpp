@@ -64,6 +64,11 @@ void NoteSigmaskSet(Tcb* t, SigSet mask);
 // against the fast path the moment it is unlinked.
 void NoteThreadUnlinked(Tcb* t);
 
+// Delivers an asynchronous process-level signal (SIGALRM = the timer tick) that reached the
+// library at `site`: the universal handler's out-of-kernel path, or the dispatcher replaying a
+// deferred one. The arrival is a recorded scheduling decision. In kernel.
+void DeliverAsync(int signo, debug::replay::AsyncSite site);
+
 // Replays signals the universal handler logged while the kernel flag was set.
 void HandleDeferred(SigSet set);
 
@@ -96,7 +101,7 @@ void ArmAlarm(Tcb* t, int64_t deadline_ns);
 void CancelAlarm(Tcb* t);
 
 // Fires every due timer (SIGALRM path and idle-loop timeout path). In kernel.
-void OnTimerTick();
+void OnTimerTick(debug::replay::AsyncSite site);
 
 // Replay-side tick: expires exactly `expired` heap entries and forces the slice branch if
 // `slice_fired`, regardless of the wall clock. Called by the replay gates. In kernel.

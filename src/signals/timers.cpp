@@ -13,10 +13,8 @@
 // repositions the running thread at the tail of its queue when the expiration was caused by
 // time slicing.
 
-#include "src/debug/metrics.hpp"
-#include "src/debug/profiler.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
-#include "src/debug/trace.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/signals/fake_call.hpp"
@@ -109,20 +107,16 @@ namespace {
 // The tick body, shared by the live path (expire by wall clock) and the replay path (expire
 // exactly the recorded count — ForceTimerTick — so a replayed tick readies the same sleepers
 // no matter what the clock says now).
-void TickImpl(bool forced, uint32_t forced_expired, bool forced_slice) {
+void TickImpl(bool forced, uint32_t forced_expired, bool forced_slice,
+              debug::replay::AsyncSite site) {
   FSUP_ASSERT(kernel::InKernel());
   KernelState& k = kernel::ks();
   k.itimer_deadline_ns = -1;  // the programmed shot has fired (or we are past it)
   const int64_t now = NowNs();
-  debug::metrics::OnTimerTick();
-  // Deterministic-mode profiler sample: the tick is a recorded/replayed decision, so hanging
-  // the sample off it (instead of an unsynchronized ITIMER_PROF) gives record and replay
-  // bit-identical sample sequences. Covers both the live SIGALRM path and replayed ticks.
-  debug::profiler::OnTick();
   // Reserve the decision slot before any delivery below logs trace records, so the inner
   // records carry the same decision stamps in record and replay. Forced ticks pass the
   // no-slot sentinel: their decision was already consumed from the log.
-  const size_t slot = forced ? ~static_cast<size_t>(0) : debug::replay::BeginTick();
+  const size_t slot = forced ? ~static_cast<size_t>(0) : debug::replay::BeginTick(site);
   uint32_t expired = 0;
 
   for (;;) {
@@ -160,26 +154,29 @@ void TickImpl(bool forced, uint32_t forced_expired, bool forced_slice) {
     Tcb* cur = k.current;
     if (cur != nullptr && cur->state == ThreadState::kRunning &&
         cur->policy == SchedPolicy::kRr && !k.ready.empty()) {
-      debug::metrics::OnStateChange(cur, ThreadState::kReady);
+      // Losing the slice is a preemption, not a yield.
+      debug::obs::Emit(debug::obs::Event::kPreempt, cur, cur->id, 0);
       cur->state = ThreadState::kReady;
-      debug::metrics::MarkPreemption();  // losing the slice is a preemption, not a yield
       k.ready.PushBack(cur);
       k.dispatch_pending = 1;
     }
   }
 
   debug::replay::EndTick(slot, expired, slice_fired);
-  debug::trace::Log(debug::trace::Event::kTimerTick,
-                    k.current != nullptr ? k.current->id : 0, expired);
+  // The tick event also drives the deterministic-mode profiler sample: the tick is a
+  // recorded/replayed decision, so hanging the sample off it (instead of an unsynchronized
+  // ITIMER_PROF) gives record and replay bit-identical sample sequences.
+  debug::obs::Emit(debug::obs::Event::kTimerTick, k.current,
+                   k.current != nullptr ? k.current->id : 0, expired);
   ProgramItimer();
 }
 
 }  // namespace
 
-void OnTimerTick() { TickImpl(false, 0, false); }
+void OnTimerTick(debug::replay::AsyncSite site) { TickImpl(false, 0, false, site); }
 
 void ForceTimerTick(uint32_t expired, bool slice_fired) {
-  TickImpl(true, expired, slice_fired);
+  TickImpl(true, expired, slice_fired, debug::replay::AsyncSite::kInDispatcher);
 }
 
 void OnDispatch(Tcb* next) {

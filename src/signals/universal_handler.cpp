@@ -23,9 +23,8 @@
 
 #include "src/arch/ras.hpp"
 #include "src/debug/introspect.hpp"
-#include "src/debug/metrics.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/profiler.hpp"
-#include "src/debug/trace.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/signals/fake_call.hpp"
@@ -95,11 +94,7 @@ void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
   // Paper's sigsetmask call #1: with the kernel flag protecting us, all signals re-enable.
   UnblockAllOsSignals();
 
-  if (signo == SIGALRM) {
-    OnTimerTick();
-  } else {
-    DeliverToProcess(signo, Cause::kExternal, nullptr);
-  }
+  DeliverAsync(signo, debug::replay::AsyncSite::kPreEntry);
 
   // May switch to another thread; if so, this frame stays pending on self's stack and we
   // resume here when self is next dispatched (with OS signals blocked by the dispatcher).
@@ -167,8 +162,8 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
     }
     if (fi.kind == StackFaultInfo::Kind::kOverflow) {
       Tcb* t = fi.thread;
-      debug::trace::Log(debug::trace::Event::kOverflow, t->id,
-                        static_cast<uint32_t>(t->stack_size));
+      debug::obs::Emit(debug::obs::Event::kOverflow, t, t->id,
+                       static_cast<uint32_t>(t->stack_size));
       log::RawWriteCstr("fsup fatal: stack overflow in thread ");
       log::RawWriteInt(t->id);
       if (t->name[0] != '\0') {
@@ -219,7 +214,7 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
     // masked-thread counter update.
     NoteSigmaskSet(self, saved | a.mask | SigBit(signo));
     ++self->signals_taken;
-    debug::metrics::OnSignalDelivered(self);
+    debug::obs::Emit(debug::obs::Event::kSignal, self, self->id, static_cast<uint32_t>(signo));
     a.handler(signo);
     NoteSigmaskSet(self, saved);
     ApplyRedirectIfAny();

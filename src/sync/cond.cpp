@@ -4,7 +4,7 @@
 #include <new>
 
 #include "src/cancel/cancel.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sched/policy.hpp"
 #include "src/signals/sigmodel.hpp"
@@ -124,7 +124,7 @@ int CondWait(Cond* c, Mutex* m, int64_t deadline_ns) {
     sig::ArmBlockTimer(self, deadline_ns);
   }
 
-  debug::trace::Log(debug::trace::Event::kCondWait, self->id, c->tag);
+  debug::obs::Emit(debug::obs::Event::kCondWait, self, self->id, c->tag);
   kernel::Suspend(BlockReason::kCond);
 
   if (deadline_ns >= 0) {
@@ -185,7 +185,7 @@ int CondSignal(Cond* c) {
   if (c->waiters.empty()) {
     c->has_waiters = 0;
   }
-  debug::trace::Log(debug::trace::Event::kCondSignal, w != nullptr ? w->id : 0, c->tag);
+  debug::obs::Emit(debug::obs::Event::kCondSignal, w, w != nullptr ? w->id : 0, c->tag);
   if (w != nullptr) {
     ++c->signals_sent;
     w->cond_signalled = true;
@@ -212,8 +212,8 @@ int CondBroadcast(Cond* c) {
   if (c->waiters.empty()) {
     c->has_waiters = 0;
   }
-  debug::trace::Log(debug::trace::Event::kCondSignal, first != nullptr ? first->id : 0,
-                    c->tag);
+  debug::obs::Emit(debug::obs::Event::kCondSignal, first, first != nullptr ? first->id : 0,
+                   c->tag);
   if (first == nullptr) {
     kernel::Exit();
     return 0;
@@ -260,7 +260,7 @@ int CondBroadcast(Cond* c) {
       }
     }
     c->has_waiters = 0;  // the requeue drained the condition queue completely
-    debug::trace::Log(debug::trace::Event::kCondRequeue, moved, c->tag);
+    debug::obs::Emit(debug::obs::Event::kCondRequeue, nullptr, moved, c->tag);
   }
 
   kernel::Exit();

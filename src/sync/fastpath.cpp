@@ -3,8 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/debug/metrics.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 #include "src/kernel/kernel.hpp"
 
 namespace fsup::sync::fastpath {
@@ -18,13 +17,13 @@ uint8_t g_active = static_cast<uint8_t>(Mode::kRas);
 
 void Recompute() {
   Mode active = g_requested;
-  // Any observer that needs to see every sync operation forces the kernel path: tracing logs
-  // from inside the monitor, metrics bracket hold times there, and the perverted
-  // mutex-switch policy hooks each successful lock. The profiler does NOT demote the mode —
-  // its on-CPU sampler rides the universal signal handler, which restarts an interrupted
-  // fast-path sequence like any other signal, and its off-CPU books only at Suspend (which a
-  // fast-path operation by definition never reaches).
-  if (debug::trace::Enabled() || debug::metrics::Enabled() ||
+  // Any observer that needs to see every sync operation forces the kernel path: the trace
+  // and metrics consumers see lock/unlock events only from inside the monitor, and the
+  // perverted mutex-switch policy hooks each successful lock. The profiler bits do NOT demote
+  // the mode — the on-CPU sampler rides the universal signal handler, which restarts an
+  // interrupted fast-path sequence like any other signal, and the off-CPU consumer books only
+  // at Suspend (which a fast-path operation by definition never reaches).
+  if (debug::obs::On(debug::obs::kTrace | debug::obs::kMetrics) ||
       kernel::ks().perverted != PervertedPolicy::kNone) {
     active = Mode::kOff;
   }

@@ -1,21 +1,20 @@
 // Fast-path mode selector: the one byte every kernel-bypassing sync operation reads.
 //
-// ISSUE 9: the uncontended lock/unlock, trylock and signal-with-no-waiters paths never enter
-// the kernel monitor. Whether they are allowed to bypass it is a global property — tracing
-// wants every event logged from inside the monitor, metrics bracket hold times on the kernel
-// path, and the perverted mutex-switch policy hooks every successful lock — so instead of
-// re-deriving those predicates per operation (three loads and branches on the hottest path in
-// the library), they are folded into a single mode byte recomputed whenever any of the inputs
-// changes. The hot-path cost of all observability gates together is then exactly one load and
-// one predicted branch, as the metrics/replay ablations demand.
+// The uncontended lock/unlock, trylock and signal-with-no-waiters paths never enter the
+// kernel monitor. Whether they may bypass it is a global property: the trace and metrics
+// observers want every sync event emitted from inside the monitor, and the perverted
+// mutex-switch policy hooks every successful lock. Instead of re-deriving those predicates per
+// operation, they are folded into a single mode byte recomputed whenever an input changes, so
+// the hot path's whole observability cost is one load and one predicted branch.
 //
-//   FSUP_FASTPATH=0|off  — kill switch: every operation takes today's all-kernel path
+//   FSUP_FASTPATH=0|off  — kill switch: every operation takes the all-kernel path
 //   FSUP_FASTPATH=ras|1  — restartable-sequence acquire (paper Fig. 4; the default)
 //   FSUP_FASTPATH=cas    — cmpxchg acquire (the instruction the paper wishes every ISA had)
 //
 // The requested mode is what the user asked for; the ACTIVE mode is the requested mode
-// demoted to kOff while tracing, metrics, or a perverted policy is live. Recompute() is
-// called from every toggle (trace::Enable, metrics::Enable, sched::SetPolicy, EnsureInit).
+// demoted to kOff while the trace or metrics bit of the observer mask (debug/obs.hpp) is set
+// or a perverted policy is live. Recompute() runs after every change to those inputs
+// (trace::Enable, metrics::Enable, sched::SetPolicy, EnsureInit).
 
 #ifndef FSUP_SRC_SYNC_FASTPATH_HPP_
 #define FSUP_SRC_SYNC_FASTPATH_HPP_
@@ -41,8 +40,8 @@ inline Mode Active() { return static_cast<Mode>(g_active); }
 void SetRequested(Mode m);
 Mode Requested();
 
-// Re-derives the active byte: requested, demoted to kOff while tracing, metrics, or a
-// perverted scheduling policy is enabled.
+// Re-derives the active byte: requested, demoted to kOff while the trace or metrics observer
+// or a perverted scheduling policy is enabled.
 void Recompute();
 
 // Parses FSUP_FASTPATH (unset/empty = ras). Called from kernel::EnsureInit.

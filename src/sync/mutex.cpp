@@ -5,14 +5,12 @@
 #include "src/sched/perverted.hpp"
 
 #include "src/arch/ras.hpp"
-#include "src/debug/metrics.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/obs.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sched/policy.hpp"
 #include "src/sync/fastpath.hpp"
 #include "src/sync/tag.hpp"
 #include "src/util/assert.hpp"
-#include "src/util/dual_loop_timer.hpp"
 
 namespace fsup::sync {
 namespace {
@@ -20,9 +18,9 @@ namespace {
 // The effective mode for one operation on one mutex: kOff unless the global mode byte says
 // go AND the mutex is eligible. Protocol mutexes must enter the kernel (they manipulate
 // priorities), and so do the error-check/recursive types (per-acquisition bookkeeping) —
-// both folded into the per-mutex fast_ok byte at init. Observability demotions — tracing
-// wants every event, metrics need the kernel path to bracket hold times, perverted
-// mutex-switch hooks every lock — are folded into the global mode byte (see fastpath.hpp).
+// both folded into the per-mutex fast_ok byte at init. Observability demotions — the trace and
+// metrics observers want every lock/unlock event, perverted mutex-switch hooks every lock —
+// are folded into the global mode byte (see fastpath.hpp).
 // The whole gate is therefore two byte loads and two predicted branches, and each operation
 // reads the mode byte exactly once, threading it through to the acquire.
 inline fastpath::Mode FastPathMode(const Mutex* m) {
@@ -74,23 +72,21 @@ int OnAcquired(Mutex* m, Tcb* self) {
       break;
     case MutexProtocol::kProtect: {
       if (self->base_prio > m->ceiling) {
+        debug::obs::Emit(debug::obs::Event::kLockFailed, self, self->id, m->tag);
         return EINVAL;  // ceiling below a locker's priority: the paper says "undefined"
       }
       // SRP: push the previous priority and raise to the ceiling immediately on acquire.
       FSUP_CHECK_MSG(self->srp_depth < kMaxCeilDepth, "ceiling mutexes nested too deeply");
       self->srp_stack[self->srp_depth++] = self->prio;
       if (m->ceiling > self->prio) {
-        debug::trace::Log(debug::trace::Event::kPrioBoost, self->id,
-                          static_cast<uint32_t>(m->ceiling));
+        debug::obs::Emit(debug::obs::Event::kPrioBoost, self, self->id,
+                         static_cast<uint32_t>(m->ceiling));
         sched::ApplyPriority(self, m->ceiling, /*to_head=*/true);
       }
       break;
     }
   }
-  debug::trace::Log(debug::trace::Event::kMutexLock, self->id, m->tag);
-  if (debug::metrics::Enabled()) {
-    m->acquired_at_ns = NowNs();  // opens the hold interval sampled by UnlockInKernel
-  }
+  debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag);
   return 0;
 }
 
@@ -187,18 +183,14 @@ int LockInKernel(Mutex* m, Tcb* self) {
   if (m->owner == self) {
     if (m->type == MutexType::kRecursive) {
       ++m->recursion;
-      debug::trace::Log(debug::trace::Event::kMutexLock, self->id, m->tag);
+      debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag);
       return 0;
     }
     return EDEADLK;
   }
-  int64_t wait_start_ns = 0;  // opened on the first contended pass, closed at acquisition
   while (m->owner != nullptr) {
     if (m->owner == self) {
       // Direct handoff from an unlocker; the owner word never dropped to nullptr.
-      if (wait_start_ns != 0) {
-        debug::metrics::OnMutexWait(self, NowNs() - wait_start_ns);
-      }
       return OnAcquired(m, self);
     }
     // Walk the wait-for graph before blocking: if the owner chain leads back to us, waiting
@@ -206,14 +198,11 @@ int LockInKernel(Mutex* m, Tcb* self) {
     // still release what it holds. Re-checked on every loop iteration because a spurious
     // wakeup re-contends against a possibly different owner.
     if (WouldDeadlock(m, self)) {
-      debug::trace::Log(debug::trace::Event::kDeadlock, self->id, m->tag);
+      debug::obs::Emit(debug::obs::Event::kDeadlock, self, self->id, m->tag);
       return EDEADLK;
     }
-    if (wait_start_ns == 0 && debug::metrics::Enabled()) {
-      wait_start_ns = NowNs();
-    }
     ++m->contended_acquires;
-    debug::trace::Log(debug::trace::Event::kMutexBlock, self->id, m->tag);
+    debug::obs::Emit(debug::obs::Event::kMutexBlock, self, self->id, m->tag);
     if (m->proto == MutexProtocol::kInherit && m->owner != nullptr &&
         m->owner->prio < self->prio) {
       sched::BoostChain(m->owner, self->prio);
@@ -225,9 +214,6 @@ int LockInKernel(Mutex* m, Tcb* self) {
     // Re-check: handoff made us owner, or a fake call woke us spuriously and we re-contend.
   }
   m->owner = self;
-  if (wait_start_ns != 0) {
-    debug::metrics::OnMutexWait(self, NowNs() - wait_start_ns);
-  }
   return OnAcquired(m, self);
 }
 
@@ -238,14 +224,10 @@ void UnlockInKernel(Mutex* m, Tcb* self) {
     // A recursive re-entry being balanced: the mutex stays held, so no protocol restore, no
     // hold-interval close, no handoff.
     --m->recursion;
-    debug::trace::Log(debug::trace::Event::kMutexUnlock, self->id, m->tag);
+    debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag);
     return;
   }
-  debug::trace::Log(debug::trace::Event::kMutexUnlock, self->id, m->tag);
-  if (m->acquired_at_ns != 0) {
-    debug::metrics::OnMutexHold(NowNs() - m->acquired_at_ns);
-    m->acquired_at_ns = 0;
-  }
+  debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag);
 
   // Protocol: lower the priority on unlock.
   switch (m->proto) {
@@ -263,8 +245,8 @@ void UnlockInKernel(Mutex* m, Tcb* self) {
         }
       }
       if (new_prio != self->prio) {
-        debug::trace::Log(debug::trace::Event::kPrioRestore, self->id,
-                          static_cast<uint32_t>(new_prio));
+        debug::obs::Emit(debug::obs::Event::kPrioRestore, self, self->id,
+                         static_cast<uint32_t>(new_prio));
         sched::ApplyPriority(self, new_prio, /*to_head=*/true);
       }
       break;
@@ -284,8 +266,8 @@ void UnlockInKernel(Mutex* m, Tcb* self) {
         }
       }
       if (restored != self->prio) {
-        debug::trace::Log(debug::trace::Event::kPrioRestore, self->id,
-                          static_cast<uint32_t>(restored));
+        debug::obs::Emit(debug::obs::Event::kPrioRestore, self, self->id,
+                         static_cast<uint32_t>(restored));
         // Head placement: the thread was forced into the boost, so it must not lose its turn
         // when the boost ends (paper, discussion of lowering on unlock).
         sched::ApplyPriority(self, restored, /*to_head=*/true);
@@ -353,7 +335,7 @@ int MutexTrylock(Mutex* m) {
   if (m->owner == self) {
     FSUP_ASSERT(m->type == MutexType::kRecursive);
     ++m->recursion;
-    debug::trace::Log(debug::trace::Event::kMutexLock, self->id, m->tag);
+    debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag);
     rc = 0;
   } else if (m->owner != nullptr) {
     rc = EBUSY;

@@ -71,11 +71,6 @@ struct Mutex {
   bool in_owned_list = false;
 
   uint64_t contended_acquires = 0;  // statistics
-
-  // Acquisition stamp for the hold-time histogram. Only written on the kernel path while
-  // metrics are enabled (metrics force the kernel path, so every hold is bracketed); 0
-  // otherwise, which UnlockInKernel treats as "no sample".
-  int64_t acquired_at_ns = 0;
 };
 
 namespace sync {

@@ -38,8 +38,7 @@ TEST_F(CInterfaceTest, ObservabilityFromPureC) {
 
   // The C side's user events landed in the ring with their payloads intact.
   bool saw_user = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const debug::trace::Record r = debug::trace::Get(i);
+  for (const debug::trace::Record& r : debug::trace::SnapshotAll()) {
     if (r.event == debug::trace::Event::kUser && r.a == 1001 && r.b == 2002) {
       saw_user = true;
     }

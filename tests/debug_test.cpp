@@ -21,21 +21,22 @@ class DebugTest : public ::testing::Test {
 };
 
 TEST_F(DebugTest, TraceDisabledRecordsNothing) {
-  debug::trace::Log(debug::trace::Event::kUser, 1, 2);
-  EXPECT_EQ(0u, debug::trace::Count());
+  pt_trace_user(1, 2);
+  EXPECT_TRUE(debug::trace::SnapshotAll().empty());
 }
 
 TEST_F(DebugTest, TraceRecordsInOrder) {
   debug::trace::Enable(true);
-  debug::trace::Log(debug::trace::Event::kUser, 1, 10);
-  debug::trace::Log(debug::trace::Event::kUser, 2, 20);
-  debug::trace::Log(debug::trace::Event::kUser, 3, 30);
+  pt_trace_user(1, 10);
+  pt_trace_user(2, 20);
+  pt_trace_user(3, 30);
   debug::trace::Enable(false);
-  ASSERT_EQ(3u, debug::trace::Count());
-  EXPECT_EQ(1u, debug::trace::Get(0).a);
-  EXPECT_EQ(2u, debug::trace::Get(1).a);
-  EXPECT_EQ(3u, debug::trace::Get(2).a);
-  EXPECT_LE(debug::trace::Get(0).t_ns, debug::trace::Get(2).t_ns);
+  const std::vector<debug::trace::Record> recs = debug::trace::SnapshotAll();
+  ASSERT_EQ(3u, recs.size());
+  EXPECT_EQ(1u, recs[0].a);
+  EXPECT_EQ(2u, recs[1].a);
+  EXPECT_EQ(3u, recs[2].a);
+  EXPECT_LE(recs[0].t_ns, recs[2].t_ns);
 }
 
 TEST_F(DebugTest, TraceCapturesContextSwitches) {
@@ -46,8 +47,8 @@ TEST_F(DebugTest, TraceCapturesContextSwitches) {
   ASSERT_EQ(0, pt_join(t, nullptr));
   debug::trace::Enable(false);
   int switches = 0;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    if (debug::trace::Get(i).event == debug::trace::Event::kSwitch) {
+  for (const debug::trace::Record& r : debug::trace::SnapshotAll()) {
+    if (r.event == debug::trace::Event::kSwitch) {
       ++switches;
     }
   }
@@ -56,9 +57,9 @@ TEST_F(DebugTest, TraceCapturesContextSwitches) {
 
 TEST_F(DebugTest, TraceClearResets) {
   debug::trace::Enable(true);
-  debug::trace::Log(debug::trace::Event::kUser, 1, 1);
+  pt_trace_user(1, 1);
   debug::trace::Clear();
-  EXPECT_EQ(0u, debug::trace::Count());
+  EXPECT_TRUE(debug::trace::SnapshotAll().empty());
 }
 
 TEST_F(DebugTest, EventNamesAreStable) {

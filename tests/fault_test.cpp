@@ -287,8 +287,7 @@ TEST_F(FaultTest, InjectionIsRecordedInTheTraceRing) {
   EXPECT_EQ(EAGAIN, pt_create(&t, &big, body, nullptr));
 
   bool saw_fault = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const debug::trace::Record r = debug::trace::Get(i);
+  for (const debug::trace::Record& r : debug::trace::SnapshotAll()) {
     if (r.event == debug::trace::Event::kFault &&
         r.a == static_cast<uint32_t>(Call::kMmap) && r.b == ENOMEM) {
       saw_fault = true;

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/profiler.hpp"
+#include "src/debug/replay.hpp"
 #include "src/debug/trace.hpp"
 
 namespace fsup {
@@ -20,15 +22,6 @@ namespace {
 using debug::metrics::LatencyHist;
 using debug::metrics::MetricsSnapshot;
 using debug::metrics::ThreadSnap;
-
-// -DFSUP_METRICS=OFF propagates FSUP_NO_METRICS through the fsup target: the hooks are
-// compiled out, so tests that need live accounting skip. The histogram unit tests, the
-// trace-ring tests and the dump plumbing still run in that configuration.
-#ifdef FSUP_NO_METRICS
-#define REQUIRE_METRICS() GTEST_SKIP() << "metrics compiled out (FSUP_METRICS=OFF)"
-#else
-#define REQUIRE_METRICS() static_cast<void>(0)
-#endif
 
 class MetricsTest : public ::testing::Test {
  protected:
@@ -107,13 +100,12 @@ TEST_F(MetricsTest, DisabledByDefaultAndKernelTotalsStillLive) {
 }
 
 TEST_F(MetricsTest, EnableResetsAndStartsAccounting) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   EXPECT_TRUE(pt_metrics_enabled());
   // Burn a little CPU so the main thread accumulates running time.
-  volatile int sink = 0;
-  for (int i = 0; i < 2000000; ++i) {
-    sink += i;
+  volatile unsigned sink = 0;
+  for (unsigned i = 0; i < 2000000; ++i) {
+    sink = sink + i;
   }
   const MetricsSnapshot s = pt_metrics_snapshot();
   EXPECT_TRUE(s.enabled);
@@ -133,7 +125,6 @@ TEST_F(MetricsTest, EnableResetsAndStartsAccounting) {
 }
 
 TEST_F(MetricsTest, VoluntarySwitchesCountedOnYield) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   pt_thread_t t;
   auto body = +[](void*) -> void* {
@@ -161,7 +152,6 @@ TEST_F(MetricsTest, VoluntarySwitchesCountedOnYield) {
 // ---------------------------------------------------------------------------------------
 
 TEST_F(MetricsTest, UncontendedMutexShowsZeroWaitPercentiles) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
@@ -184,7 +174,6 @@ struct ContendArgs {
 };
 
 TEST_F(MetricsTest, ContendedMutexShowsNonZeroWaitPercentiles) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   static ContendArgs args;
   ASSERT_EQ(0, pt_mutex_init(&args.m));
@@ -219,7 +208,6 @@ TEST_F(MetricsTest, ContendedMutexShowsNonZeroWaitPercentiles) {
 }
 
 TEST_F(MetricsTest, MutexBlocksAttributedToTheBlockedThread) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   static ContendArgs args;
   ASSERT_EQ(0, pt_mutex_init(&args.m));
@@ -251,6 +239,105 @@ TEST_F(MetricsTest, MutexBlocksAttributedToTheBlockedThread) {
   ASSERT_NE(nullptr, partner);
   EXPECT_GT(partner->mutex_blocks, 0u);
   EXPECT_GT(partner->mutex_wait_ns, 0);
+}
+
+// Holds are derived from lock/unlock events, one sample per outermost hold.
+
+TEST_F(MetricsTest, RecursiveHoldIsOneSample) {
+  pt_mutexattr_t attr;
+  attr.type = MutexType::kRecursive;
+  pt_mutex_t m;
+  ASSERT_EQ(0, pt_mutex_init(&m, &attr));
+  pt_metrics_enable(true);
+  ASSERT_EQ(0, pt_mutex_lock(&m));
+  ASSERT_EQ(0, pt_mutex_lock(&m));
+  ASSERT_EQ(0, pt_mutex_trylock(&m));
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  EXPECT_EQ(0u, pt_metrics_snapshot().mutex_hold.count);  // still held
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  const MetricsSnapshot s = pt_metrics_snapshot();
+  EXPECT_EQ(1u, s.mutex_hold.count);
+  EXPECT_EQ(0u, s.mutex_wait.count);
+  pt_mutex_destroy(&m);
+}
+
+TEST_F(MetricsTest, NestedHoldsEachSampledUpToTheSlotCap) {
+  constexpr int kSlots = TcbMetrics::kHeldSlots;
+  pt_mutex_t m[kSlots + 1];
+  for (pt_mutex_t& x : m) {
+    ASSERT_EQ(0, pt_mutex_init(&x));
+  }
+  pt_metrics_enable(true);
+  // Released out of acquisition order: each unlock closes its own mutex's hold.
+  ASSERT_EQ(0, pt_mutex_lock(&m[0]));
+  ASSERT_EQ(0, pt_mutex_lock(&m[1]));
+  ASSERT_EQ(0, pt_mutex_unlock(&m[0]));
+  ASSERT_EQ(0, pt_mutex_lock(&m[2]));
+  ASSERT_EQ(0, pt_mutex_unlock(&m[2]));
+  ASSERT_EQ(0, pt_mutex_unlock(&m[1]));
+  EXPECT_EQ(3u, pt_metrics_snapshot().mutex_hold.count);
+  // One more nested hold than there are slots: the innermost is not sampled.
+  for (pt_mutex_t& x : m) {
+    ASSERT_EQ(0, pt_mutex_lock(&x));
+  }
+  for (int i = kSlots; i >= 0; --i) {
+    ASSERT_EQ(0, pt_mutex_unlock(&m[i]));
+  }
+  EXPECT_EQ(3u + kSlots, pt_metrics_snapshot().mutex_hold.count);
+  for (pt_mutex_t& x : m) {
+    pt_mutex_destroy(&x);
+  }
+}
+
+TEST_F(MetricsTest, CondWaitSplitsTheHoldAroundTheWait) {
+  pt_mutex_t m;
+  pt_cond_t c;
+  ASSERT_EQ(0, pt_mutex_init(&m));
+  ASSERT_EQ(0, pt_cond_init(&c));
+  pt_metrics_enable(true);
+  ASSERT_EQ(0, pt_mutex_lock(&m));
+  // The wait unlocks (closing the first hold) and relocks on timeout (opening a second).
+  ASSERT_EQ(ETIMEDOUT, pt_cond_timedwait(&c, &m, 1'000'000));
+  EXPECT_EQ(1u, pt_metrics_snapshot().mutex_hold.count);
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  const MetricsSnapshot s = pt_metrics_snapshot();
+  EXPECT_EQ(2u, s.mutex_hold.count);
+  EXPECT_EQ(0u, s.mutex_wait.count);  // the relock was uncontended
+  pt_cond_destroy(&c);
+  pt_mutex_destroy(&m);
+}
+
+// A locker that blocks and then fails the ceiling check (EINVAL) abandons its wait; the
+// thread's next, unrelated lock must not be charged for it.
+TEST_F(MetricsTest, FailedCeilingAcquisitionEndsTheWait) {
+  static pt_mutex_t ceiling_m;
+  static pt_mutex_t other;
+  static int lock_rc;
+  pt_mutexattr_t attr;
+  attr.protocol = MutexProtocol::kProtect;
+  attr.ceiling = kDefaultPrio;
+  ASSERT_EQ(0, pt_mutex_init(&ceiling_m, &attr));
+  ASSERT_EQ(0, pt_mutex_init(&other));
+  pt_metrics_enable(true);
+  ASSERT_EQ(0, pt_mutex_lock(&ceiling_m));
+  auto body = +[](void*) -> void* {
+    lock_rc = pt_mutex_lock(&ceiling_m);  // blocks, then fails: priority above the ceiling
+    pt_mutex_lock(&other);
+    pt_mutex_unlock(&other);
+    return nullptr;
+  };
+  ThreadAttr ta;
+  ta.priority = kDefaultPrio + 1;  // runs at once and blocks on the held ceiling mutex
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, &ta, body, nullptr));
+  ASSERT_EQ(0, pt_mutex_unlock(&ceiling_m));  // hands the mutex to the blocked locker
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  EXPECT_EQ(EINVAL, lock_rc);
+  const MetricsSnapshot s = pt_metrics_snapshot();
+  EXPECT_EQ(0u, s.mutex_wait.count);
+  EXPECT_EQ(2u, s.mutex_hold.count);  // main's ceiling hold and the thread's `other` hold
+  pt_mutex_destroy(&other);
 }
 
 // ---------------------------------------------------------------------------------------
@@ -287,10 +374,10 @@ TEST_F(MetricsTest, TraceUserEventLogged) {
   debug::trace::Enable(true);
   pt_trace_user(7, 9);
   debug::trace::Enable(false);
-  ASSERT_GE(debug::trace::Count(), 1u);
+  const std::vector<debug::trace::Record> recs = debug::trace::SnapshotAll();
+  ASSERT_GE(recs.size(), 1u);
   bool found = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const debug::trace::Record r = debug::trace::Get(i);
+  for (const debug::trace::Record& r : recs) {
     if (r.event == debug::trace::Event::kUser && r.a == 7 && r.b == 9) {
       found = true;
       EXPECT_GT(r.t_ns, 0);
@@ -304,7 +391,7 @@ TEST_F(MetricsTest, SnapshotConsistentAcrossWrap) {
   const size_t cap = debug::trace::Capacity();
   constexpr uint32_t kOverflow = 257;  // push this many records past a full ring
   for (uint32_t i = 0; i < cap + kOverflow; ++i) {
-    debug::trace::Log(debug::trace::Event::kUser, i, 0);
+    pt_trace_user(i, 0);
   }
   debug::trace::Enable(false);
 
@@ -324,7 +411,7 @@ TEST_F(MetricsTest, SnapshotConsistentAcrossWrap) {
 TEST_F(MetricsTest, SnapshotTruncatesToNewestWhenBufferSmall) {
   debug::trace::Enable(true);
   for (uint32_t i = 0; i < 100; ++i) {
-    debug::trace::Log(debug::trace::Event::kUser, i, 0);
+    pt_trace_user(i, 0);
   }
   debug::trace::Enable(false);
   debug::trace::Record out[10];
@@ -384,7 +471,6 @@ TEST_F(MetricsTest, DumpThreadsUnderLoadShowsEveryLiveThread) {
   }
   EXPECT_NE(std::string::npos, out.find("blocked"));
   EXPECT_NE(std::string::npos, out.find("switches="));
-#ifndef FSUP_NO_METRICS
   EXPECT_NE(std::string::npos, out.find("vol="));  // metrics columns present when enabled
   EXPECT_NE(std::string::npos, out.find("run_us="));
   // No garbage: every run_us= field parses as a non-negative integer.
@@ -398,7 +484,6 @@ TEST_F(MetricsTest, DumpThreadsUnderLoadShowsEveryLiveThread) {
     EXPECT_EQ(1, std::sscanf(out.c_str() + pos, "%lld", &v));
     EXPECT_GE(v, 0);
   }
-#endif
 }
 
 // ---------------------------------------------------------------------------------------
@@ -409,7 +494,6 @@ volatile sig_atomic_t g_handler_hits = 0;
 void CountingHandler(int) { g_handler_hits = g_handler_hits + 1; }
 
 TEST_F(MetricsTest, SignalDeliveriesCounted) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   g_handler_hits = 0;
   ASSERT_EQ(0, pt_sigaction(SIGUSR1, &CountingHandler, 0));
@@ -423,6 +507,169 @@ TEST_F(MetricsTest, SignalDeliveriesCounted) {
   const ThreadSnap* main_snap = FindSnap(s, pt_id(pt_self()));
   ASSERT_NE(nullptr, main_snap);
   EXPECT_GE(main_snap->signals_taken, 5u);
+}
+
+// ---------------------------------------------------------------------------------------
+// Cross-observer consistency: trace, metrics, off-CPU profiler and KernelState see one event
+// stream, so over one run they must agree exactly
+// ---------------------------------------------------------------------------------------
+
+struct Workload {
+  pt_mutex_t contended;  // held across a yield: the other contender blocks on it
+  pt_mutex_t q_lock;     // bounded buffer of 2 on mutex + two conds
+  pt_cond_t not_full;
+  pt_cond_t not_empty;
+  int queued = 0;
+  pt_sem_t ping;  // semaphore ping-pong
+  pt_sem_t pong;
+  pt_sem_t done;     // each worker posts once its work is finished...
+  pt_sem_t release;  // ...then parks here until the cut has been taken
+};
+
+constexpr int kRounds = 100;
+
+void Finish(Workload* w) {
+  pt_sem_post(&w->done);
+  pt_sem_wait(&w->release);
+}
+
+void* Contender(void* arg) {
+  auto* w = static_cast<Workload*>(arg);
+  for (int i = 0; i < kRounds; ++i) {
+    pt_mutex_lock(&w->contended);
+    pt_yield();
+    pt_mutex_unlock(&w->contended);
+  }
+  Finish(w);
+  return nullptr;
+}
+
+void* Producer(void* arg) {
+  auto* w = static_cast<Workload*>(arg);
+  for (int i = 0; i < kRounds; ++i) {
+    pt_mutex_lock(&w->q_lock);
+    while (w->queued == 2) {
+      pt_cond_wait(&w->not_full, &w->q_lock);
+    }
+    ++w->queued;
+    pt_cond_signal(&w->not_empty);
+    pt_mutex_unlock(&w->q_lock);
+  }
+  Finish(w);
+  return nullptr;
+}
+
+void* Consumer(void* arg) {
+  auto* w = static_cast<Workload*>(arg);
+  for (int i = 0; i < kRounds; ++i) {
+    pt_mutex_lock(&w->q_lock);
+    while (w->queued == 0) {
+      pt_cond_wait(&w->not_empty, &w->q_lock);
+    }
+    --w->queued;
+    pt_cond_signal(&w->not_full);
+    pt_mutex_unlock(&w->q_lock);
+  }
+  Finish(w);
+  return nullptr;
+}
+
+void* Pinger(void* arg) {
+  auto* w = static_cast<Workload*>(arg);
+  for (int i = 0; i < kRounds; ++i) {
+    pt_sem_post(&w->ping);
+    pt_sem_wait(&w->pong);
+  }
+  Finish(w);
+  return nullptr;
+}
+
+void* Ponger(void* arg) {
+  auto* w = static_cast<Workload*>(arg);
+  for (int i = 0; i < kRounds; ++i) {
+    pt_sem_wait(&w->ping);
+    pt_sem_post(&w->pong);
+  }
+  Finish(w);
+  return nullptr;
+}
+
+TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
+  Workload w;
+  ASSERT_EQ(0, pt_mutex_init(&w.contended));
+  ASSERT_EQ(0, pt_mutex_init(&w.q_lock));
+  ASSERT_EQ(0, pt_cond_init(&w.not_full));
+  ASSERT_EQ(0, pt_cond_init(&w.not_empty));
+  ASSERT_EQ(0, pt_sem_init(&w.ping, 0));
+  ASSERT_EQ(0, pt_sem_init(&w.pong, 0));
+  ASSERT_EQ(0, pt_sem_init(&w.done, 0));
+  ASSERT_EQ(0, pt_sem_init(&w.release, 0));
+
+  // Everything on while main is the only thread, so no event falls between the enables.
+  // Under a recording session the profiler samples from the timer tick and runs no collector
+  // thread: the run has no asynchronous events at all.
+  const MetricsSnapshot before = pt_metrics_snapshot();
+  debug::trace::Enable(true);
+  pt_metrics_enable(true);
+  debug::replay::StartRecording();
+  ASSERT_EQ(0, pt_profile_start(0));
+  const uint64_t offcpu_before = debug::profiler::OffCpuSampleCount();
+
+  void* (*const bodies[])(void*) = {Contender, Contender, Producer, Consumer, Pinger, Ponger};
+  constexpr int kWorkers = sizeof(bodies) / sizeof(bodies[0]);
+  pt_thread_t workers[kWorkers];
+  for (int i = 0; i < kWorkers; ++i) {
+    ASSERT_EQ(0, pt_create(&workers[i], nullptr, bodies[i], &w));
+  }
+  for (int i = 0; i < kWorkers; ++i) {
+    ASSERT_EQ(0, pt_sem_wait(&w.done));
+  }
+
+  // The cut: every worker is parked on `release` (a cond wait — no thread is blocked on a
+  // mutex) and main reads each observer without blocking, so all of them describe the same
+  // prefix of the event stream.
+  const MetricsSnapshot s = pt_metrics_snapshot();
+  const std::vector<debug::trace::Record> recs = debug::trace::SnapshotAll();
+  const uint64_t offcpu = debug::profiler::OffCpuSampleCount() - offcpu_before;
+
+  for (int i = 0; i < kWorkers; ++i) {
+    ASSERT_EQ(0, pt_sem_post(&w.release));
+  }
+  for (int i = 0; i < kWorkers; ++i) {
+    ASSERT_EQ(0, pt_join(workers[i], nullptr));
+  }
+  pt_profile_stop();
+  debug::replay::StopRecording();
+  pt_metrics_enable(false);
+  debug::trace::Enable(false);
+
+  ASSERT_LT(recs.size(), debug::trace::Capacity()) << "ring wrapped: counts incomplete";
+  uint64_t switches = 0, mutex_blocks = 0, wakes = 0;
+  for (const debug::trace::Record& r : recs) {
+    if (r.event == debug::trace::Event::kSwitch) {
+      EXPECT_EQ(r.b, r.tid) << "a switch record belongs to the incoming thread";
+    }
+    switches += r.event == debug::trace::Event::kSwitch ? 1 : 0;
+    mutex_blocks += r.event == debug::trace::Event::kMutexBlock ? 1 : 0;
+    wakes += r.event == debug::trace::Event::kWake ? 1 : 0;
+  }
+  uint64_t thread_blocks = 0;
+  int64_t thread_wait_ns = 0;
+  ASSERT_EQ(static_cast<uint64_t>(s.thread_count), s.live_threads);
+  for (uint32_t i = 0; i < s.thread_count; ++i) {
+    thread_blocks += s.threads[i].mutex_blocks;
+    thread_wait_ns += s.threads[i].mutex_wait_ns;
+  }
+
+  ASSERT_GT(switches, 0u);
+  ASSERT_GT(mutex_blocks, 0u);
+  ASSERT_GT(wakes, 0u);
+  EXPECT_EQ(switches, s.voluntary_switches + s.preempted_switches);
+  EXPECT_EQ(switches, s.ctx_switches - before.ctx_switches);
+  EXPECT_EQ(mutex_blocks, s.mutex_wait.count);
+  EXPECT_EQ(mutex_blocks, thread_blocks);
+  EXPECT_EQ(wakes, offcpu);
+  EXPECT_EQ(thread_wait_ns, s.mutex_wait.sum_ns);
 }
 
 }  // namespace

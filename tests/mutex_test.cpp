@@ -199,8 +199,7 @@ TEST_F(MutexTest, SlowPathUsedWhenTracing) {
   ASSERT_EQ(0, pt_mutex_unlock(&m));
   debug::trace::Enable(false);
   bool saw_lock = false, saw_unlock = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const auto r = debug::trace::Get(i);
+  for (const debug::trace::Record& r : debug::trace::SnapshotAll()) {
     saw_lock |= r.event == debug::trace::Event::kMutexLock;
     saw_unlock |= r.event == debug::trace::Event::kMutexUnlock;
   }
