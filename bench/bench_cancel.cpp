@@ -1,5 +1,6 @@
 // Table 1 quantified: cancellation latency per interruptibility state — from pt_cancel to
-// the completed exit of the target (joined), for each row of the paper's action table.
+// the completed exit of the target (joined), for each row of the paper's action table — and
+// the cost of the cleanup handlers a cancelled thread runs: one push/pop pair.
 
 #include <cstdio>
 
@@ -93,6 +94,15 @@ int main() {
               CancelJoinUs(&SleepingVictim, nullptr, false, nullptr, kIters));
   std::printf("  %-46s %10.2f\n", "disabled (pends until re-enabled)",
               CancelJoinUs(&DisabledVictim, &ds, true, &ds, kIters));
+
+  // Dual-loop timed, warm: the node comes from the recycled-node list, not the heap.
+  DualLoopTimer timer;
+  const double cleanup_ns = timer.MeasureNs([] {
+    pt_cleanup_push(+[](void*) {}, nullptr);
+    pt_cleanup_pop(true);
+  });
+  std::printf("\n  %-46s %10.1f ns\n", "cleanup push + pop(execute), no-op handler",
+              cleanup_ns);
 
   std::printf("\nShape checks (paper Table 1):\n");
   std::printf("  * asynchronous is the fastest (fake call to pthread_exit, no cooperation)\n");

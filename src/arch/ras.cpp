@@ -57,6 +57,10 @@ void RegisterBuiltins() {
            reinterpret_cast<uintptr_t>(fsup_ras_owner_lock_end));
   Register(reinterpret_cast<uintptr_t>(fsup_ras_owner_unlock_begin),
            reinterpret_cast<uintptr_t>(fsup_ras_owner_unlock_end));
+  Register(reinterpret_cast<uintptr_t>(fsup_ras_list_pop_begin),
+           reinterpret_cast<uintptr_t>(fsup_ras_list_pop_end));
+  Register(reinterpret_cast<uintptr_t>(fsup_ras_list_push_begin),
+           reinterpret_cast<uintptr_t>(fsup_ras_list_push_end));
 }
 
 uint64_t RestartCount() { return g_restarts; }

@@ -43,7 +43,8 @@ bool RewindIfInside(uintptr_t* pc);
 // True if pc lies inside a registered sequence (no rewind). For tests.
 bool Inside(uintptr_t pc);
 
-// Installs the library's built-in sequences (the mutex lock path). Idempotent.
+// Installs the library's built-in sequences (the mutex lock path, the list push/pop).
+// Idempotent.
 void RegisterBuiltins();
 
 // Number of rewinds performed since process start (observability for tests/benches).
@@ -82,6 +83,13 @@ int fsup_xchg_lock(volatile uint8_t* lock);
 // success, else the current owner.
 void* fsup_cas_lock(void* volatile* word, void* self);
 
+// Atomic-by-restart LIFO over a singly linked list whose link is each node's first word:
+// pop returns the first node (nullptr if empty), push links node in front. The recycled
+// cleanup-handler nodes live on such a list (cancel/cleanup.cpp), so a thread preempted
+// mid-operation can never tear it and no kernel entry is needed. Nodes must stay mapped.
+void* fsup_ras_list_pop(void* volatile* head);
+void fsup_ras_list_push(void* volatile* head, void* node);
+
 // Sequence bounds, exported for registration and tests.
 extern const char fsup_ras_lock_begin[];
 extern const char fsup_ras_lock_end[];
@@ -91,6 +99,10 @@ extern const char fsup_ras_owner_lock_begin[];
 extern const char fsup_ras_owner_lock_end[];
 extern const char fsup_ras_owner_unlock_begin[];
 extern const char fsup_ras_owner_unlock_end[];
+extern const char fsup_ras_list_pop_begin[];
+extern const char fsup_ras_list_pop_end[];
+extern const char fsup_ras_list_push_begin[];
+extern const char fsup_ras_list_push_end[];
 
 }  // extern "C"
 

@@ -4,7 +4,9 @@
 // paper rejects that for language-independence and implements them as real functions keeping
 // an explicit per-thread stack of handlers — "this trades the overhead of function calls
 // otherwise not needed by C applications for the generality and language-independence of the
-// interface". So do we.
+// interface". So do we. The nodes are recycled through a list whose push and pop are
+// restartable atomic sequences, so once warm a push/pop pair touches neither the heap nor
+// the kernel.
 
 #ifndef FSUP_SRC_CANCEL_CLEANUP_HPP_
 #define FSUP_SRC_CANCEL_CLEANUP_HPP_

@@ -1,5 +1,6 @@
 #include "src/kernel/stack_pool.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <new>
 
@@ -27,14 +28,6 @@ size_t ReadBudgetFromEnv() {
   return static_cast<size_t>(v);
 }
 
-int Log2Exact(size_t v) {
-  int log = 0;
-  while ((size_t{1} << log) < v) {
-    ++log;
-  }
-  return (size_t{1} << log) == v ? log : -1;
-}
-
 }  // namespace
 
 static_assert((kMinStackSize & (kMinStackSize - 1)) == 0, "size classes assume pow2 floor");
@@ -46,7 +39,7 @@ int StackPool::ClassIndex(size_t usable_size) {
       (usable_size & (usable_size - 1)) != 0) {
     return -1;
   }
-  const int cls = Log2Exact(usable_size) - Log2Exact(kMinStackSize);
+  const int cls = std::countr_zero(usable_size) - std::countr_zero(kMinStackSize);
   FSUP_ASSERT(cls >= 0 && cls < kNumClasses);
   return cls;
 }
@@ -57,63 +50,85 @@ StackPool::StackPool(size_t precache) : precache_target_(precache) {
   tcb_pool_.Reserve(precache == 0 ? 1 : precache * 2);
   // Pre-map `precache` default-size stacks so warm creation performs no kernel calls.
   for (size_t i = 0; i < precache; ++i) {
-    size_t mapped = 0;
-    void* base = hostos::MapStack(kDefaultStackSize, &mapped);
-    if (base == nullptr) {
+    Stack s;
+    if (!MapFresh(kDefaultStackSize, &s)) {
       break;
     }
-    ++stack_maps_;
-    ++class_stats_[ClassIndex(mapped)].misses;
-    char* commit_lo = hostos::StackLazy()
-                          ? static_cast<char*>(base) + mapped - hostos::StackInitialCommit()
-                          : static_cast<char*>(base);
-    PushFree(base, mapped, commit_lo);
+    PushFree(s);
   }
   EvictOverBudget();
 }
 
 StackPool::~StackPool() {
-  for (FreeStack*& head : free_heads_) {
-    while (head != nullptr) {
-      FreeStack* fs = head;
-      head = fs->next;
-      const size_t mapped = fs->mapped_size;
-      char* base = reinterpret_cast<char*>(fs + 1) - mapped;
-      fs->~FreeStack();
-      hostos::UnmapStack(base, mapped);
+  for (int cls = 0; cls < kNumClasses; ++cls) {
+    Stack s;
+    while (TakePooledStack(cls, &s)) {
+      Unmap(s);
     }
   }
-  free_count_ = 0;
-  free_bytes_ = 0;
+}
+
+// Maps a fresh stack and enters it in the registry, parked (no owner yet).
+bool StackPool::MapFresh(size_t usable, Stack* out) {
+  size_t mapped = 0;
+  void* base = hostos::MapStack(usable, &mapped);
+  if (base == nullptr) {
+    return false;
+  }
+  ++stack_maps_;
+  if (const int cls = ClassIndex(mapped); cls >= 0) {
+    ++class_stats_[cls].misses;
+  }
+  out->base = static_cast<char*>(base);
+  out->mapped = mapped;
+  out->commit_lo =
+      hostos::StackLazy() ? out->base + mapped - hostos::StackInitialCommit() : out->base;
+  registry_busy_.store(1, std::memory_order_relaxed);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  out->mapping = &mappings_.try_emplace(out->base, StackMapping{mapped, nullptr}).first->second;
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  registry_busy_.store(0, std::memory_order_relaxed);
+  return true;
+}
+
+// Removes a stack with no owner from the registry and unmaps it.
+void StackPool::Unmap(const Stack& s) {
+  registry_busy_.store(1, std::memory_order_relaxed);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  mappings_.erase(s.base);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  registry_busy_.store(0, std::memory_order_relaxed);
+  hostos::UnmapStack(s.base, s.mapped);
 }
 
 // The free-list node sits at the very top of the stack: with lazy commit the base pages may
 // still be PROT_NONE, but the top page is always committed.
-void StackPool::PushFree(void* usable_base, size_t mapped, char* commit_lo) {
-  const int cls = ClassIndex(mapped);
+void StackPool::PushFree(const Stack& s) {
+  const int cls = ClassIndex(s.mapped);
   FSUP_ASSERT(cls >= 0);
-  char* top = static_cast<char*>(usable_base) + mapped;
-  auto* fs = new (top - sizeof(FreeStack)) FreeStack{free_heads_[cls], mapped, commit_lo};
+  char* top = s.base + s.mapped;
+  auto* fs = new (top - sizeof(FreeStack)) FreeStack{free_heads_[cls], s.commit_lo, s.mapping};
   free_heads_[cls] = fs;
   ++free_count_;
-  free_bytes_ += mapped;
+  free_bytes_ += s.mapped;
   NoteMapped();
 }
 
-void* StackPool::TakePooledStack(int cls, size_t* size_out, char** commit_lo_out) {
+bool StackPool::TakePooledStack(int cls, Stack* out) {
   if (cls < 0 || free_heads_[cls] == nullptr) {
-    return nullptr;
+    return false;
   }
   FreeStack* fs = free_heads_[cls];
   free_heads_[cls] = fs->next;
   --free_count_;
-  free_bytes_ -= fs->mapped_size;
   ++stack_reuses_;
-  *size_out = fs->mapped_size;
-  *commit_lo_out = fs->commit_lo;
-  char* base = reinterpret_cast<char*>(fs + 1) - fs->mapped_size;
+  out->mapped = fs->mapping->mapped_size;
+  out->commit_lo = fs->commit_lo;
+  out->mapping = fs->mapping;
+  out->base = reinterpret_cast<char*>(fs + 1) - out->mapped;
+  free_bytes_ -= out->mapped;
   fs->~FreeStack();
-  return base;
+  return true;
 }
 
 // Largest-first eviction: pop from the highest occupied class until the mapped bytes held by
@@ -123,16 +138,14 @@ void* StackPool::TakePooledStack(int cls, size_t* size_out, char** commit_lo_out
 void StackPool::EvictOverBudget() {
   int cls = kNumClasses - 1;
   while (free_bytes_ > budget_bytes_ && cls >= 0) {
-    if (free_heads_[cls] == nullptr) {
+    Stack s;
+    if (!TakePooledStack(cls, &s)) {
       --cls;
       continue;
     }
-    size_t mapped = 0;
-    char* commit_lo = nullptr;
-    void* base = TakePooledStack(cls, &mapped, &commit_lo);
     --stack_reuses_;  // eviction is not a reuse
     ++class_stats_[cls].evictions;
-    hostos::UnmapStack(base, mapped);
+    Unmap(s);
   }
 }
 
@@ -142,69 +155,37 @@ Tcb* StackPool::AllocateNoStack() {
   return t;
 }
 
-void StackPool::RegisterLive(Tcb* t) {
-  registry_busy_.store(1, std::memory_order_relaxed);
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-  live_[static_cast<const char*>(t->stack_base)] = LiveStack{t->stack_size, t};
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-  registry_busy_.store(0, std::memory_order_relaxed);
-  live_bytes_ += t->stack_size;
-  NoteMapped();
-}
-
-void StackPool::UnregisterLive(Tcb* t) {
-  registry_busy_.store(1, std::memory_order_relaxed);
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-  live_.erase(static_cast<const char*>(t->stack_base));
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-  registry_busy_.store(0, std::memory_order_relaxed);
-  live_bytes_ -= t->stack_size;
-}
-
 bool StackPool::AttachStack(Tcb* t, size_t stack_size) {
   FSUP_CHECK(t->stack_base == nullptr);
   const size_t page = hostos::PageSize();
   const size_t usable = (stack_size + page - 1) & ~(page - 1);
   const int cls = ClassIndex(usable);
 
-  void* stack = nullptr;
-  size_t mapped = 0;
-  char* commit_lo = nullptr;
-  stack = TakePooledStack(cls, &mapped, &commit_lo);
-  if (stack != nullptr) {
-    ++class_stats_[cls].hits;
-  } else {
-    stack = hostos::MapStack(usable, &mapped);
-    if (stack != nullptr) {
-      ++stack_maps_;
-      if (cls >= 0) {
-        ++class_stats_[cls].misses;
-      }
-      commit_lo = hostos::StackLazy()
-                      ? static_cast<char*>(stack) + mapped - hostos::StackInitialCommit()
-                      : static_cast<char*>(stack);
-    } else {
-      // The map failed (address space exhausted or an injected fault). Degrade before
-      // failing: a recycled stack freed since the first probe (zombie reaping runs between
-      // the two) can still satisfy a class-size request.
-      stack = TakePooledStack(cls, &mapped, &commit_lo);
-      if (stack != nullptr) {
-        ++class_stats_[cls].hits;
-      }
-    }
-    if (stack == nullptr) {
+  // A recycled stack first; then a fresh map; and if the map failed (address space exhausted
+  // or an injected fault), the free list once more: a stack freed since the first probe
+  // (zombie reaping runs between the two) can still satisfy a class-size request.
+  Stack s;
+  bool recycled = TakePooledStack(cls, &s);
+  if (!recycled && !MapFresh(usable, &s)) {
+    recycled = TakePooledStack(cls, &s);
+    if (!recycled) {
       ++alloc_failures_;
       return false;
     }
   }
-  if (commit_lo < static_cast<char*>(stack)) {
-    commit_lo = static_cast<char*>(stack);
+  if (recycled) {
+    ++class_stats_[cls].hits;
   }
-  t->stack_base = stack;
-  t->stack_size = mapped;
-  t->stack_pooled = ClassIndex(mapped) >= 0;
-  t->stack_commit_lo = commit_lo;
-  RegisterLive(t);
+  t->stack_base = s.base;
+  t->stack_size = s.mapped;
+  t->stack_pooled = ClassIndex(s.mapped) >= 0;
+  t->stack_commit_lo = s.commit_lo < s.base ? s.base : s.commit_lo;
+  t->stack_mapping = s.mapping;
+  // The SIGSEGV handler follows the owner to the stack fields: publish them first.
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  s.mapping->owner = t;
+  live_bytes_ += s.mapped;
+  NoteMapped();
   return true;
 }
 
@@ -221,27 +202,27 @@ Tcb* StackPool::Allocate(size_t stack_size) {
 
 void StackPool::Free(Tcb* t) {
   FSUP_CHECK(TcbValid(t));
-  void* stack = t->stack_base;
-  const size_t mapped = t->stack_size;
+  const Stack s{static_cast<char*>(t->stack_base), t->stack_size, t->stack_commit_lo,
+                t->stack_mapping};
   const bool recycle = t->stack_pooled;
-  char* commit_lo = t->stack_commit_lo;
-
-  if (stack != nullptr) {
-    UnregisterLive(t);
+  if (s.mapping != nullptr) {
+    s.mapping->owner = nullptr;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    live_bytes_ -= s.mapped;
   }
   t->magic = 0;
   t->~Tcb();
   tcb_pool_.Put(t);
 
-  if (stack == nullptr) {
-    return;  // the main thread's TCB has no library-owned stack
+  if (s.mapping == nullptr) {
+    return;  // no library-owned stack (never activated, or the main thread)
   }
   if (recycle) {
-    PushFree(stack, mapped, commit_lo);
+    PushFree(s);
     EvictOverBudget();
     return;
   }
-  hostos::UnmapStack(stack, mapped);
+  Unmap(s);
 }
 
 bool StackPool::CommitFaultOnThread(const void* addr, Tcb* t) {
@@ -304,19 +285,23 @@ StackFaultInfo StackPool::ClassifyStackFault(const void* addr, Tcb* current) {
     return {StackFaultInfo::Kind::kUnavailable, nullptr};
   }
   std::atomic_signal_fence(std::memory_order_seq_cst);
-  // Ordered interval lookup. Two candidates: the stack whose base is just above the address
-  // (its guard page lies below its key), and the stack at or below the address (in-range).
+  // Ordered interval lookup. Two candidates: the mapping whose base is just above the address
+  // (its guard page lies below its key), and the mapping at or below the address (in-range).
+  // A parked mapping has no owner: nothing runs there, so a fault on it is nobody's.
   const char* p = static_cast<const char*>(addr);
   const size_t page = hostos::PageSize();
-  auto it = live_.upper_bound(p);
-  if (it != live_.end() && p >= it->first - page) {
-    return {StackFaultInfo::Kind::kOverflow, it->second.owner};
+  auto it = mappings_.upper_bound(p);
+  if (it != mappings_.end() && p >= it->first - page) {
+    Tcb* owner = it->second.owner;
+    return owner != nullptr ? StackFaultInfo{StackFaultInfo::Kind::kOverflow, owner}
+                            : StackFaultInfo{};
   }
-  if (it != live_.begin()) {
+  if (it != mappings_.begin()) {
     --it;
-    if (p < it->first + it->second.mapped_size && CommitFaultOnThread(addr, it->second.owner)) {
+    Tcb* owner = it->second.owner;
+    if (p < it->first + it->second.mapped_size && CommitFaultOnThread(addr, owner)) {
       ++lazy_commits_;
-      return {StackFaultInfo::Kind::kCommitted, it->second.owner};
+      return {StackFaultInfo::Kind::kCommitted, owner};
     }
   }
   return {StackFaultInfo::Kind::kNone, nullptr};

@@ -6,8 +6,14 @@
 // is measured with the pool warm. This module is that pool, grown for million-thread working
 // sets: stacks are recycled on power-of-two size-class free lists under a bytes-based budget
 // (odd sizes bypass the pool), TCBs come from a growable slab allocator, and a sorted registry
-// of live stacks lets the SIGSEGV handler classify a fault — lazy-commit demand paging versus
-// guard-page overflow — in O(log n) instead of walking every thread.
+// of stack *mappings* lets the SIGSEGV handler classify a fault — lazy-commit demand paging
+// versus guard-page overflow — in O(log n) instead of walking every thread.
+//
+// The registry holds every stack this pool has mapped, in use or parked on a free list. It
+// changes only when a stack is mapped (precache, a fresh map) or unmapped (budget eviction, a
+// non-pooled free), never on a warm create or exit: attaching a recycled stack to a thread or
+// parking it again only sets or clears the mapping's owner, through the pointer the TCB and
+// the parked stack's free-list header keep.
 
 #ifndef FSUP_SRC_KERNEL_STACK_POOL_HPP_
 #define FSUP_SRC_KERNEL_STACK_POOL_HPP_
@@ -22,10 +28,17 @@
 
 namespace fsup {
 
-// Classification of a synchronous fault address against the pool's live stacks.
+// One stack mapping in the pool's registry, from MapStack to UnmapStack. `owner` is the thread
+// running on it, or nullptr while the stack is parked on a free list.
+struct StackMapping {
+  size_t mapped_size;
+  Tcb* owner;
+};
+
+// Classification of a synchronous fault address against the pool's stacks.
 struct StackFaultInfo {
   enum class Kind {
-    kNone,        // not a live stack address this registry knows about
+    kNone,        // not an in-use stack address this registry knows about
     kCommitted,   // lazy-commit fault: pages committed, retry the faulting instruction
     kOverflow,    // guard page hit: genuine stack overflow, `thread` names the victim
     kUnavailable  // registry mid-mutation; caller must fall back to a linear scan
@@ -60,9 +73,10 @@ class StackPool {
   void Free(Tcb* t);
 
   // Classifies a synchronous fault address. Async-signal-safe: consults the current thread's
-  // own stack first (no locks), then the sorted live-stack registry unless a mutation is in
-  // flight (kUnavailable → the handler degrades to its linear scan). Lazy-commit faults are
-  // resolved in place via hostos::CommitStackRange before returning kCommitted.
+  // own stack first (no locks), then the sorted mapping registry unless a mutation is in
+  // flight (kUnavailable → the handler degrades to its linear scan). An address in a parked
+  // stack is kNone. Lazy-commit faults are resolved in place via hostos::CommitStackRange
+  // before returning kCommitted.
   StackFaultInfo ClassifyStackFault(const void* addr, Tcb* current);
 
   // Commits t's stack if `addr` is a lazy, not-yet-committed stack page of t. Shared by
@@ -85,7 +99,8 @@ class StackPool {
   uint64_t stack_maps() const { return stack_maps_; }
   uint64_t alloc_failures() const { return alloc_failures_; }
   uint64_t lazy_commits() const { return lazy_commits_; }
-  size_t live_registered() const { return live_.size(); }
+  // Stack mappings in the registry: stacks in use plus parked ones.
+  size_t registered_stacks() const { return mappings_.size(); }
 
   // Per-size-class traffic: free-list reuses (hits), fresh maps (misses), budget evictions.
   struct ClassStats {
@@ -95,7 +110,7 @@ class StackPool {
   };
   ClassStats class_stats(int cls) const { return class_stats_[cls]; }
 
-  // Reserved bytes currently mapped (live stacks + free lists) and the high-water mark of
+  // Reserved bytes currently mapped (stacks in use + free lists) and the high-water mark of
   // that sum over the pool's lifetime.
   size_t mapped_bytes() const { return live_bytes_ + free_bytes_; }
   size_t mapped_hw_bytes() const { return mapped_hw_bytes_; }
@@ -108,26 +123,29 @@ class StackPool {
   static int ClassIndex(size_t usable_size);
 
  private:
+  // A stack mapping being handed between the free lists, a TCB and the host.
+  struct Stack {
+    char* base = nullptr;  // usable low address
+    size_t mapped = 0;
+    char* commit_lo = nullptr;
+    StackMapping* mapping = nullptr;
+  };
+
   // Free-list node, placed at the TOP of the recycled stack: with lazy commit the base pages
   // may be PROT_NONE, but the top page is always committed (MapStack's initial commit covers
   // it and every thread ran there). commit_lo preserves the previous tenant's commit
   // watermark so a recycled stack keeps its warm pages without re-faulting.
   struct FreeStack {
     FreeStack* next;
-    size_t mapped_size;
     char* commit_lo;
+    StackMapping* mapping;  // holds the mapped size
   };
 
-  struct LiveStack {
-    size_t mapped_size;
-    Tcb* owner;
-  };
-
-  void* TakePooledStack(int cls, size_t* size_out, char** commit_lo_out);
-  void PushFree(void* usable_base, size_t mapped, char* commit_lo);
+  bool TakePooledStack(int cls, Stack* out);
+  void PushFree(const Stack& s);
+  bool MapFresh(size_t usable, Stack* out);
+  void Unmap(const Stack& s);
   void EvictOverBudget();
-  void RegisterLive(Tcb* t);
-  void UnregisterLive(Tcb* t);
 
   FixedPool<Tcb> tcb_pool_;
   FreeStack* free_heads_[kNumClasses] = {};
@@ -140,7 +158,7 @@ class StackPool {
   uint64_t alloc_failures_ = 0;  // AttachStack exhausted both mmap and the freelist
   uint64_t lazy_commits_ = 0;    // demand-commit faults resolved by the SIGSEGV handler
   ClassStats class_stats_[kNumClasses] = {};
-  size_t live_bytes_ = 0;        // mapped (reserved) bytes across registered live stacks
+  size_t live_bytes_ = 0;        // mapped (reserved) bytes across stacks in use
   size_t mapped_hw_bytes_ = 0;   // high-water of live_bytes_ + free_bytes_
 
   // Stamps the mapped-bytes high-water after live_bytes_ or free_bytes_ grew.
@@ -151,10 +169,11 @@ class StackPool {
     }
   }
 
-  // Live stacks ordered by usable base. Mutated only inside the kernel monitor; the busy flag
-  // (with signal fences) lets the handler detect the impossible-in-theory mid-mutation fault
-  // and degrade safely instead of walking a broken tree.
-  std::map<const char*, LiveStack> live_;
+  // Every mapped stack, ordered by usable base. Mutated only inside the kernel monitor, and
+  // only by MapFresh and Unmap; the busy flag (with signal fences) lets the handler detect the
+  // impossible-in-theory mid-mutation fault and degrade safely instead of walking a broken
+  // tree. std::map nodes never move, so StackMapping pointers stay valid until Unmap.
+  std::map<const char*, StackMapping> mappings_;
   std::atomic<int> registry_busy_{0};
 };
 

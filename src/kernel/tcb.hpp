@@ -18,6 +18,7 @@ namespace fsup {
 
 struct Mutex;
 struct Cond;
+struct StackMapping;
 struct Tcb;
 
 // A pending or armed per-thread timer. Each thread embeds two: one for blocking timeouts
@@ -44,17 +45,18 @@ struct FakeRec {
   bool in_use = false;
   // The handler targets the *running* thread: no frame is pushed; the record is drained by
   // RunSelfHandlers() right after the kernel is exited (the live call frame plays the role of
-  // the fake one).
+  // the fake one). Counted in Tcb::self_direct_recs.
   bool self_direct = false;
 };
 
 // Cleanup handlers are a per-thread stack of real function registrations — deliberately not
 // the lexical-scope macro pair the standard suggests (see the paper's language-independence
-// discussion).
+// discussion). `next` comes first: it also links the recycled-node list, whose push and pop
+// are restartable atomic sequences over the first word (arch/ras.hpp).
 struct CleanupNode {
+  CleanupNode* next = nullptr;
   void (*fn)(void*) = nullptr;
   void* arg = nullptr;
-  CleanupNode* next = nullptr;
 };
 
 // Per-thread metrics accumulators (debug/metrics.hpp). Always present so the TCB layout does
@@ -145,6 +147,7 @@ struct Tcb {
   // paging and faults at or above it as real errors — which also guarantees the
   // commit-retry loop terminates.
   char* stack_commit_lo = nullptr;
+  StackMapping* stack_mapping = nullptr;  // the pool's registry entry for this stack
 
   ThreadEntry entry = nullptr;
   void* entry_arg = nullptr;
@@ -160,6 +163,8 @@ struct Tcb {
   SigSet sigwait_set = 0;
   int sigwait_received = 0;
   FakeRec fake_recs[kMaxFakeRecs];
+  // fake_recs entries with self_direct set: every kernel exit asks whether this is nonzero.
+  uint8_t self_direct_recs = 0;
 
   // Optional control redirection requested by a user handler (the Ada hook): applied by the
   // fake-call wrapper after the handler returns.
@@ -179,6 +184,9 @@ struct Tcb {
 
   // -- cleanup & TSD ---------------------------------------------------------------------
   CleanupNode* cleanup_head = nullptr;
+  // Bit i set once this thread stores a non-NULL tsd[i], cleared only by exit's destructor
+  // pass: a superset of the non-NULL slots, so exit visits the keys the thread set, not all.
+  uint64_t tsd_set = 0;
   void* tsd[kMaxTsdKeys] = {};
 
   // -- synchronization bookkeeping -------------------------------------------------------

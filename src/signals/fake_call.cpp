@@ -164,6 +164,7 @@ void FakeCallUserHandler(Tcb* t, int signo, const VSigAction& action) {
 
   if (t == kernel::Current()) {
     rec->self_direct = true;  // drained by RunSelfHandlers() after kernel exit
+    ++t->self_direct_recs;
     return;
   }
   debug::obs::Emit(debug::obs::Event::kFakeCall, t, t->id, static_cast<uint32_t>(signo));
@@ -181,16 +182,6 @@ void FakeCallCancel(Tcb* t) {
   InstallOnThread(t, &CancelTramp, rec);
 }
 
-bool SelfHandlersPending() {
-  Tcb* self = kernel::Current();
-  for (const FakeRec& r : self->fake_recs) {
-    if (r.in_use && r.self_direct) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void RunSelfHandlers() {
   Tcb* self = kernel::Current();
   for (;;) {
@@ -199,6 +190,7 @@ void RunSelfHandlers() {
     for (FakeRec& r : self->fake_recs) {
       if (r.in_use && r.self_direct) {
         r.self_direct = false;
+        --self->self_direct_recs;
         rec = &r;
         break;
       }

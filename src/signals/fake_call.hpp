@@ -43,7 +43,8 @@ void DetachFromWaitQueue(Tcb* t);
 // Drains handler runs queued for the current thread. Call *outside* the kernel.
 void RunSelfHandlers();
 
-bool SelfHandlersPending();
+// True if handler runs are queued for the current thread. O(1): asked on every kernel exit.
+inline bool SelfHandlersPending() { return kernel::Current()->self_direct_recs != 0; }
 
 // pt_handler_redirect backing: applies a pending redirect (siglongjmp) if the handler that
 // just returned requested one. Never returns if a redirect is pending.

@@ -179,6 +179,95 @@ TEST_F(CleanupTsdTest, DestructorSettingNewValueReRuns) {
   pt_key_delete(k);
 }
 
+TEST_F(CleanupTsdTest, DestructorsRunInAscendingKeyOrder) {
+  // Exit visits only the keys the thread set, lowest first, whatever order they were set in.
+  static std::vector<int> order;
+  static pt_key_t keys[3];
+  order.clear();
+  for (pt_key_t& k : keys) {
+    ASSERT_EQ(0, pt_key_create(&k, +[](void* v) { order.push_back(*static_cast<int*>(v)); }));
+  }
+  auto body = +[](void*) -> void* {
+    static int values[3] = {0, 1, 2};
+    for (int i = 2; i >= 0; --i) {
+      EXPECT_EQ(0, pt_setspecific(keys[i], &values[i]));
+    }
+    return nullptr;
+  };
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, nullptr, body, nullptr));
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  EXPECT_EQ((std::vector<int>{0, 1, 2}), order);
+  for (pt_key_t k : keys) {
+    pt_key_delete(k);
+  }
+}
+
+TEST_F(CleanupTsdTest, RecreatedKeyReadsNullInEveryThread) {
+  // Delete then create hands back the same slot; the old key's values must not show through,
+  // neither in the thread that deleted it nor in another thread that had set it.
+  static pt_key_t k1;
+  static int x = 1, y = 2;
+  ASSERT_EQ(0, pt_key_create(&k1, nullptr));
+  ASSERT_EQ(0, pt_setspecific(k1, &x));
+  static pt_sem_t set, go;
+  ASSERT_EQ(0, pt_sem_init(&set, 0));
+  ASSERT_EQ(0, pt_sem_init(&go, 0));
+  static pt_key_t k2;
+  auto body = +[](void*) -> void* {
+    EXPECT_EQ(0, pt_setspecific(k1, &y));
+    pt_sem_post(&set);
+    pt_sem_wait(&go);
+    return pt_getspecific(k2);
+  };
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, nullptr, body, nullptr));
+  ASSERT_EQ(0, pt_sem_wait(&set));
+  ASSERT_EQ(0, pt_key_delete(k1));
+  ASSERT_EQ(0, pt_key_create(&k2, nullptr));
+  ASSERT_EQ(k1, k2);  // the slot is reused: this is the case under test
+  EXPECT_EQ(nullptr, pt_getspecific(k2));
+  ASSERT_EQ(0, pt_sem_post(&go));
+  void* seen = &x;
+  ASSERT_EQ(0, pt_join(t, &seen));
+  EXPECT_EQ(nullptr, seen);
+  pt_key_delete(k2);
+  pt_sem_destroy(&set);
+  pt_sem_destroy(&go);
+}
+
+TEST_F(CleanupTsdTest, RecreatedKeyDestructorNeverSeesTheOldValue) {
+  // A thread set the old key, then the key was deleted and recreated with a destructor while
+  // the thread was still alive: its exit must not run the new destructor on the old value.
+  static pt_key_t k1;
+  static int runs = 0;
+  runs = 0;
+  ASSERT_EQ(0, pt_key_create(&k1, nullptr));
+  static pt_sem_t set, go;
+  ASSERT_EQ(0, pt_sem_init(&set, 0));
+  ASSERT_EQ(0, pt_sem_init(&go, 0));
+  auto body = +[](void*) -> void* {
+    static int old_value = 7;
+    EXPECT_EQ(0, pt_setspecific(k1, &old_value));
+    pt_sem_post(&set);
+    pt_sem_wait(&go);
+    return nullptr;
+  };
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, nullptr, body, nullptr));
+  ASSERT_EQ(0, pt_sem_wait(&set));
+  ASSERT_EQ(0, pt_key_delete(k1));
+  pt_key_t k2;
+  ASSERT_EQ(0, pt_key_create(&k2, +[](void*) { ++runs; }));
+  ASSERT_EQ(k1, k2);
+  ASSERT_EQ(0, pt_sem_post(&go));
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  EXPECT_EQ(0, runs);
+  pt_key_delete(k2);
+  pt_sem_destroy(&set);
+  pt_sem_destroy(&go);
+}
+
 TEST_F(CleanupTsdTest, KeyExhaustionIsEagain) {
   std::vector<pt_key_t> keys;
   pt_key_t key;

@@ -69,7 +69,66 @@ TEST_F(RasTest, SequencesAreRegistered) {
   EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_lock_begin)));
   EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_lock_end)));
   EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_unlock_begin)));
+  EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_pop_begin)));
+  EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_pop_end)));
+  EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_push_begin)));
+  EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_push_end)));
   EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(&ras::Register)));
+}
+
+TEST_F(RasTest, ListPushPopIsLifoThroughTheFirstWord) {
+  struct Node {
+    Node* next;
+    int id;
+  };
+  void* volatile head = nullptr;
+  Node a{nullptr, 1}, b{nullptr, 2};
+  EXPECT_EQ(nullptr, fsup_ras_list_pop(&head));  // empty
+  fsup_ras_list_push(&head, &a);
+  fsup_ras_list_push(&head, &b);
+  EXPECT_EQ(&a, b.next);
+  EXPECT_EQ(&b, fsup_ras_list_pop(&head));
+  EXPECT_EQ(&a, fsup_ras_list_pop(&head));
+  EXPECT_EQ(nullptr, head);
+}
+
+TEST_F(RasTest, CleanupNodeListSurvivesTimeSlicedThreads) {
+  // Two round-robin threads sliced every 50µs push and pop cleanup handlers, whose nodes come
+  // from one shared list guarded only by restart. A torn pop hands both threads the same node,
+  // and one thread's handler then runs with the other's argument.
+  pt_enable_time_slicing(50);
+  ThreadAttr rr;
+  rr.inherit_policy = false;
+  rr.policy = SchedPolicy::kRr;
+  struct Worker {
+    long pushed = 0;
+    long ran = 0;
+  };
+  auto body = +[](void* arg) -> void* {
+    auto* w = static_cast<Worker*>(arg);
+    const int64_t until = NowNs() + 150 * 1000 * 1000;
+    while (NowNs() < until) {
+      for (int i = 0; i < 3; ++i) {
+        pt_cleanup_push(+[](void* a) { ++static_cast<Worker*>(a)->ran; }, w);
+      }
+      w->pushed += 3;
+      for (int i = 0; i < 3; ++i) {
+        pt_cleanup_pop(1);
+      }
+    }
+    return nullptr;
+  };
+  Worker w1, w2;
+  pt_thread_t t1, t2;
+  ASSERT_EQ(0, pt_create(&t1, &rr, body, &w1));
+  ASSERT_EQ(0, pt_create(&t2, &rr, body, &w2));
+  ASSERT_EQ(0, pt_join(t1, nullptr));
+  ASSERT_EQ(0, pt_join(t2, nullptr));
+  pt_disable_time_slicing();
+  EXPECT_GT(w1.pushed, 0);
+  EXPECT_GT(w2.pushed, 0);
+  EXPECT_EQ(w1.pushed, w1.ran);
+  EXPECT_EQ(w2.pushed, w2.ran);
 }
 
 TEST_F(RasTest, RewindMovesPcToSequenceStart) {

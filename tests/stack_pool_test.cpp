@@ -1,7 +1,8 @@
 // Size-classed stack pool edge cases: class geometry, per-class recycling, the non-pow2
 // bypass, the bytes-based recycle budget with largest-first eviction, lazy-commit demand
-// paging (unit level via ClassifyStackFault and end-to-end via a deep-frame thread), and the
-// eager-mode (FSUP_STACK_LAZY=0) watermark.
+// paging (unit level via ClassifyStackFault and end-to-end via a deep-frame thread), the
+// mapping registry (recycled, parked and evicted stacks), and the eager-mode
+// (FSUP_STACK_LAZY=0) watermark.
 
 #include <gtest/gtest.h>
 
@@ -162,6 +163,64 @@ TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
 
   pool.Free(t1);
   pool.Free(t2);
+}
+
+TEST_F(StackPoolTest, FaultsOnARecycledStackNameTheCurrentTenant) {
+  if (!hostos::StackLazy()) {
+    GTEST_SKIP() << "lazy commit disabled in this environment";
+  }
+  StackPool pool(0);
+  Tcb* first = pool.Allocate(kDefaultStackSize);
+  ASSERT_NE(nullptr, first);
+  char* base = static_cast<char*>(first->stack_base);
+  pool.Free(first);
+  // Another thread takes the freed TCB slot, so the stack's next tenant is a different TCB.
+  Tcb* other = pool.Allocate(kMinStackSize);
+  Tcb* tenant = pool.Allocate(kDefaultStackSize);
+  ASSERT_NE(nullptr, other);
+  ASSERT_NE(nullptr, tenant);
+  ASSERT_EQ(base, static_cast<char*>(tenant->stack_base));  // recycled, not remapped
+  ASSERT_NE(first, tenant);
+  ASSERT_GT(tenant->stack_commit_lo, base);  // the first tenant never grew it
+
+  auto r = pool.ClassifyStackFault(base + 64, other);
+  EXPECT_EQ(StackFaultInfo::Kind::kCommitted, r.kind);
+  EXPECT_EQ(tenant, r.thread);
+  EXPECT_EQ(base, tenant->stack_commit_lo);
+  r = pool.ClassifyStackFault(base - 1, other);
+  EXPECT_EQ(StackFaultInfo::Kind::kOverflow, r.kind);
+  EXPECT_EQ(tenant, r.thread);
+  pool.Free(other);
+  pool.Free(tenant);
+}
+
+TEST_F(StackPoolTest, ParkedStackStaysRegisteredButOwnsNoFaults) {
+  StackPool pool(0);
+  Tcb* t = pool.Allocate(kDefaultStackSize);
+  ASSERT_NE(nullptr, t);
+  char* base = static_cast<char*>(t->stack_base);
+  EXPECT_EQ(1u, pool.registered_stacks());
+  pool.Free(t);
+  // Parking a stack does not touch the registry (only map and unmap do), but nothing runs on
+  // a parked stack, so no fault on it is a thread's.
+  EXPECT_EQ(1u, pool.pooled_stacks());
+  EXPECT_EQ(1u, pool.registered_stacks());
+  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base + 64, nullptr).kind);
+  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base - 1, nullptr).kind);
+  EXPECT_EQ(0u, pool.lazy_commits());
+}
+
+TEST_F(StackPoolTest, EvictedStackLeavesTheRegistry) {
+  ASSERT_EQ(0, ::setenv("FSUP_STACK_POOL_BYTES", "65536", 1));
+  StackPool pool(0);
+  Tcb* big = pool.Allocate(1u << 20);
+  ASSERT_NE(nullptr, big);
+  char* base = static_cast<char*>(big->stack_base);
+  pool.Free(big);  // over budget: unmapped at once
+  EXPECT_EQ(0u, pool.pooled_stacks());
+  EXPECT_EQ(0u, pool.registered_stacks());
+  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base + 64, nullptr).kind);
+  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base - 1, nullptr).kind);
 }
 
 TEST_F(StackPoolTest, RecycledStackKeepsItsCommitWatermark) {
