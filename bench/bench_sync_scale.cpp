@@ -19,9 +19,9 @@
 //     repositions a boosted owner inside a W-deep wait queue — O(1) per link now,
 //     O(W) per link with the sorted list.
 //  4. Uncontended lock/unlock: one thread, one free mutex, pt_mutex_lock + pt_mutex_unlock
-//     per iteration under each fast-path mode (ras / cas / off) against a bare-atomic
-//     baseline (one xchgb acquire + one release store — the cheapest possible lock cycle
-//     with no validation, no owner record, no API). Acceptance (ISSUE 9): the ras pair
+//     per iteration on the fast path and on the kernel path (FSUP_FASTPATH=0) against a
+//     bare-atomic baseline (one xchgb acquire + one release store — the cheapest possible
+//     lock cycle with no validation, no owner record, no API). Acceptance: the ras pair
 //     costs <= ~2x the bare pair.
 //
 // Writes BENCH_sync.json (override with FSUP_SYNC_JSON). FSUP_SYNC_SMOKE=1 shrinks every
@@ -358,7 +358,6 @@ BoostResult RunBoostChain(int chain_len, int fillers, int triggers) {
 struct UncontendedRow {
   double bare_pair_ns = 0;  // xchgb acquire + release store, nothing else
   double ras_pair_ns = 0;   // pt_mutex_lock/unlock, restartable-sequence fast path
-  double cas_pair_ns = 0;   // pt_mutex_lock via cmpxchg, unlock still the RAS sequence
   double off_pair_ns = 0;   // kill switch: the full kernel-monitor path
   double ratio = 0;         // ras_pair / bare_pair — acceptance <= ~2
   bool valid = false;
@@ -391,14 +390,12 @@ UncontendedRow RunUncontended(bool smoke) {
   }
   const int64_t iters = smoke ? 200'000 : 2'000'000;
   // The sweep overrides whatever FSUP_FASTPATH asked for — the point is to compare the
-  // modes — and restores the requested mode afterwards.
-  const sync::fastpath::Mode saved = sync::fastpath::Requested();
+  // fast path with the kernel path — and restores the request afterwards.
+  const bool saved = sync::fastpath::Requested();
   row.bare_pair_ns = MeasureBarePair(iters);
-  sync::fastpath::SetRequested(sync::fastpath::Mode::kRas);
+  sync::fastpath::SetRequested(true);
   row.ras_pair_ns = MeasurePtPair(&m, iters);
-  sync::fastpath::SetRequested(sync::fastpath::Mode::kCas);
-  row.cas_pair_ns = MeasurePtPair(&m, iters);
-  sync::fastpath::SetRequested(sync::fastpath::Mode::kOff);
+  sync::fastpath::SetRequested(false);
   row.off_pair_ns = MeasurePtPair(&m, iters);
   sync::fastpath::SetRequested(saved);
   row.ratio = row.bare_pair_ns > 0 ? row.ras_pair_ns / row.bare_pair_ns : 0;
@@ -464,9 +461,9 @@ void WriteJson(const char* path, const BroadcastRow* bc, size_t nbc, const Conte
   std::fputs(",\"uncontended\":", f);
   if (un.valid) {
     std::fprintf(f,
-                 "{\"bare_pair_ns\":%.3f,\"ras_pair_ns\":%.3f,\"cas_pair_ns\":%.3f,"
-                 "\"off_pair_ns\":%.3f,\"fastpath_vs_bare_ratio\":%.3f}",
-                 un.bare_pair_ns, un.ras_pair_ns, un.cas_pair_ns, un.off_pair_ns, un.ratio);
+                 "{\"bare_pair_ns\":%.3f,\"ras_pair_ns\":%.3f,\"off_pair_ns\":%.3f,"
+                 "\"fastpath_vs_bare_ratio\":%.3f}",
+                 un.bare_pair_ns, un.ras_pair_ns, un.off_pair_ns, un.ratio);
   } else {
     std::fputs("null", f);
   }
@@ -522,12 +519,11 @@ int main() {
   std::printf("  %d full-chain boosts (%d link repositions): %.2f us total, %.1f ns/link\n",
               boost.boosts, boost.link_boosts, boost.total_us, boost.ns_per_link);
 
-  std::printf("\nUncontended lock/unlock — fast-path modes vs a bare atomic pair [ns/pair]\n");
+  std::printf("\nUncontended lock/unlock vs a bare atomic pair [ns/pair]\n");
   const UncontendedRow un = RunUncontended(smoke);
   std::printf("  %-44s %8.2f\n", "bare xchgb + release store (baseline)", un.bare_pair_ns);
-  std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=ras (default)", un.ras_pair_ns);
-  std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=cas", un.cas_pair_ns);
-  std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=off (kernel path)", un.off_pair_ns);
+  std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=1 (default)", un.ras_pair_ns);
+  std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=0 (kernel path)", un.off_pair_ns);
 
   // Flatness acceptance (ISSUE 5): per-waiter broadcast switches and contended throughput
   // at the largest N within range of the smallest.

@@ -13,11 +13,11 @@
 //     self-yield dispatch latency measured WHILE the full population sits parked, which
 //     pins the scheduler's O(1) claim at depth.
 //
-// Stacks are the 16 KiB minimum with a one-page initial commit (set before init below):
-// parked bodies touch a single page, which is precisely the working set the lazy-commit
-// design promises to bill. The bench raises /proc/sys/vm/max_map_count when it can (each
-// live stack pins up to 3 VMAs: guard, uncommitted band, committed top); if the cap cannot
-// be raised, waves are clamped to what fits and reported as such.
+// Stacks are the 16 KiB minimum, which the initial commit covers whole: parked bodies touch
+// a single page, and committed but untouched pages cost no RSS, so one page is the working
+// set billed. The bench raises /proc/sys/vm/max_map_count when it can (a live stack pins up
+// to 3 VMAs: guard, uncommitted band, committed top); if the cap cannot be raised, waves are
+// clamped to what fits and reported as such.
 //
 // Writes BENCH_scale.json (override with FSUP_SCALE_JSON). FSUP_SCALE_SMOKE=1 bounds the
 // sweep at 4k and the wave at 64k for the ctest smoke run.
@@ -63,7 +63,8 @@ uint64_t ReadStatusKib(const char* field) {
   return kib;
 }
 
-// Each live 16 KiB stack pins up to 3 VMAs (guard page, PROT_NONE band, committed top).
+// A live stack pins up to 3 VMAs (guard page, PROT_NONE band, committed top); a 16 KiB stack,
+// committed whole, pins 2, so the estimate below errs high.
 // Returns the largest thread count the map-count limit can carry, raising the limit first
 // if this process is privileged to.
 int ClampToMapCount(int want_threads) {
@@ -220,10 +221,6 @@ void WriteJson(const char* path, const WaveRow* sweep, size_t nsweep, const Wave
 
 int main() {
   using namespace fsup;
-  // One-page initial commit: a parked thread's working set is exactly one touched stack
-  // page, the configuration the <8 KiB/thread acceptance is stated against. Must be set
-  // before the first init maps any stack.
-  setenv("FSUP_STACK_COMMIT", "4096", 0);  // no overwrite: the env can still experiment
   pt_init();
 
   const bool smoke = Smoke();

@@ -93,10 +93,9 @@ fsup_ras_owner_lock_end:
  * Fast-path release over the unified owner word: clears it only when no waiter is queued.
  * A signal handler preempting the sequence may block another thread on the mutex; the restart
  * re-reads has_waiters and diverts to the kernel handoff path (returns 1, word untouched).
- * Used by BOTH acquire flavors (RAS and cmpxchg): the waiter check and the clearing store
- * must be one atomic unit with respect to handler-driven enqueues, which a lone cmpxchg
- * cannot provide, and restart-atomicity is sufficient on the uniprocessor model regardless
- * of how the word was acquired.
+ * The waiter check and the clearing store must be one atomic unit with respect to
+ * handler-driven enqueues, which a lone cmpxchg cannot provide; restart-atomicity is
+ * sufficient on the uniprocessor model.
  */
     .globl  fsup_ras_owner_unlock
     .globl  fsup_ras_owner_unlock_begin

@@ -71,9 +71,8 @@ int fsup_ras_unlock(volatile uint8_t* lock, volatile uint8_t* has_waiters);
 void* fsup_ras_owner_lock(void* volatile* word, void* self);
 
 // Fast release of the owner word: clears it only when *has_waiters is 0 (returns 0); returns
-// 1 (word untouched) when a waiter needs the kernel handoff. Shared by the RAS and cmpxchg
-// acquire flavors — the waiter check + clearing store must be restart-atomic against
-// handler-driven enqueues either way.
+// 1 (word untouched) when a waiter needs the kernel handoff. The waiter check + clearing
+// store must be restart-atomic against handler-driven enqueues.
 int fsup_ras_owner_unlock(void* volatile* word, volatile uint8_t* has_waiters);
 
 // Hardware test-and-set (x86 xchg, the ldstub analogue). Returns previous lock value.

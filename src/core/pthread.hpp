@@ -94,8 +94,9 @@ void pt_dump_threads(uint32_t max_threads = 0);
 // ---------------------------------------------------------------------------------------
 
 // Turns metrics collection on or off at runtime. Enabling resets all counters and starts
-// time-in-state accounting from "now". No-op (stays off) when built with FSUP_METRICS=OFF.
-// Also enabled at init by setting the FSUP_METRICS environment variable to a non-"0" value.
+// time-in-state accounting from "now". No-op (stays off) in the internal fsup_noobs build,
+// where observation is compiled out. Also enabled at init by setting the FSUP_METRICS
+// environment variable to a non-"0" value.
 void pt_metrics_enable(bool on);
 bool pt_metrics_enabled();
 

@@ -94,7 +94,7 @@ inline void Emit(Event e, Tcb* t, uint32_t a, uint32_t b) {
 }
 
 // Turns observer bits on or off. Callers that change what the sync fast path may bypass
-// (kTrace, kMetrics) recompute the fast-path mode afterwards.
+// (kTrace, kMetrics) recompute the fast-path byte afterwards.
 void Set(uint8_t bits, bool on);
 
 #endif  // FSUP_NO_OBSERVE

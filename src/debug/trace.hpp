@@ -40,7 +40,7 @@ struct Record {
   Event event;
 };
 
-// Sets the trace bit of the observer mask (and recomputes the sync fast-path mode: tracing
+// Sets the trace bit of the observer mask (and recomputes the sync fast-path byte: tracing
 // wants every sync event logged from inside the monitor).
 void Enable(bool on);
 void Clear();

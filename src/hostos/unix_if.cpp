@@ -6,9 +6,9 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
-#include <cstdlib>
 
 #include "src/debug/replay.hpp"
 #include "src/hostos/fault.hpp"
@@ -164,20 +164,21 @@ int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t tim
     }
     pwait2_works = false;
   }
-  int timeout_ms;
-  if (timeout_ns < 0) {
-    timeout_ms = -1;
-  } else {
-    // Round up so a short sleep cannot busy-spin, clamp so a far-future deadline cannot
-    // overflow int (same hazard as the poll fallback path).
-    const int64_t ms = (timeout_ns + 999999) / 1000000;
-    timeout_ms = ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
-  }
+  const int timeout_ms = timeout_ns < 0 ? -1 : ClampedPollTimeoutMs(timeout_ns);
   g_last_poll_timeout_ms = timeout_ms;
   return ::epoll_wait(epfd, events, maxevents, timeout_ms);
 }
 
 int LastPollTimeoutMs() { return g_last_poll_timeout_ms; }
+
+int ClampedPollTimeoutMs(int64_t remaining_ns) {
+  if (remaining_ns <= 0) {
+    return 0;
+  }
+  // Round up without adding first: (ns + 999999) overflows for ns near INT64_MAX.
+  const int64_t ms = remaining_ns / 1000000 + (remaining_ns % 1000000 != 0 ? 1 : 0);
+  return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
+}
 
 void* ShmMapStats(const char* path, size_t size) {
   Bump(Call::kShmMap);
@@ -207,40 +208,7 @@ size_t PageSize() {
   return page;
 }
 
-namespace {
-
-bool g_stack_lazy = true;
-size_t g_stack_commit = 0;  // 0 = default; resolved lazily so PageSize is available
-
-size_t ResolvedInitialCommit() {
-  const size_t page = PageSize();
-  // Default four pages: enough that a thread parked anywhere in its first page can still
-  // take a kernel-pushed signal frame (~3.5 KiB with AVX-512 xsave) without crossing into
-  // the PROT_NONE tail. RW-but-untouched pages cost no RSS, so a generous default is free.
-  size_t commit = g_stack_commit == 0 ? 4 * page : g_stack_commit;
-  return (commit + page - 1) & ~(page - 1);
-}
-
-}  // namespace
-
-void RefreshStackConfig() {
-  const char* lazy = ::getenv("FSUP_STACK_LAZY");
-  g_stack_lazy = !(lazy != nullptr && lazy[0] == '0');
-  g_stack_commit = 0;
-  if (const char* commit = ::getenv("FSUP_STACK_COMMIT"); commit != nullptr) {
-    char* end = nullptr;
-    const unsigned long long v = ::strtoull(commit, &end, 10);
-    if (end != commit && v > 0) {
-      g_stack_commit = static_cast<size_t>(v);
-    }
-  }
-}
-
-bool StackLazy() { return g_stack_lazy; }
-
-size_t StackInitialCommit() { return ResolvedInitialCommit(); }
-
-void* MapStack(size_t usable_size, size_t* mapped_size_out) {
+void* MapStack(size_t usable_size, size_t* mapped_size_out, char** commit_lo_out) {
   const size_t page = PageSize();
   const size_t usable = (usable_size + page - 1) & ~(page - 1);
   const size_t total = usable + page;  // one guard page at the low end
@@ -250,13 +218,10 @@ void* MapStack(size_t usable_size, size_t* mapped_size_out) {
     errno = injected;
     return nullptr;
   }
-  const bool lazy = g_stack_lazy;
-  // Lazy mode reserves the whole range inaccessible (the guard page needs no extra protect)
-  // and commits only the top chunk; eager mode maps read-write and carves out the guard. Both
-  // shapes spend their one counted mprotect on the second step.
-  void* base = ::mmap(nullptr, total, lazy ? PROT_NONE : (PROT_READ | PROT_WRITE),
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | (lazy ? MAP_NORESERVE : 0),
-                      -1, 0);
+  // Reserve the whole range inaccessible (the guard page needs no extra protect), then spend
+  // the one counted mprotect committing the top chunk.
+  void* base = ::mmap(nullptr, total, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | MAP_NORESERVE, -1, 0);
   if (base == MAP_FAILED) {
     return nullptr;
   }
@@ -269,24 +234,15 @@ void* MapStack(size_t usable_size, size_t* mapped_size_out) {
     return nullptr;
   }
   char* usable_base = static_cast<char*>(base) + page;
-  int rc;
-  if (lazy) {
-    size_t commit = ResolvedInitialCommit();
-    if (commit > usable) {
-      commit = usable;
-    }
-    rc = ::mprotect(usable_base + usable - commit, commit, PROT_READ | PROT_WRITE);
-  } else {
-    rc = ::mprotect(base, page, PROT_NONE);
-  }
-  if (rc != 0) {
+  const size_t commit = std::min(kStackInitialCommitPages * page, usable);
+  char* commit_lo = usable_base + usable - commit;
+  if (::mprotect(commit_lo, commit, PROT_READ | PROT_WRITE) != 0) {
     Bump(Call::kMunmap);
     ::munmap(base, total);
     return nullptr;
   }
-  if (mapped_size_out != nullptr) {
-    *mapped_size_out = usable;
-  }
+  *mapped_size_out = usable;
+  *commit_lo_out = commit_lo;
   return usable_base;
 }
 

@@ -68,6 +68,12 @@ int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t tim
 // EpollPwait2) call. Pins the far-future-deadline clamp without racing real time.
 int LastPollTimeoutMs();
 
+// Converts a remaining-time budget to a poll(2)/epoll_wait(2) millisecond timeout: rounds up
+// (a short sleep must not busy-spin) and clamps to INT_MAX (a far-future deadline must not
+// overflow int, which would turn a bounded wait into an infinite or zero-timeout poll).
+// A budget <= 0 gives 0. Defined for every int64_t, INT64_MAX included.
+int ClampedPollTimeoutMs(int64_t remaining_ns);
+
 // Creates-or-opens `path`, sizes it to `size` and maps it MAP_SHARED read-write — the
 // runtime side of the FSUP_STATS_SHM stats segment (tools/fsup_top maps the same file
 // read-only on its own, outside the library). One counted, fault-injectable composite call
@@ -76,22 +82,21 @@ int LastPollTimeoutMs();
 void* ShmMapStats(const char* path, size_t size);
 void ShmUnmapStats(void* addr, size_t size);
 
+// Pages committed up front at the top of a fresh stack: enough that a thread parked anywhere
+// in its first page can still take a kernel-pushed signal frame (~3.5 KiB with AVX-512
+// xsave) without crossing into the PROT_NONE tail. RW-but-untouched pages cost no RSS.
+inline constexpr size_t kStackInitialCommitPages = 4;
+
 // Maps a thread stack with an inaccessible guard page at the low end; returns the *usable*
 // base (just above the guard) or nullptr. usable_size is rounded up to the page size.
 //
-// In the default lazy mode the usable range is reserved PROT_NONE (MAP_NORESERVE) and only
-// the top FSUP_STACK_COMMIT bytes are committed up front; the rest commits on demand from
-// the SIGSEGV handler (CommitStackRange). Either mode costs exactly one counted mmap plus
-// one counted mprotect, so fault-injection ordinals and replay logs are mode-independent.
-void* MapStack(size_t usable_size, size_t* mapped_size_out);
+// The usable range is reserved PROT_NONE (MAP_NORESERVE) and only its top
+// kStackInitialCommitPages (all of it, for a stack that small) are committed up front; the
+// rest commits on demand from the SIGSEGV handler (CommitStackRange). *commit_lo_out gets the
+// lowest committed address, the watermark the handler classifies faults against. One counted
+// mmap plus one counted mprotect.
+void* MapStack(size_t usable_size, size_t* mapped_size_out, char** commit_lo_out);
 void UnmapStack(void* usable_base, size_t mapped_size);
-
-// Stack-mapping configuration, cached from the environment (FSUP_STACK_LAZY, default on;
-// FSUP_STACK_COMMIT, initial commit bytes, default one page). RefreshStackConfig re-reads the
-// environment; kernel init calls it so pt_reinit picks up per-test overrides.
-void RefreshStackConfig();
-bool StackLazy();
-size_t StackInitialCommit();
 
 // Commits the whole usable range of a lazily reserved stack (RW pages cost RSS only when
 // touched, and partial commits leave a band where UNIX signal-frame delivery can fail — see

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <climits>
 #include <cstdlib>
 #include <new>
 
@@ -336,7 +335,7 @@ int PollPass(int64_t deadline_ns) {
   for (;;) {
     int timeout_ms = -1;
     if (deadline_ns >= 0) {
-      timeout_ms = ClampedPollTimeoutMs(deadline_ns - NowNs());
+      timeout_ms = hostos::ClampedPollTimeoutMs(deadline_ns - NowNs());
     }
     rc = hostos::Poll(n > 0 ? g_pollfds : nullptr, n, timeout_ms);
     if (rc >= 0) {
@@ -372,14 +371,6 @@ IoStats GetStats() {
 }
 
 bool HaveWaiters() { return g_active > 0; }
-
-int ClampedPollTimeoutMs(int64_t remaining_ns) {
-  if (remaining_ns <= 0) {
-    return 0;
-  }
-  const int64_t ms = (remaining_ns + 999999) / 1000000;
-  return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
-}
 
 void PollOnce(int64_t timeout_ns) {
   FSUP_ASSERT(kernel::InKernel());

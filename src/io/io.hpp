@@ -70,11 +70,6 @@ void ForgetThread(Tcb* t);
 // recorded poll pass did, without consulting any fd. In kernel; t must be io-blocked.
 void ReplayWake(Tcb* t);
 
-// Converts a remaining-time budget to a poll(2)/epoll_wait(2) millisecond timeout: rounds up
-// (a short sleep must not busy-spin) and clamps to INT_MAX (a far-future deadline must not
-// overflow int, which would turn a bounded wait into an infinite or zero-timeout poll).
-int ClampedPollTimeoutMs(int64_t remaining_ns);
-
 // Closes the epoll fd, frees every FdState, zeroes stats, and forgets the resolved backend so
 // the next use re-reads FSUP_IO_BACKEND (pt_reinit relies on this).
 void ResetForTesting();

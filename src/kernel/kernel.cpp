@@ -80,9 +80,9 @@ void InitRuntime() {
       v != nullptr && v[0] != '\0' && v[0] != '0') {
     debug::metrics::Enable(true);
   }
-  // FSUP_FASTPATH=0|off|ras|cas: after the trace/metrics env hooks, so the active mode is
-  // computed against their final state (the Enable calls above recompute too; this one also
-  // picks up the requested mode itself).
+  // FSUP_FASTPATH=0|1: after the trace/metrics env hooks, so the active byte is computed
+  // against their final state (the Enable calls above recompute too; this one also picks up
+  // the request itself).
   sync::fastpath::InitFromEnv();
   // FSUP_RECORD / FSUP_REPLAY / FSUP_EXPLORE_*: armed last so a recording starts with the
   // runtime fully up and a replay finds the same initialized state the recording saw.

@@ -1,7 +1,6 @@
 #include "src/kernel/stack_pool.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <new>
 
 #include "src/debug/obs.hpp"
@@ -9,26 +8,6 @@
 #include "src/util/assert.hpp"
 
 namespace fsup {
-namespace {
-
-// Default recycle budget: enough for bursty create/join batches across several size classes
-// (e.g. 256 default 128 KiB stacks) without pinning unbounded address space.
-constexpr size_t kDefaultPoolBudgetBytes = 32u << 20;
-
-size_t ReadBudgetFromEnv() {
-  const char* s = ::getenv("FSUP_STACK_POOL_BYTES");
-  if (s == nullptr) {
-    return kDefaultPoolBudgetBytes;
-  }
-  char* end = nullptr;
-  const unsigned long long v = ::strtoull(s, &end, 10);
-  if (end == s) {
-    return kDefaultPoolBudgetBytes;
-  }
-  return static_cast<size_t>(v);
-}
-
-}  // namespace
 
 static_assert((kMinStackSize & (kMinStackSize - 1)) == 0, "size classes assume pow2 floor");
 static_assert((StackPool::kMaxPooledStackSize & (StackPool::kMaxPooledStackSize - 1)) == 0,
@@ -44,9 +23,8 @@ int StackPool::ClassIndex(size_t usable_size) {
   return cls;
 }
 
-StackPool::StackPool(size_t precache) : precache_target_(precache) {
-  hostos::RefreshStackConfig();
-  budget_bytes_ = ReadBudgetFromEnv();
+StackPool::StackPool(size_t precache, size_t budget_bytes)
+    : budget_bytes_(budget_bytes), precache_target_(precache) {
   tcb_pool_.Reserve(precache == 0 ? 1 : precache * 2);
   // Pre-map `precache` default-size stacks so warm creation performs no kernel calls.
   for (size_t i = 0; i < precache; ++i) {
@@ -71,7 +49,8 @@ StackPool::~StackPool() {
 // Maps a fresh stack and enters it in the registry, parked (no owner yet).
 bool StackPool::MapFresh(size_t usable, Stack* out) {
   size_t mapped = 0;
-  void* base = hostos::MapStack(usable, &mapped);
+  char* commit_lo = nullptr;
+  void* base = hostos::MapStack(usable, &mapped, &commit_lo);
   if (base == nullptr) {
     return false;
   }
@@ -81,8 +60,7 @@ bool StackPool::MapFresh(size_t usable, Stack* out) {
   }
   out->base = static_cast<char*>(base);
   out->mapped = mapped;
-  out->commit_lo =
-      hostos::StackLazy() ? out->base + mapped - hostos::StackInitialCommit() : out->base;
+  out->commit_lo = commit_lo;
   registry_busy_.store(1, std::memory_order_relaxed);
   std::atomic_signal_fence(std::memory_order_seq_cst);
   out->mapping = &mappings_.try_emplace(out->base, StackMapping{mapped, nullptr}).first->second;
@@ -101,8 +79,8 @@ void StackPool::Unmap(const Stack& s) {
   hostos::UnmapStack(s.base, s.mapped);
 }
 
-// The free-list node sits at the very top of the stack: with lazy commit the base pages may
-// still be PROT_NONE, but the top page is always committed.
+// The free-list node sits at the very top of the stack: the base pages may still be
+// PROT_NONE, but the top page is always committed.
 void StackPool::PushFree(const Stack& s) {
   const int cls = ClassIndex(s.mapped);
   FSUP_ASSERT(cls >= 0);
@@ -179,7 +157,7 @@ bool StackPool::AttachStack(Tcb* t, size_t stack_size) {
   t->stack_base = s.base;
   t->stack_size = s.mapped;
   t->stack_pooled = ClassIndex(s.mapped) >= 0;
-  t->stack_commit_lo = s.commit_lo < s.base ? s.base : s.commit_lo;
+  t->stack_commit_lo = s.commit_lo;
   t->stack_mapping = s.mapping;
   // The SIGSEGV handler follows the owner to the stack fields: publish them first.
   std::atomic_signal_fence(std::memory_order_seq_cst);

@@ -49,7 +49,13 @@ struct StackFaultInfo {
 
 class StackPool {
  public:
-  explicit StackPool(size_t precache = 8);
+  // Default recycle budget: enough for bursty create/join batches across several size classes
+  // (e.g. 256 default 128 KiB stacks) without pinning unbounded address space.
+  static constexpr size_t kDefaultPoolBudgetBytes = 32u << 20;
+
+  // Pre-maps `precache` default-size stacks. The free lists hold at most `budget_bytes` of
+  // mapped bytes; overflow evicts largest-first.
+  explicit StackPool(size_t precache = 8, size_t budget_bytes = kDefaultPoolBudgetBytes);
   ~StackPool();
 
   StackPool(const StackPool&) = delete;
@@ -131,10 +137,10 @@ class StackPool {
     StackMapping* mapping = nullptr;
   };
 
-  // Free-list node, placed at the TOP of the recycled stack: with lazy commit the base pages
-  // may be PROT_NONE, but the top page is always committed (MapStack's initial commit covers
-  // it and every thread ran there). commit_lo preserves the previous tenant's commit
-  // watermark so a recycled stack keeps its warm pages without re-faulting.
+  // Free-list node, placed at the TOP of the recycled stack: the base pages may be PROT_NONE,
+  // but the top page is always committed (MapStack's initial commit covers it and every
+  // thread ran there). commit_lo preserves the previous tenant's commit watermark so a
+  // recycled stack keeps its warm pages without re-faulting.
   struct FreeStack {
     FreeStack* next;
     char* commit_lo;
@@ -151,7 +157,7 @@ class StackPool {
   FreeStack* free_heads_[kNumClasses] = {};
   size_t free_count_ = 0;
   size_t free_bytes_ = 0;    // mapped (reserved) bytes across all free lists
-  size_t budget_bytes_ = 0;  // FSUP_STACK_POOL_BYTES; eviction is largest-first
+  size_t budget_bytes_;      // eviction is largest-first
   size_t precache_target_;
   uint64_t stack_reuses_ = 0;
   uint64_t stack_maps_ = 0;

@@ -143,9 +143,9 @@ struct Tcb {
   size_t stack_size = 0;
   bool stack_pooled = false;
   // Lowest committed address of a lazily mapped stack (== stack_base once fully committed,
-  // or for eager stacks). The SIGSEGV handler treats faults below this watermark as demand
-  // paging and faults at or above it as real errors — which also guarantees the
-  // commit-retry loop terminates.
+  // and from birth for a stack no larger than the initial commit). The SIGSEGV handler
+  // treats faults below this watermark as demand paging and faults at or above it as real
+  // errors — which also guarantees the commit-retry loop terminates.
   char* stack_commit_lo = nullptr;
   StackMapping* stack_mapping = nullptr;  // the pool's registry entry for this stack
 

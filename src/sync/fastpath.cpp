@@ -9,45 +9,35 @@
 namespace fsup::sync::fastpath {
 namespace {
 
-Mode g_requested = Mode::kRas;
+bool g_requested = true;
 
 }  // namespace
 
-uint8_t g_active = static_cast<uint8_t>(Mode::kRas);
+uint8_t g_active = 1;
 
 void Recompute() {
-  Mode active = g_requested;
   // Any observer that needs to see every sync operation forces the kernel path: the trace
   // and metrics consumers see lock/unlock events only from inside the monitor, and the
   // perverted mutex-switch policy hooks each successful lock. The profiler bits do NOT demote
-  // the mode — the on-CPU sampler rides the universal signal handler, which restarts an
+  // the fast path — the on-CPU sampler rides the universal signal handler, which restarts an
   // interrupted fast-path sequence like any other signal, and the off-CPU consumer books only
   // at Suspend (which a fast-path operation by definition never reaches).
-  if (debug::obs::On(debug::obs::kTrace | debug::obs::kMetrics) ||
-      kernel::ks().perverted != PervertedPolicy::kNone) {
-    active = Mode::kOff;
-  }
-  g_active = static_cast<uint8_t>(active);
+  const bool demoted = debug::obs::On(debug::obs::kTrace | debug::obs::kMetrics) ||
+                       kernel::ks().perverted != PervertedPolicy::kNone;
+  g_active = g_requested && !demoted ? 1 : 0;
 }
 
-void SetRequested(Mode m) {
-  g_requested = m;
+void SetRequested(bool on) {
+  g_requested = on;
   Recompute();
 }
 
-Mode Requested() { return g_requested; }
+bool Requested() { return g_requested; }
 
 void InitFromEnv() {
   const char* v = std::getenv("FSUP_FASTPATH");
-  Mode m = Mode::kRas;
-  if (v != nullptr && v[0] != '\0') {
-    if (std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0) {
-      m = Mode::kOff;
-    } else if (std::strcmp(v, "cas") == 0) {
-      m = Mode::kCas;
-    }  // "1", "ras", and anything else keep the default
-  }
-  g_requested = m;
+  // "0" and "off" kill the fast path; unset, empty, "1" and anything else keep the default.
+  g_requested = v == nullptr || (std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0);
   Recompute();
 }
 

@@ -1,12 +1,11 @@
 // Mutexes (paper, "Synchronization" and "Priority Inversion: Inheritance and Ceilings").
 //
 // The uncontended path is the paper's Figure 4: the lock is acquired inside a restartable
-// atomic sequence (or, in the FSUP_FASTPATH=cas mode, by the single compare-and-swap the
-// paper argues every ISA should provide) with no kernel entry at all. The entire lock state
-// is ONE word — `owner` (nullptr = unlocked, else the owning TCB) — so the committing store
-// both takes the lock and publishes the holder: the kernel monitor can never observe a locked
-// mutex whose owner it does not know, which is what makes the contended slow path safe
-// against fast-path acquisitions it never saw.
+// atomic sequence with no kernel entry at all. The entire lock state is ONE word — `owner`
+// (nullptr = unlocked, else the owning TCB) — so the committing store both takes the lock and
+// publishes the holder: the kernel monitor can never observe a locked mutex whose owner it
+// does not know, which is what makes the contended slow path safe against fast-path
+// acquisitions it never saw.
 //
 // The standard's attributes force a slower path: as the paper complains, "a simple mutex lock
 // could have been implemented with a test-and-set instruction. But it now requires an
@@ -50,7 +49,7 @@ struct Mutex {
   uint32_t tag = 0;  // trace identifier
 
   // THE lock word: nullptr = unlocked, else the owning thread. Fast-path acquires store it
-  // with a restartable sequence or cmpxchg; fast-path releases clear it inside a restartable
+  // with a restartable sequence; fast-path releases clear it inside a restartable
   // sequence that first checks has_waiters. Always accurate — there is no separate lock bit
   // to fall out of sync with, so the wait-for-graph walker and the introspection dump can
   // trust it even for mutexes the kernel never saw locked.

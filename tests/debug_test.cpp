@@ -114,11 +114,15 @@ TEST_F(DebugTest, HostCallCountsPerService) {
 TEST_F(DebugTest, StackMapsCountedViaHostos) {
   hostos::ResetCallCounts();
   size_t mapped = 0;
-  void* stack = hostos::MapStack(64 * 1024, &mapped);
+  char* commit_lo = nullptr;
+  void* stack = hostos::MapStack(64 * 1024, &mapped, &commit_lo);
   ASSERT_NE(nullptr, stack);
   EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMmap));
-  EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMprotect));  // the guard page
+  EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMprotect));  // the initial commit
   EXPECT_GE(mapped, 64u * 1024);
+  EXPECT_EQ(static_cast<char*>(stack) + mapped -
+                hostos::kStackInitialCommitPages * hostos::PageSize(),
+            commit_lo);
   hostos::UnmapStack(stack, mapped);
   EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMunmap));
 }

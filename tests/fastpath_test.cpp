@@ -1,7 +1,7 @@
 // Uncontended fast paths (ISSUE 9): the kernel-bypass claim is tested literally — the
 // kernel-entry counter must not move across uncontended operations — together with the
 // error-check/recursive semantics that have to survive on (or be excluded from) the fast
-// path, the mode selector and its observability demotions, and the owner word as the
+// path, the on/off switch and its observability demotions, and the owner word as the
 // deadlock detector's and introspector's source of truth.
 
 #include <gtest/gtest.h>
@@ -27,13 +27,11 @@
 namespace fsup {
 namespace {
 
-using sync::fastpath::Mode;
-
-class FastpathTest : public ::testing::TestWithParam<Mode> {
+class FastpathTest : public ::testing::Test {
  protected:
   void SetUp() override {
     pt_reinit();  // EnsureInit re-applies FSUP_FASTPATH; tests below override explicitly
-    sync::fastpath::SetRequested(GetParam());
+    sync::fastpath::SetRequested(true);
   }
 
   void TearDown() override {
@@ -45,16 +43,9 @@ class FastpathTest : public ::testing::TestWithParam<Mode> {
   static uint64_t KernelEntries() { return kernel::ks().kernel_entries; }
 };
 
-// Both acquire flavours run the full suite; the kill switch gets its own tests.
-INSTANTIATE_TEST_SUITE_P(Modes, FastpathTest,
-                         ::testing::Values(Mode::kRas, Mode::kCas),
-                         [](const ::testing::TestParamInfo<Mode>& i) {
-                           return i.param == Mode::kRas ? "ras" : "cas";
-                         });
-
 // -- the zero-kernel-entry claims --------------------------------------------------------
 
-TEST_P(FastpathTest, UncontendedLockUnlockNeverEntersKernel) {
+TEST_F(FastpathTest, UncontendedLockUnlockNeverEntersKernel) {
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
   const uint64_t before = KernelEntries();
@@ -66,7 +57,7 @@ TEST_P(FastpathTest, UncontendedLockUnlockNeverEntersKernel) {
   pt_mutex_destroy(&m);
 }
 
-TEST_P(FastpathTest, TrylockFastPathAcquiresAndReportsEbusy) {
+TEST_F(FastpathTest, TrylockFastPathAcquiresAndReportsEbusy) {
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
   const uint64_t before = KernelEntries();
@@ -77,7 +68,7 @@ TEST_P(FastpathTest, TrylockFastPathAcquiresAndReportsEbusy) {
   pt_mutex_destroy(&m);
 }
 
-TEST_P(FastpathTest, SignalAndBroadcastWithNoWaitersNeverEnterKernel) {
+TEST_F(FastpathTest, SignalAndBroadcastWithNoWaitersNeverEnterKernel) {
   pt_cond_t c;
   ASSERT_EQ(0, pt_cond_init(&c));
   const uint64_t before = KernelEntries();
@@ -89,7 +80,7 @@ TEST_P(FastpathTest, SignalAndBroadcastWithNoWaitersNeverEnterKernel) {
   pt_cond_destroy(&c);
 }
 
-TEST_P(FastpathTest, SemaphoreAndRwlockInheritTheFastPath) {
+TEST_F(FastpathTest, SemaphoreAndRwlockInheritTheFastPath) {
   // Both are layered on mutex + cond, so uncontended P/V and rd/wr cycles compose out of
   // fast-path operations only.
   pt_sem_t s;
@@ -112,7 +103,7 @@ TEST_P(FastpathTest, SemaphoreAndRwlockInheritTheFastPath) {
 
 // -- error semantics on the fast path ----------------------------------------------------
 
-TEST_P(FastpathTest, RelockOnFastPathHeldMutexIsEdeadlk) {
+TEST_F(FastpathTest, RelockOnFastPathHeldMutexIsEdeadlk) {
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
   ASSERT_EQ(0, pt_mutex_lock(&m));
@@ -123,7 +114,7 @@ TEST_P(FastpathTest, RelockOnFastPathHeldMutexIsEdeadlk) {
   pt_mutex_destroy(&m);
 }
 
-TEST_P(FastpathTest, UnlockWhenNotOwnerIsEperm) {
+TEST_F(FastpathTest, UnlockWhenNotOwnerIsEperm) {
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
   EXPECT_EQ(EPERM, pt_mutex_unlock(&m));  // not locked at all
@@ -146,7 +137,7 @@ TEST_P(FastpathTest, UnlockWhenNotOwnerIsEperm) {
   pt_mutex_destroy(&m);
 }
 
-TEST_P(FastpathTest, ErrorCheckTypeAlwaysTakesTheKernelPath) {
+TEST_F(FastpathTest, ErrorCheckTypeAlwaysTakesTheKernelPath) {
   pt_mutex_t m;
   MutexAttr a = MakeErrorCheckMutexAttr();
   ASSERT_EQ(0, pt_mutex_init(&m, &a));
@@ -159,7 +150,7 @@ TEST_P(FastpathTest, ErrorCheckTypeAlwaysTakesTheKernelPath) {
   pt_mutex_destroy(&m);
 }
 
-TEST_P(FastpathTest, RecursiveTypeCountsAndBalances) {
+TEST_F(FastpathTest, RecursiveTypeCountsAndBalances) {
   pt_mutex_t m;
   MutexAttr a = MakeRecursiveMutexAttr();
   ASSERT_EQ(0, pt_mutex_init(&m, &a));
@@ -176,7 +167,7 @@ TEST_P(FastpathTest, RecursiveTypeCountsAndBalances) {
   pt_mutex_destroy(&m);
 }
 
-TEST_P(FastpathTest, ProtocolMutexesAreForcedDownTheSlowPath) {
+TEST_F(FastpathTest, ProtocolMutexesAreForcedDownTheSlowPath) {
   pt_mutex_t inherit;
   MutexAttr ia = MakeInheritMutexAttr();
   ASSERT_EQ(0, pt_mutex_init(&inherit, &ia));
@@ -222,7 +213,7 @@ void* ContendedBody(void* arg) {
   return nullptr;
 }
 
-TEST_P(FastpathTest, ContendedLockersSeeFastPathHolders) {
+TEST_F(FastpathTest, ContendedLockersSeeFastPathHolders) {
   // A fast-path acquire publishes the owner with the same store that takes the lock, so a
   // kernel-path locker arriving mid-hold must block (not barge) and be handed the mutex.
   Contended s;
@@ -253,7 +244,7 @@ void* DeadlockPeer(void* arg) {
   return nullptr;
 }
 
-TEST_P(FastpathTest, WouldDeadlockSeesFastPathOwners) {
+TEST_F(FastpathTest, WouldDeadlockSeesFastPathOwners) {
   // main holds m1 (fast path), the peer holds m2 (fast path) and blocks on m1. main locking
   // m2 closes the cycle — the wait-for graph walk must follow owner fields that were only
   // ever written by fast-path stores.
@@ -282,7 +273,7 @@ void* DumpBlocker(void* arg) {
   return nullptr;
 }
 
-TEST_P(FastpathTest, DumpThreadsShowsFastPathOwner) {
+TEST_F(FastpathTest, DumpThreadsShowsFastPathOwner) {
   // The introspector labels a blocked thread with the owner of the mutex it waits on; that
   // owner acquired on the fast path, so the label only works if the owner word is the truth.
   DumpRig r;
@@ -321,7 +312,7 @@ TEST_P(FastpathTest, DumpThreadsShowsFastPathOwner) {
 
 // -- record/replay -----------------------------------------------------------------------
 
-TEST_P(FastpathTest, UncontendedOpsConsumeNoReplayDecisions) {
+TEST_F(FastpathTest, UncontendedOpsConsumeNoReplayDecisions) {
   // The fast path is invisible to the decision log — that is what keeps a recording made
   // with the fast path on replayable: only kernel-path operations are (and need to be)
   // steered.
@@ -344,12 +335,11 @@ TEST_P(FastpathTest, UncontendedOpsConsumeNoReplayDecisions) {
   pt_mutex_destroy(&m);
 }
 
-TEST_P(FastpathTest, ContendedRunRecordsAndReplaysWithFastPathOn) {
+TEST_F(FastpathTest, ContendedRunRecordsAndReplaysWithFastPathOn) {
   // Contended operations fall into the kernel and ARE logged; a replay with the fast path
   // still enabled must follow the identical decision sequence (a divergence aborts).
   const std::string path = std::string(::testing::TempDir()) + "fsup_fastpath_" +
                            std::to_string(::getpid()) + ".rpl";
-  const Mode mode = GetParam();
 
   auto workload = [] {
     Contended s;
@@ -373,7 +363,7 @@ TEST_P(FastpathTest, ContendedRunRecordsAndReplaysWithFastPathOn) {
   ASSERT_GT(recorded_decisions, 0u);
 
   pt_reinit();
-  sync::fastpath::SetRequested(mode);
+  sync::fastpath::SetRequested(true);
   ASSERT_EQ(0, debug::replay::StartReplay(path.c_str()));
   const uint64_t r0 = debug::replay::DecisionCount();
   workload();
@@ -398,7 +388,7 @@ class FastpathModeTest : public ::testing::Test {
 };
 
 TEST_F(FastpathModeTest, KillSwitchForcesEveryOperationIntoTheKernel) {
-  sync::fastpath::SetRequested(Mode::kOff);
+  sync::fastpath::SetRequested(false);
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
   pt_cond_t c;
@@ -419,12 +409,12 @@ TEST_F(FastpathModeTest, EnvSelectsTheMode) {
   ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "0", 1));
   pt_reinit();
   EXPECT_FALSE(sync::fastpath::Enabled());
-  ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "cas", 1));
+  ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "off", 1));
   pt_reinit();
-  EXPECT_EQ(Mode::kCas, sync::fastpath::Active());
-  ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "ras", 1));
+  EXPECT_FALSE(sync::fastpath::Enabled());
+  ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "1", 1));
   pt_reinit();
-  EXPECT_EQ(Mode::kRas, sync::fastpath::Active());
+  EXPECT_TRUE(sync::fastpath::Enabled());
 
   if (orig != nullptr) {
     ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", saved.c_str(), 1));
@@ -435,7 +425,7 @@ TEST_F(FastpathModeTest, EnvSelectsTheMode) {
 }
 
 TEST_F(FastpathModeTest, ObserversDemoteTheActiveMode) {
-  sync::fastpath::SetRequested(Mode::kRas);
+  sync::fastpath::SetRequested(true);
   ASSERT_TRUE(sync::fastpath::Enabled());
 
   debug::trace::Enable(true);
@@ -457,7 +447,7 @@ TEST_F(FastpathModeTest, ObserversDemoteTheActiveMode) {
 TEST_F(FastpathModeTest, DemotedOperationsStillCorrect) {
   // Toggling an observer mid-stream must never strand a mutex: acquire on the fast path,
   // release on the kernel path, and vice versa.
-  sync::fastpath::SetRequested(Mode::kRas);
+  sync::fastpath::SetRequested(true);
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
 

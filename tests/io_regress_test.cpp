@@ -36,15 +36,21 @@ TEST_F(IoRegressTest, PollTimeoutClampsInsteadOfOverflowing) {
   // A six-week deadline: 3.63e15 ns ≈ 3.63e9 ms, which does not fit in int. The seed's
   // static_cast<int> produced a negative value — poll(2) treats that as "block forever".
   const int64_t six_weeks_ns = int64_t{6} * 7 * 24 * 3600 * 1'000'000'000;
-  EXPECT_EQ(INT_MAX, io::ClampedPollTimeoutMs(six_weeks_ns));
+  EXPECT_EQ(INT_MAX, hostos::ClampedPollTimeoutMs(six_weeks_ns));
 
   // Round-up and floor behaviour around the edges.
-  EXPECT_EQ(0, io::ClampedPollTimeoutMs(0));
-  EXPECT_EQ(0, io::ClampedPollTimeoutMs(-1));
-  EXPECT_EQ(1, io::ClampedPollTimeoutMs(1));          // 1 ns still sleeps, never spins
-  EXPECT_EQ(1, io::ClampedPollTimeoutMs(1'000'000));  // exactly 1 ms
-  EXPECT_EQ(2, io::ClampedPollTimeoutMs(1'000'001));
-  EXPECT_EQ(INT_MAX, io::ClampedPollTimeoutMs(INT64_MAX));
+  EXPECT_EQ(0, hostos::ClampedPollTimeoutMs(0));
+  EXPECT_EQ(0, hostos::ClampedPollTimeoutMs(-1));
+  EXPECT_EQ(1, hostos::ClampedPollTimeoutMs(1));          // 1 ns still sleeps, never spins
+  EXPECT_EQ(1, hostos::ClampedPollTimeoutMs(1'000'000));  // exactly 1 ms
+  EXPECT_EQ(2, hostos::ClampedPollTimeoutMs(1'000'001));
+  // The round-up itself must not overflow: (ns + 999999) wraps negative near INT64_MAX, and a
+  // negative poll timeout means "block forever".
+  EXPECT_EQ(INT_MAX, hostos::ClampedPollTimeoutMs(INT64_MAX));
+  EXPECT_EQ(INT_MAX, hostos::ClampedPollTimeoutMs(INT64_MAX - 999'998));
+  const int64_t just_fits_ns = int64_t{INT_MAX - 1} * 1'000'000;
+  EXPECT_EQ(INT_MAX - 1, hostos::ClampedPollTimeoutMs(just_fits_ns));
+  EXPECT_EQ(INT_MAX, hostos::ClampedPollTimeoutMs(just_fits_ns + 1));
 }
 
 pt_thread_t g_far_sleeper;

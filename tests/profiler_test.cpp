@@ -298,9 +298,6 @@ TEST_F(ProfilerTest, ShmMapFaultDegradesToProfilingWithoutMonitor) {
 // -- lazy stack growth -------------------------------------------------------------------
 
 TEST_F(ProfilerTest, SamplingSurvivesLazyStackGrowth) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   debug::trace::Clear();
   debug::trace::Enable(true);
   ASSERT_EQ(0, pt_profile_start(2000));

@@ -1,12 +1,10 @@
 // Size-classed stack pool edge cases: class geometry, per-class recycling, the non-pow2
 // bypass, the bytes-based recycle budget with largest-first eviction, lazy-commit demand
 // paging (unit level via ClassifyStackFault and end-to-end via a deep-frame thread), the
-// mapping registry (recycled, parked and evicted stacks), and the eager-mode
-// (FSUP_STACK_LAZY=0) watermark.
+// mapping registry (recycled, parked and evicted stacks), and the watermark of a stack no
+// larger than the initial commit.
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "src/core/attr.hpp"
 #include "src/core/bench_probes.hpp"
@@ -19,19 +17,7 @@ namespace {
 
 class StackPoolTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Stack knobs are cached process-wide; make each test start from the defaults.
-    ::unsetenv("FSUP_STACK_LAZY");
-    ::unsetenv("FSUP_STACK_COMMIT");
-    ::unsetenv("FSUP_STACK_POOL_BYTES");
-    pt_reinit();
-  }
-  void TearDown() override {
-    ::unsetenv("FSUP_STACK_LAZY");
-    ::unsetenv("FSUP_STACK_COMMIT");
-    ::unsetenv("FSUP_STACK_POOL_BYTES");
-    hostos::RefreshStackConfig();
-  }
+  void SetUp() override { pt_reinit(); }
 };
 
 TEST_F(StackPoolTest, ClassIndexGeometry) {
@@ -90,8 +76,7 @@ TEST_F(StackPoolTest, NonPow2SizesBypassTheFreeLists) {
 TEST_F(StackPoolTest, BudgetEvictsLargestFirst) {
   // Budget below big+small: freeing both must evict the 1 MiB stack and keep the 16 KiB one
   // (largest-first bounds address-space pinning while keeping the cheap, common classes warm).
-  ASSERT_EQ(0, ::setenv("FSUP_STACK_POOL_BYTES", "65536", 1));
-  StackPool pool(0);
+  StackPool pool(0, 65536);
   EXPECT_EQ(65536u, pool.pool_budget_bytes());
   Tcb* big = pool.Allocate(1u << 20);
   Tcb* small = pool.Allocate(kMinStackSize);
@@ -123,9 +108,6 @@ TEST_F(StackPoolTest, TcbSlotsComeFromTheSlabFreeList) {
 }
 
 TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   StackPool pool(0);
   Tcb* t1 = pool.Allocate(kDefaultStackSize);
   Tcb* t2 = pool.Allocate(kDefaultStackSize);
@@ -166,9 +148,6 @@ TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
 }
 
 TEST_F(StackPoolTest, FaultsOnARecycledStackNameTheCurrentTenant) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   StackPool pool(0);
   Tcb* first = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, first);
@@ -211,8 +190,7 @@ TEST_F(StackPoolTest, ParkedStackStaysRegisteredButOwnsNoFaults) {
 }
 
 TEST_F(StackPoolTest, EvictedStackLeavesTheRegistry) {
-  ASSERT_EQ(0, ::setenv("FSUP_STACK_POOL_BYTES", "65536", 1));
-  StackPool pool(0);
+  StackPool pool(0, 65536);
   Tcb* big = pool.Allocate(1u << 20);
   ASSERT_NE(nullptr, big);
   char* base = static_cast<char*>(big->stack_base);
@@ -224,9 +202,6 @@ TEST_F(StackPoolTest, EvictedStackLeavesTheRegistry) {
 }
 
 TEST_F(StackPoolTest, RecycledStackKeepsItsCommitWatermark) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   StackPool pool(0);
   Tcb* t = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, t);
@@ -243,11 +218,12 @@ TEST_F(StackPoolTest, RecycledStackKeepsItsCommitWatermark) {
   pool.Free(t2);
 }
 
-TEST_F(StackPoolTest, EagerModeCommitsTheWholeStackUpFront) {
-  ASSERT_EQ(0, ::setenv("FSUP_STACK_LAZY", "0", 1));
-  StackPool pool(0);  // the constructor re-reads the knobs
-  EXPECT_FALSE(hostos::StackLazy());
-  Tcb* t = pool.Allocate(kDefaultStackSize);
+TEST_F(StackPoolTest, MinimumStackIsBornFullyCommitted) {
+  // A kMinStackSize stack is no larger than the initial commit, which MapStack clamps to the
+  // stack: the watermark it reports sits exactly at the base, never below it.
+  ASSERT_LE(kMinStackSize, hostos::kStackInitialCommitPages * hostos::PageSize());
+  StackPool pool(0);
+  Tcb* t = pool.Allocate(kMinStackSize);
   ASSERT_NE(nullptr, t);
   // Watermark at the base: no lazy band, every page is RW from birth.
   EXPECT_EQ(static_cast<char*>(t->stack_base), t->stack_commit_lo);
@@ -266,9 +242,6 @@ __attribute__((noinline)) void* DeepFrameBody(void*) {
 }
 
 TEST_F(StackPoolTest, DeepFirstFrameIsDemandCommittedTransparently) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   const uint64_t before = probe::StackPoolLazyCommits();
   pt_thread_t t;
   ASSERT_EQ(0, pt_create(&t, nullptr, &DeepFrameBody, nullptr));
