@@ -9,16 +9,26 @@
 // grows with N. The acceptance criterion (ISSUE 4): epoll waits/sec at N=4096 within 2x of
 // N=8, and >=90% of steady-state waits performing zero epoll_ctl calls.
 //
-// Writes BENCH_io.json (override with FSUP_IO_JSON), one row per backend x N.
+// A second table prices the transfer path: one warm single-waiter round trip (main writes,
+// an echo thread reads and replies, main reads the reply) over a pipe and over an AF_UNIX
+// socketpair, in ns per round trip and in I/O host calls per round trip (transfer attempts
+// plus fcntl mode calls, from io::IoStats). Sockets take recv/send with MSG_DONTWAIT and no
+// fcntl; pipes keep one F_GETFL per pt_read/pt_write call.
+//
+// Writes BENCH_io.json (override with FSUP_IO_JSON): one row per backend x N, and one
+// round-trip row per fd kind.
 
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
@@ -176,6 +186,101 @@ Row RunOne(const char* backend, int n) {
   return row;
 }
 
+// ---- warm round trips over one fd pair ---------------------------------------------------
+
+constexpr int kRtReps = 5;
+constexpr int kRtRounds = 20000;
+
+struct RoundTrip {
+  const char* kind;
+  double ns = 0;          // mean over kRtReps repetitions
+  double ns_stderr = 0;
+  double io_calls = 0;    // transfers + mode_calls per round trip
+  double transfers = 0;   // recv/send/read/write attempts per round trip
+  double mode_calls = 0;  // fcntl calls per round trip
+  double probes = 0;      // ENOTSOCK probes per round trip
+  bool valid = false;
+};
+
+struct RtChannel {
+  int main_rfd, main_wfd, echo_rfd, echo_wfd;
+};
+RtChannel g_rt;
+
+void* RtEcho(void*) {
+  char b;
+  while (pt_read(g_rt.echo_rfd, &b, 1) == 1 && b != 'q') {
+    pt_write(g_rt.echo_wfd, &b, 1);
+  }
+  return nullptr;
+}
+
+RoundTrip RunRoundTrip(const char* kind) {
+  RoundTrip rt;
+  rt.kind = kind;
+  pt_reinit();
+  int a[2], b[2] = {-1, -1};
+  const bool socket = std::strcmp(kind, "socketpair") == 0;
+  if (socket ? ::socketpair(AF_UNIX, SOCK_STREAM, 0, a) != 0 : ::pipe(a) != 0 || ::pipe(b) != 0) {
+    std::perror(kind);
+    return rt;
+  }
+  g_rt = socket ? RtChannel{a[0], a[0], a[1], a[1]} : RtChannel{b[0], a[1], a[0], b[1]};
+  pt_thread_t t;
+  if (pt_create(&t, nullptr, &RtEcho, nullptr) != 0) {
+    return rt;
+  }
+  auto rounds = [](int n) {
+    for (int i = 0; i < n; ++i) {
+      char c = 'x';
+      pt_write(g_rt.main_wfd, &c, 1);
+      pt_read(g_rt.main_rfd, &c, 1);
+    }
+  };
+  rounds(1000);  // warm: registrations cached, the pipe's ENOTSOCK remembered
+  const io::IoStats s0 = io::GetStats();
+  double ns[kRtReps];
+  double sum = 0;
+  for (double& x : ns) {
+    const int64_t t0 = NowNs();
+    rounds(kRtRounds);
+    x = static_cast<double>(NowNs() - t0) / kRtRounds;
+    sum += x;
+  }
+  const io::IoStats s1 = io::GetStats();
+  rt.ns = sum / kRtReps;
+  double var = 0;
+  for (const double x : ns) {
+    var += (x - rt.ns) * (x - rt.ns);
+  }
+  rt.ns_stderr = std::sqrt(var / (kRtReps - 1) / kRtReps);
+  const double n = static_cast<double>(kRtReps) * kRtRounds;
+  rt.transfers = static_cast<double>(s1.transfers - s0.transfers) / n;
+  rt.mode_calls = static_cast<double>(s1.mode_calls - s0.mode_calls) / n;
+  rt.probes = static_cast<double>(s1.notsock_probes - s0.notsock_probes) / n;
+  rt.io_calls = rt.transfers + rt.mode_calls;
+  rt.valid = true;
+
+  char q = 'q';
+  pt_write(g_rt.main_wfd, &q, 1);
+  pt_join(t, nullptr);
+  for (const int fd : {a[0], a[1], b[0], b[1]}) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+  return rt;
+}
+
+void PrintRoundTrip(const RoundTrip& r) {
+  if (!r.valid) {
+    std::printf("| %-10s |   (failed)\n", r.kind);
+    return;
+  }
+  std::printf("| %-10s | %8.0f ± %4.0f | %8.2f | %9.2f | %10.2f | %6.2f |\n", r.kind, r.ns,
+              r.ns_stderr, r.io_calls, r.transfers, r.mode_calls, r.probes);
+}
+
 void Print(const Row& r) {
   if (!r.valid) {
     std::printf("| %-5s | %5d |   (skipped)\n", r.backend, r.n);
@@ -187,7 +292,7 @@ void Print(const Row& r) {
 }
 
 void WriteJson(const char* path, const Row* rows, size_t nrows, double scaling,
-               double ctl_free) {
+               double ctl_free, const RoundTrip* rts, size_t nrts) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_io: cannot write %s\n", path);
@@ -210,6 +315,22 @@ void WriteJson(const char* path, const Row* rows, size_t nrows, double scaling,
                  "\"probe_syscalls_per_wait\":%.3f,\"ctl_free_wait_fraction\":%.4f}",
                  r.backend, r.n, r.rounds, r.elapsed_s, r.waits_per_sec, r.ctl_per_wait,
                  r.probes_per_wait, r.ctl_free_fraction);
+  }
+  std::fputs("\n],\"round_trips\":[\n", f);
+  first = true;
+  for (size_t i = 0; i < nrts; ++i) {
+    const RoundTrip& r = rts[i];
+    if (!r.valid) {
+      continue;
+    }
+    std::fprintf(f,
+                 "%s  {\"fd\":\"%s\",\"rounds\":%d,\"ns_per_round_trip\":%.1f,"
+                 "\"stderr_ns\":%.1f,\"io_calls_per_round_trip\":%.3f,"
+                 "\"transfers_per_round_trip\":%.3f,\"fcntl_per_round_trip\":%.3f,"
+                 "\"enotsock_probes_per_round_trip\":%.3f}",
+                 first ? "" : ",\n", r.kind, kRtReps * kRtRounds, r.ns, r.ns_stderr,
+                 r.io_calls, r.transfers, r.mode_calls, r.probes);
+    first = false;
   }
   std::fprintf(f,
                "\n],\"epoll_scaling_8_to_4096\":%.4f,"
@@ -275,8 +396,15 @@ int main() {
   std::printf("  epoll steady-state ctl-free waits:   %.1f%% (acceptance: >= 90%%) -> %s\n",
               100.0 * ctl_free, ctl_free >= 0.90 ? "PASS" : "FAIL");
 
+  std::printf("\nWarm single-waiter round trip (default backend)\n");
+  std::printf("| fd         |     ns/round trip | io calls | transfers | fcntl      | probes |\n");
+  RoundTrip rts[] = {RunRoundTrip("pipe"), RunRoundTrip("socketpair")};
+  for (const RoundTrip& r : rts) {
+    PrintRoundTrip(r);
+  }
+
   const char* jp = std::getenv("FSUP_IO_JSON");
   WriteJson(jp != nullptr && jp[0] != '\0' ? jp : "BENCH_io.json", rows, nrows, scaling,
-            ctl_free);
+            ctl_free, rts, sizeof(rts) / sizeof(rts[0]));
   return 0;
 }

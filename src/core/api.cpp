@@ -3,8 +3,6 @@
 
 #include "src/core/pthread.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -659,39 +657,9 @@ int pt_delay(int64_t duration_ns) {
   return rc;
 }
 
-long pt_read(int fd, void* buf, size_t count) {
-  kernel::EnsureInit();
-  const int flags = ::fcntl(fd, F_GETFL);
-  if (flags >= 0 && (flags & O_NONBLOCK) == 0) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, count);
-    if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
-      return n;
-    }
-    if (io::WaitFdReady(fd, POLLIN) != 0) {
-      return -1;  // errno = EINTR
-    }
-  }
-}
+long pt_read(int fd, void* buf, size_t count) { return io::Read(fd, buf, count); }
 
-long pt_write(int fd, const void* buf, size_t count) {
-  kernel::EnsureInit();
-  const int flags = ::fcntl(fd, F_GETFL);
-  if (flags >= 0 && (flags & O_NONBLOCK) == 0) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  for (;;) {
-    const ssize_t n = ::write(fd, buf, count);
-    if (n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
-      return n;
-    }
-    if (io::WaitFdReady(fd, POLLOUT) != 0) {
-      return -1;
-    }
-  }
-}
+long pt_write(int fd, const void* buf, size_t count) { return io::Write(fd, buf, count); }
 
 int pt_errno() { return errno; }
 

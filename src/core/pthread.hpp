@@ -317,6 +317,10 @@ int pt_delay(int64_t duration_ns);
 
 // Thread-blocking (process-non-blocking) I/O: like read/write but only the calling thread
 // suspends while the fd is not ready. Return counts or -1 with errno (EINTR included).
+// Sockets use recv/send with MSG_DONTWAIT and keep their file flags untouched (a broken
+// connection still raises SIGPIPE). Every other fd — pipe, FIFO, eventfd, tty, regular file —
+// gets O_NONBLOCK set on its open file description, which other processes sharing that
+// description also see.
 long pt_read(int fd, void* buf, size_t count);
 long pt_write(int fd, const void* buf, size_t count);
 

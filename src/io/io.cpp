@@ -1,7 +1,9 @@
 #include "src/io/io.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/epoll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -28,6 +30,10 @@ enum class Backend : uint8_t { kUnresolved, kEpoll, kPoll };
 constexpr uint32_t kHashBuckets = 128;
 constexpr int kMaxEventsPerWait = 64;
 
+// fds below this number remember "not a socket" in one byte each (16 KiB, untouched pages
+// cost no RSS); fds past it probe with recv/send on every attempt.
+constexpr unsigned kNotSocketSlots = 16384;
+
 // One node per fd that currently has (or recently had) waiters. Under the epoll backend the
 // node IS the interest cache: `interest` mirrors what the kernel's interest set holds for this
 // fd, so a wait whose mask fits inside it makes no epoll_ctl call at all. Waiting threads hang
@@ -40,6 +46,10 @@ struct FdState {
   uint32_t waiter_count = 0;
   IntrusiveList<Tcb, &Tcb::link> waiters;
   FdState* next = nullptr;  // hash chain / freelist link
+  // Linked on g_unverified while a waiter sleeps on a cache hit the kernel has not confirmed
+  // since: the fd number may have been closed and reused, which silently drops the
+  // registration while the cache still claims it.
+  ListNode unverified;
 };
 
 Backend g_backend = Backend::kUnresolved;
@@ -49,6 +59,11 @@ FdState* g_free = nullptr;  // recycled nodes; allocation happens only on first 
 int g_active = 0;           // threads suspended on some fd
 int g_cached = 0;           // live FdState nodes (== interest-cache entries under epoll)
 IoStats g_stats;
+IntrusiveList<FdState, &FdState::unverified> g_unverified;  // only nodes with waiters
+
+// 1 = the last attempt on this fd answered ENOTSOCK. Any other value means "try recv/send";
+// a stale entry either way is safe (see FirstAttempt).
+uint8_t g_not_socket[kNotSocketSlots];
 
 // poll-backend scratch, rebuilt each pass like the seed but dynamically sized.
 pollfd* g_pollfds = nullptr;
@@ -122,7 +137,7 @@ FdState* GetOrCreate(int fd) {
 }
 
 void FreeFdState(FdState* s) {
-  FSUP_ASSERT(s->waiter_count == 0);
+  FSUP_ASSERT(s->waiter_count == 0 && !s->unverified.linked());
   FdState** at = &g_buckets[BucketOf(s->fd)];
   while (*at != s) {
     at = &(*at)->next;
@@ -150,6 +165,9 @@ void MaybeReclaim(FdState* s) {
 int EnsureInterest(FdState* s, uint32_t mask) {
   if (s->registered && (s->interest & mask) == mask) {
     ++g_stats.cache_hits;
+    if (!s->unverified.linked()) {
+      g_unverified.PushBack(s);
+    }
     return 0;
   }
   ++g_stats.cache_misses;
@@ -168,6 +186,7 @@ int EnsureInterest(FdState* s, uint32_t mask) {
   }
   s->registered = true;
   s->interest = want;
+  s->unverified.Unlink();  // the kernel just confirmed this registration
   return 0;
 }
 
@@ -177,6 +196,9 @@ void DetachWaiter(FdState* s, Tcb* t) {
   --s->waiter_count;
   --g_active;
   t->io_wait_node = nullptr;
+  if (s->waiter_count == 0) {
+    s->unverified.Unlink();  // a stale registration can only strand a waiter
+  }
 }
 
 // Wakes every waiter on s whose mask intersects the reported readiness (error-class events
@@ -228,20 +250,26 @@ void DemoteStale(FdState* s, uint32_t revents) {
   }
 }
 
+// A deferred signal or a pending dispatch: the idle loop must regain control to replay it.
+bool KernelWorkPending() {
+  const KernelState& k = kernel::ks();
+  return k.sigs_caught_in_kernel.load(std::memory_order_relaxed) != 0 || k.dispatch_pending != 0;
+}
+
 // Shared EINTR policy, identical to the seed: an interrupt that carries a deferred signal or a
 // pending dispatch must return to the idle loop for replay; a bare one (stray or injected)
 // retries with the remaining budget. Returns true if the caller should keep sleeping.
 bool RetryAfterEintr(int64_t deadline_ns) {
-  KernelState& k = kernel::ks();
-  const bool meaningful = k.sigs_caught_in_kernel.load(std::memory_order_relaxed) != 0 ||
-                          k.dispatch_pending != 0;
-  if (errno != EINTR || meaningful) {
+  if (errno != EINTR || KernelWorkPending()) {
     return false;
   }
   return deadline_ns < 0 || NowNs() < deadline_ns;
 }
 
-int EpollPass(int64_t deadline_ns) {
+// One epoll_pwait2 with the remaining budget (0: a non-blocking probe, deadline < 0: no
+// limit), then O(ready) dispatch: only fds the kernel reported are touched, however many are
+// registered. Returns the number of threads woken.
+int WaitAndWake(int64_t deadline_ns) {
   epoll_event evs[kMaxEventsPerWait];
   int rc;
   for (;;) {
@@ -260,7 +288,6 @@ int EpollPass(int64_t deadline_ns) {
       return 0;
     }
   }
-  // O(ready) dispatch: only fds the kernel reported are touched, however many are registered.
   int woke = 0;
   for (int i = 0; i < rc; ++i) {
     FdState* s = static_cast<FdState*>(evs[i].data.ptr);
@@ -271,6 +298,51 @@ int EpollPass(int64_t deadline_ns) {
     woke += w;
   }
   return woke;
+}
+
+// Re-asserts every unverified registration before the process sleeps on it. A live one
+// answers the MOD; one the kernel dropped when its fd was closed answers ENOENT and is
+// re-added for the file that now holds the number. A registration the kernel refuses (the
+// fd is closed, or is a file epoll cannot poll) wakes its waiters, whose retry then gets
+// the fd's own answer instead of sleeping on nothing.
+int RevalidateInterest() {
+  int woke = 0;
+  while (FdState* s = g_unverified.PopFront()) {
+    epoll_event ev{};
+    ev.events = s->interest;
+    ev.data.ptr = s;
+    int rc = hostos::EpollCtl(g_epfd, EPOLL_CTL_MOD, s->fd, &ev);
+    if (rc != 0 && errno == ENOENT) {
+      rc = hostos::EpollCtl(g_epfd, EPOLL_CTL_ADD, s->fd, &ev);
+    }
+    if (rc == 0) {
+      s->registered = true;
+      continue;
+    }
+    s->registered = false;
+    s->interest = 0;
+    woke += WakeMatching(s, EPOLLERR);
+    MaybeReclaim(s);
+  }
+  return woke;
+}
+
+int EpollPass(int64_t deadline_ns) {
+  // Validate-before-sleep. A cache-hit wait trusts a registration the kernel may have dropped
+  // (fd closed, number reused), and sleeping on it could hang forever. So before a sleep with
+  // unverified waiters, probe without blocking first: in the steady state something is ready
+  // and no epoll_ctl runs. Only an empty probe pays one MOD per unverified node.
+  if (!g_unverified.empty() && (deadline_ns < 0 || deadline_ns > NowNs())) {
+    const int woke = WaitAndWake(0);
+    if (woke > 0 || KernelWorkPending()) {
+      return woke;
+    }
+    const int refused = RevalidateInterest();
+    if (refused > 0) {
+      return refused;
+    }
+  }
+  return WaitAndWake(deadline_ns);
 }
 
 bool GrowPollScratch(uint32_t need) {
@@ -360,6 +432,77 @@ int PollPass(int64_t deadline_ns) {
   return woke;
 }
 
+enum class Dir : uint8_t { kRead, kWrite };
+
+ssize_t SocketAttempt(int fd, void* buf, size_t count, Dir dir) {
+  ++g_stats.transfers;
+  // No MSG_NOSIGNAL: a write to a broken connection raises SIGPIPE, exactly as write(2) does.
+  return dir == Dir::kRead ? ::recv(fd, buf, count, MSG_DONTWAIT)
+                           : ::send(fd, buf, count, MSG_DONTWAIT);
+}
+
+ssize_t PlainAttempt(int fd, void* buf, size_t count, Dir dir) {
+  ++g_stats.transfers;
+  return dir == Dir::kRead ? ::read(fd, buf, count) : ::write(fd, buf, count);
+}
+
+int GetFlags(int fd) {
+  ++g_stats.mode_calls;
+  return ::fcntl(fd, F_GETFL);
+}
+
+// The first non-blocking attempt of a call, which also picks the call's path (*socket). A
+// socket takes one host call: MSG_DONTWAIT makes just this call non-blocking and leaves the
+// description's flags as the user set them. Anything else (pipe, FIFO, eventfd, tty, regular
+// file) answers ENOTSOCK, and the byte table sends later calls straight to the F_GETFL
+// (+ F_SETFL O_NONBLOCK once) + read/write path. A stale table entry is safe: a stale "try a
+// socket" costs one ENOTSOCK; a stale "not a socket" over a socket takes the fcntl path, and
+// if that socket's O_NONBLOCK is clear (a description this path never touched, so possibly a
+// reused fd number) it re-probes before setting any flag.
+ssize_t FirstAttempt(int fd, void* buf, size_t count, Dir dir, bool* socket) {
+  uint8_t spare = 0;
+  uint8_t& not_socket = static_cast<unsigned>(fd) < kNotSocketSlots ? g_not_socket[fd] : spare;
+  *socket = false;
+  int flags = -1;
+  if (not_socket != 0) {
+    flags = GetFlags(fd);
+    if (flags < 0 || (flags & O_NONBLOCK) != 0) {
+      return PlainAttempt(fd, buf, count, dir);
+    }
+  }
+  const ssize_t n = SocketAttempt(fd, buf, count, dir);
+  if (n >= 0 || errno != ENOTSOCK) {
+    not_socket = 0;
+    *socket = true;
+    return n;
+  }
+  ++g_stats.notsock_probes;
+  not_socket = 1;
+  if (flags < 0) {
+    flags = GetFlags(fd);
+  }
+  if (flags >= 0 && (flags & O_NONBLOCK) == 0) {
+    ++g_stats.mode_calls;
+    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  }
+  return PlainAttempt(fd, buf, count, dir);
+}
+
+// The one retry loop: while the fd is not ready, suspend this thread (only) on the readiness
+// registry, then repeat the attempt on the path the first one chose.
+long Transfer(int fd, void* buf, size_t count, Dir dir) {
+  kernel::EnsureInit();
+  bool socket;
+  ssize_t n = FirstAttempt(fd, buf, count, dir, &socket);
+  while (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    if (WaitFdReady(fd, dir == Dir::kRead ? POLLIN : POLLOUT) != 0) {
+      return -1;  // errno = EINTR (or EAGAIN if the fd could not be registered)
+    }
+    n = socket ? SocketAttempt(fd, buf, count, dir) : PlainAttempt(fd, buf, count, dir);
+  }
+  return n;
+}
+
 }  // namespace
 
 IoStats GetStats() {
@@ -445,6 +588,12 @@ int WaitFdReady(int fd, short events) {
   return 0;
 }
 
+long Read(int fd, void* buf, size_t count) { return Transfer(fd, buf, count, Dir::kRead); }
+
+long Write(int fd, const void* buf, size_t count) {
+  return Transfer(fd, const_cast<void*>(buf), count, Dir::kWrite);
+}
+
 void ForgetThread(Tcb* t) {
   FdState* s = static_cast<FdState*>(t->io_wait_node);
   if (s == nullptr) {
@@ -473,6 +622,7 @@ void ResetForTesting() {
         t->link.Unlink();
         t->io_wait_node = nullptr;
       });
+      s->unverified.Unlink();
       delete s;
       s = next;
     }

@@ -8,14 +8,21 @@
 //   3. sig::ExternalWakeupPossible runs on counters: handler-install churn and sigwait wake
 //      (and cancellation) cycles must leave the counters balanced, or deadlock detection
 //      either misfires or goes blind.
+//   4. A reused fd number wakes its reader: closing an fd drops its epoll registration in the
+//      kernel, but the interest cache used to keep claiming it, so a later wait on a new file
+//      with the same number was a cache hit and slept forever.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <climits>
 #include <csignal>
+#include <cstdlib>
+#include <ostream>
+#include <string>
 
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
@@ -193,6 +200,124 @@ void RunDeadlockAfterChurn() {
 TEST_F(IoRegressTest, DeadlockDetectionSurvivesHandlerAndSigwaitChurn) {
   EXPECT_DEATH(RunDeadlockAfterChurn(), "DEADLOCK");
 }
+
+// ---- fd-number reuse under the interest cache ------------------------------------------
+
+enum class FdKind { kPipe, kSocketpair };
+struct ReuseCase {
+  FdKind kind;
+  const char* backend;
+};
+
+void PrintTo(const ReuseCase& c, std::ostream* os) {
+  *os << (c.kind == FdKind::kPipe ? "pipe" : "socketpair") << "/" << c.backend;
+}
+
+int MakeFdPair(FdKind kind, int fds[2]) {
+  return kind == FdKind::kPipe ? ::pipe(fds) : ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds);
+}
+
+struct ReuseReader {
+  int fd = -1;
+  long n = 0;
+  int err = 0;
+  char byte = 0;
+};
+ReuseReader g_reuse_reader;
+int g_reuse_wfd = -1;
+
+void* ReuseRead(void*) {
+  ReuseReader& r = g_reuse_reader;
+  r.n = pt_read(r.fd, &r.byte, 1);
+  r.err = r.n < 0 ? errno : 0;
+  return nullptr;
+}
+
+void* ReuseLateWriter(void*) {
+  pt_delay(20'000'000);  // the process sleeps in the readiness call first
+  ::write(g_reuse_wfd, "b", 1);
+  return nullptr;
+}
+
+pt_thread_t g_reuse_victim;
+
+void* ReuseWatchdog(void*) {
+  pt_delay(2'000'000'000);  // cancelled as soon as the reader finishes
+  pt_kill(g_reuse_victim, SIGUSR1);  // a hung reader fails with EINTR instead of hanging
+  return nullptr;
+}
+
+class IoFdReuseTest : public ::testing::TestWithParam<ReuseCase> {
+ protected:
+  void SetUp() override {
+    ASSERT_EQ(0, ::setenv("FSUP_IO_BACKEND", GetParam().backend, 1));
+    pt_reinit();
+    ASSERT_EQ(0, pt_sigaction(SIGUSR1, +[](int) {}, 0));
+  }
+  void TearDown() override {
+    ::unsetenv("FSUP_IO_BACKEND");
+    pt_reinit();
+  }
+};
+
+TEST_P(IoFdReuseTest, ReaderOnReusedFdNumberWakes) {
+  const FdKind kind = GetParam().kind;
+  int a[2];
+  ASSERT_EQ(0, MakeFdPair(kind, a));
+  const int number = a[0];
+
+  // 1. A reader waits once on `number`, which registers it (and leaves it in the cache).
+  g_reuse_reader = ReuseReader{};
+  g_reuse_reader.fd = number;
+  pt_thread_t reader;
+  ASSERT_EQ(0, pt_create(&reader, nullptr, &ReuseRead, nullptr));
+  pt_yield();
+  ASSERT_EQ(1, ::write(a[1], "a", 1));
+  ASSERT_EQ(0, pt_join(reader, nullptr));
+  ASSERT_EQ(1, g_reuse_reader.n);
+
+  // 2. Close both ends: the kernel drops the registration with the last reference.
+  ::close(a[0]);
+  ::close(a[1]);
+
+  // 3. A new file gets the same number.
+  int b[2];
+  ASSERT_EQ(0, MakeFdPair(kind, b));
+  if (b[0] != number) {
+    ASSERT_EQ(number, ::dup2(b[0], number));
+    ::close(b[0]);
+    b[0] = number;
+  }
+
+  // 4. Read it while another thread writes after the process has gone to sleep.
+  g_reuse_reader = ReuseReader{};
+  g_reuse_reader.fd = number;
+  g_reuse_wfd = b[1];
+  pt_thread_t writer, watchdog;
+  ASSERT_EQ(0, pt_create(&reader, nullptr, &ReuseRead, nullptr));
+  g_reuse_victim = reader;
+  ASSERT_EQ(0, pt_create(&watchdog, nullptr, &ReuseWatchdog, nullptr));
+  ASSERT_EQ(0, pt_create(&writer, nullptr, &ReuseLateWriter, nullptr));
+  ASSERT_EQ(0, pt_join(reader, nullptr));
+  pt_cancel(watchdog);
+  ASSERT_EQ(0, pt_join(watchdog, nullptr));
+  ASSERT_EQ(0, pt_join(writer, nullptr));
+
+  EXPECT_EQ(1, g_reuse_reader.n) << "reader on the reused fd never woke (errno "
+                                 << g_reuse_reader.err << ")";
+  EXPECT_EQ('b', g_reuse_reader.byte);
+  ::close(b[0]);
+  ::close(b[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, IoFdReuseTest,
+    ::testing::Values(ReuseCase{FdKind::kPipe, "epoll"}, ReuseCase{FdKind::kSocketpair, "epoll"},
+                      ReuseCase{FdKind::kPipe, "poll"}, ReuseCase{FdKind::kSocketpair, "poll"}),
+    [](const ::testing::TestParamInfo<ReuseCase>& info) {
+      return std::string(info.param.kind == FdKind::kPipe ? "Pipe" : "Socketpair") +
+             (info.param.backend[0] == 'e' ? "Epoll" : "Poll");
+    });
 
 }  // namespace
 }  // namespace fsup

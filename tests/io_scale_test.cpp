@@ -304,10 +304,20 @@ TEST_F(IoScaleTest, StaleReadinessIsDemotedOnce) {
 TEST_F(IoScaleTest, EpollCtlFaultFailsWaitCleanly) {
   int fds[2];
   ASSERT_EQ(0, ::pipe(fds));
-  {  // resolve the backend before arming the fault, so the probe below is meaningful
-    char b;
+  {  // resolve the backend before arming the fault, so the probe below is meaningful: only a
+     // read that waits resolves it (one that finds data never reaches the registry)
+    static int pfd;
+    pfd = fds[0];
+    auto probe = +[](void*) -> void* {
+      char b;
+      pt_read(pfd, &b, 1);
+      return nullptr;
+    };
+    pt_thread_t p;
+    ASSERT_EQ(0, pt_create(&p, nullptr, probe, nullptr));
+    pt_yield();
     ASSERT_EQ(1, ::write(fds[1], "p", 1));
-    ASSERT_EQ(1, pt_read(fds[0], &b, 1));
+    ASSERT_EQ(0, pt_join(p, nullptr));
   }
   if (!io::GetStats().epoll_backend) {
     GTEST_SKIP() << "injects at the epoll boundary";
