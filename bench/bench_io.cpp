@@ -15,8 +15,8 @@
 // plus fcntl mode calls, from io::IoStats). Sockets take recv/send with MSG_DONTWAIT and no
 // fcntl; pipes keep one F_GETFL per pt_read/pt_write call.
 //
-// Writes BENCH_io.json (override with FSUP_IO_JSON): one row per backend x N, and one
-// round-trip row per fd kind.
+// Usage: bench_io [--json PATH]. Writes BENCH_io.json unless --json names another file: one
+// row per backend x N, and one round-trip row per fd kind.
 
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -30,6 +30,7 @@
 #include <cstring>
 #include <initializer_list>
 
+#include "bench/bench_args.hpp"
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/io/io.hpp"
@@ -342,8 +343,9 @@ void WriteJson(const char* path, const Row* rows, size_t nrows, double scaling,
 }  // namespace
 }  // namespace fsup
 
-int main() {
+int main(int argc, char** argv) {
   using namespace fsup;
+  const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_io.json", /*has_smoke=*/false);
   pt_init();
 
   constexpr size_t kNCounts = sizeof(kCounts) / sizeof(kCounts[0]);
@@ -403,8 +405,6 @@ int main() {
     PrintRoundTrip(r);
   }
 
-  const char* jp = std::getenv("FSUP_IO_JSON");
-  WriteJson(jp != nullptr && jp[0] != '\0' ? jp : "BENCH_io.json", rows, nrows, scaling,
-            ctl_free, rts, sizeof(rts) / sizeof(rts[0]));
+  WriteJson(args.json, rows, nrows, scaling, ctl_free, rts, sizeof(rts) / sizeof(rts[0]));
   return 0;
 }

@@ -24,14 +24,15 @@
 //     lock cycle with no validation, no owner record, no API). Acceptance: the ras pair
 //     costs <= ~2x the bare pair.
 //
-// Writes BENCH_sync.json (override with FSUP_SYNC_JSON). FSUP_SYNC_SMOKE=1 shrinks every
-// dimension for the ctest smoke run.
+// Usage: bench_sync_scale [--smoke] [--json PATH]. Writes BENCH_sync.json unless --json
+// names another file; --smoke shrinks every dimension for the ctest smoke run.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "bench/bench_args.hpp"
 #include "src/arch/ras.hpp"
 #include "src/core/attr.hpp"
 #include "src/core/pthread.hpp"
@@ -42,11 +43,6 @@ namespace fsup {
 namespace {
 
 constexpr int kMaxThreads = 4096;
-
-bool Smoke() {
-  const char* v = std::getenv("FSUP_SYNC_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 ThreadAttr SmallStackAttr(int priority) {
   ThreadAttr a = MakeThreadAttr(priority);
@@ -477,11 +473,12 @@ void WriteJson(const char* path, const BroadcastRow* bc, size_t nbc, const Conte
 }  // namespace
 }  // namespace fsup
 
-int main() {
+int main(int argc, char** argv) {
   using namespace fsup;
+  const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_sync.json", /*has_smoke=*/true);
   pt_init();
 
-  const bool smoke = Smoke();
+  const bool smoke = args.smoke;
   const int counts_full[] = {8, 64, 512, 4096};
   const int counts_smoke[] = {8, 64};
   const int* counts = smoke ? counts_smoke : counts_full;
@@ -546,9 +543,7 @@ int main() {
               " -> %s\n",
               un.ratio, un.valid && un.ratio > 0 && un.ratio <= 2.0 ? "PASS" : "FAIL");
 
-  const char* jp = std::getenv("FSUP_SYNC_JSON");
-  WriteJson(jp != nullptr && jp[0] != '\0' ? jp : "BENCH_sync.json", bc, ncounts, ct,
-            ncounts, boost, un, sw_ratio, tp_ratio);
+  WriteJson(args.json, bc, ncounts, ct, ncounts, boost, un, sw_ratio, tp_ratio);
   pt_reinit();
   return 0;
 }

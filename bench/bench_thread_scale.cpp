@@ -19,8 +19,9 @@
 // to 3 VMAs: guard, uncommitted band, committed top); if the cap cannot be raised, waves are
 // clamped to what fits and reported as such.
 //
-// Writes BENCH_scale.json (override with FSUP_SCALE_JSON). FSUP_SCALE_SMOKE=1 bounds the
-// sweep at 4k and the wave at 64k for the ctest smoke run.
+// Usage: bench_thread_scale [--smoke] [--json PATH]. Writes BENCH_scale.json unless --json
+// names another file; --smoke bounds the sweep at 4k and the wave at 64k for the ctest smoke
+// run.
 
 #include <cinttypes>
 #include <cstdint>
@@ -28,17 +29,13 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "bench/bench_args.hpp"
 #include "src/core/attr.hpp"
 #include "src/core/pthread.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 namespace fsup {
 namespace {
-
-bool Smoke() {
-  const char* v = std::getenv("FSUP_SCALE_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 // ---------------------------------------------------------------------------------------
 // /proc helpers.
@@ -219,11 +216,12 @@ void WriteJson(const char* path, const WaveRow* sweep, size_t nsweep, const Wave
 }  // namespace
 }  // namespace fsup
 
-int main() {
+int main(int argc, char** argv) {
   using namespace fsup;
+  const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_scale.json", /*has_smoke=*/true);
   pt_init();
 
-  const bool smoke = Smoke();
+  const bool smoke = args.smoke;
   const int sweep_full[] = {4096, 16384, 65536, 262144};
   const int sweep_smoke[] = {1024, 4096};
   const int* sweep_n = smoke ? sweep_smoke : sweep_full;
@@ -274,9 +272,7 @@ int main() {
                                 ? "PASS"
                                 : "FAIL");
 
-  const char* jp = std::getenv("FSUP_SCALE_JSON");
-  WriteJson(jp != nullptr && jp[0] != '\0' ? jp : "BENCH_scale.json", sweep, nsweep, wave,
-            create_ratio, join_ratio);
+  WriteJson(args.json, sweep, nsweep, wave, create_ratio, join_ratio);
   std::free(th);
   pt_reinit();
   return 0;

@@ -10,6 +10,9 @@
 // library kernel is orders of magnitude cheaper than entering the OS kernel, uncontended
 // mutex operations cost nanoseconds, thread operations beat their process/kernel-thread
 // equivalents, and external (demultiplexed) signal handling is the expensive outlier.
+//
+// Usage: table2_report [--json PATH]. Writes BENCH_table2.json unless --json names another
+// file.
 
 #include <fcntl.h>
 #include <pthread.h>
@@ -23,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "bench/bench_args.hpp"
 #include "src/core/attr.hpp"
 #include "src/core/bench_probes.hpp"
 #include "src/core/pthread.hpp"
@@ -372,8 +376,9 @@ void WriteJson(const char* path, const Row* rows, size_t n) {
 }  // namespace
 }  // namespace fsup
 
-int main() {
+int main(int argc, char** argv) {
   using namespace fsup;
+  const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_table2.json", /*has_smoke=*/false);
   pt_init();
   std::printf("Table 2 — Performance Metrics (microseconds, dual-loop timing)\n");
   std::printf("reproduction of: Mueller, \"A Library Implementation of POSIX Threads under "
@@ -398,8 +403,6 @@ int main() {
   std::printf("  * thread context switch < UNIX process context switch\n");
   std::printf("  * internal thread signal << external (demultiplexed) thread signal\n");
 
-  const char* json_path = std::getenv("FSUP_TABLE2_JSON");
-  WriteJson(json_path != nullptr && json_path[0] != '\0' ? json_path : "BENCH_table2.json",
-            rows, sizeof(rows) / sizeof(rows[0]));
+  WriteJson(args.json, rows, sizeof(rows) / sizeof(rows[0]));
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup::ras {
 namespace {
@@ -12,7 +13,6 @@ constexpr size_t kMaxSequences = 16;
 Sequence g_sequences[kMaxSequences];
 size_t g_count = 0;
 bool g_builtins_done = false;
-uint64_t g_restarts = 0;
 
 }  // namespace
 
@@ -37,7 +37,7 @@ bool RewindIfInside(uintptr_t* pc) {
       // Restarting at `start` re-executes only harmless prefix work; the committing store is
       // the final instruction, which the range excludes once executed.
       *pc = g_sequences[i].start;
-      ++g_restarts;
+      counters::Bump(counters::kRasRestarts);
       return true;
     }
   }
@@ -62,9 +62,5 @@ void RegisterBuiltins() {
   Register(reinterpret_cast<uintptr_t>(fsup_ras_list_push_begin),
            reinterpret_cast<uintptr_t>(fsup_ras_list_push_end));
 }
-
-uint64_t RestartCount() { return g_restarts; }
-
-void BumpRestartCount() { ++g_restarts; }
 
 }  // namespace fsup::ras

@@ -47,10 +47,6 @@ bool Inside(uintptr_t pc);
 // Idempotent.
 void RegisterBuiltins();
 
-// Number of rewinds performed since process start (observability for tests/benches).
-uint64_t RestartCount();
-void BumpRestartCount();
-
 }  // namespace fsup::ras
 
 extern "C" {

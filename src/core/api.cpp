@@ -28,6 +28,7 @@
 #include "src/signals/sigwait.hpp"
 #include "src/tsd/tsd.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 namespace fsup {
@@ -147,10 +148,11 @@ void pt_reinit() {
 
 RuntimeStats pt_stats() {
   kernel::EnsureInit();
-  KernelState& k = kernel::ks();
+  using namespace counters;
   return RuntimeStats{
-      k.ctx_switches, k.dispatches,      k.preemptions, k.deferred_signals,
-      k.forced_switches, k.kernel_entries, k.live_threads,
+      Get(kKernelCtxSwitches),    Get(kKernelDispatches),     Get(kKernelPreemptions),
+      Get(kKernelDeferredSignals), Get(kKernelForcedSwitches), Get(kKernelEntries),
+      kernel::ks().live_threads,
   };
 }
 

@@ -15,22 +15,17 @@ void KernelEnterExit();
 // One raw getpid(2) syscall, uncached. Table 2 row 2's "enter and exit UNIX kernel".
 int UnixKernelEnterExit();
 
-// Number of restartable-atomic-sequence rewinds the universal handler has performed.
+// Reads of the counter registry (util/counters.hpp) for the benchmark harness, which keeps
+// these names: restartable-atomic-sequence rewinds, stack-pool reuses (the per-class hits
+// summed) vs fresh mmaps (the paper's 70%-of-creation-time claim), and lazy commits.
+// Host-call counts are hostos::CallCount.
 uint64_t RasRestarts();
-
-// Host kernel-call counters (see hostos::Call for the index meaning).
-uint64_t HostCallCount(int call);
-uint64_t SigprocmaskCount();
-uint64_t SetitimerCount();
-void ResetHostCallCounts();
-
-// Stack pool telemetry: pool hits vs fresh mmaps (the paper's 70%-of-creation-time claim),
-// plus the exhaustion counters the fault-injection tests pin down (no leaked pool entries).
 uint64_t StackPoolReuses();
 uint64_t StackPoolMaps();
-uint64_t StackPoolFree();
-uint64_t StackPoolAllocFailures();
 uint64_t StackPoolLazyCommits();
+
+// Stacks parked on the pool's free lists (a gauge, not a counter).
+uint64_t StackPoolFree();
 
 }  // namespace fsup::probe
 

@@ -2,9 +2,9 @@
 
 #include "src/core/bench_probes.hpp"
 
-#include "src/arch/ras.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup::probe {
 
@@ -12,28 +12,20 @@ void KernelEnterExit() { kernel::EnterExitProbe(); }
 
 int UnixKernelEnterExit() { return hostos::RawGetpid(); }
 
-uint64_t RasRestarts() { return ras::RestartCount(); }
+uint64_t RasRestarts() { return counters::Get(counters::kRasRestarts); }
 
-uint64_t HostCallCount(int call) {
-  return hostos::CallCount(static_cast<hostos::Call>(call));
+uint64_t StackPoolReuses() {
+  uint64_t hits = 0;
+  for (int cls = 0; cls < StackPool::kNumClasses; ++cls) {
+    hits += counters::Get(counters::PoolClass(cls, counters::kPoolClass0Hits));
+  }
+  return hits;
 }
 
-uint64_t SigprocmaskCount() {
-  return hostos::CallCount(hostos::Call::kSigprocmask);
-}
-
-uint64_t SetitimerCount() { return hostos::CallCount(hostos::Call::kSetitimer); }
-
-void ResetHostCallCounts() { hostos::ResetCallCounts(); }
-
-uint64_t StackPoolReuses() { return kernel::ks().pool->stack_reuses(); }
-
-uint64_t StackPoolMaps() { return kernel::ks().pool->stack_maps(); }
+uint64_t StackPoolMaps() { return counters::Get(counters::kPoolMaps); }
 
 uint64_t StackPoolFree() { return kernel::ks().pool->pooled_stacks(); }
 
-uint64_t StackPoolAllocFailures() { return kernel::ks().pool->alloc_failures(); }
-
-uint64_t StackPoolLazyCommits() { return kernel::ks().pool->lazy_commits(); }
+uint64_t StackPoolLazyCommits() { return counters::Get(counters::kPoolLazyCommits); }
 
 }  // namespace fsup::probe

@@ -84,7 +84,7 @@ void pt_reinit();
 // Statistics snapshot.
 RuntimeStats pt_stats();
 
-// Writes a table of threads to stderr (signal safe), followed by a kernel/pool/io counter
+// Writes a table of threads to stderr (signal safe), followed by the counter block as a
 // footer. max_threads caps the table (0 = all live threads; large-scale callers pass a small
 // cap and get a "... and N more" line instead of a million rows).
 void pt_dump_threads(uint32_t max_threads = 0);

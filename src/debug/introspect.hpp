@@ -11,9 +11,10 @@
 namespace fsup::debug {
 
 // Writes a table of threads (id, name, state, block reason, priorities, stats) to stderr,
-// followed by a kernel/stack-pool/io counter footer. Async-signal-safe. max_threads caps the
-// table (0 = every live thread — at a million-thread population that is a million lines, so
-// large-scale callers pass a small cap and get a "... and N more" line instead).
+// followed by the counter block (util/counters.hpp) as a footer. Async-signal-safe.
+// max_threads caps the table (0 = every live thread — at a million-thread population that is
+// a million lines, so large-scale callers pass a small cap and get a "... and N more" line
+// instead).
 void DumpThreads(uint32_t max_threads = 0);
 
 }  // namespace fsup::debug

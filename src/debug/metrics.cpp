@@ -6,30 +6,22 @@
 #include <cstdio>
 #include <cstring>
 
-#include "src/arch/ras.hpp"
+#include "src/debug/profiler.hpp"
 #include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/kernel/stack_pool.hpp"
 #include "src/sync/fastpath.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
-static_assert(fsup::debug::metrics::MetricsSnapshot::kPoolClasses == fsup::StackPool::kNumClasses,
-              "snapshot per-class array must match the pool's size-class count");
-
 namespace fsup::debug::metrics {
 namespace {
 
-// Metrics-gated global accumulators. All mutation happens inside the kernel monitor or from
-// the universal handler while it holds the kernel flag, so plain fields suffice — the same
-// discipline as every other kernel statistic.
+// Metrics-gated global accumulators; the gated totals are the registry's "metrics" group.
+// All mutation happens inside the kernel monitor or from the universal handler while it
+// holds the kernel flag, so plain fields suffice — the same discipline as every other kernel
+// statistic.
 struct Globals {
   int64_t enabled_since_ns = 0;
-  uint64_t voluntary_switches = 0;
-  uint64_t preempted_switches = 0;
-  uint64_t signals_delivered = 0;
-  uint64_t fake_calls = 0;
-  uint64_t timer_ticks = 0;
-  uint64_t idle_polls = 0;
   bool next_switch_preempted = false;
   LatencyHist sched_latency;
   LatencyHist mutex_wait;
@@ -93,10 +85,10 @@ void OnSwitch(Tcb* from, Tcb* to, int64_t now) {
   Touch(from);
   if (g_state.next_switch_preempted) {
     g_state.next_switch_preempted = false;
-    ++g_state.preempted_switches;
+    counters::Bump(counters::kMetricsPreemptedSwitches);
     ++from->metrics.preempted;
   } else {
-    ++g_state.voluntary_switches;
+    counters::Bump(counters::kMetricsVoluntarySwitches);
     ++from->metrics.voluntary;
   }
   // `to` goes ready -> running: the time it just spent in ready is its scheduling latency.
@@ -109,7 +101,7 @@ void OnSwitch(Tcb* from, Tcb* to, int64_t now) {
 
 // A lock event closes the wait a block event opened (if any) and opens a hold; a recursive
 // re-acquisition only deepens the hold already open.
-void OnLock(Tcb* t, uint32_t tag, int64_t now) {
+void OnLock(Tcb* t, uint32_t tag, uint16_t gen, int64_t now) {
   TcbMetrics& m = t->metrics;
   if (m.wait_since_ns != 0) {
     const int64_t wait = now - m.wait_since_ns;
@@ -120,7 +112,7 @@ void OnLock(Tcb* t, uint32_t tag, int64_t now) {
   }
   TcbMetrics::Held* free_slot = nullptr;
   for (TcbMetrics::Held& h : m.held) {
-    if (h.tag == tag) {
+    if (h.tag == tag && h.gen == gen) {
       ++h.depth;
       return;
     }
@@ -129,15 +121,15 @@ void OnLock(Tcb* t, uint32_t tag, int64_t now) {
     }
   }
   if (free_slot != nullptr) {
-    *free_slot = TcbMetrics::Held{tag, 0, now};
+    *free_slot = TcbMetrics::Held{tag, gen, 0, now};
   }
 }
 
 // An unlock event closes the matching hold (holds opened before metrics were enabled have no
 // slot and are not sampled).
-void OnUnlock(Tcb* t, uint32_t tag, int64_t now) {
+void OnUnlock(Tcb* t, uint32_t tag, uint16_t gen, int64_t now) {
   for (TcbMetrics::Held& h : t->metrics.held) {
-    if (h.tag != tag) {
+    if (h.tag != tag || h.gen != gen) {
       continue;
     }
     if (h.depth > 0) {
@@ -174,6 +166,7 @@ void Enable(bool on) {
   kernel::Enter();
   if (on && !obs::On(obs::kMetrics)) {
     g_state = Globals{};
+    counters::ResetGroup("metrics");
     g_state.enabled_since_ns = NowNs();
     // O(1) regardless of thread count: invalidate instead of walking a million TCBs. Each
     // thread's accumulators reset lazily (Touch) the first time an event sees it.
@@ -186,7 +179,7 @@ void Enable(bool on) {
   kernel::Exit();
 }
 
-void Consume(obs::Event e, Tcb* t, uint32_t b, int64_t now) {
+void Consume(obs::Event e, Tcb* t, uint32_t b, uint16_t gen, int64_t now) {
   using obs::Event;
   switch (e) {
     case Event::kCreate:
@@ -199,13 +192,13 @@ void Consume(obs::Event e, Tcb* t, uint32_t b, int64_t now) {
       t->metrics.state_since_ns = now;
       return;
     case Event::kTimerTick:
-      ++g_state.timer_ticks;
+      counters::Bump(counters::kMetricsTimerTicks);
       return;
     case Event::kIdlePoll:
-      ++g_state.idle_polls;
+      counters::Bump(counters::kMetricsIdlePolls);
       return;
     case Event::kSignal:
-      ++g_state.signals_delivered;
+      counters::Bump(counters::kMetricsSignalsDelivered);
       return;
     default:
       break;
@@ -241,18 +234,45 @@ void Consume(obs::Event e, Tcb* t, uint32_t b, int64_t now) {
       t->metrics.wait_since_ns = 0;  // the acquisition was abandoned (EDEADLK, EINVAL)
       break;
     case Event::kMutexLock:
-      OnLock(t, b, now);
+      OnLock(t, b, gen, now);
       break;
     case Event::kMutexUnlock:
-      OnUnlock(t, b, now);
+      OnUnlock(t, b, gen, now);
       break;
     case Event::kFakeCall:
       ++t->metrics.fake_calls;
-      ++g_state.fake_calls;
+      counters::Bump(counters::kMetricsFakeCalls);
       break;
     default:
       break;
   }
+}
+
+void CaptureCounters(counters::Block* out) {
+  using namespace counters;
+  for (int c = 0; c < kCount; ++c) {
+    out->counters[c] = g_block[c];
+  }
+  const KernelState& k = kernel::ks();
+  uint64_t* g = out->gauges;
+  g[kThreadsLive] = k.live_threads;
+  g[kThreadsReady] = k.ready.size();
+  g[kThreadsBlocked] = k.live_threads > g[kThreadsReady] ? k.live_threads - g[kThreadsReady] - 1
+                                                         : 0;
+  if (const StackPool* pool = k.pool; pool != nullptr) {
+    g[kPoolMappedBytes] = pool->mapped_bytes();
+    g[kPoolMappedHwBytes] = pool->mapped_hw_bytes();
+    g[kPoolFreeBytes] = pool->pooled_bytes();
+    g[kPoolFreeStacks] = pool->pooled_stacks();
+    g[kPoolBudgetBytes] = pool->pool_budget_bytes();
+  }
+  const io::IoStats ios = io::GetStats();
+  g[kIoActiveWaiters] = static_cast<uint64_t>(ios.active_waiters);
+  g[kIoCachedFds] = static_cast<uint64_t>(ios.cached_fds);
+  g[kIoEpoll] = ios.epoll_backend ? 1 : 0;
+  g[kProfilerHz] = profiler::SampleHz();
+  g[kProfilerSamples] = profiler::SampleCount();
+  g[kProfilerDropped] = profiler::DroppedCount();
 }
 
 void Capture(MetricsSnapshot* out) {
@@ -265,47 +285,8 @@ void Capture(MetricsSnapshot* out) {
   KernelState& k = kernel::ks();
 
   out->enabled = obs::On(obs::kMetrics);
-  out->live_threads = k.live_threads;
-  out->ctx_switches = k.ctx_switches;
-  out->dispatches = k.dispatches;
-  out->preemptions = k.preemptions;
-  out->deferred_signals = k.deferred_signals;
-  out->kernel_entries = k.kernel_entries;
-  out->ras_restarts = ras::RestartCount();
-
   out->enabled_since_ns = g_state.enabled_since_ns;
-  out->voluntary_switches = g_state.voluntary_switches;
-  out->preempted_switches = g_state.preempted_switches;
-  out->signals_delivered = g_state.signals_delivered;
-  out->fake_calls = g_state.fake_calls;
-  out->timer_ticks = g_state.timer_ticks;
-  out->idle_polls = g_state.idle_polls;
-  const io::IoStats ios = io::GetStats();
-  out->io_waits = ios.waits;
-  out->io_wakeups = ios.wakeups;
-  out->io_cache_hits = ios.cache_hits;
-  out->io_cache_misses = ios.cache_misses;
-  out->io_demotions = ios.demotions;
-  out->io_probes = ios.probes;
-  out->io_active_waiters = ios.active_waiters;
-  out->io_cached_fds = ios.cached_fds;
-  out->io_epoll_backend = ios.epoll_backend;
-  const StackPool& pool = *k.pool;
-  out->pool_mapped_bytes = pool.mapped_bytes();
-  out->pool_mapped_hw_bytes = pool.mapped_hw_bytes();
-  out->pool_free_bytes = pool.pooled_bytes();
-  out->pool_budget_bytes = pool.pool_budget_bytes();
-  out->pool_free_stacks = pool.pooled_stacks();
-  out->stack_reuses = pool.stack_reuses();
-  out->stack_maps = pool.stack_maps();
-  out->stack_alloc_failures = pool.alloc_failures();
-  out->lazy_commits = pool.lazy_commits();
-  for (int c = 0; c < MetricsSnapshot::kPoolClasses; ++c) {
-    const StackPool::ClassStats cs = pool.class_stats(c);
-    out->pool_classes[c].hits = cs.hits;
-    out->pool_classes[c].misses = cs.misses;
-    out->pool_classes[c].evictions = cs.evictions;
-  }
+  CaptureCounters(&out->block);
   out->sched_latency = g_state.sched_latency;
   out->mutex_wait = g_state.mutex_wait;
   out->mutex_hold = g_state.mutex_hold;
@@ -351,53 +332,7 @@ int DumpText(int fd, uint32_t max_threads) {
   };
 
   emit("fsup metrics (%s)\n", s.enabled ? "enabled" : "disabled");
-  emit("  ctx_switches=%llu (voluntary=%llu preempted=%llu) dispatches=%llu "
-       "preemptions=%llu\n",
-       static_cast<unsigned long long>(s.ctx_switches),
-       static_cast<unsigned long long>(s.voluntary_switches),
-       static_cast<unsigned long long>(s.preempted_switches),
-       static_cast<unsigned long long>(s.dispatches),
-       static_cast<unsigned long long>(s.preemptions));
-  emit("  kernel_entries=%llu deferred_signals=%llu signals=%llu fake_calls=%llu "
-       "ras_restarts=%llu timer_ticks=%llu idle_polls=%llu\n",
-       static_cast<unsigned long long>(s.kernel_entries),
-       static_cast<unsigned long long>(s.deferred_signals),
-       static_cast<unsigned long long>(s.signals_delivered),
-       static_cast<unsigned long long>(s.fake_calls),
-       static_cast<unsigned long long>(s.ras_restarts),
-       static_cast<unsigned long long>(s.timer_ticks),
-       static_cast<unsigned long long>(s.idle_polls));
-  emit("  io[%s] waits=%llu wakeups=%llu cache_hits=%llu cache_misses=%llu demotions=%llu "
-       "probes=%llu active_waiters=%d cached_fds=%d\n",
-       s.io_epoll_backend ? "epoll" : "poll",
-       static_cast<unsigned long long>(s.io_waits),
-       static_cast<unsigned long long>(s.io_wakeups),
-       static_cast<unsigned long long>(s.io_cache_hits),
-       static_cast<unsigned long long>(s.io_cache_misses),
-       static_cast<unsigned long long>(s.io_demotions),
-       static_cast<unsigned long long>(s.io_probes),
-       s.io_active_waiters, s.io_cached_fds);
-  emit("  pool mapped=%lluK (hw=%lluK) free=%lluK/%llu budget=%lluK reuses=%llu maps=%llu "
-       "alloc_failures=%llu lazy_commits=%llu\n",
-       static_cast<unsigned long long>(s.pool_mapped_bytes / 1024),
-       static_cast<unsigned long long>(s.pool_mapped_hw_bytes / 1024),
-       static_cast<unsigned long long>(s.pool_free_bytes / 1024),
-       static_cast<unsigned long long>(s.pool_free_stacks),
-       static_cast<unsigned long long>(s.pool_budget_bytes / 1024),
-       static_cast<unsigned long long>(s.stack_reuses),
-       static_cast<unsigned long long>(s.stack_maps),
-       static_cast<unsigned long long>(s.stack_alloc_failures),
-       static_cast<unsigned long long>(s.lazy_commits));
-  for (int c = 0; c < MetricsSnapshot::kPoolClasses; ++c) {
-    const auto& cs = s.pool_classes[c];
-    if (cs.hits == 0 && cs.misses == 0 && cs.evictions == 0) {
-      continue;  // only classes that saw traffic — ten all-zero rows are noise
-    }
-    emit("    class[%d] (%lluK): hits=%llu misses=%llu evictions=%llu\n", c,
-         static_cast<unsigned long long>((16ull << c)),  // kMinStackSize = 16 KiB, pow2 steps
-         static_cast<unsigned long long>(cs.hits), static_cast<unsigned long long>(cs.misses),
-         static_cast<unsigned long long>(cs.evictions));
-  }
+  counters::Render(s.block, [&](const char* text) { emit("%s", text); });
 
   auto hist = [&](const char* label, const LatencyHist& h) {
     emit("  %-13s n=%-8llu mean=%-10.0f p50=%-8lld p95=%-8lld p99=%-8lld max=%lld (ns)\n",
@@ -428,9 +363,9 @@ int DumpText(int fd, uint32_t max_threads) {
          static_cast<long long>(t.ready_ns / 1000),
          static_cast<long long>(t.blocked_ns / 1000));
   }
-  if (s.live_threads > rows) {
+  if (s.block[counters::kThreadsLive] > rows) {
     emit("  ... and %llu more threads\n",
-         static_cast<unsigned long long>(s.live_threads - rows));
+         static_cast<unsigned long long>(s.block[counters::kThreadsLive] - rows));
   }
 
   const char* p = buf;

@@ -12,7 +12,8 @@
 // into histograms uses log2 buckets so Add() is a bit-scan plus an increment.
 //
 // Layering note: the per-thread accumulators live in the TCB (TcbMetrics, kernel/tcb.hpp);
-// this module owns the global counters, the histograms and the snapshot/dump API. Mutex
+// the global counters are the registry's (util/counters.hpp); this module owns the
+// histograms and the snapshot/dump API, and bumps the "metrics" counter group. Mutex
 // wait/hold instrumentation covers semaphores, rwlocks and barriers too — they are layered
 // on mutex + cond.
 
@@ -24,6 +25,7 @@
 
 #include "src/debug/obs.hpp"
 #include "src/kernel/types.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup {
 struct Tcb;
@@ -120,52 +122,9 @@ struct MetricsSnapshot {
   bool enabled = false;
   int64_t enabled_since_ns = 0;
 
-  // Kernel totals (live regardless of the metrics flag — they predate this module).
-  uint64_t live_threads = 0;
-  uint64_t ctx_switches = 0;
-  uint64_t dispatches = 0;
-  uint64_t preemptions = 0;
-  uint64_t deferred_signals = 0;
-  uint64_t kernel_entries = 0;
-
-  // Metrics-gated totals.
-  uint64_t voluntary_switches = 0;
-  uint64_t preempted_switches = 0;
-  uint64_t signals_delivered = 0;  // user handlers dispatched (fake calls + sync + self)
-  uint64_t fake_calls = 0;
-  uint64_t ras_restarts = 0;  // total since process start (arch/ras.cpp counter)
-  uint64_t timer_ticks = 0;
-  uint64_t idle_polls = 0;
-
-  // I/O readiness core (live regardless of the metrics flag — io keeps its own cheap
-  // counters; see io::GetStats). io_cache_hits counts waits that made zero epoll_ctl calls.
-  uint64_t io_waits = 0;
-  uint64_t io_wakeups = 0;
-  uint64_t io_cache_hits = 0;
-  uint64_t io_cache_misses = 0;
-  uint64_t io_demotions = 0;
-  uint64_t io_probes = 0;
-  int32_t io_active_waiters = 0;
-  int32_t io_cached_fds = 0;
-  bool io_epoll_backend = false;
-
-  // Stack pool (live regardless of the metrics flag — the pool keeps its own counters).
-  struct PoolClassSnap {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  static constexpr int kPoolClasses = 10;  // == StackPool::kNumClasses (checked in metrics.cpp)
-  uint64_t pool_mapped_bytes = 0;     // live + free reservations
-  uint64_t pool_mapped_hw_bytes = 0;  // lifetime high-water of the above
-  uint64_t pool_free_bytes = 0;
-  uint64_t pool_budget_bytes = 0;
-  uint64_t pool_free_stacks = 0;
-  uint64_t stack_reuses = 0;
-  uint64_t stack_maps = 0;
-  uint64_t stack_alloc_failures = 0;
-  uint64_t lazy_commits = 0;
-  PoolClassSnap pool_classes[kPoolClasses];
+  // Every runtime counter and gauge (util/counters.hpp). The "metrics" group is counted only
+  // while metrics are enabled; everything else counts regardless.
+  counters::Block block;
 
   LatencyHist sched_latency;  // ready -> running
   LatencyHist mutex_wait;     // first contended block -> acquisition
@@ -175,12 +134,17 @@ struct MetricsSnapshot {
   ThreadSnap threads[kMaxSnapshotThreads];
 };
 
+// Copies the counter block and reads the gauges into out. Takes no lock and makes no call, so
+// the signal-safe thread dump can use it; callers that want a consistent copy hold the
+// kernel.
+void CaptureCounters(counters::Block* out);
+
 // Captures a snapshot (enters the kernel unless already inside). Always available; with
 // metrics disabled the gated fields are zero. Flushes the in-progress
 // time-in-state of every thread so the totals are current to the call.
 void Capture(MetricsSnapshot* out);
 
-// Human-readable report (counters, percentiles, per-thread table) written to fd via plain
+// Human-readable report (the counter block, percentiles, per-thread table) written to fd via plain
 // write(2). User context only (formats into a stack buffer; no allocation). max_threads
 // caps the per-thread table (0 = all live threads — unbounded output at a million-thread
 // population; large-scale callers pass a small cap and get a "... and N more" footer).
@@ -195,8 +159,8 @@ void Enable(bool on);
 
 // The funnel's metrics consumer (called only by obs::EmitSlow, before the emitting site
 // mutates t's state). b is the event's second operand: the mutex tag for mutex events, the
-// signal number for kSignal.
-void Consume(obs::Event e, Tcb* t, uint32_t b, int64_t now);
+// signal number for kSignal. gen is the mutex's tag generation (mutex events only).
+void Consume(obs::Event e, Tcb* t, uint32_t b, uint16_t gen, int64_t now);
 
 }  // namespace fsup::debug::metrics
 

@@ -53,7 +53,7 @@ void Set(uint8_t bits, bool on) {
   g_mask = on ? static_cast<uint8_t>(g_mask | bits) : static_cast<uint8_t>(g_mask & ~bits);
 }
 
-void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b) {
+void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b, uint16_t gen) {
   uint8_t want = g_mask & kInterest[static_cast<int>(e)];
   // A wake only closes a wait when the thread was blocked; readying a newborn is not one.
   if (e == Event::kWake && t->state != ThreadState::kBlocked) {
@@ -79,7 +79,7 @@ void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b) {
     profiler::TickSample(__builtin_frame_address(0), __builtin_return_address(0));
   }
   if ((want & kMetrics) != 0) {
-    metrics::Consume(e, t, b, now);
+    metrics::Consume(e, t, b, gen, now);
   }
 }
 

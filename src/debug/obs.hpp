@@ -17,6 +17,10 @@
 // (the metrics epoch-lazy reset and the off-CPU close both read the pre-transition state), and
 // on a wake the off-CPU consumer runs before the metrics consumer.
 //
+// Mutex lock and unlock events carry a fifth operand, the mutex's tag generation
+// (sync/tag.hpp). Only the metrics consumer reads it: the trace records (a, b) alone, so a
+// replayed run, which allocates its tags in a new generation, still logs bit-exactly.
+//
 // Building with FSUP_NO_OBSERVE=1 (the fsup_noobs library) makes the mask a constexpr 0 and
 // Emit an empty inline: the same sources with observation compiled out, which
 // bench_observe_ablation uses as its baseline. Replay's steering hooks are not part of this
@@ -76,7 +80,7 @@ inline constexpr uint8_t kTickSample = 1u << 3;
 #if FSUP_NO_OBSERVE
 
 inline constexpr uint8_t g_mask = 0;
-inline void Emit(Event, Tcb*, uint32_t, uint32_t) {}
+inline void Emit(Event, Tcb*, uint32_t, uint32_t, uint16_t = 0) {}
 inline void Set(uint8_t, bool) {}
 
 #else
@@ -85,11 +89,11 @@ inline void Set(uint8_t, bool) {}
 // transition site.
 extern uint8_t g_mask;
 
-void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b);
+void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b, uint16_t gen);
 
-inline void Emit(Event e, Tcb* t, uint32_t a, uint32_t b) {
+inline void Emit(Event e, Tcb* t, uint32_t a, uint32_t b, uint16_t gen = 0) {
   if (__builtin_expect(g_mask != 0, 0)) {
-    EmitSlow(e, t, a, b);
+    EmitSlow(e, t, a, b, gen);
   }
 }
 

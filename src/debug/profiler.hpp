@@ -69,6 +69,14 @@ uint64_t DroppedCount();
 // Off-CPU samples committed so far (one per wake of a thread whose suspend was captured).
 uint64_t OffCpuSampleCount();
 
+// The session's on-CPU sampling rate, 0 while no session runs.
+uint64_t SampleHz();
+
+// Runs one collection period now, as the collector thread does every 20 ms: drains the
+// sample ring and republishes the FSUP_STATS_SHM frame. No-op without a session. Enters the
+// kernel.
+void Collect();
+
 // Environment hooks (FSUP_PROFILE, FSUP_PROFILE_HZ, FSUP_PROFILE_FILE, FSUP_STATS_SHM), called
 // at the tail of kernel::EnsureInit — after replay::InitFromEnv, so mode-dependent sampling
 // setup sees the real replay mode. Re-reads the environment every call (pt_reinit).

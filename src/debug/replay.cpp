@@ -17,6 +17,7 @@
 #include "src/sync/tag.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/log.hpp"
 
 namespace fsup::debug::replay {
@@ -102,9 +103,9 @@ uint64_t g_entries_mark = 0;
 constexpr uint32_t kEntriesShift = 2;  // kTick/kExtSignal b: entries since the last decision
 constexpr uint64_t kEntriesUnknown = (uint64_t{1} << 30) - 1;  // saturated: due anywhere
 
-uint64_t EntriesSinceMark() { return kernel::ks().kernel_entries - g_entries_mark; }
+uint64_t EntriesSinceMark() { return counters::Get(counters::kKernelEntries) - g_entries_mark; }
 
-void MarkEntries() { g_entries_mark = kernel::ks().kernel_entries; }
+void MarkEntries() { g_entries_mark = counters::Get(counters::kKernelEntries); }
 
 uint32_t AsyncB(AsyncSite site) {
   const uint64_t n = EntriesSinceMark() < kEntriesUnknown ? EntriesSinceMark() : kEntriesUnknown;

@@ -13,14 +13,22 @@
 #include "src/debug/replay.hpp"
 #include "src/hostos/fault.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup::hostos {
 namespace {
 
-uint64_t g_counts[static_cast<int>(Call::kCount)] = {};
+static_assert(counters::kHostShmMap - counters::kHostSigaction + 1 ==
+                  static_cast<int>(Call::kCount),
+              "the registry's hostos group must list every Call, in Call order");
+
 int g_last_poll_timeout_ms = 0;
 
-void Bump(Call c) { ++g_counts[static_cast<int>(c)]; }
+counters::Counter Slot(Call c) {
+  return static_cast<counters::Counter>(counters::kHostSigaction + static_cast<int>(c));
+}
+
+void Bump(Call c) { counters::Bump(Slot(c)); }
 
 // Cap on EINTR retries per wrapper invocation: keeps an every-invocation injection rule (or a
 // pathological host) from spinning forever while still absorbing any realistic interrupt storm.
@@ -51,21 +59,17 @@ int CountedRetryingCall(Call c, RawFn raw) {
 
 }  // namespace
 
-uint64_t CallCount(Call c) { return g_counts[static_cast<int>(c)]; }
+uint64_t CallCount(Call c) { return counters::Get(Slot(c)); }
 
 uint64_t TotalCallCount() {
   uint64_t total = 0;
-  for (uint64_t n : g_counts) {
-    total += n;
+  for (int c = 0; c < static_cast<int>(Call::kCount); ++c) {
+    total += CallCount(static_cast<Call>(c));
   }
   return total;
 }
 
-void ResetCallCounts() {
-  for (uint64_t& n : g_counts) {
-    n = 0;
-  }
-}
+void ResetCallCounts() { counters::ResetGroup("hostos"); }
 
 int Sigaction(int signo, const struct sigaction* act, struct sigaction* old) {
   return CountedRetryingCall(Call::kSigaction,

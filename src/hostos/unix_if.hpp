@@ -36,7 +36,8 @@ enum class Call : int {
   kCount,
 };
 
-// Per-service invocation counters since process start.
+// Per-service invocation counts: the "hostos" group of the counter registry
+// (util/counters.hpp), zeroed only by ResetCallCounts.
 uint64_t CallCount(Call c);
 uint64_t TotalCallCount();
 void ResetCallCounts();

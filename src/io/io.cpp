@@ -17,6 +17,7 @@
 #include "src/kernel/kernel.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 #include "src/util/intrusive_list.hpp"
 
@@ -58,7 +59,6 @@ FdState* g_buckets[kHashBuckets] = {};
 FdState* g_free = nullptr;  // recycled nodes; allocation happens only on first use of an fd
 int g_active = 0;           // threads suspended on some fd
 int g_cached = 0;           // live FdState nodes (== interest-cache entries under epoll)
-IoStats g_stats;
 IntrusiveList<FdState, &FdState::unverified> g_unverified;  // only nodes with waiters
 
 // 1 = the last attempt on this fd answered ENOTSOCK. Any other value means "try recv/send";
@@ -164,13 +164,13 @@ void MaybeReclaim(FdState* s) {
 // MOD can answer ENOENT (retry as ADD) and an ADD can answer EEXIST (retry as MOD).
 int EnsureInterest(FdState* s, uint32_t mask) {
   if (s->registered && (s->interest & mask) == mask) {
-    ++g_stats.cache_hits;
+    counters::Bump(counters::kIoCacheHits);
     if (!s->unverified.linked()) {
       g_unverified.PushBack(s);
     }
     return 0;
   }
-  ++g_stats.cache_misses;
+  counters::Bump(counters::kIoCacheMisses);
   const uint32_t want = s->interest | mask;
   epoll_event ev{};
   ev.events = want;
@@ -212,7 +212,7 @@ int WakeMatching(FdState* s, uint32_t revents) {
       DetachWaiter(s, t);
       t->io_ready = true;
       kernel::MakeReady(t);
-      ++g_stats.wakeups;
+      counters::Bump(counters::kIoWakeups);
       ++woke;
     }
   });
@@ -225,7 +225,7 @@ int WakeMatching(FdState* s, uint32_t revents) {
 // zero-wake path, so the steady state — waits served from the cache, wakes consuming the
 // readiness — still makes no epoll_ctl calls.
 void DemoteStale(FdState* s, uint32_t revents) {
-  ++g_stats.demotions;
+  counters::Bump(counters::kIoDemotions);
   uint32_t want = 0;
   for (Tcb* t : s->waiters) {
     want |= ToEpollMask(t->io_events);
@@ -435,19 +435,19 @@ int PollPass(int64_t deadline_ns) {
 enum class Dir : uint8_t { kRead, kWrite };
 
 ssize_t SocketAttempt(int fd, void* buf, size_t count, Dir dir) {
-  ++g_stats.transfers;
+  counters::Bump(counters::kIoTransfers);
   // No MSG_NOSIGNAL: a write to a broken connection raises SIGPIPE, exactly as write(2) does.
   return dir == Dir::kRead ? ::recv(fd, buf, count, MSG_DONTWAIT)
                            : ::send(fd, buf, count, MSG_DONTWAIT);
 }
 
 ssize_t PlainAttempt(int fd, void* buf, size_t count, Dir dir) {
-  ++g_stats.transfers;
+  counters::Bump(counters::kIoTransfers);
   return dir == Dir::kRead ? ::read(fd, buf, count) : ::write(fd, buf, count);
 }
 
 int GetFlags(int fd) {
-  ++g_stats.mode_calls;
+  counters::Bump(counters::kIoModeCalls);
   return ::fcntl(fd, F_GETFL);
 }
 
@@ -476,13 +476,13 @@ ssize_t FirstAttempt(int fd, void* buf, size_t count, Dir dir, bool* socket) {
     *socket = true;
     return n;
   }
-  ++g_stats.notsock_probes;
+  counters::Bump(counters::kIoNotsockProbes);
   not_socket = 1;
   if (flags < 0) {
     flags = GetFlags(fd);
   }
   if (flags >= 0 && (flags & O_NONBLOCK) == 0) {
-    ++g_stats.mode_calls;
+    counters::Bump(counters::kIoModeCalls);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   }
   return PlainAttempt(fd, buf, count, dir);
@@ -506,11 +506,11 @@ long Transfer(int fd, void* buf, size_t count, Dir dir) {
 }  // namespace
 
 IoStats GetStats() {
-  IoStats out = g_stats;
-  out.active_waiters = g_active;
-  out.cached_fds = g_cached;
-  out.epoll_backend = g_backend == Backend::kEpoll;
-  return out;
+  using namespace counters;
+  return IoStats{Get(kIoWaits),     Get(kIoWakeups),    Get(kIoCacheHits),
+                 Get(kIoCacheMisses), Get(kIoDemotions), Get(kIoProbes),
+                 Get(kIoTransfers),  Get(kIoModeCalls),  Get(kIoNotsockProbes),
+                 g_active,           g_cached,           g_backend == Backend::kEpoll};
 }
 
 bool HaveWaiters() { return g_active > 0; }
@@ -519,7 +519,7 @@ void PollOnce(int64_t timeout_ns) {
   FSUP_ASSERT(kernel::InKernel());
   ResolveBackend();
   debug::obs::Emit(debug::obs::Event::kIdlePoll, nullptr, 0, 0);
-  ++g_stats.probes;
+  counters::Bump(counters::kIoProbes);
   if (debug::replay::Replaying()) {
     // The pass is virtualized: no syscall runs; the log supplies the wakeups (and any fault
     // the recorded pass absorbed), making replay identical across io backends.
@@ -537,7 +537,7 @@ int WaitFdReady(int fd, short events) {
   kernel::Enter();
   cancel::TestIntrInKernel();  // I/O waits are interruption points
   ResolveBackend();
-  ++g_stats.waits;
+  counters::Bump(counters::kIoWaits);
 
   FdState* s = GetOrCreate(fd);
   if (s == nullptr) {
@@ -559,7 +559,7 @@ int WaitFdReady(int fd, short events) {
       return -1;
     }
   } else {
-    ++g_stats.cache_hits;  // poll backend has no kernel interest set to miss
+    counters::Bump(counters::kIoCacheHits);  // poll backend has no kernel interest set to miss
   }
 
   self->io_events = events;
@@ -609,7 +609,7 @@ void ReplayWake(Tcb* t) {
   DetachWaiter(s, t);
   t->io_ready = true;
   kernel::MakeReady(t);
-  ++g_stats.wakeups;
+  counters::Bump(counters::kIoWakeups);
   MaybeReclaim(s);  // no-op under epoll (node stays as the interest cache), frees under poll
 }
 
@@ -646,7 +646,7 @@ void ResetForTesting() {
   g_pollcap = 0;
   g_active = 0;
   g_cached = 0;
-  g_stats = IoStats{};
+  counters::ResetGroup("io");
   g_backend = Backend::kUnresolved;  // pt_reinit re-reads FSUP_IO_BACKEND on next use
 }
 

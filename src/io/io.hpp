@@ -41,8 +41,8 @@
 
 namespace fsup::io {
 
-// Always-on cheap counters (bumped under the kernel monitor; no atomics needed). Exposed to
-// debug/metrics and to tests/benches that pin the interest-cache behaviour.
+// The io counters (the "io" group of util/counters.hpp) and gauges, read into one struct for
+// the tests and benches that pin the interest-cache and transfer behaviour.
 struct IoStats {
   uint64_t waits = 0;         // WaitFdReady suspensions
   uint64_t wakeups = 0;       // threads woken by fd readiness
@@ -89,9 +89,10 @@ void ForgetThread(Tcb* t);
 // recorded poll pass did, without consulting any fd. In kernel; t must be io-blocked.
 void ReplayWake(Tcb* t);
 
-// Closes the epoll fd, frees every FdState, zeroes stats, and forgets the resolved backend so
-// the next use re-reads FSUP_IO_BACKEND (pt_reinit relies on this). The per-fd "not a
-// socket" hints stay: a stale one is safe, and clearing them would touch the whole table.
+// Closes the epoll fd, frees every FdState, zeroes the io counters, and forgets the resolved
+// backend so the next use re-reads FSUP_IO_BACKEND (pt_reinit relies on this). The per-fd
+// "not a socket" hints stay: a stale one is safe, and clearing them would touch the whole
+// table.
 void ResetForTesting();
 
 }  // namespace fsup::io

@@ -15,6 +15,7 @@
 #include "src/signals/fake_call.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 namespace fsup::kernel {
@@ -39,7 +40,7 @@ void SwitchTo(Tcb* next) {
   next->state = ThreadState::kRunning;
   next->block_reason = BlockReason::kNone;
   ++next->switches_in;
-  ++k.ctx_switches;
+  counters::Bump(counters::kKernelCtxSwitches);
   k.current = next;
 
   StackPool::EnsureSignalHeadroom(next);
@@ -97,7 +98,7 @@ void IdleWait() {
 void DispatchKeepKernel() {
   KernelState& k = ks();
   FSUP_ASSERT(k.in_kernel != 0);
-  ++k.dispatches;
+  counters::Bump(counters::kKernelDispatches);
 
   for (;;) {
     k.dispatch_pending = 0;
@@ -125,7 +126,7 @@ void DispatchKeepKernel() {
         debug::obs::Emit(debug::obs::Event::kPreempt, cur, cur->id, 0);
         cur->state = ThreadState::kReady;
         k.ready.PushFront(cur);  // preempted: head of its level, it did not consume its turn
-        ++k.preemptions;
+        counters::Bump(counters::kKernelPreemptions);
         next = k.ready.PopHighest();
       } else {
         return;  // keep running

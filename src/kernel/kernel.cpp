@@ -21,6 +21,7 @@
 #include "src/signals/sigmodel.hpp"
 #include "src/sync/fastpath.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/log.hpp"
 
 namespace fsup::kernel {
@@ -125,6 +126,8 @@ void ReinitForTesting() {
 
   k.~KernelState();
   new (&k) KernelState();
+  counters::ResetGroup("kernel");
+  counters::ResetGroup("pool");
   main_tcb->~Tcb();
 
   EnsureInit();

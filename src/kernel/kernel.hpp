@@ -24,6 +24,7 @@
 #include "src/kernel/tcb.hpp"
 #include "src/kernel/timer_heap.hpp"
 #include "src/kernel/types.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/intrusive_list.hpp"
 #include "src/util/rng.hpp"
 
@@ -89,13 +90,8 @@ struct KernelState {
 
   bool initialized = false;
 
-  // -- statistics (observability for tests and benches) -----------------------------------
-  uint64_t ctx_switches = 0;
-  uint64_t dispatches = 0;
-  uint64_t preemptions = 0;
-  uint64_t deferred_signals = 0;
-  uint64_t forced_switches = 0;  // context switches forced by a perverted policy
-  uint64_t kernel_entries = 0;
+  // The kernel's statistics are the "kernel" group of the counter registry
+  // (util/counters.hpp).
 };
 
 namespace kernel {
@@ -138,7 +134,7 @@ inline void Enter() {
   // monitor "works" until Exit dispatches over a null current thread.
   FSUP_ASSERT(k.initialized);
   k.in_kernel = 1;
-  ++k.kernel_entries;
+  counters::Bump(counters::kKernelEntries);
 }
 
 // Leaves the monitor, invoking the dispatcher if the dispatcher flag was set, a signal was

@@ -6,6 +6,7 @@
 #include "src/debug/obs.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup {
 
@@ -54,9 +55,9 @@ bool StackPool::MapFresh(size_t usable, Stack* out) {
   if (base == nullptr) {
     return false;
   }
-  ++stack_maps_;
+  counters::Bump(counters::kPoolMaps);
   if (const int cls = ClassIndex(mapped); cls >= 0) {
-    ++class_stats_[cls].misses;
+    counters::Bump(counters::PoolClass(cls, counters::kPoolClass0Misses));
   }
   out->base = static_cast<char*>(base);
   out->mapped = mapped;
@@ -99,7 +100,6 @@ bool StackPool::TakePooledStack(int cls, Stack* out) {
   FreeStack* fs = free_heads_[cls];
   free_heads_[cls] = fs->next;
   --free_count_;
-  ++stack_reuses_;
   out->mapped = fs->mapping->mapped_size;
   out->commit_lo = fs->commit_lo;
   out->mapping = fs->mapping;
@@ -121,8 +121,7 @@ void StackPool::EvictOverBudget() {
       --cls;
       continue;
     }
-    --stack_reuses_;  // eviction is not a reuse
-    ++class_stats_[cls].evictions;
+    counters::Bump(counters::PoolClass(cls, counters::kPoolClass0Evictions));
     Unmap(s);
   }
 }
@@ -147,12 +146,12 @@ bool StackPool::AttachStack(Tcb* t, size_t stack_size) {
   if (!recycled && !MapFresh(usable, &s)) {
     recycled = TakePooledStack(cls, &s);
     if (!recycled) {
-      ++alloc_failures_;
+      counters::Bump(counters::kPoolAllocFailures);
       return false;
     }
   }
   if (recycled) {
-    ++class_stats_[cls].hits;
+    counters::Bump(counters::PoolClass(cls, counters::kPoolClass0Hits));
   }
   t->stack_base = s.base;
   t->stack_size = s.mapped;
@@ -255,7 +254,7 @@ StackFaultInfo StackPool::ClassifyStackFault(const void* addr, Tcb* current) {
       return {StackFaultInfo::Kind::kOverflow, current};
     }
     if (CommitFaultOnThread(addr, current)) {
-      ++lazy_commits_;
+      counters::Bump(counters::kPoolLazyCommits);
       return {StackFaultInfo::Kind::kCommitted, current};
     }
   }
@@ -278,7 +277,7 @@ StackFaultInfo StackPool::ClassifyStackFault(const void* addr, Tcb* current) {
     --it;
     Tcb* owner = it->second.owner;
     if (p < it->first + it->second.mapped_size && CommitFaultOnThread(addr, owner)) {
-      ++lazy_commits_;
+      counters::Bump(counters::kPoolLazyCommits);
       return {StackFaultInfo::Kind::kCommitted, owner};
     }
   }

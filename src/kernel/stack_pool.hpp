@@ -24,6 +24,7 @@
 #include <map>
 
 #include "src/kernel/tcb.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/fixed_pool.hpp"
 
 namespace fsup {
@@ -98,23 +99,14 @@ class StackPool {
   // usable base is `stack_base`.
   static bool AddrInGuard(const void* addr, const Tcb* t);
 
+  // The pool's traffic — fresh maps, per-class reuses (hits), maps (misses) and evictions,
+  // lazy commits — is counted in the "pool" group of util/counters.hpp, one set for every
+  // StackPool instance.
   size_t pooled_stacks() const { return free_count_; }
   size_t pooled_bytes() const { return free_bytes_; }
   size_t pool_budget_bytes() const { return budget_bytes_; }
-  uint64_t stack_reuses() const { return stack_reuses_; }
-  uint64_t stack_maps() const { return stack_maps_; }
-  uint64_t alloc_failures() const { return alloc_failures_; }
-  uint64_t lazy_commits() const { return lazy_commits_; }
   // Stack mappings in the registry: stacks in use plus parked ones.
   size_t registered_stacks() const { return mappings_.size(); }
-
-  // Per-size-class traffic: free-list reuses (hits), fresh maps (misses), budget evictions.
-  struct ClassStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  ClassStats class_stats(int cls) const { return class_stats_[cls]; }
 
   // Reserved bytes currently mapped (stacks in use + free lists) and the high-water mark of
   // that sum over the pool's lifetime.
@@ -126,6 +118,8 @@ class StackPool {
   // the free lists and is mapped/unmapped directly.
   static constexpr size_t kMaxPooledStackSize = 8u << 20;
   static constexpr int kNumClasses = 10;  // kMinStackSize .. kMaxPooledStackSize, pow2 steps
+  static_assert(counters::kPoolClass9Hits - counters::kPoolClass0Hits == 3 * (kNumClasses - 1),
+                "the registry's pool group lists one hits/misses/evictions triple per class");
   static int ClassIndex(size_t usable_size);
 
  private:
@@ -159,11 +153,6 @@ class StackPool {
   size_t free_bytes_ = 0;    // mapped (reserved) bytes across all free lists
   size_t budget_bytes_;      // eviction is largest-first
   size_t precache_target_;
-  uint64_t stack_reuses_ = 0;
-  uint64_t stack_maps_ = 0;
-  uint64_t alloc_failures_ = 0;  // AttachStack exhausted both mmap and the freelist
-  uint64_t lazy_commits_ = 0;    // demand-commit faults resolved by the SIGSEGV handler
-  ClassStats class_stats_[kNumClasses] = {};
   size_t live_bytes_ = 0;        // mapped (reserved) bytes across stacks in use
   size_t mapped_hw_bytes_ = 0;   // high-water of live_bytes_ + free_bytes_
 

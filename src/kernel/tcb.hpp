@@ -64,14 +64,15 @@ struct CleanupNode {
 // mutation happens under the kernel monitor.
 struct TcbMetrics {
   // Mutex holds the metrics consumer is timing (lock event -> matching unlock event), keyed by
-  // mutex tag. Two limits, both costing hold samples, never wait samples or counts: a hold
-  // opened while all kHeldSlots slots are busy is not sampled, and since record/replay start
-  // rewinds the tag counter, a mutex created after that can share a tag with an older one —
-  // holding both at once reads as one recursive hold.
+  // mutex tag and tag generation: record/replay start rewinds the tag counter, so a mutex
+  // created after that can share its tag with an older one, never its generation too. A hold
+  // opened while all kHeldSlots slots are busy is not sampled (a lost hold sample, never a
+  // lost wait sample or count).
   static constexpr int kHeldSlots = 4;
   struct Held {
     uint32_t tag = 0;    // mutex tag, 0 = free slot
-    uint32_t depth = 0;  // recursive re-acquisitions on top of the first
+    uint16_t gen = 0;    // the mutex's tag generation
+    uint16_t depth = 0;  // recursive re-acquisitions on top of the first
     int64_t since_ns = 0;
   };
 

@@ -4,6 +4,7 @@
 #include "src/kernel/kernel.hpp"
 #include "src/sync/fastpath.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup::sched {
 namespace {
@@ -17,7 +18,7 @@ void DemoteCurrent(KernelState& k) {
   self->state = ThreadState::kReady;
   k.ready.PushBackLowestLevel(self);
   k.dispatch_pending = 1;
-  ++k.forced_switches;
+  counters::Bump(counters::kKernelForcedSwitches);
 }
 
 }  // namespace
@@ -69,7 +70,7 @@ void PervertedOnMutexLock() {
   self->state = ThreadState::kReady;
   k.ready.PushBack(self);
   k.dispatch_pending = 1;
-  ++k.forced_switches;
+  counters::Bump(counters::kKernelForcedSwitches);
 }
 
 bool ForceSwitchNow() {

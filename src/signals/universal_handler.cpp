@@ -30,6 +30,7 @@
 #include "src/signals/fake_call.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/log.hpp"
 
 namespace fsup::sig {
@@ -80,14 +81,14 @@ void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
     // Defer: log the signal; the dispatcher replays it (Figure 2).
     k.sigs_caught_in_kernel.fetch_or(SigBit(signo), std::memory_order_relaxed);
     k.dispatch_pending = 1;
-    ++k.deferred_signals;
+    counters::Bump(counters::kKernelDeferredSignals);
     return;
   }
 
   const int saved_errno = errno;
 
   k.in_kernel = 1;
-  ++k.kernel_entries;
+  counters::Bump(counters::kKernelEntries);
   Tcb* self = k.current;
   self->interrupted_by_signal = true;
 

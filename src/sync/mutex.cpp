@@ -78,7 +78,7 @@ int OnAcquired(Mutex* m, Tcb* self) {
       break;
     }
   }
-  debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag);
+  debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag, m->tag_gen);
   return 0;
 }
 
@@ -102,6 +102,7 @@ int MutexInit(Mutex* m, const MutexAttr* attr) {
       a.protocol == MutexProtocol::kNone && a.type == MutexType::kNormal ? 1 : 0;
   m->ceiling = static_cast<int16_t>(a.ceiling);
   m->tag = NextSyncTag();
+  m->tag_gen = SyncTagGeneration();
   return 0;
 }
 
@@ -175,7 +176,7 @@ int LockInKernel(Mutex* m, Tcb* self) {
   if (m->owner == self) {
     if (m->type == MutexType::kRecursive) {
       ++m->recursion;
-      debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag);
+      debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag, m->tag_gen);
       return 0;
     }
     return EDEADLK;
@@ -216,10 +217,10 @@ void UnlockInKernel(Mutex* m, Tcb* self) {
     // A recursive re-entry being balanced: the mutex stays held, so no protocol restore, no
     // hold-interval close, no handoff.
     --m->recursion;
-    debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag);
+    debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag, m->tag_gen);
     return;
   }
-  debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag);
+  debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag, m->tag_gen);
 
   // Protocol: lower the priority on unlock.
   switch (m->proto) {
@@ -325,7 +326,7 @@ int MutexTrylock(Mutex* m) {
   if (m->owner == self) {
     FSUP_ASSERT(m->type == MutexType::kRecursive);
     ++m->recursion;
-    debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag);
+    debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag, m->tag_gen);
     rc = 0;
   } else if (m->owner != nullptr) {
     rc = EBUSY;

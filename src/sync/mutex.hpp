@@ -46,7 +46,8 @@ struct Mutex {
   // changes afterwards): the hot path tests one byte instead of re-deriving two enums.
   uint8_t fast_ok = 1;
   int16_t ceiling = kMaxPrio;
-  uint32_t tag = 0;  // trace identifier
+  uint16_t tag_gen = 0;  // tag generation (sync/tag.hpp): tells apart mutexes sharing a tag
+  uint32_t tag = 0;      // trace identifier
 
   // THE lock word: nullptr = unlocked, else the owning thread. Fast-path acquires store it
   // with a restartable sequence; fast-path releases clear it inside a restartable

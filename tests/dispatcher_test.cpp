@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "src/core/bench_probes.hpp"
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
@@ -58,11 +57,11 @@ TEST_F(DispatcherTest, TwoSigprocmasksPerExternalSignal) {
   handled = 0;
   auto handler = +[](int) { ++handled; };
   ASSERT_EQ(0, pt_sigaction(SIGUSR1, handler, 0));
-  probe::ResetHostCallCounts();
+  hostos::ResetCallCounts();
   ::kill(::getpid(), SIGUSR1);
   EXPECT_EQ(1, handled);
-  EXPECT_LE(probe::SigprocmaskCount(), 2u);
-  EXPECT_GE(probe::SigprocmaskCount(), 1u);
+  EXPECT_LE(hostos::CallCount(hostos::Call::kSigprocmask), 2u);
+  EXPECT_GE(hostos::CallCount(hostos::Call::kSigprocmask), 1u);
 }
 
 TEST_F(DispatcherTest, ExternalSignalPreemptsForHigherPriorityThread) {

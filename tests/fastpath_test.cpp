@@ -40,7 +40,7 @@ class FastpathTest : public ::testing::Test {
     sync::fastpath::InitFromEnv();  // back to whatever the environment asked for
   }
 
-  static uint64_t KernelEntries() { return kernel::ks().kernel_entries; }
+  static uint64_t KernelEntries() { return counters::Get(counters::kKernelEntries); }
 };
 
 // -- the zero-kernel-entry claims --------------------------------------------------------
@@ -393,11 +393,11 @@ TEST_F(FastpathModeTest, KillSwitchForcesEveryOperationIntoTheKernel) {
   ASSERT_EQ(0, pt_mutex_init(&m));
   pt_cond_t c;
   ASSERT_EQ(0, pt_cond_init(&c));
-  const uint64_t before = kernel::ks().kernel_entries;
+  const uint64_t before = counters::Get(counters::kKernelEntries);
   EXPECT_EQ(0, pt_mutex_lock(&m));
   EXPECT_EQ(0, pt_mutex_unlock(&m));
   EXPECT_EQ(0, pt_cond_signal(&c));  // no waiters, but the bypass is off too
-  EXPECT_GE(kernel::ks().kernel_entries, before + 3);
+  EXPECT_GE(counters::Get(counters::kKernelEntries), before + 3);
   pt_cond_destroy(&c);
   pt_mutex_destroy(&m);
 }

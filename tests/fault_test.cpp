@@ -15,6 +15,7 @@
 #include "src/core/pthread.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 namespace fsup {
@@ -72,7 +73,7 @@ TEST_F(FaultTest, MmapExhaustionDegradesCreateToEagainWithoutLeaks) {
   big.stack_size = kDefaultStackSize * 2;
   EXPECT_EQ(EAGAIN, pt_create(&t, &big, body, nullptr));
   EXPECT_EQ(1u, fault::InjectedCount(Call::kMmap));
-  EXPECT_EQ(1u, probe::StackPoolAllocFailures());
+  EXPECT_EQ(1u, counters::Get(counters::kPoolAllocFailures));
 
   // No pool entry leaked: same mapped-stack count, same freelist population, no thread born.
   EXPECT_EQ(maps_before, probe::StackPoolMaps());

@@ -145,13 +145,13 @@ TEST_F(IoRegressTest, CancelStormFiresNoStaleSigalrmTicks) {
     ASSERT_EQ(0, pt_join(t, nullptr));
     ASSERT_EQ(0, g_sw_rc);
   }
-  const uint64_t ticks_after_storm = pt_metrics_snapshot().timer_ticks;
+  const uint64_t ticks_after_storm = pt_metrics_snapshot().block[counters::kMetricsTimerTicks];
 
   // Sit past every cancelled deadline. With the interval timer correctly disarmed nothing
   // fires; the seed's leftover programming delivered a stale SIGALRM right about now.
   ::usleep(150'000);
   pt_yield();
-  EXPECT_EQ(ticks_after_storm, pt_metrics_snapshot().timer_ticks);
+  EXPECT_EQ(ticks_after_storm, pt_metrics_snapshot().block[counters::kMetricsTimerTicks]);
   pt_metrics_enable(false);
 }
 

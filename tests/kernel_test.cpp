@@ -134,10 +134,10 @@ TEST_F(KernelTest, StackPoolGuardPageBelowStack) {
 
 TEST_F(KernelTest, StackPoolOddSizesBypassPool) {
   StackPool pool(2);
-  const uint64_t maps_before = pool.stack_maps();
+  const uint64_t maps_before = counters::Get(counters::kPoolMaps);
   Tcb* t = pool.Allocate(kDefaultStackSize * 4);
   ASSERT_NE(nullptr, t);
-  EXPECT_EQ(maps_before + 1, pool.stack_maps());
+  EXPECT_EQ(maps_before + 1, counters::Get(counters::kPoolMaps));
   EXPECT_GE(t->stack_size, kDefaultStackSize * 4);
   pool.Free(t);
 }
@@ -162,10 +162,10 @@ TEST_F(KernelTest, UnixKernelProbeWorks) {
 }
 
 TEST_F(KernelTest, HostCallCountersAdvance) {
-  probe::ResetHostCallCounts();
+  hostos::ResetCallCounts();
   sigset_t cur;
   hostos::Sigprocmask(SIG_BLOCK, nullptr, &cur);
-  EXPECT_EQ(1u, probe::SigprocmaskCount());
+  EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kSigprocmask));
 }
 
 TEST_F(KernelTest, ReinitResetsState) {

@@ -1,6 +1,7 @@
 // Per-thread metrics: counters, time-in-state accounting, latency histograms, the snapshot
 // and dump APIs, the trace-ring snapshot consistency guarantees, and DumpThreads under load.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +15,7 @@
 #include "src/core/pthread.hpp"
 #include "src/debug/profiler.hpp"
 #include "src/debug/replay.hpp"
+#include "src/debug/stats_shm.hpp"
 #include "src/debug/trace.hpp"
 
 namespace fsup {
@@ -94,7 +96,7 @@ TEST_F(MetricsTest, DisabledByDefaultAndKernelTotalsStillLive) {
   pt_yield();
   const MetricsSnapshot s = pt_metrics_snapshot();
   EXPECT_FALSE(s.enabled);
-  EXPECT_GT(s.kernel_entries, 0u);
+  EXPECT_GT(s.block[counters::kKernelEntries], 0u);
   EXPECT_EQ(0u, s.mutex_wait.count);
   EXPECT_EQ(0, s.mutex_wait.PercentileNs(50));
 }
@@ -139,7 +141,7 @@ TEST_F(MetricsTest, VoluntarySwitchesCountedOnYield) {
   }
   ASSERT_EQ(0, pt_join(t, nullptr));
   const MetricsSnapshot s = pt_metrics_snapshot();
-  EXPECT_GT(s.voluntary_switches, 0u);
+  EXPECT_GT(s.block[counters::kMetricsVoluntarySwitches], 0u);
   const ThreadSnap* main_snap = FindSnap(s, pt_id(pt_self()));
   ASSERT_NE(nullptr, main_snap);
   EXPECT_GT(main_snap->voluntary, 0u);
@@ -262,6 +264,29 @@ TEST_F(MetricsTest, RecursiveHoldIsOneSample) {
   pt_mutex_destroy(&m);
 }
 
+// A replay-session start rewinds the tag counter, so a mutex created after it can share its
+// tag with an older one. Holding both is two holds, not one recursive hold.
+TEST_F(MetricsTest, MutexesSharingATagAcrossATagRewindAreTwoHolds) {
+  pt_mutex_t old_m;
+  pt_mutex_t new_m;
+  debug::replay::StartRecording();  // rewinds the tags
+  ASSERT_EQ(0, pt_mutex_init(&old_m));
+  debug::replay::StopRecording();
+  debug::replay::StartRecording();  // rewinds them again
+  ASSERT_EQ(0, pt_mutex_init(&new_m));
+  debug::replay::StopRecording();
+  ASSERT_EQ(old_m.tag, new_m.tag);
+
+  pt_metrics_enable(true);
+  ASSERT_EQ(0, pt_mutex_lock(&old_m));
+  ASSERT_EQ(0, pt_mutex_lock(&new_m));
+  ASSERT_EQ(0, pt_mutex_unlock(&new_m));
+  ASSERT_EQ(0, pt_mutex_unlock(&old_m));
+  EXPECT_EQ(2u, pt_metrics_snapshot().mutex_hold.count);
+  pt_mutex_destroy(&old_m);
+  pt_mutex_destroy(&new_m);
+}
+
 TEST_F(MetricsTest, NestedHoldsEachSampledUpToTheSlotCap) {
   constexpr int kSlots = TcbMetrics::kHeldSlots;
   pt_mutex_t m[kSlots + 1];
@@ -359,7 +384,7 @@ TEST_F(MetricsTest, DumpTextWritesReport) {
   }
   ::close(fds[0]);
   EXPECT_NE(std::string::npos, out.find("fsup metrics"));
-  EXPECT_NE(std::string::npos, out.find("ctx_switches"));
+  EXPECT_NE(std::string::npos, out.find("kernel.kernel_entries="));
   EXPECT_NE(std::string::npos, out.find("p50"));
   EXPECT_NE(std::string::npos, out.find("main"));  // the main thread's row
 }
@@ -503,7 +528,7 @@ TEST_F(MetricsTest, SignalDeliveriesCounted) {
   ASSERT_EQ(0, pt_sigaction(SIGUSR1, nullptr, 0));
   EXPECT_EQ(5, g_handler_hits);
   const MetricsSnapshot s = pt_metrics_snapshot();
-  EXPECT_GE(s.signals_delivered, 5u);
+  EXPECT_GE(s.block[counters::kMetricsSignalsDelivered], 5u);
   const ThreadSnap* main_snap = FindSnap(s, pt_id(pt_self()));
   ASSERT_NE(nullptr, main_snap);
   EXPECT_GE(main_snap->signals_taken, 5u);
@@ -607,7 +632,10 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
 
   // Everything on while main is the only thread, so no event falls between the enables.
   // Under a recording session the profiler samples from the timer tick and runs no collector
-  // thread: the run has no asynchronous events at all.
+  // thread: the run has no asynchronous events at all, and the stats segment is published
+  // only when the test asks.
+  const std::string shm = ::testing::TempDir() + "observers_agree.shm";
+  ASSERT_EQ(0, ::setenv("FSUP_STATS_SHM", shm.c_str(), 1));
   const MetricsSnapshot before = pt_metrics_snapshot();
   debug::trace::Enable(true);
   pt_metrics_enable(true);
@@ -627,8 +655,14 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
 
   // The cut: every worker is parked on `release` (a cond wait — no thread is blocked on a
   // mutex) and main reads each observer without blocking, so all of them describe the same
-  // prefix of the event stream.
+  // prefix of the event stream. The stats segment is published first.
+  debug::profiler::Collect();
   const MetricsSnapshot s = pt_metrics_snapshot();
+  debug::StatsShm frame{};
+  const int shm_fd = ::open(shm.c_str(), O_RDONLY);
+  ASSERT_GE(shm_fd, 0);
+  ASSERT_EQ(static_cast<ssize_t>(sizeof(frame)), ::read(shm_fd, &frame, sizeof(frame)));
+  ::close(shm_fd);
   const std::vector<debug::trace::Record> recs = debug::trace::SnapshotAll();
   const uint64_t offcpu = debug::profiler::OffCpuSampleCount() - offcpu_before;
 
@@ -642,6 +676,8 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
   debug::replay::StopRecording();
   pt_metrics_enable(false);
   debug::trace::Enable(false);
+  ::unsetenv("FSUP_STATS_SHM");
+  std::remove(shm.c_str());
 
   ASSERT_LT(recs.size(), debug::trace::Capacity()) << "ring wrapped: counts incomplete";
   uint64_t switches = 0, mutex_blocks = 0, wakes = 0;
@@ -655,7 +691,7 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
   }
   uint64_t thread_blocks = 0;
   int64_t thread_wait_ns = 0;
-  ASSERT_EQ(static_cast<uint64_t>(s.thread_count), s.live_threads);
+  ASSERT_EQ(static_cast<uint64_t>(s.thread_count), s.block[counters::kThreadsLive]);
   for (uint32_t i = 0; i < s.thread_count; ++i) {
     thread_blocks += s.threads[i].mutex_blocks;
     thread_wait_ns += s.threads[i].mutex_wait_ns;
@@ -664,12 +700,48 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
   ASSERT_GT(switches, 0u);
   ASSERT_GT(mutex_blocks, 0u);
   ASSERT_GT(wakes, 0u);
-  EXPECT_EQ(switches, s.voluntary_switches + s.preempted_switches);
-  EXPECT_EQ(switches, s.ctx_switches - before.ctx_switches);
+  EXPECT_EQ(switches, s.block[counters::kMetricsVoluntarySwitches] +
+                          s.block[counters::kMetricsPreemptedSwitches]);
+  EXPECT_EQ(switches,
+            s.block[counters::kKernelCtxSwitches] - before.block[counters::kKernelCtxSwitches]);
   EXPECT_EQ(mutex_blocks, s.mutex_wait.count);
   EXPECT_EQ(mutex_blocks, thread_blocks);
   EXPECT_EQ(wakes, offcpu);
   EXPECT_EQ(thread_wait_ns, s.mutex_wait.sum_ns);
+
+  // fsup_top's frame and the snapshot carry the same block: they differ only by the kernel
+  // entry the snapshot made itself.
+  for (int c = 0; c < counters::kCount; ++c) {
+    const uint64_t own = c == counters::kKernelEntries ? 1 : 0;
+    EXPECT_EQ(frame.block.counters[c] + own, s.block.counters[c]) << counters::kNames[c];
+  }
+  for (int g = 0; g < counters::kGaugeCount; ++g) {
+    EXPECT_EQ(frame.block.gauges[g], s.block.gauges[g]) << counters::kGaugeNames[g];
+  }
+}
+
+// Every slot has one unique dotted name, and the stats segment carries the whole block.
+TEST(CounterRegistryTest, EverySlotHasOneUniqueDottedName) {
+  std::vector<std::string> names;
+  for (int c = 0; c < counters::kCount; ++c) {
+    names.emplace_back(counters::kNames[c]);
+  }
+  for (int g = 0; g < counters::kGaugeCount; ++g) {
+    names.emplace_back(counters::kGaugeNames[g]);
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    const std::string& n = names[i];
+    const size_t dot = n.find('.');
+    EXPECT_TRUE(dot != std::string::npos && dot > 0 && dot + 1 < n.size()) << n;
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_NE(names[j], n);
+    }
+  }
+  const debug::StatsShm layout{};
+  EXPECT_EQ(static_cast<size_t>(counters::kCount),
+            sizeof(layout.block.counters) / sizeof(layout.block.counters[0]));
+  EXPECT_EQ(static_cast<size_t>(counters::kGaugeCount),
+            sizeof(layout.block.gauges) / sizeof(layout.block.gauges[0]));
 }
 
 }  // namespace

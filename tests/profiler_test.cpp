@@ -25,6 +25,7 @@
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
+#include "src/kernel/stack_pool.hpp"
 
 namespace fsup {
 namespace {
@@ -302,7 +303,7 @@ TEST_F(ProfilerTest, SamplingSurvivesLazyStackGrowth) {
   debug::trace::Enable(true);
   ASSERT_EQ(0, pt_profile_start(2000));
 
-  const uint64_t commits_before = pt_metrics_snapshot().lazy_commits;
+  const uint64_t commits_before = pt_metrics_snapshot().block[counters::kPoolLazyCommits];
   ThreadAttr attr;
   attr.stack_size = 512 * 1024;  // big enough that most of it starts uncommitted
   attr.name = "deep";
@@ -316,7 +317,7 @@ TEST_F(ProfilerTest, SamplingSurvivesLazyStackGrowth) {
   // happened (lazy_commits advanced, kStackCommit records logged) and nothing recursed
   // into the fault handler (we are alive and the samples kept flowing).
   const auto snap = pt_metrics_snapshot();
-  EXPECT_GT(snap.lazy_commits, commits_before);
+  EXPECT_GT(snap.block[counters::kPoolLazyCommits], commits_before);
   EXPECT_GT(pt_profile_samples(), 0u);
 
   std::vector<debug::trace::Record> recs(debug::trace::Capacity());
@@ -416,8 +417,8 @@ TEST_F(ProfilerTest, StatsShmPublishesConsistentFrames) {
   EXPECT_EQ(debug::kStatsShmMagic, copy.magic);
   EXPECT_EQ(debug::kStatsShmVersion, copy.version);
   EXPECT_EQ(::getpid(), copy.pid);
-  EXPECT_GE(copy.live_threads, 2u);  // main + burner (+ collector)
-  EXPECT_EQ(997u, copy.sample_hz);
+  EXPECT_GE(copy.block[counters::kThreadsLive], 2u);  // main + burner (+ collector)
+  EXPECT_EQ(997u, copy.block[counters::kProfilerHz]);
   EXPECT_GT(copy.updated_ns, 0);
   ::munmap(mem, debug::kStatsShmSize);
 
@@ -457,8 +458,8 @@ TEST_F(ProfilerTest, FsupTopOnceRendersLiveStats) {
   const int rc = ::pclose(pipe);
   EXPECT_EQ(0, rc) << out;
   EXPECT_NE(std::string::npos, out.find("fsup_top")) << out;
-  EXPECT_NE(std::string::npos, out.find("threads:")) << out;
-  EXPECT_NE(std::string::npos, out.find("pool:")) << out;
+  EXPECT_NE(std::string::npos, out.find("threads.live=")) << out;
+  EXPECT_NE(std::string::npos, out.find("pool.mapped_bytes=")) << out;
 
   ASSERT_EQ(0, pt_profile_stop());
 }
@@ -536,8 +537,8 @@ TEST_F(ProfilerTest, CappedDumpsReportElidedThreads) {
   }
   EXPECT_EQ(3u, rows) << err;
   EXPECT_NE(std::string::npos, err.find("more threads")) << err;
-  EXPECT_NE(std::string::npos, err.find("pool mapped_kb=")) << err;
-  EXPECT_NE(std::string::npos, err.find("io[")) << err;
+  EXPECT_NE(std::string::npos, err.find("pool.mapped_bytes=")) << err;
+  EXPECT_NE(std::string::npos, err.find("io.epoll=")) << err;
 
   // Capped metrics dump to a file fd.
   const std::string dump_path = base_ + ".metrics";
@@ -552,17 +553,18 @@ TEST_F(ProfilerTest, CappedDumpsReportElidedThreads) {
   ASSERT_GT(got, 0);
   text.resize(static_cast<size_t>(got));
   EXPECT_NE(std::string::npos, text.find("more threads")) << text;
-  EXPECT_NE(std::string::npos, text.find("pool mapped=")) << text;
+  EXPECT_NE(std::string::npos, text.find("pool.mapped_bytes=")) << text;
 
   // Pool/io stats surfaced through the snapshot (satellite: per-class stats + io extras).
   const auto snap = pt_metrics_snapshot();
-  EXPECT_GT(snap.live_threads, static_cast<uint64_t>(kParked));
-  EXPECT_GT(snap.pool_mapped_bytes, 0u);
-  EXPECT_GE(snap.pool_mapped_hw_bytes, snap.pool_mapped_bytes);
-  EXPECT_GT(snap.stack_maps, 0u);
+  EXPECT_GT(snap.block[counters::kThreadsLive], static_cast<uint64_t>(kParked));
+  EXPECT_GT(snap.block[counters::kPoolMappedBytes], 0u);
+  EXPECT_GE(snap.block[counters::kPoolMappedHwBytes], snap.block[counters::kPoolMappedBytes]);
+  EXPECT_GT(snap.block[counters::kPoolMaps], 0u);
   uint64_t class_traffic = 0;
-  for (const auto& c : snap.pool_classes) {
-    class_traffic += c.hits + c.misses;
+  for (int c = 0; c < StackPool::kNumClasses; ++c) {
+    class_traffic += snap.block[counters::PoolClass(c, counters::kPoolClass0Hits)] +
+                     snap.block[counters::PoolClass(c, counters::kPoolClass0Misses)];
   }
   EXPECT_GT(class_traffic, 0u) << "no size class saw any allocation";
 

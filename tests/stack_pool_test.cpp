@@ -11,6 +11,7 @@
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/stack_pool.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup {
 namespace {
@@ -48,15 +49,16 @@ TEST_F(StackPoolTest, PerClassRecyclingReturnsTheSameMapping) {
   EXPECT_EQ(kMinStackSize * 5, pool.pooled_bytes());
 
   // Each request is served from its own class: no cross-class mixups, no fresh maps.
-  const uint64_t maps = pool.stack_maps();
+  const uint64_t maps = counters::Get(counters::kPoolMaps);
+  const uint64_t reuses = probe::StackPoolReuses();
   Tcb* big2 = pool.Allocate(kMinStackSize * 4);
   Tcb* small2 = pool.Allocate(kMinStackSize);
   ASSERT_NE(nullptr, big2);
   ASSERT_NE(nullptr, small2);
   EXPECT_EQ(big_base, big2->stack_base);
   EXPECT_EQ(small_base, small2->stack_base);
-  EXPECT_EQ(maps, pool.stack_maps());
-  EXPECT_EQ(2u, pool.stack_reuses());
+  EXPECT_EQ(maps, counters::Get(counters::kPoolMaps));
+  EXPECT_EQ(reuses + 2, probe::StackPoolReuses());
   pool.Free(big2);
   pool.Free(small2);
 }
@@ -108,6 +110,7 @@ TEST_F(StackPoolTest, TcbSlotsComeFromTheSlabFreeList) {
 }
 
 TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
+  const uint64_t commits = counters::Get(counters::kPoolLazyCommits);
   StackPool pool(0);
   Tcb* t1 = pool.Allocate(kDefaultStackSize);
   Tcb* t2 = pool.Allocate(kDefaultStackSize);
@@ -122,7 +125,7 @@ TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
   EXPECT_EQ(StackFaultInfo::Kind::kCommitted, r.kind);
   EXPECT_EQ(t2, r.thread);
   EXPECT_EQ(base2, t2->stack_commit_lo);
-  EXPECT_EQ(1u, pool.lazy_commits());
+  EXPECT_EQ(commits + 1, counters::Get(counters::kPoolLazyCommits));
 
   // The same address again is a real fault now (committed pages don't re-fault) — it must
   // not be swallowed as demand paging.
@@ -174,6 +177,7 @@ TEST_F(StackPoolTest, FaultsOnARecycledStackNameTheCurrentTenant) {
 }
 
 TEST_F(StackPoolTest, ParkedStackStaysRegisteredButOwnsNoFaults) {
+  const uint64_t commits = counters::Get(counters::kPoolLazyCommits);
   StackPool pool(0);
   Tcb* t = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, t);
@@ -186,7 +190,7 @@ TEST_F(StackPoolTest, ParkedStackStaysRegisteredButOwnsNoFaults) {
   EXPECT_EQ(1u, pool.registered_stacks());
   EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base + 64, nullptr).kind);
   EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base - 1, nullptr).kind);
-  EXPECT_EQ(0u, pool.lazy_commits());
+  EXPECT_EQ(commits, counters::Get(counters::kPoolLazyCommits));
 }
 
 TEST_F(StackPoolTest, EvictedStackLeavesTheRegistry) {

@@ -94,37 +94,23 @@ void PrintStacks(const char* title, const StatsShmStack* rows, bool offcpu) {
   }
 }
 
-void Render(const StatsShm& s, const StatsShm* prev, int64_t interval_ns) {
+void RenderFrame(const StatsShm& s, const StatsShm* prev, int64_t interval_ns) {
   const int64_t age_ns = MonotonicNowNs() - s.updated_ns;
   std::printf("fsup_top — pid %d%s\n", s.pid,
               age_ns > 2000000000 ? "  [STALE: no publish in >2s]" : "");
-  std::printf("threads: live=%u ready=%u blocked=%u   sampler: %u Hz\n", s.live_threads,
-              s.ready_threads, s.blocked_threads, s.sample_hz);
-
-  auto rate = [&](uint64_t cur, uint64_t old) -> double {
-    if (prev == nullptr || interval_ns <= 0 || cur < old) {
-      return 0.0;
+  fsup::counters::Render(s.block, [](const char* text) { std::fputs(text, stdout); });
+  if (prev != nullptr && interval_ns > 0) {
+    std::printf("per second:");
+    for (int c = 0; c < fsup::counters::kCount; ++c) {
+      const uint64_t cur = s.block.counters[c];
+      const uint64_t old = prev->block.counters[c];
+      if (cur > old) {
+        std::printf(" %s=%.0f", fsup::counters::kNames[c],
+                    static_cast<double>(cur - old) * 1e9 / static_cast<double>(interval_ns));
+      }
     }
-    return static_cast<double>(cur - old) * 1e9 / static_cast<double>(interval_ns);
-  };
-  std::printf("kernel:  ctx_switches=%" PRIu64 " (%.0f/s) dispatches=%" PRIu64
-              " preemptions=%" PRIu64 " entries=%" PRIu64 " deferred_sigs=%" PRIu64 "\n",
-              s.ctx_switches, rate(s.ctx_switches, prev != nullptr ? prev->ctx_switches : 0),
-              s.dispatches, s.preemptions, s.kernel_entries, s.deferred_signals);
-  std::printf("profile: oncpu=%" PRIu64 " (%.0f/s) offcpu=%" PRIu64 " dropped=%" PRIu64
-              " blocked_total=%.1fms\n",
-              s.samples_oncpu, rate(s.samples_oncpu, prev != nullptr ? prev->samples_oncpu : 0),
-              s.samples_offcpu, s.samples_dropped,
-              static_cast<double>(s.offcpu_blocked_ns) / 1e6);
-  std::printf("pool:    mapped=%" PRIu64 "K (hw=%" PRIu64 "K) free=%" PRIu64 "K budget=%" PRIu64
-              "K reuses=%" PRIu64 " maps=%" PRIu64 " lazy_commits=%" PRIu64 "\n",
-              s.pool_mapped_bytes / 1024, s.pool_mapped_hw_bytes / 1024,
-              s.pool_free_bytes / 1024, s.pool_budget_bytes / 1024, s.stack_reuses,
-              s.stack_maps, s.lazy_commits);
-  std::printf("io[%s]:  waits=%" PRIu64 " wakeups=%" PRIu64 " cache_hits=%" PRIu64
-              " misses=%" PRIu64 " active_waiters=%d cached_fds=%d\n",
-              s.io_epoll_backend != 0 ? "epoll" : "poll", s.io_waits, s.io_wakeups,
-              s.io_cache_hits, s.io_cache_misses, s.io_active_waiters, s.io_cached_fds);
+    std::printf("\n");
+  }
   PrintStacks("hottest on-CPU stacks:", s.top_oncpu, false);
   PrintStacks("top blocked (off-CPU):", s.top_offcpu, true);
 }
@@ -205,7 +191,7 @@ int main(int argc, char** argv) {
     if (!once) {
       std::printf("\x1b[H\x1b[2J");  // home + clear: a top-style refresh
     }
-    Render(cur, have_prev ? &prev : nullptr, have_prev ? now - prev_read_ns : 0);
+    RenderFrame(cur, have_prev ? &prev : nullptr, have_prev ? now - prev_read_ns : 0);
     std::fflush(stdout);
     if (once) {
       break;
