@@ -1,39 +1,17 @@
 #include "src/debug/explore.hpp"
 
-#include <vector>
-
-#include "src/debug/replay.hpp"
-
 namespace fsup::debug::explore {
 namespace {
 
-// Runs the subject once under the currently-armed perturbation, recording so the fired
-// ordinals can be lifted out of the log afterwards. Returns true if the subject passed.
-bool RunOnce(TestFn fn, void* arg, Result* res, std::vector<uint64_t>* fired) {
-  replay::StartRecording();
-  const bool passed = fn(arg);
-  const size_t n = replay::StopRecording();
+bool RunWithPoints(const Runner& run, Result* res, std::vector<uint64_t> pts) {
   ++res->runs;
-  if (fired != nullptr) {
-    fired->clear();
-    std::vector<replay::LogRecord> log(n);
-    replay::CopyLog(log.data(), log.size());
-    for (const replay::LogRecord& r : log) {
-      if (r.kind == replay::Decision::kForced) {
-        fired->push_back(r.a);
-      }
-    }
-  }
-  return passed;
-}
-
-bool RunWithPoints(TestFn fn, void* arg, Result* res, const std::vector<uint64_t>& pts) {
-  replay::SetPerturbPoints(pts.data(), pts.size());
-  return RunOnce(fn, arg, res, nullptr);
+  Perturbation p;
+  p.points = std::move(pts);
+  return run(p, nullptr);
 }
 
 void Report(Result* res, const std::vector<uint64_t>& pts) {
-  res->npoints = pts.size() < kMaxPoints ? pts.size() : kMaxPoints;
+  res->npoints = pts.size() < sched::kMaxPoints ? pts.size() : sched::kMaxPoints;
   for (size_t i = 0; i < res->npoints; ++i) {
     res->points[i] = pts[i];
   }
@@ -41,8 +19,7 @@ void Report(Result* res, const std::vector<uint64_t>& pts) {
 
 // Minimizes a reproducing point set: singles first (a one-point repro is the common case for
 // a lost-update window and ends the search immediately), then greedy deletion.
-void Shrink(TestFn fn, void* arg, const Options& opt, Result* res,
-            std::vector<uint64_t> pts) {
+void Shrink(const Runner& run, const Options& opt, Result* res, std::vector<uint64_t> pts) {
   uint32_t budget = opt.max_shrink_runs;
   const uint32_t runs_before = res->runs;
 
@@ -52,7 +29,7 @@ void Shrink(TestFn fn, void* arg, const Options& opt, Result* res,
         break;
       }
       --budget;
-      if (!RunWithPoints(fn, arg, res, {p})) {
+      if (!RunWithPoints(run, res, {p})) {
         res->shrink_runs = res->runs - runs_before;
         Report(res, {p});
         return;
@@ -67,7 +44,7 @@ void Shrink(TestFn fn, void* arg, const Options& opt, Result* res,
     --budget;
     std::vector<uint64_t> without(pts);
     without.erase(without.begin() + static_cast<long>(i));
-    if (!RunWithPoints(fn, arg, res, without)) {
+    if (!RunWithPoints(run, res, without)) {
       pts = std::move(without);  // the deleted point was not needed; retry the same index
     } else {
       ++i;  // needed, keep it
@@ -80,45 +57,85 @@ void Shrink(TestFn fn, void* arg, const Options& opt, Result* res,
 
 }  // namespace
 
-Result Run(TestFn fn, void* arg, const Options& opt) {
+Result Run(const Runner& run, const Options& opt) {
   Result res;
-  std::vector<uint64_t> fired;
+
+  if (!RunWithPoints(run, &res, {})) {
+    res.failure_found = true;  // fails unperturbed: no schedule to blame, no points
+    res.reproducible = true;
+    return res;
+  }
 
   if (opt.systematic) {
     for (uint64_t ord = 0; ord < opt.window; ++ord) {
-      if (!RunWithPoints(fn, arg, &res, {ord})) {
+      if (!RunWithPoints(run, &res, {ord})) {
         res.failure_found = true;
         res.reproducible = true;
         Report(&res, {ord});  // a single forced switch is already minimal
-        replay::ClearPerturb();
         return res;
       }
     }
   }
 
   if (opt.random) {
+    std::vector<uint64_t> fired;
     for (uint32_t i = 0; i < opt.seeds; ++i) {
-      const uint64_t seed = opt.seed0 + i;
-      replay::SetPerturbRandom(seed, opt.permille);
-      if (RunOnce(fn, arg, &res, &fired)) {
+      Perturbation p;
+      p.random = true;
+      p.seed = opt.seed0 + i;
+      p.permille = opt.permille;
+      ++res.runs;
+      if (run(p, &fired)) {
         continue;
       }
       res.failure_found = true;
-      res.seed = seed;
+      res.seed = p.seed;
       // Re-verify as an explicit point set: firing is a pure function of (seed, ordinal), so
       // this reproduces unless the point list overflowed its capacity.
-      if (fired.size() <= kMaxPoints && !RunWithPoints(fn, arg, &res, fired)) {
+      if (!fired.empty() && fired.size() <= sched::kMaxPoints &&
+          !RunWithPoints(run, &res, fired)) {
         res.reproducible = true;
-        Shrink(fn, arg, opt, &res, fired);
+        Shrink(run, opt, &res, fired);
       } else {
         Report(&res, fired);  // unshrunk: rerun with the seed to reproduce
       }
-      replay::ClearPerturb();
       return res;
     }
   }
 
-  replay::ClearPerturb();
+  return res;
+}
+
+std::vector<uint64_t> FiredPoints(const replay::LogRecord* log, size_t n) {
+  std::vector<uint64_t> fired;
+  for (size_t i = 0; i < n; ++i) {
+    if (log[i].kind == replay::Decision::kForced) {
+      fired.push_back(log[i].a);
+    }
+  }
+  return fired;
+}
+
+Result Run(TestFn fn, void* arg, const Options& opt) {
+  const Result res = Run(
+      [fn, arg](const Perturbation& p, std::vector<uint64_t>* fired) {
+        if (p.random) {
+          sched::SetPerturbRandom(p.seed, p.permille);
+        } else {
+          sched::SetPerturbPoints(p.points.data(), p.points.size());
+        }
+        replay::StartRecording();
+        const bool passed = fn(arg);
+        const size_t n = replay::StopRecording();
+        if (fired != nullptr) {
+          std::vector<replay::LogRecord> log(n);
+          replay::CopyLog(log.data(), log.size());
+          *fired = FiredPoints(log.data(), log.size());
+        }
+        return passed;
+      },
+      opt);
+  sched::ClearPerturb();
   return res;
 }
 

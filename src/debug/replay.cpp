@@ -26,7 +26,6 @@ uint8_t g_mode = 0;
 uint64_t g_decisions = 0;
 #if !FSUP_NO_OBSERVE
 volatile uint8_t g_gate_pending = 0;
-bool g_exit_hook = false;
 #endif
 
 namespace {
@@ -34,9 +33,8 @@ namespace {
 constexpr size_t kRecordCap = 1 << 20;  // decisions per log (12 MB); enough for a full suite
 constexpr size_t kNoSlot = ~static_cast<size_t>(0);
 constexpr uint64_t kFileMagic = 0x314c50525055'5346ull;  // "FSUPRPL1" little-endian
-constexpr uint32_t kFileVersion = 2;  // 2: async records carry their firing site
+constexpr uint32_t kFileVersion = 3;  // 3: no rng records (draws derive from the seed)
 constexpr uint32_t kFlagTruncated = 1u << 0;
-constexpr size_t kMaxPoints = 64;
 
 struct FileHeader {
   uint64_t magic;
@@ -57,16 +55,6 @@ size_t g_len = 0;     // records in the log (record: appended; replay: loaded)
 size_t g_cursor = 0;  // replay: next record to consume
 bool g_truncated = false;
 bool g_need_rearm = false;  // replay ended outside the kernel; re-arm at the next Exit
-
-// Perturbation (exploration) state.
-bool g_perturb_active = false;
-bool g_perturb_points_mode = false;
-uint64_t g_perturb_seed = 0;
-uint32_t g_perturb_permille = 0;
-uint64_t g_points[kMaxPoints];
-size_t g_npoints = 0;
-uint64_t g_ordinal = 0;
-uint64_t g_forced_fired = 0;
 
 char g_atexit_path[512];
 bool g_atexit_registered = false;
@@ -125,9 +113,9 @@ bool AsyncDue(AsyncSite site, uint64_t entries) {
 }
 
 void UpdateFlags() {
-#if !FSUP_NO_OBSERVE
   const bool replaying = g_mode == static_cast<uint8_t>(Mode::kReplay);
-  g_exit_hook = g_perturb_active || replaying || g_need_rearm;
+  sched::SetReplayExitHook(replaying || g_need_rearm);
+#if !FSUP_NO_OBSERVE
   uint8_t gate = 0;
   if (replaying && g_cursor < g_len && IsAsync(g_buf[g_cursor].kind)) {
     gate = kGateEntry;
@@ -275,27 +263,6 @@ Tcb* FindThread(uint32_t tid) {
   return nullptr;
 }
 
-// Stateless splitmix64 hash for the random perturbation gate: a pure function of
-// (seed, ordinal), so re-running a seed reproduces the same firing set exactly.
-uint64_t HashGate(uint64_t seed, uint64_t ordinal) {
-  uint64_t z = seed + (ordinal + 1) * 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-bool FireAt(uint64_t ordinal) {
-  if (g_perturb_points_mode) {
-    for (size_t i = 0; i < g_npoints; ++i) {
-      if (g_points[i] == ordinal) {
-        return true;
-      }
-    }
-    return false;
-  }
-  return HashGate(g_perturb_seed, ordinal) % 1000 < g_perturb_permille;
-}
-
 void SaveAtExit() {
   if (g_atexit_path[0] == '\0') {
     return;
@@ -304,21 +271,6 @@ void SaveAtExit() {
     StopRecording();
   }
   SaveLog(g_atexit_path);
-}
-
-bool ParseU64(const char* s, const char* end, uint64_t* out) {
-  if (s == end) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (; s != end; ++s) {
-    if (*s < '0' || *s > '9') {
-      return false;
-    }
-    v = v * 10 + static_cast<uint64_t>(*s - '0');
-  }
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -333,6 +285,7 @@ void StartRecording() {
   g_cursor = 0;
   g_truncated = false;
   g_decisions = 0;
+  sched::RewindDraws();
   sync::ResetSyncTags();  // tags stamp trace records: both runs must allocate identically
   if (kernel::ks().initialized) {
     if (kernel::InKernel()) {
@@ -455,7 +408,7 @@ int StartReplay(const char* path) {
   kernel::ExitProtocol();
 
   g_decisions = 0;
-  g_ordinal = 0;
+  sched::RewindDraws();
   g_need_rearm = false;
   sync::ResetSyncTags();
   g_mode = static_cast<uint8_t>(Mode::kReplay);
@@ -482,35 +435,6 @@ void InitFromEnv() {
   }
   g_env_done = true;
 
-  if (const char* pts = std::getenv("FSUP_EXPLORE_POINTS"); pts != nullptr && *pts != '\0') {
-    uint64_t parsed[kMaxPoints];
-    size_t n = 0;
-    const char* p = pts;
-    while (*p != '\0' && n < kMaxPoints) {
-      const char* sep = std::strchr(p, ',');
-      const char* end = sep != nullptr ? sep : p + std::strlen(p);
-      uint64_t v = 0;
-      if (ParseU64(p, end, &v)) {
-        parsed[n++] = v;
-      }
-      if (sep == nullptr) {
-        break;
-      }
-      p = sep + 1;
-    }
-    SetPerturbPoints(parsed, n);
-  } else if (const char* seed = std::getenv("FSUP_EXPLORE_SEED");
-             seed != nullptr && *seed != '\0') {
-    uint64_t s = 0;
-    uint64_t permille = 30;
-    ParseU64(seed, seed + std::strlen(seed), &s);
-    if (const char* prob = std::getenv("FSUP_EXPLORE_PROB");
-        prob != nullptr && *prob != '\0') {
-      ParseU64(prob, prob + std::strlen(prob), &permille);
-    }
-    SetPerturbRandom(s, static_cast<uint32_t>(permille > 1000 ? 1000 : permille));
-  }
-
   const char* replay_path = std::getenv("FSUP_REPLAY");
   if (replay_path != nullptr && *replay_path != '\0') {
     const int rc = StartReplay(replay_path);
@@ -528,45 +452,6 @@ void InitFromEnv() {
     StartRecording();
   }
 }
-
-void SetPerturbRandom(uint64_t seed, uint32_t permille) {
-  g_perturb_active = true;
-  g_perturb_points_mode = false;
-  g_perturb_seed = seed;
-  g_perturb_permille = permille > 1000 ? 1000 : permille;
-  g_ordinal = 0;
-  g_forced_fired = 0;
-  UpdateFlags();
-}
-
-void SetPerturbPoints(const uint64_t* points, size_t n) {
-  g_perturb_active = true;
-  g_perturb_points_mode = true;
-  g_npoints = n < kMaxPoints ? n : kMaxPoints;
-  for (size_t i = 0; i < g_npoints; ++i) {
-    g_points[i] = points[i];
-  }
-  g_ordinal = 0;
-  g_forced_fired = 0;
-  UpdateFlags();
-}
-
-void ClearPerturb() {
-  g_perturb_active = false;
-  g_perturb_points_mode = false;
-  g_npoints = 0;
-  g_ordinal = 0;
-  UpdateFlags();
-}
-
-void ResetPerturbOrdinal() {
-  g_ordinal = 0;
-  g_forced_fired = 0;
-}
-
-uint64_t PerturbOrdinal() { return g_ordinal; }
-
-uint64_t ForcedFired() { return g_forced_fired; }
 
 void OnSwitchSlow(uint32_t from, uint32_t to) {
   if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
@@ -662,26 +547,6 @@ int ReplayFault(uint32_t call) {
   return static_cast<int>(r.b);
 }
 
-bool ReplayRngCoin() { return Consume(Decision::kRngCoin, 0, 0).a != 0; }
-
-uint64_t ReplayRngPick() { return Consume(Decision::kRngPick, 0, 0).a; }
-
-void OnRngCoin(bool value) {
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kRngCoin, value ? 1 : 0, 0);
-  } else {
-    ++g_decisions;
-  }
-}
-
-void OnRngPick(uint64_t value) {
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kRngPick, static_cast<uint32_t>(value), 0);
-  } else {
-    ++g_decisions;
-  }
-}
-
 void ReplayIdleIo() {
   for (;;) {
     if (g_cursor >= g_len) {
@@ -766,43 +631,35 @@ void RunGate() {
 #endif
 }
 
-void OnKernelExitGate() {
+void OnForced(uint64_t ordinal) {
+  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
+    Append(Decision::kForced, static_cast<uint32_t>(ordinal), 0);
+  } else {
+    ++g_decisions;
+  }
+}
+
+bool ReplayForced(uint64_t ordinal, bool applicable) {
+  if (g_cursor >= g_len || g_buf[g_cursor].kind != Decision::kForced ||
+      g_buf[g_cursor].a > ordinal) {
+    return false;  // no forced switch due at this gate (yet)
+  }
+  if (g_buf[g_cursor].a != ordinal) {
+    Diverge("forced switch ordinal", Decision::kForced, static_cast<uint32_t>(ordinal), 0);
+  }
+  if (!applicable) {
+    Diverge("forced switch not applicable", Decision::kForced, static_cast<uint32_t>(ordinal),
+            0);
+  }
+  Advance();
+  return true;
+}
+
+void RearmAfterExhaust() {
   if (g_need_rearm) {
     RearmItimer();
     g_need_rearm = false;
     UpdateFlags();
-  }
-  if (Replaying()) {
-    const uint64_t ord = g_ordinal++;
-    if (g_cursor < g_len && g_buf[g_cursor].kind == Decision::kForced) {
-      const LogRecord r = g_buf[g_cursor];
-      if (r.a != ord) {
-        Diverge("forced switch ordinal", Decision::kForced, static_cast<uint32_t>(ord), 0);
-      }
-      Advance();
-      if (!sched::ForceSwitchNow()) {
-        Diverge("forced switch not applicable", Decision::kForced,
-                static_cast<uint32_t>(ord), 0);
-      }
-      ++g_forced_fired;
-    }
-    return;
-  }
-  if (!g_perturb_active) {
-    return;
-  }
-  const uint64_t ord = g_ordinal++;
-  if (!FireAt(ord)) {
-    return;
-  }
-  if (!sched::ForceSwitchNow()) {
-    return;  // nothing to interleave with at this gate
-  }
-  ++g_forced_fired;
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kForced, static_cast<uint32_t>(ord), 0);
-  } else {
-    ++g_decisions;
   }
 }
 
@@ -820,10 +677,6 @@ const char* DecisionName(Decision d) {
       return "io-done";
     case Decision::kFault:
       return "fault";
-    case Decision::kRngCoin:
-      return "rng-coin";
-    case Decision::kRngPick:
-      return "rng-pick";
     case Decision::kForced:
       return "forced";
   }

@@ -1,17 +1,18 @@
-// Deterministic record/replay of scheduling decisions, plus schedule perturbation.
+// Deterministic record/replay of scheduling decisions.
 //
 // The library owns every scheduling decision of the process (the uniprocessor monitor), so an
 // execution is fully determined by the *sequence of nondeterministic decisions* the kernel
 // takes: which thread the dispatcher switches to, when a preemption tick fires and how many
 // timers it expires, which fault rule injects an error, which fds the idle poll reports ready,
-// which way the perverted-random coin lands, and where the exploration driver forces a switch.
-// This module serializes exactly that sequence.
+// and where the exploration gate forces a switch. This module serializes exactly that sequence.
+// The perverted-random policy's draws are not in it: they are a pure function of the policy
+// seed the program passes and a count both session starts restart (sched/perverted.hpp).
 //
 //   record  (FSUP_RECORD=<path>)  — every decision is appended to an in-memory log, written to
 //                                   <path> at process exit (or via SaveLog).
 //   replay  (FSUP_REPLAY=<path>)  — the log *steers* the sources of nondeterminism (ticks,
-//                                   poll outcomes, fault rules, rng draws are taken from the
-//                                   log, the physical interval timer is suppressed) and
+//                                   poll outcomes, fault rules, forced switches are taken
+//                                   from the log, the physical interval timer is suppressed) and
 //                                   *verifies* the derived decisions (context switches). Any
 //                                   mismatch is a divergence: the first mismatched decision
 //                                   and the tail of the trace ring are dumped, then abort.
@@ -43,8 +44,6 @@ enum class Decision : uint8_t {
   kIoWake,      // steered:  a = woken thread id, b = delivered readiness mask
   kIoDone,      // steered:  a = wakeups in this idle poll pass (terminates the pass)
   kFault,       // steered:  a = hostos::Call ordinal, b = injected errno
-  kRngCoin,     // steered:  a = perverted-random coin (0/1)
-  kRngPick,     // steered:  a = random-pick index into the ready queue
   kForced,      // steered:  a = exploration gate ordinal of a forced switch
 };
 
@@ -75,12 +74,11 @@ inline constexpr uint8_t kGateDispatcher = 1u << 1;
 extern uint8_t g_mode;             // Mode as a raw byte
 extern uint64_t g_decisions;       // logical decision counter, advances in every mode
 #if FSUP_NO_OBSERVE
-// The observation-free baseline build (debug/obs.hpp): the kernel's replay gates compile out.
+// The observation-free baseline build (debug/obs.hpp): the kernel's replay entry and dispatcher
+// gates compile out.
 inline constexpr uint8_t g_gate_pending = 0;
-inline constexpr bool g_exit_hook = false;
 #else
 extern volatile uint8_t g_gate_pending;  // replay only: kGate* bits for the next record
-extern bool g_exit_hook;                 // kernel::Exit must call OnKernelExitGate
 #endif
 
 inline Mode CurrentMode() { return static_cast<Mode>(g_mode); }
@@ -89,9 +87,9 @@ inline uint64_t DecisionCount() { return g_decisions; }
 
 // -- control ------------------------------------------------------------------------------
 
-// Starts recording into the in-memory log (resets it, and the decision counter). A full log
-// stops recording silently and marks the log truncated; a replay of a truncated log falls
-// back to live execution when it runs off the end.
+// Starts recording into the in-memory log (resets it, the decision counter and the counts of
+// sched::RewindDraws). A full log stops recording silently and marks the log truncated; a
+// replay of a truncated log falls back to live execution when it runs off the end.
 void StartRecording();
 
 // Stops recording; the log stays in memory for SaveLog/CopyLog. Returns the record count.
@@ -105,8 +103,9 @@ bool LogTruncated();
 int SaveLog(const char* path);
 
 // Loads path and enters replay mode: the physical interval timer is disarmed (the log carries
-// every tick) and the decision counter resets. Returns 0 or an errno value (EINVAL: bad
-// magic, version or corrupt header). The runtime must be initialized and idle.
+// every tick) and the decision counter and the counts of sched::RewindDraws reset. Returns 0 or
+// an errno value (EINVAL: bad magic, version or corrupt header). The runtime must be
+// initialized and idle.
 int StartReplay(const char* path);
 
 // Leaves replay mode and re-arms the interval timer from the live timer heap.
@@ -119,27 +118,9 @@ int ReadLogFile(const char* path, LogRecord* out, size_t max, size_t* count);
 // Copies the in-memory log (oldest first), returns the number copied.
 size_t CopyLog(LogRecord* out, size_t max);
 
-// Arms FSUP_RECORD / FSUP_REPLAY / FSUP_EXPLORE_* from the environment (idempotent; called
-// from kernel::EnsureInit so a recorded trajectory starts at the first decision).
+// Arms FSUP_RECORD / FSUP_REPLAY from the environment (idempotent; called from
+// kernel::EnsureInit so a recorded trajectory starts at the first decision).
 void InitFromEnv();
-
-// -- schedule perturbation (the exploration driver's lever) -------------------------------
-//
-// A perturbation gate sits at every kernel::Exit. Gates are numbered by an ordinal counter
-// (reset per run); at a firing gate the running thread is demoted below every other ready
-// thread, exactly like the perverted round-robin policy. Fired gates are recorded as kForced
-// decisions, so a recorded exploration run replays — and shrinks — exactly.
-
-// Fire at gate ordinals selected by hash(seed, ordinal) % 1000 < permille.
-void SetPerturbRandom(uint64_t seed, uint32_t permille);
-
-// Fire at exactly these gate ordinals (at most 64 are kept).
-void SetPerturbPoints(const uint64_t* points, size_t n);
-
-void ClearPerturb();
-void ResetPerturbOrdinal();  // start of a fresh exploration run
-uint64_t PerturbOrdinal();
-uint64_t ForcedFired();  // forced switches fired since the ordinal was last reset
 
 // -- hooks (called by the kernel; off mode just advances the decision counter) ------------
 
@@ -176,10 +157,6 @@ void OnFault(uint32_t call, uint32_t err);
 
 // Replay-side steering. ReplayFault returns the errno to inject at this call (0 = none).
 int ReplayFault(uint32_t call);
-bool ReplayRngCoin();
-uint64_t ReplayRngPick();
-void OnRngCoin(bool value);
-void OnRngPick(uint64_t value);
 
 // Replays the next idle-poll outcome: consumes kIoWake/kFault records up to the pass's
 // kIoDone terminator, waking the logged threads. Called from io::PollOnce in replay mode.
@@ -197,8 +174,16 @@ bool GateInDispatcher();
 // dispatch_pending, as the deferred signal did on record, so the section's exit dispatches.
 void RunGate();
 
-// kernel::Exit gate: applies/records exploration forced switches; consumes kForced records.
-void OnKernelExitGate();
+// The exploration gate (sched::OnKernelExit) forced a switch at gate `ordinal`.
+void OnForced(uint64_t ordinal);
+
+// Replay side of the gate at `ordinal`: true if the log forces a switch here (the record is
+// consumed and the caller demotes). A logged switch this gate passed, or one that finds
+// nothing to interleave with (!applicable), is a divergence.
+bool ReplayForced(uint64_t ordinal, bool applicable);
+
+// Re-arms the interval timer if a replay ran off its log outside the kernel.
+void RearmAfterExhaust();
 
 const char* DecisionName(Decision d);
 

@@ -132,19 +132,7 @@ void DispatchKeepKernel() {
         return;  // keep running
       }
     } else {
-      if (sched::TakeRandomPickRequest() && !k.ready.empty()) {
-        uint64_t idx;
-        if (debug::replay::Replaying()) {
-          idx = debug::replay::ReplayRngPick();
-          FSUP_CHECK_MSG(idx < k.ready.size(), "replayed random pick out of range");
-        } else {
-          idx = k.rng.NextBelow(k.ready.size());
-          debug::replay::OnRngPick(idx);
-        }
-        next = k.ready.PopNth(idx);
-      } else {
-        next = k.ready.PopHighest();
-      }
+      next = sched::g_random_pick != 0 ? sched::TakeRandomPick() : k.ready.PopHighest();
       if (next == nullptr) {
         IdleWait();
         continue;

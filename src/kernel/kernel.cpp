@@ -85,8 +85,9 @@ void InitRuntime() {
   // against their final state (the Enable calls above recompute too; this one also picks up
   // the request itself).
   sync::fastpath::InitFromEnv();
-  // FSUP_RECORD / FSUP_REPLAY / FSUP_EXPLORE_*: armed last so a recording starts with the
+  // FSUP_EXPLORE_* then FSUP_RECORD / FSUP_REPLAY: armed last so a recording starts with the
   // runtime fully up and a replay finds the same initialized state the recording saw.
+  sched::InitFromEnv();
   debug::replay::InitFromEnv();
   // FSUP_PROFILE / FSUP_PROFILE_FILE: after the replay mode is known, because the profiler's
   // sampling source depends on it (ITIMER_PROF live, tick piggybacking under record/replay).
@@ -188,15 +189,10 @@ void Yield() {
 }
 
 void Exit() {
-  KernelState& k = ks();
-  FSUP_ASSERT(k.in_kernel != 0);
-  // Exploration/replay gate before the perverted hook: a forced switch demotes the current
-  // thread, which makes the perverted hook a no-op — identically in record and replay.
-  if (debug::replay::g_exit_hook) {
-    debug::replay::OnKernelExitGate();
-  }
-  if (k.perverted != PervertedPolicy::kNone) {
-    sched::PervertedOnKernelExit();
+  FSUP_ASSERT(ks().in_kernel != 0);
+  // One byte for every kernel-exit perturbation: perverted policies, exploration, replay.
+  if (sched::g_exit_hook != 0) {
+    sched::OnKernelExit();
   }
   // Figure 2's exit order matters: clear the flag FIRST, then re-check the signal log. A
   // signal that lands before the clear is logged and must be replayed by us; one that lands

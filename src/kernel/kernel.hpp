@@ -26,7 +26,6 @@
 #include "src/kernel/types.hpp"
 #include "src/util/counters.hpp"
 #include "src/util/intrusive_list.hpp"
-#include "src/util/rng.hpp"
 
 namespace fsup {
 
@@ -60,7 +59,6 @@ struct KernelState {
 
   // -- scheduling ------------------------------------------------------------------------
   PervertedPolicy perverted = PervertedPolicy::kNone;
-  Rng rng;
   bool slice_enabled = false;
   bool slice_armed = false;
   int64_t slice_us = kDefaultSliceUs;

@@ -1,10 +1,9 @@
 // Deterministic pseudo-random number generator (xoshiro256**).
 //
-// Used by the "random switch" perverted scheduling policy. The paper notes that "varying the
-// initialization of random number generators for the random switch policy proved to be a simple
-// but powerful way to influence the ordering of threads" — so the seed is part of the public
-// perverted-scheduling API and the sequence must be reproducible across runs, which rules out
-// std::random_device and platform-varying distributions.
+// Used by the seeded property and model tests, whose sequences must be reproducible across
+// runs, which rules out std::random_device and platform-varying distributions. (The perverted
+// random-switch policy hashes (seed, draw count) instead, so a replay re-derives each draw:
+// sched/perverted.hpp.)
 
 #ifndef FSUP_SRC_UTIL_RNG_HPP_
 #define FSUP_SRC_UTIL_RNG_HPP_

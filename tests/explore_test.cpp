@@ -2,13 +2,14 @@
 // read-modify-write window that is atomic under default FIFO run-to-completion scheduling
 // but loses updates when a context switch is forced inside it — must be found by the
 // systematic phase and shrunk to a minimal point set by the random phase. A correct subject
-// must come out clean (no false positives).
+// must come out clean (no false positives), and a subject that fails unperturbed has no
+// schedule to blame.
 
 #include <gtest/gtest.h>
 
 #include "src/core/pthread.hpp"
 #include "src/debug/explore.hpp"
-#include "src/debug/replay.hpp"
+#include "src/sched/perverted.hpp"
 
 namespace fsup {
 namespace {
@@ -17,10 +18,10 @@ class ExploreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     pt_reinit();
-    debug::replay::ClearPerturb();
+    sched::ClearPerturb();
   }
 
-  void TearDown() override { debug::replay::ClearPerturb(); }
+  void TearDown() override { sched::ClearPerturb(); }
 };
 
 constexpr int kWorkers = 3;
@@ -78,10 +79,10 @@ TEST_F(ExploreTest, UnperturbedSubjectsPass) {
 // point set counts ordinals without perturbing), so the systematic window is exact rather
 // than a guess about how many gates the pt_reinit preamble consumes.
 uint64_t MeasureGates(bool (*subject)(void*)) {
-  debug::replay::SetPerturbPoints(nullptr, 0);
+  sched::SetPerturbPoints(nullptr, 0);
   EXPECT_TRUE(subject(nullptr));
-  const uint64_t gates = debug::replay::PerturbOrdinal();
-  debug::replay::ClearPerturb();
+  const uint64_t gates = sched::PerturbOrdinal();
+  sched::ClearPerturb();
   return gates;
 }
 
@@ -98,9 +99,9 @@ TEST_F(ExploreTest, SystematicPhaseFindsPlantedBugAlreadyMinimal) {
   EXPECT_GT(r.runs, 0u);
 
   // The reported schedule reproduces the failure on demand.
-  debug::replay::SetPerturbPoints(r.points, r.npoints);
+  sched::SetPerturbPoints(r.points, r.npoints);
   EXPECT_FALSE(RacySubject(nullptr));
-  debug::replay::ClearPerturb();
+  sched::ClearPerturb();
   EXPECT_TRUE(RacySubject(nullptr));
 }
 
@@ -116,9 +117,17 @@ TEST_F(ExploreTest, RandomPhaseFindsAndShrinksPlantedBug) {
   ASSERT_GE(r.npoints, 1u);
   EXPECT_LE(r.npoints, 3u) << "shrink left a non-minimal schedule";
 
-  debug::replay::SetPerturbPoints(r.points, r.npoints);
+  sched::SetPerturbPoints(r.points, r.npoints);
   EXPECT_FALSE(RacySubject(nullptr));
-  debug::replay::ClearPerturb();
+  sched::ClearPerturb();
+}
+
+TEST_F(ExploreTest, UnperturbedFailureBlamesNoSchedule) {
+  const debug::explore::Result r = debug::explore::Run(
+      [](void*) { return SafeSubject(nullptr) && false; }, nullptr, debug::explore::Options{});
+  EXPECT_TRUE(r.failure_found);
+  EXPECT_EQ(0u, r.npoints);
+  EXPECT_EQ(1u, r.runs) << "perturbed runs after an unperturbed failure";
 }
 
 TEST_F(ExploreTest, CorrectSubjectSurvivesExploration) {
@@ -128,6 +137,16 @@ TEST_F(ExploreTest, CorrectSubjectSurvivesExploration) {
   const debug::explore::Result r = debug::explore::Run(SafeSubject, nullptr, opt);
   EXPECT_FALSE(r.failure_found);
   EXPECT_EQ(0u, r.npoints);
+}
+
+// The subprocess runner's subject (the explore_subprocess ctest runs fsup_explore over this
+// binary, arming the gate through FSUP_EXPLORE_*): passes unperturbed, fails under a forced
+// switch. The correct run first puts the race past the ctest's systematic window, so the
+// search goes on to the random phase, lifts the fired ordinals from the recording and
+// shrinks them. No fixture — ExploreTest's SetUp would disarm the environment's gate.
+TEST(ExploreSubject, DISABLED_RacyCounter) {
+  EXPECT_TRUE(SafeSubject(nullptr));
+  EXPECT_TRUE(RacySubject(nullptr));
 }
 
 }  // namespace

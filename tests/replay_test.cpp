@@ -3,7 +3,8 @@
 // fault-rule firings land at the same decision index without re-arming the rules, replay of
 // an epoll-recorded schedule works under the poll backend, a divergent workload aborts with
 // the first mismatched decision, and a run that outlives its log falls back to live
-// execution. The C entry points get a smoke test at the end.
+// execution. A recording started under an armed exploration gate replays, and a log of an
+// older format is refused. The C entry points get a smoke test at the end.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
+#include "src/sched/perverted.hpp"
 
 namespace fsup {
 namespace {
@@ -331,6 +333,50 @@ TEST_F(ReplayTest, TruncatedLogFallsBackToLiveExecution) {
   IoWorkload();    // runs past its end — live
   EXPECT_EQ(debug::replay::Mode::kOff, debug::replay::CurrentMode());
   debug::replay::StopReplay();  // no-op: exhaustion already left replay mode
+}
+
+// Both session starts rewind the exploration gate's ordinal: a recording started after the
+// gate was armed (and had counted a whole workload's exits) logs ordinals a replay re-derives.
+TEST_F(ReplayTest, RecordingStartedUnderArmedGateReplays) {
+  EXPECT_EXIT(
+      {
+        sched::SetPerturbRandom(7, 300);
+        SyncWorkload();
+        debug::replay::StartRecording();
+        SyncWorkload();
+        debug::replay::StopRecording();
+        if (debug::replay::SaveLog(path_.c_str()) != 0 ||
+            debug::replay::StartReplay(path_.c_str()) != 0) {
+          std::exit(2);
+        }
+        SyncWorkload();
+        debug::replay::StopReplay();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// Log format 3 dropped the rng decision kinds: a version-2 log is refused, not misread.
+TEST_F(ReplayTest, OlderLogVersionIsRefused) {
+  debug::replay::StartRecording();
+  SyncWorkload();
+  debug::replay::StopRecording();
+  ASSERT_EQ(0, debug::replay::SaveLog(path_.c_str()));
+  size_t count = 0;
+  ASSERT_EQ(0, debug::replay::ReadLogFile(path_.c_str(), nullptr, 0, &count));
+
+  // The header starts with the 64-bit magic, then the 32-bit version.
+  FILE* f = std::fopen(path_.c_str(), "r+b");
+  ASSERT_NE(nullptr, f);
+  const uint32_t v2 = 2;
+  ASSERT_EQ(0, std::fseek(f, sizeof(uint64_t), SEEK_SET));
+  ASSERT_EQ(1u, std::fwrite(&v2, sizeof(v2), 1, f));
+  ASSERT_EQ(0, std::fclose(f));
+
+  EXPECT_EQ(EINVAL, debug::replay::ReadLogFile(path_.c_str(), nullptr, 0, &count));
+  pt_reinit();
+  EXPECT_EQ(EINVAL, debug::replay::StartReplay(path_.c_str()));
+  EXPECT_EQ(debug::replay::Mode::kOff, debug::replay::CurrentMode());
 }
 
 // The decision counter advances in off mode too, and every trace record carries it.

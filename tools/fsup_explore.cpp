@@ -4,16 +4,16 @@
 //   fsup_explore [--window N] [--seeds N] [--permille P] [--seed0 S] [--shrink-budget N]
 //                [--record-dir DIR] -- <command> [args...]
 //
-// Phases mirror debug/explore.hpp, but each run is a fresh subprocess, so the subject may
-// fail by crashing, aborting, or any nonzero exit — whatever gtest/asserts do on a real
-// ordering bug. Perturbation is injected through the library's own environment hooks:
-// FSUP_EXPLORE_POINTS (explicit gate ordinals) and FSUP_EXPLORE_SEED/FSUP_EXPLORE_PROB
-// (seeded random firing). Each run also sets FSUP_RECORD so a failing random run's fired
-// ordinals can be lifted from the schedule log (replay::ReadLogFile) and re-verified as an
-// explicit point set before shrinking.
+// The search is debug/explore.hpp's driver (same phases, shrink and defaults); this tool
+// supplies its runner, in which each run is a fresh subprocess, so the subject may fail by
+// crashing, aborting, or any nonzero exit — whatever gtest/asserts do on a real ordering bug.
+// Perturbation is injected through the library's own environment hooks: FSUP_EXPLORE_POINTS
+// (explicit gate ordinals) and FSUP_EXPLORE_SEED/FSUP_EXPLORE_PROB (seeded random firing).
+// Each run also sets FSUP_RECORD so a failing random run's fired ordinals can be lifted from
+// the schedule log (replay::ReadLogFile).
 //
 // Exit status: 0 = no failure found, 1 = failure found (minimal schedule printed),
-// 2 = usage/setup error.
+// 2 = usage/setup error, or the subject fails without perturbation.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -25,51 +25,51 @@
 #include <string>
 #include <vector>
 
+#include "src/debug/explore.hpp"
 #include "src/debug/replay.hpp"
 
 namespace {
 
+namespace explore = fsup::debug::explore;
+namespace replay = fsup::debug::replay;
+
 struct Config {
-  uint64_t window = 16;
-  uint32_t seeds = 8;
-  uint64_t seed0 = 1;
-  uint32_t permille = 30;
-  uint32_t shrink_budget = 64;
+  explore::Options opt;
   std::string record_dir = "/tmp";
   std::vector<char*> command;
 };
 
-int g_runs = 0;
-
-std::string PointsSpec(const std::vector<uint64_t>& pts) {
+std::string PointsSpec(const uint64_t* pts, size_t n) {
   std::string s;
-  for (uint64_t p : pts) {
+  for (size_t i = 0; i < n; ++i) {
     if (!s.empty()) {
       s += ',';
     }
-    s += std::to_string(p);
+    s += std::to_string(pts[i]);
   }
   return s;
 }
 
-// Runs the subject once with the given env overrides. Returns true if it PASSED (exit 0).
-bool RunChild(const Config& cfg, const char* points, const char* seed, const char* prob,
+// Runs the subject once under p. Returns true if it PASSED (exit 0).
+bool RunChild(const Config& cfg, const explore::Perturbation& p,
               const std::string& record_path) {
-  ++g_runs;
+  const std::string points = PointsSpec(p.points.data(), p.points.size());
+  const std::string seed = std::to_string(p.seed);
+  const std::string prob = std::to_string(p.permille);
   const pid_t pid = ::fork();
   if (pid < 0) {
     std::perror("fsup_explore: fork");
     std::exit(2);
   }
   if (pid == 0) {
-    if (points != nullptr) {
-      ::setenv("FSUP_EXPLORE_POINTS", points, 1);
+    if (!points.empty()) {
+      ::setenv("FSUP_EXPLORE_POINTS", points.c_str(), 1);
     } else {
       ::unsetenv("FSUP_EXPLORE_POINTS");
     }
-    if (seed != nullptr) {
-      ::setenv("FSUP_EXPLORE_SEED", seed, 1);
-      ::setenv("FSUP_EXPLORE_PROB", prob, 1);
+    if (p.random) {
+      ::setenv("FSUP_EXPLORE_SEED", seed.c_str(), 1);
+      ::setenv("FSUP_EXPLORE_PROB", prob.c_str(), 1);
     } else {
       ::unsetenv("FSUP_EXPLORE_SEED");
       ::unsetenv("FSUP_EXPLORE_PROB");
@@ -91,67 +91,17 @@ bool RunChild(const Config& cfg, const char* points, const char* seed, const cha
   return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
-bool RunWithPoints(const Config& cfg, const std::vector<uint64_t>& pts,
-                   const std::string& record_path) {
-  return RunChild(cfg, PointsSpec(pts).c_str(), nullptr, nullptr, record_path);
-}
-
 // Lifts the forced-switch ordinals out of a run's schedule log.
-std::vector<uint64_t> FiredPoints(const std::string& record_path) {
-  namespace replay = fsup::debug::replay;
-  std::vector<uint64_t> fired;
+std::vector<uint64_t> ReadFiredPoints(const std::string& record_path) {
   size_t count = 0;
   if (replay::ReadLogFile(record_path.c_str(), nullptr, 0, &count) != 0) {
-    return fired;
+    return {};
   }
   std::vector<replay::LogRecord> log(count);
   if (replay::ReadLogFile(record_path.c_str(), log.data(), log.size(), &count) != 0) {
-    return fired;
+    return {};
   }
-  for (const replay::LogRecord& r : log) {
-    if (r.kind == replay::Decision::kForced) {
-      fired.push_back(r.a);
-    }
-  }
-  return fired;
-}
-
-std::vector<uint64_t> Shrink(const Config& cfg, std::vector<uint64_t> pts,
-                             const std::string& record_path) {
-  uint32_t budget = cfg.shrink_budget;
-  if (pts.size() > 1) {
-    for (uint64_t p : pts) {
-      if (budget == 0) {
-        return pts;
-      }
-      --budget;
-      if (!RunWithPoints(cfg, {p}, record_path)) {
-        return {p};
-      }
-    }
-  }
-  for (size_t i = 0; i < pts.size() && pts.size() > 1;) {
-    if (budget == 0) {
-      break;
-    }
-    --budget;
-    std::vector<uint64_t> without(pts);
-    without.erase(without.begin() + static_cast<long>(i));
-    if (!RunWithPoints(cfg, without, record_path)) {
-      pts = std::move(without);
-    } else {
-      ++i;
-    }
-  }
-  return pts;
-}
-
-[[noreturn]] void ReportFailure(const Config& cfg, const std::vector<uint64_t>& pts,
-                                const char* how) {
-  std::printf("fsup_explore: FAILURE found (%s) after %d runs\n", how, g_runs);
-  std::printf("fsup_explore: minimal schedule: FSUP_EXPLORE_POINTS=%s %s\n",
-              PointsSpec(pts).c_str(), cfg.command[0]);
-  std::exit(1);
+  return explore::FiredPoints(log.data(), log.size());
 }
 
 [[noreturn]] void Usage() {
@@ -179,15 +129,15 @@ int main(int argc, char** argv) {
       break;
     }
     if (std::strcmp(argv[i], "--window") == 0) {
-      cfg.window = ArgU64(argc, argv, &i);
+      cfg.opt.window = ArgU64(argc, argv, &i);
     } else if (std::strcmp(argv[i], "--seeds") == 0) {
-      cfg.seeds = static_cast<uint32_t>(ArgU64(argc, argv, &i));
+      cfg.opt.seeds = static_cast<uint32_t>(ArgU64(argc, argv, &i));
     } else if (std::strcmp(argv[i], "--permille") == 0) {
-      cfg.permille = static_cast<uint32_t>(ArgU64(argc, argv, &i));
+      cfg.opt.permille = static_cast<uint32_t>(ArgU64(argc, argv, &i));
     } else if (std::strcmp(argv[i], "--seed0") == 0) {
-      cfg.seed0 = ArgU64(argc, argv, &i);
+      cfg.opt.seed0 = ArgU64(argc, argv, &i);
     } else if (std::strcmp(argv[i], "--shrink-budget") == 0) {
-      cfg.shrink_budget = static_cast<uint32_t>(ArgU64(argc, argv, &i));
+      cfg.opt.max_shrink_runs = static_cast<uint32_t>(ArgU64(argc, argv, &i));
     } else if (std::strcmp(argv[i], "--record-dir") == 0) {
       if (i + 1 >= argc) {
         Usage();
@@ -207,45 +157,34 @@ int main(int argc, char** argv) {
 
   const std::string record_path =
       cfg.record_dir + "/fsup_explore." + std::to_string(::getpid()) + ".rpl";
-
-  // Phase 0: one unperturbed run — a subject that fails on its own has no schedule to blame.
-  if (!RunChild(cfg, nullptr, nullptr, nullptr, record_path)) {
-    std::fprintf(stderr, "fsup_explore: subject fails without perturbation\n");
-    std::remove(record_path.c_str());
-    std::exit(2);
-  }
-
-  // Phase 1: systematic — a single forced switch at each gate ordinal in [0, window).
-  for (uint64_t ord = 0; ord < cfg.window; ++ord) {
-    if (!RunWithPoints(cfg, {ord}, record_path)) {
-      std::remove(record_path.c_str());
-      ReportFailure(cfg, {ord}, "systematic");  // one switch: already minimal
-    }
-  }
-
-  // Phase 2: seeded random firing; on failure, lift + verify + shrink the fired set.
-  const std::string prob = std::to_string(cfg.permille);
-  for (uint32_t s = 0; s < cfg.seeds; ++s) {
-    const std::string seed = std::to_string(cfg.seed0 + s);
-    if (RunChild(cfg, nullptr, seed.c_str(), prob.c_str(), record_path)) {
-      continue;
-    }
-    std::vector<uint64_t> fired = FiredPoints(record_path);
-    std::printf("fsup_explore: seed %s failed with %zu forced switches\n", seed.c_str(),
-                fired.size());
-    if (!fired.empty() && fired.size() <= 64 && !RunWithPoints(cfg, fired, record_path)) {
-      fired = Shrink(cfg, fired, record_path);
-      std::remove(record_path.c_str());
-      ReportFailure(cfg, fired, "random, shrunk");
-    }
-    std::remove(record_path.c_str());
-    std::printf("fsup_explore: not reproducible as points; rerun with FSUP_EXPLORE_SEED=%s "
-                "FSUP_EXPLORE_PROB=%s\n",
-                seed.c_str(), prob.c_str());
-    std::exit(1);
-  }
-
+  const explore::Result r = explore::Run(
+      [&](const explore::Perturbation& p, std::vector<uint64_t>* fired) {
+        const bool passed = RunChild(cfg, p, record_path);
+        if (fired != nullptr) {
+          *fired = ReadFiredPoints(record_path);
+        }
+        return passed;
+      },
+      cfg.opt);
   std::remove(record_path.c_str());
-  std::printf("fsup_explore: no failure in %d runs\n", g_runs);
-  return 0;
+
+  if (!r.failure_found) {
+    std::printf("fsup_explore: no failure in %u runs\n", r.runs);
+    return 0;
+  }
+  if (r.npoints == 0 && r.reproducible) {
+    std::fprintf(stderr, "fsup_explore: subject fails without perturbation\n");
+    return 2;
+  }
+  if (!r.reproducible) {
+    std::printf("fsup_explore: FAILURE not reproducible as points; rerun with "
+                "FSUP_EXPLORE_SEED=%llu FSUP_EXPLORE_PROB=%u\n",
+                static_cast<unsigned long long>(r.seed), cfg.opt.permille);
+    return 1;
+  }
+  std::printf("fsup_explore: FAILURE found after %u runs (%u shrinking)\n", r.runs,
+              r.shrink_runs);
+  std::printf("fsup_explore: minimal schedule: FSUP_EXPLORE_POINTS=%s %s\n",
+              PointsSpec(r.points, r.npoints).c_str(), cfg.command[0]);
+  return 1;
 }
