@@ -1,5 +1,4 @@
-// Thread-count scaling: lazy size-classed stacks, TCB slabs, and O(1) per-thread kernel
-// paths (ISSUE 7).
+// Thread-count scaling: size-classed stacks, TCB slabs, and O(1) per-thread kernel paths.
 //
 // Two sections:
 //
@@ -13,11 +12,11 @@
 //     self-yield dispatch latency measured WHILE the full population sits parked, which
 //     pins the scheduler's O(1) claim at depth.
 //
-// Stacks are the 16 KiB minimum, which the initial commit covers whole: parked bodies touch
-// a single page, and committed but untouched pages cost no RSS, so one page is the working
-// set billed. The bench raises /proc/sys/vm/max_map_count when it can (a live stack pins up
-// to 3 VMAs: guard, uncommitted band, committed top); if the cap cannot be raised, waves are
-// clamped to what fits and reported as such.
+// Stacks are the 16 KiB minimum, mapped read-write with MAP_NORESERVE: parked bodies touch a
+// single page, and untouched pages cost no RSS, so one page is the working set billed. The
+// bench raises /proc/sys/vm/max_map_count when it can (a live stack pins 2 VMAs: the guard
+// page and the read-write range); if the cap cannot be raised, waves are clamped to what fits
+// and reported as such.
 //
 // Usage: bench_thread_scale [--smoke] [--json PATH]. Writes BENCH_scale.json unless --json
 // names another file; --smoke bounds the sweep at 4k and the wave at 64k for the ctest smoke
@@ -60,12 +59,11 @@ uint64_t ReadStatusKib(const char* field) {
   return kib;
 }
 
-// A live stack pins up to 3 VMAs (guard page, PROT_NONE band, committed top); a 16 KiB stack,
-// committed whole, pins 2, so the estimate below errs high.
+// A live stack pins 2 VMAs (guard page, read-write range).
 // Returns the largest thread count the map-count limit can carry, raising the limit first
 // if this process is privileged to.
 int ClampToMapCount(int want_threads) {
-  const long need = static_cast<long>(want_threads) * 3 + 16384;
+  const long need = static_cast<long>(want_threads) * 2 + 16384;
   long limit = 0;
   if (FILE* f = std::fopen("/proc/sys/vm/max_map_count", "r")) {
     if (std::fscanf(f, "%ld", &limit) != 1) {

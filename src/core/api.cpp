@@ -78,8 +78,7 @@ int ActivateLazyInKernel(Tcb* t) {
   if (!t->lazy) {
     return 0;
   }
-  if (t->stack_base == nullptr &&
-      !kernel::ks().pool->AttachStack(t, kDefaultStackSize)) {
+  if (t->stack_base == nullptr && !kernel::ks().pool->AttachStack(t, t->stack_size)) {
     // The deferred resource is unavailable (exhaustion or an injected fault). Leave the
     // thread lazy so the caller can report EAGAIN and retry the activation later.
     return EAGAIN;
@@ -246,6 +245,7 @@ int pt_create(pt_thread_t* thread, const ThreadAttr* attr, void* (*fn)(void*), v
 
   if (a.lazy) {
     t->lazy = true;
+    t->stack_size = stack_size;  // the request, attached at activation
     t->state = ThreadState::kBlocked;
     t->block_reason = BlockReason::kLazy;
   } else {

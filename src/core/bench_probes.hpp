@@ -17,11 +17,12 @@ int UnixKernelEnterExit();
 
 // Reads of the counter registry (util/counters.hpp) for the benchmark harness, which keeps
 // these names: restartable-atomic-sequence rewinds, stack-pool reuses (the per-class hits
-// summed) vs fresh mmaps (the paper's 70%-of-creation-time claim), and lazy commits.
-// Host-call counts are hostos::CallCount.
+// summed) vs fresh mmaps (the paper's 70%-of-creation-time claim). Host-call counts are
+// hostos::CallCount.
 uint64_t RasRestarts();
 uint64_t StackPoolReuses();
 uint64_t StackPoolMaps();
+// Always 0: every stack is committed when it is mapped. Kept because the harness reads it.
 uint64_t StackPoolLazyCommits();
 
 // Stacks parked on the pool's free lists (a gauge, not a counter).

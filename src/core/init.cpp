@@ -26,6 +26,6 @@ uint64_t StackPoolMaps() { return counters::Get(counters::kPoolMaps); }
 
 uint64_t StackPoolFree() { return kernel::ks().pool->pooled_stacks(); }
 
-uint64_t StackPoolLazyCommits() { return counters::Get(counters::kPoolLazyCommits); }
+uint64_t StackPoolLazyCommits() { return 0; }
 
 }  // namespace fsup::probe

@@ -59,10 +59,6 @@ void DumpThreads(uint32_t max_threads) {
     log::RawWriteInt(static_cast<int64_t>(t->switches_in));
     log::RawWriteCstr(" sig=");
     log::RawWriteInt(static_cast<int64_t>(t->signals_taken));
-    if (t->metrics.stack_commits != 0) {
-      log::RawWriteCstr(" commits=");
-      log::RawWriteInt(static_cast<int64_t>(t->metrics.stack_commits));
-    }
     if (obs::On(obs::kMetrics)) {
       const TcbMetrics& m = t->metrics;
       log::RawWriteCstr(" vol=");

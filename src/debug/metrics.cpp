@@ -152,7 +152,6 @@ void FillThreadSnap(const Tcb* t, ThreadSnap* out) {
   out->preempted = t->metrics.preempted;
   out->fake_calls = t->metrics.fake_calls;
   out->mutex_blocks = t->metrics.mutex_blocks;
-  out->stack_commits = t->metrics.stack_commits;
   out->running_ns = t->metrics.running_ns;
   out->ready_ns = t->metrics.ready_ns;
   out->blocked_ns = t->metrics.blocked_ns;
@@ -349,16 +348,15 @@ int DumpText(int fd, uint32_t max_threads) {
   if (max_threads != 0 && max_threads < rows) {
     rows = max_threads;
   }
-  emit("  %-4s %-15s %-10s %-9s %-9s %-9s %-8s %-10s %-10s %-10s\n", "id", "name", "switches",
-       "voluntary", "preempted", "mblocks", "commits", "run_us", "ready_us", "blocked_us");
+  emit("  %-4s %-15s %-10s %-9s %-9s %-9s %-10s %-10s %-10s\n", "id", "name", "switches",
+       "voluntary", "preempted", "mblocks", "run_us", "ready_us", "blocked_us");
   for (uint32_t i = 0; i < rows; ++i) {
     const ThreadSnap& t = s.threads[i];
-    emit("  %-4u %-15s %-10llu %-9llu %-9llu %-9llu %-8llu %-10lld %-10lld %-10lld\n", t.id,
+    emit("  %-4u %-15s %-10llu %-9llu %-9llu %-9llu %-10lld %-10lld %-10lld\n", t.id,
          t.name[0] != '\0' ? t.name : "-", static_cast<unsigned long long>(t.switches_in),
          static_cast<unsigned long long>(t.voluntary),
          static_cast<unsigned long long>(t.preempted),
          static_cast<unsigned long long>(t.mutex_blocks),
-         static_cast<unsigned long long>(t.stack_commits),
          static_cast<long long>(t.running_ns / 1000),
          static_cast<long long>(t.ready_ns / 1000),
          static_cast<long long>(t.blocked_ns / 1000));

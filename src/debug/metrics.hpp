@@ -110,7 +110,6 @@ struct ThreadSnap {
   uint64_t signals_taken = 0;  // user handlers run on this thread
   uint64_t fake_calls = 0;     // fake-call frames pushed onto / drained by this thread
   uint64_t mutex_blocks = 0;   // times it suspended on a mutex
-  uint64_t stack_commits = 0;  // SIGSEGV demand-commit faults grown on this thread's stack
   int64_t running_ns = 0;
   int64_t ready_ns = 0;
   int64_t blocked_ns = 0;

@@ -33,7 +33,6 @@ constexpr uint8_t kInterest[static_cast<int>(Event::kCount)] = {
     kTM,                   // kFakeCall
     kTM | kTickSample,     // kTimerTick
     kTrace,                // kCondRequeue
-    kTrace,                // kStackCommit
     kTM | kOffCpu,         // kSuspend
     kTM | kOffCpu,         // kWake
     kMetrics,              // kCreate

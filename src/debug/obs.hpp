@@ -57,7 +57,6 @@ enum class Event : uint8_t {
   kFakeCall,      // a = target thread id, b = signo (kSigCancel for cancellation)
   kTimerTick,     // a = current thread id, b = number of expired timer entries
   kCondRequeue,   // a = waiters moved to the mutex queue, b = cond tag (broadcast)
-  kStackCommit,   // a = faulting thread id, b = bytes committed by the demand-commit fault
   kSuspend,       // a = thread id, b = BlockReason (running -> blocked)
   kWake,          // a = thread id, b = BlockReason of the wait it leaves (-> ready)
   // Consumer-only events: state transitions the trace leaves implicit.

@@ -91,10 +91,9 @@ uint64_t g_offcpu_emitted = 0;  // off-CPU samples committed to the ring (in-ker
 // ---------------------------------------------------------------------------------------------
 // Frame-pointer stack walking. The library builds with -fno-omit-frame-pointer, so a frame is
 // [rbp] = caller's rbp, [rbp+8] = return address. Every dereference is bounds-checked against
-// the thread's stack interval; for a lazily committed stack the lower bound is additionally
-// clamped to the commit watermark, so the walker can never touch a PROT_NONE page (no
-// recursion into the SIGSEGV demand-commit path). A walk that immediately fails the bounds
-// check degrades to a leaf-only sample — a counted, attributable outcome, never a crash.
+// the thread's stack interval [stack_base, top), so the walker can never touch the guard page.
+// A walk that immediately fails the bounds check degrades to a leaf-only sample — a counted,
+// attributable outcome, never a crash.
 // ---------------------------------------------------------------------------------------------
 
 struct WalkBounds {
@@ -107,7 +106,7 @@ struct WalkBounds {
 WalkBounds BoundsFor(const Tcb* t, uintptr_t sp) {
   WalkBounds b;
   if (t != nullptr && t->stack_base != nullptr) {
-    b.lo = reinterpret_cast<uintptr_t>(t->stack_commit_lo);
+    b.lo = reinterpret_cast<uintptr_t>(t->stack_base);
     b.hi = reinterpret_cast<uintptr_t>(t->stack_base) + t->stack_size;
     if (sp > b.lo && sp <= b.hi) {
       b.lo = sp;  // nothing below the live SP is a frame

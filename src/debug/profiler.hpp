@@ -2,9 +2,9 @@
 //
 // On-CPU: a SIGPROF sampler (ITIMER_PROF) intercepted at the very top of the universal signal
 // handler walks the interrupted thread's frame-pointer chain — bounded by the thread's stack
-// interval and its demand-commit watermark — and pushes raw PCs into a lock-free ring. Under
-// record/replay the itimer is never armed; sampling piggybacks on the (recorded, replayed)
-// timer tick instead, so sample counts are bit-identical across a record→replay pair.
+// interval — and pushes raw PCs into a lock-free ring. Under record/replay the itimer is never
+// armed; sampling piggybacks on the (recorded, replayed) timer tick instead, so sample counts
+// are bit-identical across a record→replay pair.
 //
 // Off-CPU: the kOffCpu consumer of the observation funnel (debug/obs.hpp). The suspend event
 // snapshots the blocking call stack into the suspending thread's TCB (profile capture

@@ -24,7 +24,7 @@
 namespace fsup::debug {
 
 inline constexpr uint32_t kStatsShmMagic = 0x70755346;  // "FsUp"
-inline constexpr uint32_t kStatsShmVersion = 2;  // 2: the counter registry's block
+inline constexpr uint32_t kStatsShmVersion = 3;  // 3: pool.lazy_commits dropped
 inline constexpr int kStatsShmTopStacks = 8;   // hottest on-CPU / most-blocked rows exported
 inline constexpr int kStatsShmMaxDepth = 8;    // frames kept per exported stack
 

@@ -131,8 +131,6 @@ const char* Name(Event e) {
       return "timer-tick";
     case Event::kCondRequeue:
       return "cond-requeue";
-    case Event::kStackCommit:
-      return "stack-commit";
     case Event::kSuspend:
       return "suspend";
     case Event::kWake:

@@ -1,12 +1,10 @@
 #include "src/hostos/unix_if.hpp"
 
 #include <fcntl.h>
-#include <sys/auxv.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <climits>
 
@@ -212,7 +210,7 @@ size_t PageSize() {
   return page;
 }
 
-void* MapStack(size_t usable_size, size_t* mapped_size_out, char** commit_lo_out) {
+void* MapStack(size_t usable_size, size_t* mapped_size_out) {
   const size_t page = PageSize();
   const size_t usable = (usable_size + page - 1) & ~(page - 1);
   const size_t total = usable + page;  // one guard page at the low end
@@ -222,9 +220,7 @@ void* MapStack(size_t usable_size, size_t* mapped_size_out, char** commit_lo_out
     errno = injected;
     return nullptr;
   }
-  // Reserve the whole range inaccessible (the guard page needs no extra protect), then spend
-  // the one counted mprotect committing the top chunk.
-  void* base = ::mmap(nullptr, total, PROT_NONE,
+  void* base = ::mmap(nullptr, total, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | MAP_NORESERVE, -1, 0);
   if (base == MAP_FAILED) {
     return nullptr;
@@ -237,45 +233,13 @@ void* MapStack(size_t usable_size, size_t* mapped_size_out, char** commit_lo_out
     errno = injected;
     return nullptr;
   }
-  char* usable_base = static_cast<char*>(base) + page;
-  const size_t commit = std::min(kStackInitialCommitPages * page, usable);
-  char* commit_lo = usable_base + usable - commit;
-  if (::mprotect(commit_lo, commit, PROT_READ | PROT_WRITE) != 0) {
+  if (::mprotect(base, page, PROT_NONE) != 0) {
     Bump(Call::kMunmap);
     ::munmap(base, total);
     return nullptr;
   }
   *mapped_size_out = usable;
-  *commit_lo_out = commit_lo;
-  return usable_base;
-}
-
-bool CommitStackRange(void* usable_base, size_t mapped_size, const void* fault_addr) {
-  char* lo = static_cast<char*>(usable_base);
-  const char* f = static_cast<const char*>(fault_addr);
-  if (f < lo || f >= lo + mapped_size) {
-    return false;
-  }
-  // Commit the whole remaining reservation in one call, not a window around the fault. RW
-  // pages cost RSS only when touched, so this is free memory-wise — and it is the only way
-  // to keep UNIX signal delivery safe: the host kernel pushes the signal frame at the
-  // interrupted SP itself, and a frame straddling a still-PROT_NONE page is force-converted
-  // into SIGSEGV with the original signal lost. One commit per stack removes that band below
-  // the watermark for the rest of the thread's life.
-  return ::mprotect(lo, mapped_size, PROT_READ | PROT_WRITE) == 0;
-}
-
-size_t SignalFrameHeadroom() {
-  // The host kernel's own advisory for the stack space an rt_sigframe needs (AT_MINSIGSTKSZ
-  // covers the full xsave area — AVX-512 hosts report ~12 KiB where the classic constant
-  // says 2 KiB). Used to decide when a thread running near its commit watermark must be
-  // fully committed before it may be resumed.
-  static const size_t headroom = [] {
-    const unsigned long v = ::getauxval(AT_MINSIGSTKSZ);
-    const size_t floor = 2 * PageSize();
-    return v > floor ? static_cast<size_t>(v) : floor;
-  }();
-  return headroom;
+  return static_cast<char*>(base) + page;
 }
 
 void UnmapStack(void* usable_base, size_t mapped_size) {

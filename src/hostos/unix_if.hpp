@@ -83,34 +83,14 @@ int ClampedPollTimeoutMs(int64_t remaining_ns);
 void* ShmMapStats(const char* path, size_t size);
 void ShmUnmapStats(void* addr, size_t size);
 
-// Pages committed up front at the top of a fresh stack: enough that a thread parked anywhere
-// in its first page can still take a kernel-pushed signal frame (~3.5 KiB with AVX-512
-// xsave) without crossing into the PROT_NONE tail. RW-but-untouched pages cost no RSS.
-inline constexpr size_t kStackInitialCommitPages = 4;
-
 // Maps a thread stack with an inaccessible guard page at the low end; returns the *usable*
 // base (just above the guard) or nullptr. usable_size is rounded up to the page size.
 //
-// The usable range is reserved PROT_NONE (MAP_NORESERVE) and only its top
-// kStackInitialCommitPages (all of it, for a stack that small) are committed up front; the
-// rest commits on demand from the SIGSEGV handler (CommitStackRange). *commit_lo_out gets the
-// lowest committed address, the watermark the handler classifies faults against. One counted
-// mmap plus one counted mprotect.
-void* MapStack(size_t usable_size, size_t* mapped_size_out, char** commit_lo_out);
+// The whole range is mapped read-write with MAP_NORESERVE (untouched pages cost no RSS, so a
+// deep stack pays only for the pages it uses) and the guard page is then protected PROT_NONE.
+// One counted mmap plus one counted mprotect.
+void* MapStack(size_t usable_size, size_t* mapped_size_out);
 void UnmapStack(void* usable_base, size_t mapped_size);
-
-// Commits the whole usable range of a lazily reserved stack (RW pages cost RSS only when
-// touched, and partial commits leave a band where UNIX signal-frame delivery can fail — see
-// the implementation). Raw, uncounted, uninjected mprotect: it runs inside the SIGSEGV
-// handler, where a counted call would shift every later fault-injection ordinal and
-// divergence-check replay logs recorded without the fault. Returns false if addr is outside
-// the usable range or the host refuses the commit (the fault is then a real error, not
-// demand paging).
-bool CommitStackRange(void* usable_base, size_t mapped_size, const void* fault_addr);
-
-// Stack bytes the host kernel needs below the interrupted SP to push a signal frame
-// (AT_MINSIGSTKSZ, floored at two pages).
-size_t SignalFrameHeadroom();
 
 // True if addr falls inside the guard page of the given stack mapping.
 bool InGuardPage(const void* addr, const void* usable_base);

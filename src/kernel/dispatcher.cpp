@@ -43,7 +43,6 @@ void SwitchTo(Tcb* next) {
   counters::Bump(counters::kKernelCtxSwitches);
   k.current = next;
 
-  StackPool::EnsureSignalHeadroom(next);
   sig::OnDispatch(next);
 
   if (next->interrupted_by_signal) {

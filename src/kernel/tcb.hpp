@@ -18,7 +18,6 @@ namespace fsup {
 
 struct Mutex;
 struct Cond;
-struct StackMapping;
 struct Tcb;
 
 // A pending or armed per-thread timer. Each thread embeds two: one for blocking timeouts
@@ -80,7 +79,6 @@ struct TcbMetrics {
   uint64_t preempted = 0;      // context switches away forced by preemption / the slice
   uint64_t fake_calls = 0;     // fake-call frames pushed for this thread
   uint64_t mutex_blocks = 0;   // contended mutex acquisitions (suspended at least once)
-  uint64_t stack_commits = 0;  // SIGSEGV demand-commit faults grown on this thread's stack
   int64_t mutex_wait_ns = 0;   // total contended-acquisition wait
   int64_t running_ns = 0;      // time-in-state accumulators...
   int64_t ready_ns = 0;
@@ -141,14 +139,10 @@ struct Tcb {
 
   // -- stack -----------------------------------------------------------------------------
   void* stack_base = nullptr;  // usable low address (guard page below)
+  // Mapped usable bytes; while stack_base is null (a lazy thread not yet activated), the
+  // requested size its activation will attach.
   size_t stack_size = 0;
   bool stack_pooled = false;
-  // Lowest committed address of a lazily mapped stack (== stack_base once fully committed,
-  // and from birth for a stack no larger than the initial commit). The SIGSEGV handler
-  // treats faults below this watermark as demand paging and faults at or above it as real
-  // errors — which also guarantees the commit-retry loop terminates.
-  char* stack_commit_lo = nullptr;
-  StackMapping* stack_mapping = nullptr;  // the pool's registry entry for this stack
 
   ThreadEntry entry = nullptr;
   void* entry_arg = nullptr;

@@ -125,44 +125,12 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
 
   KernelState& k = kernel::ks();
 
-  // Stack fault classification: a SIGSEGV on a live thread stack is either demand paging (a
-  // lazily reserved page below the commit watermark — commit it and retry the instruction)
-  // or a guard-page hit (genuine overflow). The pool answers from its sorted live-stack
-  // registry in O(log n); only a mid-mutation fault degrades to the old linear scan. This
-  // runs on the alternate signal stack (SA_ONSTACK) and BEFORE the in-kernel fatal check:
-  // kernel code runs on thread stacks too, and a fake-call frame pushed onto a suspended
-  // thread's uncommitted page must demand-commit, not abort.
-  if (signo == SIGSEGV && info != nullptr && k.pool != nullptr) {
-    StackFaultInfo fi = k.pool->ClassifyStackFault(info->si_addr, k.current);
-    if (fi.kind == StackFaultInfo::Kind::kUnavailable) {
-      for (Tcb* t : k.all_threads) {
-        if (StackPool::AddrInGuard(info->si_addr, t)) {
-          fi = {StackFaultInfo::Kind::kOverflow, t};
-          break;
-        }
-        if (StackPool::CommitFaultOnThread(info->si_addr, t)) {
-          fi = {StackFaultInfo::Kind::kCommitted, t};
-          break;
-        }
-      }
-    }
-    // Backstop: si_addr == nullptr with a partially committed current stack is the host
-    // kernel telling us it could not push a signal frame (or complete some other user-memory
-    // write) on the PROT_NONE tail — it force-delivers SIGSEGV with no fault address.
-    // Commit the rest of the stack and retry the interrupted instruction. A genuine null
-    // dereference is not swallowed: the second fault arrives with the stack fully committed
-    // and falls through to the fatal path.
-    if (fi.kind == StackFaultInfo::Kind::kNone && info->si_addr == nullptr &&
-        k.current != nullptr && k.current->stack_base != nullptr &&
-        k.current->stack_commit_lo != static_cast<char*>(k.current->stack_base) &&
-        StackPool::CommitFaultOnThread(k.current->stack_commit_lo - 1, k.current)) {
-      return;
-    }
-    if (fi.kind == StackFaultInfo::Kind::kCommitted) {
-      return;  // sigreturn re-executes the faulting instruction against committed pages
-    }
-    if (fi.kind == StackFaultInfo::Kind::kOverflow) {
-      Tcb* t = fi.thread;
+  // Stack overflow: every thread stack is mapped read-write in full, so a SIGSEGV on one
+  // is either a hit on some live thread's guard page or an ordinary fault. This runs on the
+  // alternate signal stack (SA_ONSTACK) and before the in-kernel fatal check, since kernel
+  // code runs on thread stacks too and an overflow there should still name its victim.
+  if (signo == SIGSEGV && info != nullptr) {
+    if (Tcb* t = StackPool::GuardOwner(info->si_addr, k.current, k.all_threads)) {
       debug::obs::Emit(debug::obs::Event::kOverflow, t, t->id,
                        static_cast<uint32_t>(t->stack_size));
       log::RawWriteCstr("fsup fatal: stack overflow in thread ");
@@ -194,8 +162,7 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
         log::RawWriteCstr(",");
         log::RawWriteHex(reinterpret_cast<uint64_t>(k.current->stack_base) +
                          k.current->stack_size);
-        log::RawWriteCstr(") commit_lo=");
-        log::RawWriteHex(reinterpret_cast<uint64_t>(k.current->stack_commit_lo));
+        log::RawWriteCstr(")");
       }
       log::RawWriteCstr("\n");
     }

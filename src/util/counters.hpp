@@ -66,7 +66,6 @@
   X(kIoNotsockProbes, "io.notsock_probes")  /* recv/send attempts that got ENOTSOCK */   \
   X(kPoolMaps, "pool.maps")                 /* fresh stack mmaps */                      \
   X(kPoolAllocFailures, "pool.alloc_failures") /* no mmap and no parked stack */         \
-  X(kPoolLazyCommits, "pool.lazy_commits")  /* demand-commit faults resolved */          \
   FSUP_POOL_CLASS_COUNTERS(X, 0)                                                         \
   FSUP_POOL_CLASS_COUNTERS(X, 1)                                                         \
   FSUP_POOL_CLASS_COUNTERS(X, 2)                                                         \

@@ -114,15 +114,15 @@ TEST_F(DebugTest, HostCallCountsPerService) {
 TEST_F(DebugTest, StackMapsCountedViaHostos) {
   hostos::ResetCallCounts();
   size_t mapped = 0;
-  char* commit_lo = nullptr;
-  void* stack = hostos::MapStack(64 * 1024, &mapped, &commit_lo);
+  void* stack = hostos::MapStack(64 * 1024, &mapped);
   ASSERT_NE(nullptr, stack);
   EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMmap));
-  EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMprotect));  // the initial commit
+  EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMprotect));  // the guard page
   EXPECT_GE(mapped, 64u * 1024);
-  EXPECT_EQ(static_cast<char*>(stack) + mapped -
-                hostos::kStackInitialCommitPages * hostos::PageSize(),
-            commit_lo);
+  // Read-write down to the lowest usable byte; the byte below it is the guard page.
+  static_cast<volatile char*>(stack)[0] = 1;
+  EXPECT_EQ(1, static_cast<volatile char*>(stack)[0]);
+  EXPECT_TRUE(hostos::InGuardPage(static_cast<char*>(stack) - 1, stack));
   hostos::UnmapStack(stack, mapped);
   EXPECT_EQ(1u, hostos::CallCount(hostos::Call::kMunmap));
 }

@@ -1,6 +1,6 @@
 // Deterministic count gate for the warm thread lifecycle: once every stack class, the TCB slab
 // and the cleanup-node list are warm, a create -> TSD set -> cleanup push/pop -> lock/unlock ->
-// exit -> join cycle makes no heap allocation, no host call and no stack-registry change.
+// exit -> join cycle makes no heap allocation and no host call.
 //
 // A binary of its own because it replaces the global operator new/delete with counting ones.
 
@@ -12,7 +12,6 @@
 
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
-#include "src/kernel/kernel.hpp"
 
 namespace {
 
@@ -115,9 +114,7 @@ TEST(LifecycleAllocTest, WarmCycleAllocatesNothing) {
   ASSERT_EQ(0, pt_mutex_init(&g_mu));
   ASSERT_EQ(0, RunCycles(5));  // warm: one stack per class, a TCB slot, a cleanup node
 
-  const StackPool& pool = *kernel::ks().pool;
   g_destructed = g_cleaned = g_locked = 0;
-  const size_t registry_before = pool.registered_stacks();
   const uint64_t host_before = hostos::TotalCallCount();
   const uint64_t news_before = g_news;
   const uint64_t deletes_before = g_deletes;
@@ -127,7 +124,6 @@ TEST(LifecycleAllocTest, WarmCycleAllocatesNothing) {
   const uint64_t news = g_news - news_before;
   const uint64_t deletes = g_deletes - deletes_before;
   const uint64_t host_calls = hostos::TotalCallCount() - host_before;
-  const size_t registry_after = pool.registered_stacks();
 
   EXPECT_EQ(0, bad);
   EXPECT_EQ(kCycles, g_destructed);
@@ -136,7 +132,6 @@ TEST(LifecycleAllocTest, WarmCycleAllocatesNothing) {
   EXPECT_EQ(0u, news) << "operator new calls in " << kCycles << " warm cycles";
   EXPECT_EQ(0u, deletes) << "operator delete calls in " << kCycles << " warm cycles";
   EXPECT_EQ(0u, host_calls) << "hostos calls in " << kCycles << " warm cycles";
-  EXPECT_EQ(registry_before, registry_after);
   pt_mutex_destroy(&g_mu);
   pt_key_delete(g_key);
 }

@@ -1,10 +1,13 @@
 // Size-classed stack pool edge cases: class geometry, per-class recycling, the non-pow2
-// bypass, the bytes-based recycle budget with largest-first eviction, lazy-commit demand
-// paging (unit level via ClassifyStackFault and end-to-end via a deep-frame thread), the
-// mapping registry (recycled, parked and evicted stacks), and the watermark of a stack no
-// larger than the initial commit.
+// bypass, the bytes-based recycle budget with largest-first eviction, the guard-owner lookup
+// the SIGSEGV handler uses (current, non-current, recycled, parked and evicted stacks), the
+// stack size a lazy thread is activated with, a size whose page round-up wraps, and deep
+// frames: a first frame far down the stack, and OS signal frames pushed there.
 
 #include <gtest/gtest.h>
+
+#include <cerrno>
+#include <cstdint>
 
 #include "src/core/attr.hpp"
 #include "src/core/bench_probes.hpp"
@@ -109,48 +112,49 @@ TEST_F(StackPoolTest, TcbSlotsComeFromTheSlabFreeList) {
   pool.Free(t2);
 }
 
-TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
-  const uint64_t commits = counters::Get(counters::kPoolLazyCommits);
+using ThreadList = IntrusiveList<Tcb, &Tcb::all_link>;
+
+TEST_F(StackPoolTest, GuardOwnerNamesTheCurrentThread) {
+  StackPool pool(0);
+  Tcb* t = pool.Allocate(kDefaultStackSize);
+  ASSERT_NE(nullptr, t);
+  char* base = static_cast<char*>(t->stack_base);
+  ThreadList none;  // the current thread is found without the walk
+  EXPECT_EQ(t, StackPool::GuardOwner(base - 1, t, none));
+  EXPECT_EQ(t, StackPool::GuardOwner(base - hostos::PageSize(), t, none));
+  // Usable bytes and the byte below the guard page are not a guard hit.
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(base, t, none));
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(base - hostos::PageSize() - 1, t, none));
+  pool.Free(t);
+}
+
+TEST_F(StackPoolTest, GuardOwnerNamesANonCurrentVictim) {
   StackPool pool(0);
   Tcb* t1 = pool.Allocate(kDefaultStackSize);
   Tcb* t2 = pool.Allocate(kDefaultStackSize);
+  Tcb* t3 = pool.Allocate(kMinStackSize);
   ASSERT_NE(nullptr, t1);
   ASSERT_NE(nullptr, t2);
-  char* base2 = static_cast<char*>(t2->stack_base);
-  ASSERT_GT(t2->stack_commit_lo, base2);  // a lazy band exists below the watermark
-
-  // A write deep below t2's watermark, with some OTHER thread current: the ordered registry
-  // finds the owner and commits in place.
-  auto r = pool.ClassifyStackFault(base2 + 64, t1);
-  EXPECT_EQ(StackFaultInfo::Kind::kCommitted, r.kind);
-  EXPECT_EQ(t2, r.thread);
-  EXPECT_EQ(base2, t2->stack_commit_lo);
-  EXPECT_EQ(commits + 1, counters::Get(counters::kPoolLazyCommits));
-
-  // The same address again is a real fault now (committed pages don't re-fault) — it must
-  // not be swallowed as demand paging.
-  r = pool.ClassifyStackFault(base2 + 64, t1);
-  EXPECT_EQ(StackFaultInfo::Kind::kNone, r.kind);
-
-  // Guard-page hits classify as overflow with the right victim, current thread or not.
-  r = pool.ClassifyStackFault(base2 - 1, t1);
-  EXPECT_EQ(StackFaultInfo::Kind::kOverflow, r.kind);
-  EXPECT_EQ(t2, r.thread);
-  char* base1 = static_cast<char*>(t1->stack_base);
-  r = pool.ClassifyStackFault(base1 - 1, t1);
-  EXPECT_EQ(StackFaultInfo::Kind::kOverflow, r.kind);
-  EXPECT_EQ(t1, r.thread);
-
-  // An address on no registered stack is nobody's business.
+  ASSERT_NE(nullptr, t3);
+  ThreadList threads;
+  threads.PushBack(t1);
+  threads.PushBack(t2);
+  threads.PushBack(t3);
+  // t1 runs; a hit on t2's or t3's guard page names that thread, not the current one.
+  EXPECT_EQ(t2, StackPool::GuardOwner(static_cast<char*>(t2->stack_base) - 1, t1, threads));
+  EXPECT_EQ(t3, StackPool::GuardOwner(static_cast<char*>(t3->stack_base) - 1, t1, threads));
+  EXPECT_EQ(t1, StackPool::GuardOwner(static_cast<char*>(t1->stack_base) - 1, t1, threads));
+  // An address on no thread stack is nobody's.
   int on_main_stack = 0;
-  r = pool.ClassifyStackFault(&on_main_stack, t1);
-  EXPECT_EQ(StackFaultInfo::Kind::kNone, r.kind);
-
-  pool.Free(t1);
-  pool.Free(t2);
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(&on_main_stack, t1, threads));
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(nullptr, t1, threads));
+  for (Tcb* t : {t1, t2, t3}) {
+    t->all_link.Unlink();
+    pool.Free(t);
+  }
 }
 
-TEST_F(StackPoolTest, FaultsOnARecycledStackNameTheCurrentTenant) {
+TEST_F(StackPoolTest, GuardOwnerNamesTheCurrentTenantOfARecycledStack) {
   StackPool pool(0);
   Tcb* first = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, first);
@@ -163,94 +167,131 @@ TEST_F(StackPoolTest, FaultsOnARecycledStackNameTheCurrentTenant) {
   ASSERT_NE(nullptr, tenant);
   ASSERT_EQ(base, static_cast<char*>(tenant->stack_base));  // recycled, not remapped
   ASSERT_NE(first, tenant);
-  ASSERT_GT(tenant->stack_commit_lo, base);  // the first tenant never grew it
-
-  auto r = pool.ClassifyStackFault(base + 64, other);
-  EXPECT_EQ(StackFaultInfo::Kind::kCommitted, r.kind);
-  EXPECT_EQ(tenant, r.thread);
-  EXPECT_EQ(base, tenant->stack_commit_lo);
-  r = pool.ClassifyStackFault(base - 1, other);
-  EXPECT_EQ(StackFaultInfo::Kind::kOverflow, r.kind);
-  EXPECT_EQ(tenant, r.thread);
-  pool.Free(other);
-  pool.Free(tenant);
+  ThreadList threads;
+  threads.PushBack(other);
+  threads.PushBack(tenant);
+  EXPECT_EQ(tenant, StackPool::GuardOwner(base - 1, other, threads));
+  for (Tcb* t : {other, tenant}) {
+    t->all_link.Unlink();
+    pool.Free(t);
+  }
 }
 
-TEST_F(StackPoolTest, ParkedStackStaysRegisteredButOwnsNoFaults) {
-  const uint64_t commits = counters::Get(counters::kPoolLazyCommits);
-  StackPool pool(0);
-  Tcb* t = pool.Allocate(kDefaultStackSize);
-  ASSERT_NE(nullptr, t);
-  char* base = static_cast<char*>(t->stack_base);
-  EXPECT_EQ(1u, pool.registered_stacks());
-  pool.Free(t);
-  // Parking a stack does not touch the registry (only map and unmap do), but nothing runs on
-  // a parked stack, so no fault on it is a thread's.
-  EXPECT_EQ(1u, pool.pooled_stacks());
-  EXPECT_EQ(1u, pool.registered_stacks());
-  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base + 64, nullptr).kind);
-  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base - 1, nullptr).kind);
-  EXPECT_EQ(commits, counters::Get(counters::kPoolLazyCommits));
-}
-
-TEST_F(StackPoolTest, EvictedStackLeavesTheRegistry) {
-  StackPool pool(0, 65536);
+TEST_F(StackPoolTest, ParkedOrEvictedStackIsNobodys) {
+  StackPool pool(0, 2 * kDefaultStackSize);
+  Tcb* live = pool.Allocate(kMinStackSize);
+  Tcb* parked = pool.Allocate(kDefaultStackSize);
   Tcb* big = pool.Allocate(1u << 20);
+  ASSERT_NE(nullptr, live);
+  ASSERT_NE(nullptr, parked);
   ASSERT_NE(nullptr, big);
-  char* base = static_cast<char*>(big->stack_base);
+  char* parked_base = static_cast<char*>(parked->stack_base);
+  char* big_base = static_cast<char*>(big->stack_base);
+  pool.Free(parked);
   pool.Free(big);  // over budget: unmapped at once
-  EXPECT_EQ(0u, pool.pooled_stacks());
-  EXPECT_EQ(0u, pool.registered_stacks());
-  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base + 64, nullptr).kind);
-  EXPECT_EQ(StackFaultInfo::Kind::kNone, pool.ClassifyStackFault(base - 1, nullptr).kind);
+  EXPECT_EQ(1u, pool.pooled_stacks());
+  // Nothing runs on a parked stack or an unmapped one, so no guard hit there is a thread's.
+  ThreadList threads;
+  threads.PushBack(live);
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(parked_base - 1, live, threads));
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(big_base - 1, live, threads));
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(parked_base - 1, nullptr, threads));
+  live->all_link.Unlink();
+  pool.Free(live);
 }
 
-TEST_F(StackPoolTest, RecycledStackKeepsItsCommitWatermark) {
-  StackPool pool(0);
-  Tcb* t = pool.Allocate(kDefaultStackSize);
-  ASSERT_NE(nullptr, t);
-  char* base = static_cast<char*>(t->stack_base);
-  ASSERT_TRUE(StackPool::CommitFaultOnThread(base + 64, t));  // fully commit
-  EXPECT_EQ(base, t->stack_commit_lo);
-  pool.Free(t);
-  // The recycled stack comes back warm: already-committed pages are not re-reserved, so the
-  // next tenant pays no demand faults for them.
-  Tcb* t2 = pool.Allocate(kDefaultStackSize);
-  ASSERT_NE(nullptr, t2);
-  EXPECT_EQ(base, static_cast<char*>(t2->stack_base));
-  EXPECT_EQ(base, t2->stack_commit_lo);
-  pool.Free(t2);
+TEST_F(StackPoolTest, LazyThreadGetsItsRequestedStackSize) {
+  static size_t seen = 0;
+  seen = 0;
+  ThreadAttr attr;
+  attr.lazy = true;
+  attr.stack_size = 1u << 20;
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, &attr,
+                         +[](void*) -> void* {
+                           seen = pt_self()->stack_size;
+                           return nullptr;
+                         },
+                         nullptr));
+  ASSERT_EQ(0, pt_join(t, nullptr));  // activates it
+  EXPECT_EQ(size_t{1} << 20, seen);
 }
 
-TEST_F(StackPoolTest, MinimumStackIsBornFullyCommitted) {
-  // A kMinStackSize stack is no larger than the initial commit, which MapStack clamps to the
-  // stack: the watermark it reports sits exactly at the base, never below it.
-  ASSERT_LE(kMinStackSize, hostos::kStackInitialCommitPages * hostos::PageSize());
-  StackPool pool(0);
-  Tcb* t = pool.Allocate(kMinStackSize);
-  ASSERT_NE(nullptr, t);
-  // Watermark at the base: no lazy band, every page is RW from birth.
-  EXPECT_EQ(static_cast<char*>(t->stack_base), t->stack_commit_lo);
-  EXPECT_EQ(StackFaultInfo::Kind::kNone,
-            pool.ClassifyStackFault(static_cast<char*>(t->stack_base) + 64, t).kind);
-  pool.Free(t);
+TEST_F(StackPoolTest, WrappingStackSizeFailsWithEagain) {
+  // SIZE_MAX - 100 wraps to 0 when rounded up to a page: refused, never mapped.
+  ThreadAttr attr;
+  attr.stack_size = SIZE_MAX - 100;
+  const uint64_t maps = counters::Get(counters::kPoolMaps);
+  pt_thread_t t;
+  EXPECT_EQ(EAGAIN, pt_create(&t, &attr, +[](void*) -> void* { return nullptr; }, nullptr));
+  EXPECT_EQ(maps, counters::Get(counters::kPoolMaps));
+  // The runtime is unharmed: an ordinary thread still runs.
+  ASSERT_EQ(0, pt_create(&t, nullptr, +[](void*) -> void* { return nullptr; }, nullptr));
+  ASSERT_EQ(0, pt_join(t, nullptr));
 }
 
-// End-to-end demand paging: a thread whose first frame lands far below the initial commit
-// faults once, the SIGSEGV handler commits the reservation, and the thread never notices.
+// A first frame far down a fresh 128 KiB stack runs like any other.
 __attribute__((noinline)) void* DeepFrameBody(void*) {
-  volatile char frame[96 * 1024];  // default stack 128 KiB, initial commit far smaller
+  volatile char frame[96 * 1024];
   frame[0] = 1;
   frame[sizeof(frame) - 1] = 2;
   return nullptr;
 }
 
-TEST_F(StackPoolTest, DeepFirstFrameIsDemandCommittedTransparently) {
-  const uint64_t before = probe::StackPoolLazyCommits();
+TEST_F(StackPoolTest, DeepFirstFrameRuns) {
   pt_thread_t t;
   ASSERT_EQ(0, pt_create(&t, nullptr, &DeepFrameBody, nullptr));
   ASSERT_EQ(0, pt_join(t, nullptr));
-  EXPECT_GE(probe::StackPoolLazyCommits(), before + 1);
+}
+
+// OS signal frames pushed deep in a thread stack: an RR thread spins about 100 KiB down its
+// 128 KiB stack while an RR partner takes turns with it, so every turn the partner gets is a
+// SIGALRM slice tick whose signal frame landed below that deep frame.
+volatile long g_partner_spins = 0;
+volatile bool g_deep_done = false;
+size_t g_deep_depth = 0;
+
+__attribute__((noinline)) void* DeepSpinBody(void*) {
+  volatile char frame[100 * 1024];
+  frame[0] = 1;
+  frame[sizeof(frame) - 1] = 2;
+  const Tcb* self = pt_self();
+  g_deep_depth = static_cast<size_t>(static_cast<char*>(self->stack_base) + self->stack_size -
+                                     const_cast<char*>(&frame[0]));
+  long seen = g_partner_spins;
+  for (int turns = 0; turns < 4;) {
+    if (g_partner_spins != seen) {  // the partner ran: we were sliced away and came back
+      seen = g_partner_spins;
+      ++turns;
+    }
+  }
+  g_deep_done = true;
+  return nullptr;
+}
+
+TEST_F(StackPoolTest, SliceTicksLandDeepInAThreadStack) {
+  g_partner_spins = 0;
+  g_deep_done = false;
+  pt_enable_time_slicing(1000);
+  ThreadAttr rr;
+  rr.inherit_policy = false;
+  rr.policy = SchedPolicy::kRr;
+  pt_thread_t deep, partner;
+  ASSERT_EQ(0, pt_create(&deep, &rr, &DeepSpinBody, nullptr));
+  ASSERT_EQ(0, pt_create(&partner, &rr,
+                         +[](void*) -> void* {
+                           while (!g_deep_done) {
+                             g_partner_spins = g_partner_spins + 1;
+                           }
+                           return nullptr;
+                         },
+                         nullptr));
+  ASSERT_EQ(0, pt_join(deep, nullptr));
+  ASSERT_EQ(0, pt_join(partner, nullptr));
+  pt_disable_time_slicing();
+  EXPECT_TRUE(g_deep_done);
+  EXPECT_GE(g_deep_depth, size_t{100} * 1024);
+  EXPECT_LT(g_deep_depth, size_t{kDefaultStackSize});
 }
 
 }  // namespace
