@@ -197,7 +197,7 @@ int pt_profile_dump(const char* path) {
   return debug::profiler::Dump(path);
 }
 
-uint64_t pt_profile_samples() { return debug::profiler::SampleCount(); }
+uint64_t pt_profile_samples() { return counters::Get(counters::kProfilerSamples); }
 
 // -- thread management --------------------------------------------------------------------
 

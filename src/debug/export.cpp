@@ -18,12 +18,17 @@
 namespace fsup::debug {
 namespace {
 
-char g_atexit_path[512];
+// Function-local, so init running from another file's static constructors finds it built.
+std::string& AtExitPath() {
+  static std::string path;
+  return path;
+}
+
 bool g_atexit_registered = false;
 
 void DumpAtExit() {
-  if (g_atexit_path[0] != '\0') {
-    TraceDumpJson(g_atexit_path);
+  if (!AtExitPath().empty()) {
+    TraceDumpJson(AtExitPath().c_str());
   }
 }
 
@@ -90,14 +95,13 @@ int TraceDumpJson(const char* path) {
   }
   // Profiler counter points become Perfetto "C" counter tracks interleaved with the trace
   // records (same clock — both stamp NowNs), so ready-queue depth and sampling rate line up
-  // under the scheduling slices.
-  profiler::CounterPoint counters[256];
-  const int ncounters = profiler::CounterSnapshot(counters, 256);
+  // under the scheduling slices. On the heap: the points outgrow a thread stack.
+  const std::vector<profiler::CounterPoint> points = profiler::CounterSnapshot();
 
   const long pid = static_cast<long>(::getpid());
   int64_t t0 = recs.empty() ? 0 : recs.front().t_ns;
-  if (ncounters > 0 && (recs.empty() || counters[0].t_ns < t0)) {
-    t0 = counters[0].t_ns;
+  if (!points.empty() && (recs.empty() || points.front().t_ns < t0)) {
+    t0 = points.front().t_ns;
   }
 
   std::fputs("{\"traceEvents\":[\n", f);
@@ -164,26 +168,28 @@ int TraceDumpJson(const char* path) {
                    pid, tid, ToUs(last_ns, t0));
     }
   }
-  // "C" counter tracks from the profiler's collector. samples holds the cumulative on-CPU
-  // sample count; the rate track is the delta over each collector interval.
-  for (int i = 0; i < ncounters; ++i) {
-    const profiler::CounterPoint& c = counters[i];
-    const double ts = ToUs(c.t_ns, t0);
-    auto counter = [&](const char* name, double value) {
+  // "C" counter tracks from the profiler's collector, named from the counter registry: one
+  // per gauge, and a "<name>/s" rate track over each collector interval for every counter
+  // that moved — the series fsup_top shows.
+  for (size_t i = 0; i < points.size(); ++i) {
+    const counters::Block& b = points[i].block;
+    const double ts = ToUs(points[i].t_ns, t0);
+    auto counter = [&](const char* name, const char* suffix, double value) {
       sep();
       std::fprintf(f,
-                   "{\"ph\":\"C\",\"pid\":%ld,\"ts\":%.3f,\"name\":\"%s\","
+                   "{\"ph\":\"C\",\"pid\":%ld,\"ts\":%.3f,\"name\":\"%s%s\","
                    "\"cat\":\"fsup\",\"args\":{\"value\":%.0f}}",
-                   pid, ts, name, value);
+                   pid, ts, name, suffix, value);
     };
-    counter("live_threads", static_cast<double>(c.live_threads));
-    counter("ready_depth", static_cast<double>(c.ready_depth));
-    counter("stack_pool_mapped_bytes", static_cast<double>(c.pool_mapped_bytes));
-    if (i > 0) {
-      const int64_t dt_ns = c.t_ns - counters[i - 1].t_ns;
-      const uint64_t ds = c.samples - counters[i - 1].samples;
-      if (dt_ns > 0) {
-        counter("samples_per_s", static_cast<double>(ds) * 1e9 / static_cast<double>(dt_ns));
+    for (int g = 0; g < counters::kGaugeCount; ++g) {
+      counter(counters::kGaugeNames[g], "", static_cast<double>(b.gauges[g]));
+    }
+    const int64_t dt_ns = i > 0 ? points[i].t_ns - points[i - 1].t_ns : 0;
+    for (int c = 0; c < counters::kCount && dt_ns > 0; ++c) {
+      if (points.back().block.counters[c] != points.front().block.counters[c]) {
+        const double delta = static_cast<double>(b.counters[c]) -
+                             static_cast<double>(points[i - 1].block.counters[c]);
+        counter(counters::kNames[c], "/s", delta * 1e9 / static_cast<double>(dt_ns));
       }
     }
   }
@@ -200,7 +206,7 @@ int TraceDumpJson(const char* path) {
 }
 
 void SetTraceFileAtExit(const char* path) {
-  std::snprintf(g_atexit_path, sizeof(g_atexit_path), "%s", path);
+  AtExitPath() = path;
   if (!g_atexit_registered) {
     g_atexit_registered = true;
     std::atexit(&DumpAtExit);

@@ -270,8 +270,6 @@ void CaptureCounters(counters::Block* out) {
   g[kIoCachedFds] = static_cast<uint64_t>(ios.cached_fds);
   g[kIoEpoll] = ios.epoll_backend ? 1 : 0;
   g[kProfilerHz] = profiler::SampleHz();
-  g[kProfilerSamples] = profiler::SampleCount();
-  g[kProfilerDropped] = profiler::DroppedCount();
 }
 
 void Capture(MetricsSnapshot* out) {

@@ -5,12 +5,13 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "src/core/pthread.hpp"
@@ -20,7 +21,6 @@
 #include "src/debug/stats_shm.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
-#include "src/kernel/stack_pool.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/dual_loop_timer.hpp"
 #include "src/util/log.hpp"
@@ -39,54 +39,19 @@ namespace {
 static_assert(kStatsShmMaxDepth == TcbProfile::kMaxDepth,
               "shm layout and TCB capture disagree on the off-CPU depth");
 
-// ---------------------------------------------------------------------------------------------
-// The sample ring. Writers are the SIGPROF sampler (signal context, may interrupt anything),
-// and the in-kernel emitters (tick sampling, off-CPU wakes). A writer reserves a slot with a
-// bounded CAS (dropping when the ring is full), fills it, and commits. The collector drains
-// in-kernel under the g_draining flag: the SIGPROF sampler — the only writer that could run
-// concurrently with a drain on this single OS thread — sees the flag and skips, and any
-// in-kernel writer's frame has necessarily unwound by the time the collector runs, so at drain
-// time reserved == committed and every slot below the cursor is fully written.
-// ---------------------------------------------------------------------------------------------
+constexpr int kMaxDepth = 24;  // on-CPU frames kept per sample
 
-constexpr int kMaxDepth = 24;   // on-CPU frames kept per sample
-constexpr int kRingCap = 4096;  // samples buffered between collector drains
-
-struct Sample {
-  uint64_t weight;  // on-CPU: 1; off-CPU: blocked nanoseconds
-  uint32_t tid;
-  uint32_t tag;     // wait-object tag (off-CPU), 0 otherwise
-  uint8_t kind;     // 0 = on-CPU, 1 = off-CPU
-  uint8_t reason;   // BlockReason raw value (off-CPU)
-  uint8_t depth;
+// One sample, and one table entry: the entry sums the weights of the samples that share its
+// stack and wait object.
+struct Stack {
+  uint64_t hash = 0;    // table entries only
+  uint64_t weight = 0;  // on-CPU: 1 per sample; off-CPU: blocked nanoseconds
+  uint64_t count = 0;   // samples folded into the entry
+  uint32_t tag = 0;     // wait-object tag (off-CPU), 0 otherwise
+  uint8_t reason = 0;   // BlockReason raw value (off-CPU)
+  uint8_t depth = 0;
   uintptr_t pcs[kMaxDepth];  // leaf first
 };
-
-Sample g_ring[kRingCap];
-std::atomic<uint64_t> g_reserved{0};
-std::atomic<uint64_t> g_committed{0};
-std::atomic<uint64_t> g_read{0};     // drain cursor; sampler reads it to bound reservation
-std::atomic<uint64_t> g_dropped{0};  // ring-full + drain-window + agg-cap drops
-volatile bool g_draining = false;
-
-// Returns false when the sample was dropped.
-bool EmitSample(const Sample& s) {
-  uint64_t seq = g_reserved.load(std::memory_order_relaxed);
-  for (int tries = 0;; ++tries) {
-    if (seq - g_read.load(std::memory_order_relaxed) >= kRingCap || tries >= 8) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (g_reserved.compare_exchange_weak(seq, seq + 1, std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  g_ring[seq % kRingCap] = s;
-  g_committed.fetch_add(1, std::memory_order_release);
-  return true;
-}
-
-uint64_t g_offcpu_emitted = 0;  // off-CPU samples committed to the ring (in-kernel writer)
 
 // ---------------------------------------------------------------------------------------------
 // Frame-pointer stack walking. The library builds with -fno-omit-frame-pointer, so a frame is
@@ -150,31 +115,41 @@ int WalkFrames(uintptr_t pc, uintptr_t fp, const WalkBounds& b, uintptr_t* out, 
 }
 
 // ---------------------------------------------------------------------------------------------
-// Aggregation (collector-side, in-kernel). Samples fold into (stack hash → weight/count); the
-// entry cap bounds memory on adversarial stack diversity, overflow counts as drops.
+// The profile tables, one on-CPU and one off-CPU: open addressing on the FNV-1a stack hash
+// over a dense entry array, calloc'd at the first session start so untouched pages cost no
+// RSS. Every sampler folds in place; a sample that needs an entry past the cap is a drop.
+//
+// The SIGPROF sampler can interrupt anything on this one OS thread, the kernel included, so
+// in-kernel code touches a table only inside a busy section marked by g_busy. A SIGPROF that
+// lands in one parks its sample in the pending slot, folded when the section ends — the way
+// the kernel handles a signal it logged — and a second one is dropped. Every profiler.*
+// counter is thus bumped either by the sampler or in a busy section, never both at once.
 // ---------------------------------------------------------------------------------------------
 
-struct Agg {
-  uint64_t weight = 0;
-  uint64_t count = 0;
-  uint32_t tag = 0;
-  uint8_t reason = 0;
-  uint8_t depth = 0;
-  uintptr_t pcs[kMaxDepth] = {};
+constexpr uint32_t kMaxAggEntries = 65536;
+constexpr uint32_t kSlotMask = 2 * kMaxAggEntries - 1;  // load factor <= 1/2
+
+struct Table {
+  Stack* entries = nullptr;  // [0, size) in use
+  uint32_t* slots = nullptr;   // entry index + 1; 0 = empty
+  uint32_t size = 0;
 };
 
-constexpr size_t kMaxAggEntries = 65536;
+Table g_oncpu;
+Table g_offcpu;
 
-std::unordered_map<uint64_t, Agg>* g_oncpu_agg = nullptr;
-std::unordered_map<uint64_t, Agg>* g_offcpu_agg = nullptr;
+volatile bool g_busy = false;
+Stack g_pending;  // a SIGPROF sample parked while g_busy was set
+volatile bool g_pending_full = false;
+volatile uint64_t g_busy_drops = 0;  // SIGPROF samples dropped in busy sections (handler-only)
+uint64_t g_busy_drops_counted = 0;   // of those, already added to profiler.dropped
 
-uint64_t HashSample(const Sample& s) {
+uint64_t HashStack(const Stack& s) {
   uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  mix(s.kind);
   mix(s.tag);
   mix(s.reason);
   mix(s.depth);
@@ -184,43 +159,57 @@ uint64_t HashSample(const Sample& s) {
   return h;
 }
 
-void Fold(const Sample& s) {
-  auto* agg = s.kind == 0 ? g_oncpu_agg : g_offcpu_agg;
-  const uint64_t h = HashSample(s);
-  auto it = agg->find(h);
-  if (it == agg->end()) {
-    if (agg->size() >= kMaxAggEntries) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
+// Adds s to its entry in t; false when t is full and s needed a new entry.
+bool Fold(Table& t, const Stack& s) {
+  const uint64_t h = HashStack(s);
+  uint32_t i = static_cast<uint32_t>(h) & kSlotMask;
+  while (t.slots[i] != 0 && t.entries[t.slots[i] - 1].hash != h) {
+    i = (i + 1) & kSlotMask;
+  }
+  if (t.slots[i] == 0) {
+    if (t.size == kMaxAggEntries) {
+      counters::Bump(counters::kProfilerDropped);
+      return false;
     }
-    Agg a;
-    a.tag = s.tag;
-    a.reason = s.reason;
-    a.depth = s.depth;
-    std::memcpy(a.pcs, s.pcs, sizeof(uintptr_t) * s.depth);
-    it = agg->emplace(h, a).first;
+    Stack& e = t.entries[t.size];
+    e = s;
+    e.hash = h;
+    e.weight = 0;
+    e.count = 0;
+    t.slots[i] = ++t.size;
   }
-  it->second.weight += s.weight;
-  it->second.count += 1;
-  if (s.kind != 0) {
-    counters::Bump(counters::kProfilerOffcpuSamples);
-    counters::g_block[counters::kProfilerOffcpuBlockedNs] += s.weight;
-  }
+  Stack& e = t.entries[t.slots[i] - 1];
+  e.weight += s.weight;
+  ++e.count;
+  counters::Bump(counters::kProfilerSamples);
+  return true;
 }
 
-// Drains [g_read, reserved) into the aggregates. In-kernel only; see the ring comment for why
-// reserved == committed holds here.
-void DrainRing() {
-  g_draining = true;
+void BeginBusy() {
+  g_busy = true;
   std::atomic_signal_fence(std::memory_order_seq_cst);
-  const uint64_t reserved = g_reserved.load(std::memory_order_relaxed);
-  FSUP_ASSERT(reserved == g_committed.load(std::memory_order_acquire));
-  for (uint64_t i = g_read.load(std::memory_order_relaxed); i != reserved; ++i) {
-    Fold(g_ring[i % kRingCap]);
+}
+
+// Leaves a busy section the way kernel::ExitProtocol leaves the kernel: fold the parked
+// sample, clear the byte, and look again, since a SIGPROF can park between the two.
+void EndBusy() {
+  for (;;) {
+    if (g_pending_full) {
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+      Fold(g_oncpu, g_pending);
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+      g_pending_full = false;
+    }
+    const uint64_t drops = g_busy_drops;
+    counters::g_block[counters::kProfilerDropped] += drops - g_busy_drops_counted;
+    g_busy_drops_counted = drops;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    g_busy = false;
+    if (!g_pending_full) {
+      return;
+    }
+    BeginBusy();
   }
-  g_read.store(reserved, std::memory_order_relaxed);
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-  g_draining = false;
 }
 
 // ---------------------------------------------------------------------------------------------
@@ -228,7 +217,6 @@ void DrainRing() {
 // ---------------------------------------------------------------------------------------------
 
 bool g_active = false;
-bool g_itimer_armed = false;  // live mode: ITIMER_PROF owns the sampling cadence
 int g_hz = kDefaultHz;
 uint32_t g_session = 0;  // stamps off-CPU captures; stale captures are ignored
 bool g_collector_stop = false;
@@ -237,18 +225,18 @@ pt_thread_t g_collector = nullptr;
 StatsShm* g_shm = nullptr;
 
 // Perfetto counter tracks: one point per collection period, fixed overwrite ring.
-constexpr int kCounterCap = 256;
-CounterPoint g_counter_ring[kCounterCap];
+constexpr int kCounterPoints = 256;
+CounterPoint g_counter_ring[kCounterPoints];
 uint64_t g_counter_total = 0;
 
 constexpr int64_t kCollectPeriodNs = 20 * 1000 * 1000;
 
-void TopStacks(const std::unordered_map<uint64_t, Agg>& agg, StatsShmStack* out, int n) {
-  for (int i = 0; i < n; ++i) {
-    out[i] = StatsShmStack{};
-  }
-  for (const auto& [h, a] : agg) {
-    // Insertion sort into the fixed top-N array, descending by weight.
+// The n heaviest entries of t, descending by weight. Inside a busy section.
+void TopStacks(const Table& t, StatsShmStack* out, int n) {
+  std::fill(out, out + n, StatsShmStack{});
+  for (uint32_t e = 0; e < t.size; ++e) {
+    const Stack& a = t.entries[e];
+    // Insertion sort into the fixed top-N array.
     int slot = n;
     while (slot > 0 && a.weight > out[slot - 1].weight) {
       --slot;
@@ -265,9 +253,7 @@ void TopStacks(const std::unordered_map<uint64_t, Agg>& agg, StatsShmStack* out,
     s.tag = a.tag;
     s.reason = a.reason;
     s.depth = a.depth < kStatsShmMaxDepth ? a.depth : kStatsShmMaxDepth;
-    for (int j = 0; j < s.depth; ++j) {
-      s.pcs[j] = a.pcs[j];
-    }
+    std::copy(a.pcs, a.pcs + s.depth, s.pcs);
   }
 }
 
@@ -283,24 +269,20 @@ void PublishShm() {
 
   s->updated_ns = NowNs();
   metrics::CaptureCounters(&s->block);
-  TopStacks(*g_oncpu_agg, s->top_oncpu, kStatsShmTopStacks);
-  TopStacks(*g_offcpu_agg, s->top_offcpu, kStatsShmTopStacks);
+  BeginBusy();
+  TopStacks(g_oncpu, s->top_oncpu, kStatsShmTopStacks);
+  TopStacks(g_offcpu, s->top_offcpu, kStatsShmTopStacks);
+  EndBusy();
 
   __atomic_thread_fence(__ATOMIC_RELEASE);
   __atomic_store_n(&s->seq, seq + 2, __ATOMIC_RELEASE);  // even: frame consistent
 }
 
-// One collection period: drain, stamp a counter point, republish the shm frame. In-kernel.
+// One collection period: stamp a counter point, republish the shm frame. In-kernel.
 void CollectOnce() {
-  DrainRing();
-  KernelState& k = kernel::ks();
-  CounterPoint p;
+  CounterPoint& p = g_counter_ring[g_counter_total % kCounterPoints];
   p.t_ns = NowNs();
-  p.live_threads = k.live_threads;
-  p.ready_depth = static_cast<uint32_t>(k.ready.size());
-  p.pool_mapped_bytes = k.pool != nullptr ? k.pool->mapped_bytes() : 0;
-  p.samples = g_committed.load(std::memory_order_relaxed);
-  g_counter_ring[g_counter_total % kCounterCap] = p;
+  metrics::CaptureCounters(&p.block);
   ++g_counter_total;
   PublishShm();
 }
@@ -316,10 +298,7 @@ void* CollectorMain(void*) {
 }
 
 int ArmItimer(int hz) {
-  int64_t usec = 1000000 / (hz > 0 ? hz : 1);
-  if (usec < 1) {
-    usec = 1;
-  }
+  const int64_t usec = std::max<int64_t>(1, 1000000 / hz);
   itimerval v = {};
   v.it_interval.tv_sec = usec / 1000000;
   v.it_interval.tv_usec = usec % 1000000;
@@ -333,16 +312,19 @@ void DisarmItimer() {
 }
 
 void ResetSession() {
-  const uint64_t reserved = g_reserved.load(std::memory_order_relaxed);
-  g_read.store(reserved, std::memory_order_relaxed);  // discard unconsumed samples
-  g_dropped.store(0, std::memory_order_relaxed);
-  if (g_oncpu_agg == nullptr) {
-    g_oncpu_agg = new std::unordered_map<uint64_t, Agg>();
-    g_offcpu_agg = new std::unordered_map<uint64_t, Agg>();
+  BeginBusy();
+  for (Table* t : {&g_oncpu, &g_offcpu}) {
+    if (t->entries == nullptr) {
+      t->entries = static_cast<Stack*>(std::calloc(kMaxAggEntries, sizeof(Stack)));
+      t->slots = static_cast<uint32_t*>(std::calloc(kSlotMask + 1, sizeof(uint32_t)));
+      FSUP_CHECK_MSG(t->entries != nullptr && t->slots != nullptr, "profiler: out of memory");
+    } else if (t->size != 0) {
+      std::memset(t->slots, 0, (kSlotMask + 1) * sizeof(uint32_t));
+    }
+    t->size = 0;
   }
-  g_oncpu_agg->clear();
-  g_offcpu_agg->clear();
   counters::ResetGroup("profiler");
+  EndBusy();
   g_counter_total = 0;
   ++g_session;
 }
@@ -351,7 +333,7 @@ void ResetSession() {
 // Folded-stacks output
 // ---------------------------------------------------------------------------------------------
 
-void WriteFolded(FILE* f, const Agg& a, bool offcpu) {
+void WriteFolded(FILE* f, const Stack& a, bool offcpu) {
   // Root first, leaf last — the orientation flamegraph.pl expects. PCs are raw hex frame
   // names; the .maps sidecar lets an offline script rewrite them into symbols.
   for (int i = a.depth - 1; i >= 0; --i) {
@@ -405,12 +387,16 @@ int CopyMapsSidecar(const char* path) {
   return 0;
 }
 
-// FSUP_PROFILE_FILE: dump at process exit, same pattern as FSUP_TRACE_FILE.
-char g_atexit_path[512] = {};
+// FSUP_PROFILE_FILE: dump at process exit, same pattern as FSUP_TRACE_FILE. Function-local,
+// so init running from another file's static constructors finds it built.
+std::string& AtExitPath() {
+  static std::string path;
+  return path;
+}
 
 void AtExitDump() {
-  if (g_atexit_path[0] != '\0') {
-    Dump(g_atexit_path);
+  if (!AtExitPath().empty()) {
+    Dump(AtExitPath().c_str());
   }
 }
 
@@ -446,25 +432,19 @@ void CloseBlock(Tcb* t, int64_t now) {
   if (p.depth == 0 || p.session != g_session) {
     return;
   }
-  Sample s;
+  Stack s;
   s.weight = now > p.block_since_ns ? static_cast<uint64_t>(now - p.block_since_ns) : 0;
-  s.tid = t->id;
   s.tag = p.block_tag;
-  s.kind = 1;
   s.reason = p.block_reason;
   s.depth = p.depth;
   std::memcpy(s.pcs, p.pcs, sizeof(uintptr_t) * p.depth);
   p.depth = 0;  // capture consumed
-  // A broadcast at N=4096 produces thousands of wake records inside one kernel entry — far
-  // faster than the collector's 20ms drain. This emitter is in-kernel (DrainRing's only
-  // precondition), so fold eagerly instead of dropping when the ring runs ahead.
-  if (g_reserved.load(std::memory_order_relaxed) - g_read.load(std::memory_order_relaxed) >=
-      kRingCap - kRingCap / 4) {
-    DrainRing();
+  BeginBusy();
+  if (Fold(g_offcpu, s)) {
+    counters::Bump(counters::kProfilerOffcpuSamples);
+    counters::g_block[counters::kProfilerOffcpuBlockedNs] += s.weight;
   }
-  if (EmitSample(s)) {
-    ++g_offcpu_emitted;
-  }
+  EndBusy();
 }
 
 void TickSample(void* fp, void* pc) {
@@ -472,50 +452,39 @@ void TickSample(void* fp, void* pc) {
   // (instead of from an unsynchronized ITIMER_PROF) makes the sample sequence reproducible.
   // The tick runs in-kernel on the interrupted thread's behalf; we sample the live kernel
   // call stack, which chains back into the interrupted user frames on the same stack.
-  Tcb* t = kernel::ks().current;
   const auto f = reinterpret_cast<uintptr_t>(fp);
-  const WalkBounds b = BoundsFor(t, f);
-  Sample s;
+  const WalkBounds b = BoundsFor(kernel::ks().current, f);
+  Stack s;
   s.weight = 1;
-  s.tid = t != nullptr ? t->id : 0;
-  s.tag = 0;
-  s.kind = 0;
-  s.reason = 0;
   s.depth = static_cast<uint8_t>(WalkFrames(reinterpret_cast<uintptr_t>(pc), f, b, s.pcs,
                                             kMaxDepth));
-  // In-kernel emitter, same overflow discipline as the off-CPU path: with no collector
-  // running in deterministic mode, the ring's only consumers are these eager folds and the
-  // final Stop/Dump drain.
-  if (g_reserved.load(std::memory_order_relaxed) - g_read.load(std::memory_order_relaxed) >=
-      kRingCap - kRingCap / 4) {
-    DrainRing();
-  }
-  EmitSample(s);
+  BeginBusy();
+  Fold(g_oncpu, s);
+  EndBusy();
 }
 
 void OnSigprof(void* ucontext) {
-  // Signal context, possibly mid-kernel or mid-anything: touch only the ring, the drain flag
-  // and the interrupted thread's stack bounds; preserve errno; never enter the kernel.
+  // Signal context, possibly mid-kernel or mid-anything: touch only the profile tables (or
+  // the pending slot) and the interrupted thread's stack bounds; preserve errno; never enter
+  // the kernel.
   const int saved_errno = errno;
-  if (g_draining) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    errno = saved_errno;
-    return;
-  }
   const auto* uc = static_cast<const ucontext_t*>(ucontext);
   const auto pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   const auto fp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RBP]);
   const auto sp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RSP]);
-  Tcb* t = kernel::ks().current;
-  const WalkBounds b = BoundsFor(t, sp);
-  Sample s;
+  const WalkBounds b = BoundsFor(kernel::ks().current, sp);
+  Stack s;
   s.weight = 1;
-  s.tid = t != nullptr ? t->id : 0;
-  s.tag = 0;
-  s.kind = 0;
-  s.reason = 0;
   s.depth = static_cast<uint8_t>(WalkFrames(pc, fp, b, s.pcs, kMaxDepth));
-  EmitSample(s);
+  if (!g_busy) {
+    Fold(g_oncpu, s);  // every signal is blocked in this handler: nothing can interleave
+  } else if (!g_pending_full) {
+    g_pending = s;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    g_pending_full = true;
+  } else {
+    g_busy_drops = g_busy_drops + 1;
+  }
   errno = saved_errno;
 }
 
@@ -535,7 +504,7 @@ int StartImpl(int hz, bool reset) {
     kernel::Exit();
     return EBUSY;
   }
-  if (reset || g_oncpu_agg == nullptr) {
+  if (reset || g_oncpu.entries == nullptr) {
     ResetSession();
   }
   g_hz = hz > 0 ? hz : kDefaultHz;
@@ -549,7 +518,6 @@ int StartImpl(int hz, bool reset) {
       kernel::Exit();
       return err;
     }
-    g_itimer_armed = true;
     g_signal_sampling = true;
   } else {
     // Record or replay: an unsynchronized itimer would make the two runs sample differently.
@@ -583,8 +551,7 @@ int StartImpl(int hz, bool reset) {
   // deadline order — the collector's 20ms deadline vs a workload's 1ms deadlines can order
   // differently between the (real-time) recording and the (fast-forwarded) replay, so its
   // mere presence would make otherwise-deterministic workloads diverge. Tick sampling does
-  // not need it: ticks emit straight into the ring, the in-kernel emitters fold eagerly
-  // when the ring runs hot, and Stop/Dump drain the remainder.
+  // not need it: ticks and wakes fold straight into the tables.
   if (replay::CurrentMode() != replay::Mode::kOff) {
     return 0;
   }
@@ -610,11 +577,10 @@ int Stop() {
     kernel::Exit();
     return EINVAL;
   }
-  g_signal_sampling = false;
   obs::Set(obs::kTickSample | obs::kOffCpu, false);
-  if (g_itimer_armed) {
+  if (g_signal_sampling) {
+    g_signal_sampling = false;
     DisarmItimer();
-    g_itimer_armed = false;
   }
   g_collector_stop = true;
   kernel::Exit();
@@ -625,7 +591,7 @@ int Stop() {
   }
 
   kernel::Enter();
-  CollectOnce();  // final drain + shm frame so a monitor sees the session's last word
+  CollectOnce();  // final shm frame so a monitor sees the session's last word
   if (g_shm != nullptr) {
     hostos::ShmUnmapStats(g_shm, kStatsShmSize);
     g_shm = nullptr;
@@ -636,12 +602,6 @@ int Stop() {
 }
 
 bool Active() { return g_active; }
-
-uint64_t SampleCount() { return g_committed.load(std::memory_order_acquire); }
-
-uint64_t OffCpuSampleCount() { return g_offcpu_emitted; }
-
-uint64_t DroppedCount() { return g_dropped.load(std::memory_order_relaxed); }
 
 uint64_t SampleHz() { return g_active ? static_cast<uint64_t>(g_hz) : 0; }
 
@@ -660,72 +620,59 @@ int Dump(const char* path) {
   }
   kernel::EnsureInit();
   kernel::Enter();
-  if (g_oncpu_agg == nullptr) {
+  if (g_oncpu.entries == nullptr) {
     kernel::Exit();
     return EINVAL;  // never started
   }
-  DrainRing();
   PublishShm();  // post-mortem monitors see the frame the dump is about to describe
-  // Copy the aggregates out so file I/O runs outside the monitor.
-  std::vector<Agg> oncpu;
-  std::vector<Agg> offcpu;
-  oncpu.reserve(g_oncpu_agg->size());
-  offcpu.reserve(g_offcpu_agg->size());
-  for (const auto& [h, a] : *g_oncpu_agg) {
-    oncpu.push_back(a);
-  }
-  for (const auto& [h, a] : *g_offcpu_agg) {
-    offcpu.push_back(a);
-  }
+  // Copy the tables out so file I/O runs outside the monitor.
+  BeginBusy();
+  const std::vector<Stack> oncpu(g_oncpu.entries, g_oncpu.entries + g_oncpu.size);
+  const std::vector<Stack> offcpu(g_offcpu.entries, g_offcpu.entries + g_offcpu.size);
+  EndBusy();
   kernel::Exit();
 
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    return errno;
+  const auto write = [](const std::string& name, const std::vector<Stack>& rows, bool off) {
+    FILE* f = std::fopen(name.c_str(), "w");
+    if (f == nullptr) {
+      return errno;
+    }
+    for (const Stack& a : rows) {
+      WriteFolded(f, a, off);
+    }
+    std::fclose(f);
+    return 0;
+  };
+  const std::string base(path);
+  int rc = write(base, oncpu, /*off=*/false);
+  if (rc == 0) {
+    rc = write(base + ".offcpu", offcpu, /*off=*/true);
   }
-  for (const Agg& a : oncpu) {
-    WriteFolded(f, a, /*offcpu=*/false);
-  }
-  std::fclose(f);
-
-  char side[sizeof(g_atexit_path) + 16];
-  std::snprintf(side, sizeof side, "%s.offcpu", path);
-  f = std::fopen(side, "w");
-  if (f == nullptr) {
-    return errno;
-  }
-  for (const Agg& a : offcpu) {
-    WriteFolded(f, a, /*offcpu=*/true);
-  }
-  std::fclose(f);
-
-  std::snprintf(side, sizeof side, "%s.maps", path);
-  return CopyMapsSidecar(side);
+  return rc != 0 ? rc : CopyMapsSidecar((base + ".maps").c_str());
 }
 
-int CounterSnapshot(CounterPoint* out, int max) {
+std::vector<CounterPoint> CounterSnapshot() {
   kernel::Enter();
   const uint64_t total = g_counter_total;
-  uint64_t first = total > static_cast<uint64_t>(kCounterCap) ? total - kCounterCap : 0;
-  int n = 0;
-  for (uint64_t i = first; i != total && n < max; ++i) {
-    out[n++] = g_counter_ring[i % kCounterCap];
+  std::vector<CounterPoint> out;
+  for (uint64_t i = total > kCounterPoints ? total - kCounterPoints : 0; i != total; ++i) {
+    out.push_back(g_counter_ring[i % kCounterPoints]);
   }
   kernel::Exit();
-  return n;
+  return out;
 }
 
 void InitFromEnv() {
   static bool atexit_registered = false;
   const char* file = std::getenv("FSUP_PROFILE_FILE");
   if (file != nullptr && file[0] != '\0') {
-    std::snprintf(g_atexit_path, sizeof g_atexit_path, "%s", file);
+    AtExitPath() = file;
     if (!atexit_registered) {
       atexit_registered = true;
       std::atexit(AtExitDump);
     }
   } else {
-    g_atexit_path[0] = '\0';
+    AtExitPath().clear();
   }
   const char* prof = std::getenv("FSUP_PROFILE");
   const bool want = (prof != nullptr && prof[0] != '\0' && prof[0] != '0') ||

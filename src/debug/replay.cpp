@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include <sys/time.h>
 
@@ -56,7 +57,12 @@ size_t g_cursor = 0;  // replay: next record to consume
 bool g_truncated = false;
 bool g_need_rearm = false;  // replay ended outside the kernel; re-arm at the next Exit
 
-char g_atexit_path[512];
+// Function-local, so init running from another file's static constructors finds it built.
+std::string& AtExitPath() {
+  static std::string path;
+  return path;
+}
+
 bool g_atexit_registered = false;
 bool g_env_done = false;
 
@@ -264,13 +270,13 @@ Tcb* FindThread(uint32_t tid) {
 }
 
 void SaveAtExit() {
-  if (g_atexit_path[0] == '\0') {
+  if (AtExitPath().empty()) {
     return;
   }
   if (Recording()) {
     StopRecording();
   }
-  SaveLog(g_atexit_path);
+  SaveLog(AtExitPath().c_str());
 }
 
 }  // namespace
@@ -444,7 +450,7 @@ void InitFromEnv() {
     return;  // record and replay are mutually exclusive; replay wins
   }
   if (const char* rec = std::getenv("FSUP_RECORD"); rec != nullptr && *rec != '\0') {
-    std::snprintf(g_atexit_path, sizeof(g_atexit_path), "%s", rec);
+    AtExitPath() = rec;
     if (!g_atexit_registered) {
       g_atexit_registered = true;
       std::atexit(&SaveAtExit);

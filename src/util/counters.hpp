@@ -6,17 +6,20 @@
 // indexes it and the table of dotted names that labels it. A module bumps its slot with a
 // plain ++ on a static address: all writers run on the library's one OS thread (inside the
 // Pthreads kernel, in its signal handlers, or on a thread's I/O transfer path), so no atomics
-// are needed. Every report — the metrics snapshot and dump, the FSUP_STATS_SHM segment that
-// fsup_top renders, the pt_dump_threads footer — copies the block whole and prints it by
-// walking the name table.
+// are needed as long as no handler bumps a slot while the code it interrupted is bumping the
+// same one. The kernel flag keeps the universal handler out of kernel code; the SIGPROF
+// sampler, which runs in the kernel too, shares the "profiler" slots only with the profiler's
+// busy sections, where it parks its sample instead of folding it. Every report — the metrics
+// snapshot and dump, the FSUP_STATS_SHM segment that fsup_top renders, the pt_dump_threads
+// footer — copies the block whole and prints it by walking the name table.
 //
 // Gauges are values read when a snapshot is taken (thread population, pool bytes, I/O
 // waiters), not counted; FSUP_GAUGES lists them in the same shape, and a Block carries both.
 //
 // A counter's group is its name up to the first dot. Groups reset as a unit: "hostos" by
 // hostos::ResetCallCounts, "io" by io::ResetForTesting, "kernel" and "pool" by kernel reinit,
-// "metrics" when metrics are enabled, "profiler" when a profiling session starts. "ras"
-// counts from process start.
+// "metrics" when metrics are enabled, "profiler" when a profiling session starts (not when
+// FSUP_PROFILE resumes one across pt_reinit). "ras" counts from process start.
 //
 // Freestanding (<cstdint> only): tools/fsup_top compiles this header without linking the
 // library.
@@ -84,7 +87,10 @@
   X(kMetricsFakeCalls, "metrics.fake_calls")                                             \
   X(kMetricsTimerTicks, "metrics.timer_ticks")                                           \
   X(kMetricsIdlePolls, "metrics.idle_polls")                                             \
-  /* off-CPU samples the profiler folded this session, and their blocked time */         \
+  /* the profiler's session: samples folded (on- and off-CPU), samples lost, and */      \
+  /* the off-CPU share with its blocked time */                                          \
+  X(kProfilerSamples, "profiler.samples")                                                \
+  X(kProfilerDropped, "profiler.dropped")                                                \
   X(kProfilerOffcpuSamples, "profiler.offcpu_samples")                                   \
   X(kProfilerOffcpuBlockedNs, "profiler.offcpu_blocked_ns")
 
@@ -100,9 +106,7 @@
   X(kIoActiveWaiters, "io.active_waiters")                                            \
   X(kIoCachedFds, "io.cached_fds")                                                    \
   X(kIoEpoll, "io.epoll")                    /* 1: epoll backend, 0: poll */          \
-  X(kProfilerHz, "profiler.hz")              /* 0 while no session runs */            \
-  X(kProfilerSamples, "profiler.samples")    /* ring samples committed this session */ \
-  X(kProfilerDropped, "profiler.dropped")
+  X(kProfilerHz, "profiler.hz")              /* 0 while no session runs */
 
 namespace fsup::counters {
 

@@ -1,6 +1,8 @@
-// Deterministic count gate for the warm thread lifecycle: once every stack class, the TCB slab
-// and the cleanup-node list are warm, a create -> TSD set -> cleanup push/pop -> lock/unlock ->
-// exit -> join cycle makes no heap allocation and no host call.
+// Deterministic count gates for heap allocation. Once every stack class, the TCB slab and the
+// cleanup-node list are warm, a create -> TSD set -> cleanup push/pop -> lock/unlock -> exit ->
+// join cycle makes no heap allocation and no host call. And profiling a sliced workload makes
+// no heap allocation either: the samples are folded inside signal-driven kernel entries, where
+// re-entering the allocator is not safe.
 //
 // A binary of its own because it replaces the global operator new/delete with counting ones.
 
@@ -11,6 +13,7 @@
 #include <new>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/replay.hpp"
 #include "src/hostos/unix_if.hpp"
 
 namespace {
@@ -134,6 +137,42 @@ TEST(LifecycleAllocTest, WarmCycleAllocatesNothing) {
   EXPECT_EQ(0u, host_calls) << "hostos calls in " << kCycles << " warm cycles";
   pt_mutex_destroy(&g_mu);
   pt_key_delete(g_key);
+}
+
+constexpr uint64_t kProbeSamples = 4000;
+
+void* SpinUntilSampled(void*) {
+  while (pt_profile_samples() < kProbeSamples) {
+  }
+  return nullptr;
+}
+
+TEST(LifecycleAllocTest, ProfilerSamplingAllocatesNothing) {
+  pt_init();
+  // A recording session samples on the timer tick: every on-CPU sample is taken and folded
+  // in the kernel entry of a SIGALRM, on the stack of whatever thread it interrupted.
+  debug::replay::StartRecording();
+  ASSERT_EQ(0, pt_profile_start(0));
+  pt_enable_time_slicing(100);
+  ThreadAttr rr;
+  rr.inherit_policy = false;
+  rr.policy = SchedPolicy::kRr;
+  pt_thread_t a;
+  pt_thread_t b;
+  ASSERT_EQ(0, pt_create(&a, &rr, &SpinUntilSampled, nullptr));
+  ASSERT_EQ(0, pt_create(&b, &rr, &SpinUntilSampled, nullptr));
+
+  // The spinners run only once main blocks in the join.
+  const uint64_t news_before = g_news;
+  ASSERT_EQ(0, pt_join(a, nullptr));
+  ASSERT_EQ(0, pt_join(b, nullptr));
+  const uint64_t news = g_news - news_before;
+
+  pt_disable_time_slicing();
+  ASSERT_EQ(0, pt_profile_stop());
+  debug::replay::StopRecording();
+  EXPECT_GE(pt_profile_samples(), kProbeSamples);
+  EXPECT_EQ(0u, news) << "operator new calls while " << kProbeSamples << " samples were taken";
 }
 
 }  // namespace

@@ -641,7 +641,6 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
   pt_metrics_enable(true);
   debug::replay::StartRecording();
   ASSERT_EQ(0, pt_profile_start(0));
-  const uint64_t offcpu_before = debug::profiler::OffCpuSampleCount();
 
   void* (*const bodies[])(void*) = {Contender, Contender, Producer, Consumer, Pinger, Ponger};
   constexpr int kWorkers = sizeof(bodies) / sizeof(bodies[0]);
@@ -664,7 +663,6 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
   ASSERT_EQ(static_cast<ssize_t>(sizeof(frame)), ::read(shm_fd, &frame, sizeof(frame)));
   ::close(shm_fd);
   const std::vector<debug::trace::Record> recs = debug::trace::SnapshotAll();
-  const uint64_t offcpu = debug::profiler::OffCpuSampleCount() - offcpu_before;
 
   for (int i = 0; i < kWorkers; ++i) {
     ASSERT_EQ(0, pt_sem_post(&w.release));
@@ -706,7 +704,7 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
             s.block[counters::kKernelCtxSwitches] - before.block[counters::kKernelCtxSwitches]);
   EXPECT_EQ(mutex_blocks, s.mutex_wait.count);
   EXPECT_EQ(mutex_blocks, thread_blocks);
-  EXPECT_EQ(wakes, offcpu);
+  EXPECT_EQ(wakes, s.block[counters::kProfilerOffcpuSamples]);  // the session's own count
   EXPECT_EQ(thread_wait_ns, s.mutex_wait.sum_ns);
 
   // fsup_top's frame and the snapshot carry the same block: they differ only by the kernel

@@ -1,6 +1,7 @@
 // Statistical profiler: on-CPU sampling with symbolizable frame-pointer stacks, off-CPU
 // blocked-time attribution to the planted wait object, graceful degradation under injected
-// host-call faults, sampling on frames deep in a thread stack, deterministic
+// host-call faults, sampling on frames deep in a thread stack, per-session sample counts,
+// sidecar files on long dump paths, no lost off-CPU sample in a wake storm, deterministic
 // sample counts under record→replay, the shared-memory stats segment + fsup_top, and the
 // capped thread dumps.
 
@@ -8,6 +9,7 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -49,6 +51,7 @@ class ProfilerTest : public ::testing::Test {
     hostos::fault::Clear();
     debug::trace::Enable(false);
     ::unsetenv("FSUP_STATS_SHM");
+    ::unsetenv("FSUP_PROFILE");
     for (const char* suffix : {"", ".offcpu", ".maps", ".shm"}) {
       std::remove((base_ + suffix).c_str());
     }
@@ -87,6 +90,19 @@ bool InExec(const std::vector<std::pair<uint64_t, uint64_t>>& ranges, uint64_t p
     }
   }
   return false;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::string out;
+  if (FILE* f = std::fopen(path.c_str(), "r"); f != nullptr) {
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+      out.append(buf, n);
+    }
+    std::fclose(f);
+  }
+  return out;
 }
 
 // One folded line: semicolon-separated frames, space, count.
@@ -309,6 +325,118 @@ TEST_F(ProfilerTest, SamplingSurvivesDeepStacks) {
   EXPECT_GT(pt_profile_samples(), 0u);
 }
 
+// -- session count -----------------------------------------------------------------------
+
+TEST_F(ProfilerTest, SampleCountIsPerSession) {
+  ASSERT_EQ(0, pt_profile_start(2000));
+  pt_thread_t t = nullptr;
+  ASSERT_EQ(0, pt_create(&t, nullptr, BurnThread, nullptr));
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  ASSERT_EQ(0, pt_profile_stop());
+  const uint64_t first = pt_profile_samples();
+  ASSERT_GT(first, 10u);
+
+  // A new session counts from zero: at most the few samples since its start.
+  ASSERT_EQ(0, pt_profile_start(2000));
+  EXPECT_LT(pt_profile_samples(), first);
+  ASSERT_EQ(0, pt_create(&t, nullptr, BurnThread, nullptr));
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  const uint64_t before_reinit = pt_profile_samples();
+  ASSERT_GT(before_reinit, 10u);
+
+  // The FSUP_PROFILE restart across pt_reinit continues the session's count.
+  ASSERT_EQ(0, ::setenv("FSUP_PROFILE", "1", 1));
+  pt_reinit();
+  pt_yield();  // runs init, which resumes the session
+  ASSERT_TRUE(pt_profile_active());
+  EXPECT_GE(pt_profile_samples(), before_reinit);
+  ::unsetenv("FSUP_PROFILE");
+}
+
+// -- long paths --------------------------------------------------------------------------
+
+TEST_F(ProfilerTest, DumpKeepsSidecarsOnLongPaths) {
+  // Two 200-byte directory names and a file name that bring the path to 527 bytes: each
+  // sidecar name extends the full path instead of being cut back onto it.
+  const std::string d1 = std::string(::testing::TempDir()) + std::string(200, 'd');
+  const std::string d2 = d1 + "/" + std::string(200, 'e');
+  ASSERT_TRUE(::mkdir(d1.c_str(), 0755) == 0 || errno == EEXIST);
+  ASSERT_TRUE(::mkdir(d2.c_str(), 0755) == 0 || errno == EEXIST);
+  std::string path = d2 + "/";
+  ASSERT_LT(path.size(), 500u);
+  path += std::string(527 - path.size(), 'p');
+
+  ASSERT_EQ(0, pt_profile_start(0));
+  ASSERT_EQ(0, pt_profile_stop());
+  ASSERT_EQ(0, pt_profile_dump(path.c_str()));
+  EXPECT_EQ(0, ::access((path + ".offcpu").c_str(), F_OK));
+  EXPECT_EQ(0, ::access((path + ".maps").c_str(), F_OK));
+  // The on-CPU file holds folded stacks, not the maps copy (every copy has an r-xp line).
+  EXPECT_EQ(std::string::npos, ReadAll(path).find("r-xp"));
+
+  for (const char* suffix : {"", ".offcpu", ".maps"}) {
+    std::remove((path + suffix).c_str());
+  }
+  ::rmdir(d2.c_str());
+  ::rmdir(d1.c_str());
+}
+
+// -- wake storm --------------------------------------------------------------------------
+
+struct Storm {
+  pt_mutex_t mutex;
+  pt_cond_t cond;
+  int parked = 0;
+  bool release = false;
+};
+
+void* StormThread(void* arg) {
+  auto* s = static_cast<Storm*>(arg);
+  pt_mutex_lock(&s->mutex);
+  ++s->parked;
+  while (!s->release) {
+    pt_cond_wait(&s->cond, &s->mutex);
+  }
+  pt_mutex_unlock(&s->mutex);
+  return nullptr;
+}
+
+TEST_F(ProfilerTest, WakeStormKeepsEveryOffCpuSample) {
+  constexpr int kThreads = 4096;
+  Storm s;
+  ASSERT_EQ(0, pt_mutex_init(&s.mutex, nullptr));
+  ASSERT_EQ(0, pt_cond_init(&s.cond));
+  // Recording: tick sampling, so no SIGPROF lands and no collector thread runs. Only the
+  // wakes themselves fold their samples.
+  debug::replay::StartRecording();
+  ASSERT_EQ(0, pt_profile_start(0));
+
+  ThreadAttr attr;
+  attr.stack_size = 16 * 1024;
+  std::vector<pt_thread_t> threads(kThreads);
+  for (pt_thread_t& t : threads) {
+    ASSERT_EQ(0, pt_create(&t, &attr, StormThread, &s));
+  }
+  while (s.parked < kThreads) {
+    pt_yield();
+  }
+  pt_mutex_lock(&s.mutex);
+  s.release = true;
+  pt_cond_broadcast(&s.cond);
+  pt_mutex_unlock(&s.mutex);
+  for (pt_thread_t t : threads) {
+    ASSERT_EQ(0, pt_join(t, nullptr));
+  }
+  ASSERT_EQ(0, pt_profile_stop());
+  debug::replay::StopRecording();
+
+  const auto snap = pt_metrics_snapshot();
+  EXPECT_GE(snap.block[counters::kProfilerOffcpuSamples], static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(0u, snap.block[counters::kProfilerDropped]);
+  ASSERT_EQ(0, pt_mutex_destroy(&s.mutex));
+  ASSERT_EQ(0, pt_cond_destroy(&s.cond));
+}
+
 // -- determinism -------------------------------------------------------------------------
 
 void* ReplayWorker(void* arg) {
@@ -322,8 +450,8 @@ void* ReplayWorker(void* arg) {
   return nullptr;
 }
 
-uint64_t ReplaySampleDelta() {
-  const uint64_t before = pt_profile_samples();
+// One session over the two workers; returns its sample count.
+uint64_t ReplaySampleCount() {
   EXPECT_EQ(0, pt_profile_start(0));
   pt_mutex_t m;
   EXPECT_EQ(0, pt_mutex_init(&m, nullptr));
@@ -335,21 +463,21 @@ uint64_t ReplaySampleDelta() {
   EXPECT_EQ(0, pt_join(b, nullptr));
   EXPECT_EQ(0, pt_profile_stop());
   EXPECT_EQ(0, pt_mutex_destroy(&m));
-  return pt_profile_samples() - before;
+  return pt_profile_samples();
 }
 
 TEST_F(ProfilerTest, SampleCountIsDeterministicUnderRecordReplay) {
   const std::string log = base_ + ".rpl";
 
   debug::replay::StartRecording();
-  const uint64_t recorded = ReplaySampleDelta();
+  const uint64_t recorded = ReplaySampleCount();
   debug::replay::StopRecording();
   ASSERT_EQ(0, debug::replay::SaveLog(log.c_str()));
   ASSERT_GT(recorded, 0u) << "tick sampling produced nothing to compare";
 
   pt_reinit();
   ASSERT_EQ(0, debug::replay::StartReplay(log.c_str()));
-  const uint64_t replayed = ReplaySampleDelta();
+  const uint64_t replayed = ReplaySampleCount();
   debug::replay::StopReplay();
 
   // Ticks are recorded decisions and wake events follow the recorded schedule, so the
@@ -454,22 +582,15 @@ TEST_F(ProfilerTest, TraceExportCarriesCounterTracks) {
 
   const std::string json_path = base_ + ".json";
   ASSERT_EQ(0, pt_trace_dump(json_path.c_str()));
-  FILE* f = std::fopen(json_path.c_str(), "r");
-  ASSERT_NE(nullptr, f);
-  std::string json;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    json.append(buf, n);
-  }
-  std::fclose(f);
+  const std::string json = ReadAll(json_path);
   std::remove(json_path.c_str());
 
   EXPECT_NE(std::string::npos, json.find("\"ph\":\"C\"")) << "no counter events";
-  EXPECT_NE(std::string::npos, json.find("\"name\":\"live_threads\""));
-  EXPECT_NE(std::string::npos, json.find("\"name\":\"ready_depth\""));
-  EXPECT_NE(std::string::npos, json.find("\"name\":\"stack_pool_mapped_bytes\""));
-  EXPECT_NE(std::string::npos, json.find("\"name\":\"samples_per_s\""));
+  // Track names come from the counter registry: gauges as they are, counters as rates.
+  EXPECT_NE(std::string::npos, json.find("\"name\":\"threads.live\""));
+  EXPECT_NE(std::string::npos, json.find("\"name\":\"threads.ready\""));
+  EXPECT_NE(std::string::npos, json.find("\"name\":\"pool.mapped_bytes\""));
+  EXPECT_NE(std::string::npos, json.find("\"name\":\"profiler.samples/s\""));
 }
 
 // -- capped dumps + pool/io surfacing ----------------------------------------------------

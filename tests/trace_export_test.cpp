@@ -421,9 +421,14 @@ TEST_F(TraceExportDeathTest, EnvVarDumpsAtExit) {
   // trace at exit without any API call. The death-test child plays the example program:
   // it re-inits (re-reading the env), runs a workload, and exits normally.
   // Fast style = plain fork: the child inherits the initialized runtime and re-inits with
-  // the env var set, exactly like a fresh process would.
+  // the env var set, exactly like a fresh process would. The file sits under two 200-byte
+  // directory names, so the whole path, well over 512 bytes, must survive to the exit.
   ::testing::FLAGS_gtest_death_test_style = "fast";
-  const std::string path = TempPath("atexit");
+  const std::string d1 = "/tmp/fsup_trace_" + std::to_string(::getpid()) + std::string(200, 'd');
+  const std::string d2 = d1 + "/" + std::string(200, 'e');
+  ASSERT_TRUE(::mkdir(d1.c_str(), 0755) == 0 || errno == EEXIST);
+  ASSERT_TRUE(::mkdir(d2.c_str(), 0755) == 0 || errno == EEXIST);
+  const std::string path = d2 + "/" + std::string(120, 'f') + ".json";
   ::unlink(path.c_str());
   ::setenv("FSUP_TRACE_FILE", path.c_str(), 1);
   EXPECT_EXIT(
@@ -437,6 +442,8 @@ TEST_F(TraceExportDeathTest, EnvVarDumpsAtExit) {
 
   const std::string json = ReadFile(path);
   ::unlink(path.c_str());
+  ::rmdir(d2.c_str());
+  ::rmdir(d1.c_str());
   ASSERT_FALSE(json.empty()) << "atexit handler did not write " << path;
   EXPECT_TRUE(JsonParser(json).Valid()) << json.substr(0, 2000);
   const std::vector<std::string> events = EventLines(json);
