@@ -61,6 +61,8 @@ void RegisterBuiltins() {
            reinterpret_cast<uintptr_t>(fsup_ras_list_pop_end));
   Register(reinterpret_cast<uintptr_t>(fsup_ras_list_push_begin),
            reinterpret_cast<uintptr_t>(fsup_ras_list_push_end));
+  Register(reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_begin),
+           reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_end));
 }
 
 }  // namespace fsup::ras

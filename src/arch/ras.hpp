@@ -43,8 +43,8 @@ bool RewindIfInside(uintptr_t* pc);
 // True if pc lies inside a registered sequence (no rewind). For tests.
 bool Inside(uintptr_t pc);
 
-// Installs the library's built-in sequences (the mutex lock path, the list push/pop).
-// Idempotent.
+// Installs the library's built-in sequences (the mutex lock path, the list push/pop, the
+// idle sleep). Idempotent.
 void RegisterBuiltins();
 
 }  // namespace fsup::ras
@@ -85,6 +85,13 @@ void* fsup_cas_lock(void* volatile* word, void* self);
 void* fsup_ras_list_pop(void* volatile* head);
 void fsup_ras_list_push(void* volatile* head, void* node);
 
+// The idle loop's sleep: issues syscall nr(a1, a2, a3, a4, NULL, 8) unless *deferred is
+// nonzero, in which case it returns -EINTR without entering the host kernel. The test and the
+// syscall instruction form one sequence, so a signal deferred anywhere before the sleep
+// begins is seen. Returns the raw result (>= 0, or -errno).
+long fsup_ras_idle_syscall(long nr, long a1, long a2, long a3, long a4,
+                           const volatile uint64_t* deferred);
+
 // Sequence bounds, exported for registration and tests.
 extern const char fsup_ras_lock_begin[];
 extern const char fsup_ras_lock_end[];
@@ -98,6 +105,8 @@ extern const char fsup_ras_list_pop_begin[];
 extern const char fsup_ras_list_pop_end[];
 extern const char fsup_ras_list_push_begin[];
 extern const char fsup_ras_list_push_end[];
+extern const char fsup_ras_idle_syscall_begin[];
+extern const char fsup_ras_idle_syscall_end[];
 
 }  // extern "C"
 

@@ -1,5 +1,8 @@
 #include "src/hostos/fault.hpp"
 
+#include <csignal>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +24,7 @@ struct Rule {
   uint32_t permille = 0;  // random: fail with probability permille/1000; 0 = off
   uint64_t rng_state = 0;
   int err = 0;
+  int raise_signo = 0;  // nonzero: the raise action instead of a failure
   uint64_t seen = 0;
   uint64_t injected = 0;
 };
@@ -64,14 +68,18 @@ constexpr NameEntry kCallNames[] = {
     {"epoll_wait", Call::kEpollWait},     {"shm", Call::kShmMap},
 };
 
-struct ErrnoEntry {
+struct NamedNumber {
   const char* name;
-  int err;
+  int value;
 };
 
-constexpr ErrnoEntry kErrnoNames[] = {
+constexpr NamedNumber kErrnoNames[] = {
     {"ENOMEM", ENOMEM}, {"EAGAIN", EAGAIN}, {"EINTR", EINTR},  {"EINVAL", EINVAL},
     {"EACCES", EACCES}, {"EBUSY", EBUSY},   {"EPERM", EPERM},  {"EFAULT", EFAULT},
+};
+
+constexpr NamedNumber kSignalNames[] = {
+    {"SIGUSR1", SIGUSR1}, {"SIGUSR2", SIGUSR2}, {"SIGALRM", SIGALRM},
 };
 
 bool LookupCall(const char* s, size_t len, Call* out) {
@@ -84,14 +92,15 @@ bool LookupCall(const char* s, size_t len, Call* out) {
   return false;
 }
 
-bool LookupErrno(const char* s, size_t len, int* out) {
-  for (const ErrnoEntry& e : kErrnoNames) {
+// A symbolic name from `names`, or a plain positive decimal.
+template <size_t N>
+bool LookupName(const NamedNumber (&names)[N], const char* s, size_t len, int* out) {
+  for (const NamedNumber& e : names) {
     if (std::strlen(e.name) == len && std::strncmp(e.name, s, len) == 0) {
-      *out = e.err;
+      *out = e.value;
       return true;
     }
   }
-  // Fall back to a plain decimal errno.
   int value = 0;
   if (len == 0) {
     return false;
@@ -139,9 +148,18 @@ bool ParseClause(const char* s, size_t len, bool arm) {
   if (!LookupCall(s, static_cast<size_t>(colon1 - s), &call)) {
     return false;
   }
-  int err;
+  // The action: an errno, or raise=<signal> (a name from kSignalNames or a number).
+  int err = 0;
+  int signo = 0;
   const char* errs = colon2 + 1;
-  if (!LookupErrno(errs, len - static_cast<size_t>(errs - s), &err)) {
+  const size_t errs_len = len - static_cast<size_t>(errs - s);
+  constexpr size_t kRaiseLen = sizeof("raise=") - 1;
+  if (errs_len > kRaiseLen && std::strncmp(errs, "raise=", kRaiseLen) == 0) {
+    if (!LookupName(kSignalNames, errs + kRaiseLen, errs_len - kRaiseLen, &signo) ||
+        signo >= NSIG) {
+      return false;
+    }
+  } else if (!LookupName(kErrnoNames, errs, errs_len, &err)) {
     return false;
   }
 
@@ -161,7 +179,7 @@ bool ParseClause(const char* s, size_t len, bool arm) {
       if (arm) {
         FailNth(call, value, err);
       }
-      return true;
+      break;
     case 'k':
       if (!ParseU64(arg, arg_len, &value) || value == 0) {
         return false;
@@ -169,7 +187,7 @@ bool ParseClause(const char* s, size_t len, bool arm) {
       if (arm) {
         FailEveryKth(call, value, err);
       }
-      return true;
+      break;
     case 'p': {
       const char* at = static_cast<const char*>(std::memchr(arg, '@', arg_len));
       if (at == nullptr) {
@@ -183,11 +201,15 @@ bool ParseClause(const char* s, size_t len, bool arm) {
       if (arm) {
         FailRandom(call, seed, static_cast<uint32_t>(value), err);
       }
-      return true;
+      break;
     }
     default:
       return false;
   }
+  if (arm) {
+    RuleFor(call).raise_signo = signo;
+  }
+  return true;
 }
 
 // Walks the ';'-separated clause list; returns true iff at least one clause parsed and none
@@ -232,6 +254,11 @@ void FailEveryKth(Call c, uint64_t k, int err) {
   r.every_k = k;
 }
 
+void RaiseNth(Call c, uint64_t nth, int signo) {
+  FailNth(c, nth, 0);
+  RuleFor(c).raise_signo = signo;
+}
+
 void FailRandom(Call c, uint64_t seed, uint32_t permille, int err) {
   Rule& r = ArmFresh(c, err);
   r.permille = permille > 1000 ? 1000 : permille;
@@ -271,6 +298,12 @@ int ShouldFail(Call c) {
     return 0;
   }
   ++r.injected;
+  if (r.raise_signo != 0) {
+    // The call itself goes through. The signal needs no fault record: its arrival is logged
+    // by the universal handler (and replayed from that log).
+    ::kill(::getpid(), r.raise_signo);
+    return 0;
+  }
   ++g_total_injected;
   // The firing is a scheduling decision: record it (before the trace record, so the ring
   // stamp matches the replay side) and a replayed run will re-inject it at the same index.

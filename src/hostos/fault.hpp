@@ -18,9 +18,13 @@
 //            k=<K>        fail every Kth invocation after arming
 //            p=<P>@<seed> fail with probability P/1000, seeded pseudo-random
 //   <errno>  ENOMEM | EAGAIN | EINTR | EINVAL | EACCES | EBUSY | EPERM | EFAULT | <number>
+//            | raise=<SIGUSR1 | SIGUSR2 | SIGALRM | number>
 //
-// e.g. FSUP_FAULT_SPEC="mmap:n=1:ENOMEM;setitimer:k=13:EINTR". With no rule armed the hook is
-// a single predicted branch per host call.
+// e.g. FSUP_FAULT_SPEC="mmap:n=1:ENOMEM;setitimer:k=13:EINTR". The raise action fails
+// nothing: at the selected invocation it sends the signal to the process just before the host
+// call runs, which lands a signal in the window between the idle loop's last look at the
+// deferred set and its sleep. With no rule armed the hook is a single predicted branch per
+// host call.
 
 #ifndef FSUP_SRC_HOSTOS_FAULT_HPP_
 #define FSUP_SRC_HOSTOS_FAULT_HPP_
@@ -42,6 +46,10 @@ bool AnyArmed();
 void FailNth(Call c, uint64_t nth, int err);
 void FailEveryKth(Call c, uint64_t k, int err);
 void FailRandom(Call c, uint64_t seed, uint32_t permille, int err);
+// The raise action on FailNth's ordinal: the nth invocation first sends `signo` to the
+// process (an uncounted kill), then runs. Counted in InjectedCount, not in TotalInjected,
+// and traced by the signal's own arrival rather than as a fault.
+void RaiseNth(Call c, uint64_t nth, int signo);
 
 // The wrapper-side hook: records one invocation of `c` and returns the errno to inject, or 0
 // to let the real call through. Deterministic for Nth/Kth/seeded-random rules.

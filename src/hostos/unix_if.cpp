@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <climits>
 
+#include "src/arch/ras.hpp"
 #include "src/debug/replay.hpp"
 #include "src/hostos/fault.hpp"
 #include "src/util/assert.hpp"
@@ -53,6 +54,22 @@ int CountedRetryingCall(Call c, RawFn raw) {
     }
     return rc;
   }
+}
+
+// One idle sleep through the restartable stub, with the raw syscall's -errno mapped back to
+// the -1/errno convention.
+int IdleSyscall(long nr, long a1, long a2, long a3, long a4,
+                const std::atomic<uint64_t>* deferred) {
+  static_assert(sizeof(std::atomic<uint64_t>) == sizeof(uint64_t) &&
+                    std::atomic<uint64_t>::is_always_lock_free,
+                "the stub reads the deferred set as a plain 64-bit word");
+  const long rc = fsup_ras_idle_syscall(nr, a1, a2, a3, a4,
+                                        reinterpret_cast<const volatile uint64_t*>(deferred));
+  if (rc < 0) {
+    errno = static_cast<int>(-rc);
+    return -1;
+  }
+  return static_cast<int>(rc);
 }
 
 }  // namespace
@@ -111,7 +128,7 @@ int Kill(pid_t pid, int signo) {
   return CountedRetryingCall(Call::kKill, [&] { return ::kill(pid, signo); });
 }
 
-int Poll(struct pollfd* fds, nfds_t n, int timeout_ms) {
+int Poll(struct pollfd* fds, nfds_t n, int timeout_ms, const std::atomic<uint64_t>* deferred) {
   Bump(Call::kPoll);
   g_last_poll_timeout_ms = timeout_ms;
   const int injected = fault::ShouldFail(Call::kPoll);
@@ -119,7 +136,8 @@ int Poll(struct pollfd* fds, nfds_t n, int timeout_ms) {
     errno = injected;
     return -1;
   }
-  return ::poll(fds, n, timeout_ms);
+  return IdleSyscall(SYS_poll, reinterpret_cast<long>(fds), static_cast<long>(n), timeout_ms, 0,
+                     deferred);
 }
 
 int EpollCreate() {
@@ -142,7 +160,8 @@ int EpollCtl(int epfd, int op, int fd, struct epoll_event* ev) {
   return ::epoll_ctl(epfd, op, fd, ev);
 }
 
-int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t timeout_ns) {
+int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t timeout_ns,
+                const std::atomic<uint64_t>* deferred) {
   Bump(Call::kEpollWait);
   const int injected = fault::ShouldFail(Call::kEpollWait);
   if (injected != 0) {
@@ -160,7 +179,8 @@ int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t tim
       ts.tv_nsec = timeout_ns % 1000000000;
       tsp = &ts;
     }
-    const int rc = ::epoll_pwait2(epfd, events, maxevents, tsp, nullptr);
+    const int rc = IdleSyscall(SYS_epoll_pwait2, epfd, reinterpret_cast<long>(events),
+                               maxevents, reinterpret_cast<long>(tsp), deferred);
     if (rc >= 0 || errno != ENOSYS) {
       return rc;
     }
@@ -168,7 +188,8 @@ int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t tim
   }
   const int timeout_ms = timeout_ns < 0 ? -1 : ClampedPollTimeoutMs(timeout_ns);
   g_last_poll_timeout_ms = timeout_ms;
-  return ::epoll_wait(epfd, events, maxevents, timeout_ms);
+  return IdleSyscall(SYS_epoll_wait, epfd, reinterpret_cast<long>(events), maxevents,
+                     timeout_ms, deferred);
 }
 
 int LastPollTimeoutMs() { return g_last_poll_timeout_ms; }

@@ -2,9 +2,10 @@
 //
 // The paper makes "few operating system calls" a first-class design objective and reports that
 // the implementation uses about 20 UNIX services, most only during initialization, with exactly
-// two sigsetmask calls per externally delivered signal. Every kernel call the library makes
-// goes through this module, which counts invocations per service so that tests and benches can
-// *verify* those claims rather than assert them in prose.
+// two sigsetmask calls per externally delivered signal (fsup makes none on a delivery that does
+// not switch away from its handler frame: see signals/universal_handler.cpp). Every kernel
+// call the library makes goes through this module, which counts invocations per service so
+// that tests and benches can *verify* those claims rather than assert them in prose.
 
 #ifndef FSUP_SRC_HOSTOS_UNIX_IF_HPP_
 #define FSUP_SRC_HOSTOS_UNIX_IF_HPP_
@@ -14,6 +15,7 @@
 #include <sys/epoll.h>
 #include <sys/time.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -52,9 +54,14 @@ int Setitimer(int which, const itimerval* value, itimerval* old);
 int SigaltStack(const stack_t* ss, stack_t* old);
 int Kill(pid_t pid, int signo);
 
+// The idle sleeps below run as a restartable sequence over `deferred`, the kernel's set of
+// signals logged while in the kernel (arch/ras.hpp, fsup_ras_idle_syscall): a nonzero set,
+// including one a signal sets just before the syscall, fails the call with EINTR instead of
+// sleeping.
+
 // Counted poll(2). Returns like the raw call; EINTR is NOT retried here because an interrupt
 // is meaningful to the idle loop (a deferred signal must be replayed) — io::PollOnce decides.
-int Poll(struct pollfd* fds, nfds_t n, int timeout_ms);
+int Poll(struct pollfd* fds, nfds_t n, int timeout_ms, const std::atomic<uint64_t>* deferred);
 
 // Counted epoll wrappers for the io readiness core. EpollCreate returns the epoll fd (with
 // CLOEXEC) or -1. EpollCtl does not retry EINTR (epoll_ctl cannot block). EpollPwait2 sleeps
@@ -63,7 +70,8 @@ int Poll(struct pollfd* fds, nfds_t n, int timeout_ms);
 // an event or a signal. Like Poll, EINTR is NOT retried — the idle loop owns that decision.
 int EpollCreate();
 int EpollCtl(int epfd, int op, int fd, struct epoll_event* ev);
-int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t timeout_ns);
+int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t timeout_ns,
+                const std::atomic<uint64_t>* deferred);
 
 // Telemetry for tests: the millisecond timeout handed to the most recent Poll (or ms-fallback
 // EpollPwait2) call. Pins the far-future-deadline clamp without racing real time.

@@ -278,9 +278,11 @@ int WaitAndWake(int64_t deadline_ns) {
       const int64_t remaining = deadline_ns - NowNs();
       budget_ns = remaining > 0 ? remaining : 0;
     }
-    // Signals are unblocked here (the idle loop ensures it); they interrupt the sleep and are
-    // replayed by the dispatcher since the kernel flag is set.
-    rc = hostos::EpollPwait2(g_epfd, evs, kMaxEventsPerWait, budget_ns);
+    // Signals are unblocked here (the idle loop ensures it). One that lands during the sleep
+    // ends it, and one logged before the sleep began keeps it from starting (the call runs
+    // as a restartable sequence over the deferred set); the dispatcher replays both.
+    rc = hostos::EpollPwait2(g_epfd, evs, kMaxEventsPerWait, budget_ns,
+                             &kernel::ks().sigs_caught_in_kernel);
     if (rc >= 0) {
       break;
     }
@@ -409,7 +411,8 @@ int PollPass(int64_t deadline_ns) {
     if (deadline_ns >= 0) {
       timeout_ms = hostos::ClampedPollTimeoutMs(deadline_ns - NowNs());
     }
-    rc = hostos::Poll(n > 0 ? g_pollfds : nullptr, n, timeout_ms);
+    rc = hostos::Poll(n > 0 ? g_pollfds : nullptr, n, timeout_ms,
+                      &kernel::ks().sigs_caught_in_kernel);
     if (rc >= 0) {
       break;
     }

@@ -51,6 +51,11 @@ void SwitchTo(Tcb* next) {
     // un-returned one (the paper's rule against unbounded stack growth); the handler's return
     // path (sigreturn) re-enables them.
     sig::BlockAllOsSignals();
+  } else {
+    // Every other thread runs with them unblocked, whoever switched to it. Free (the shadowed
+    // mask) unless the switch leaves a universal-handler frame, whose own signal the host
+    // kernel blocked, or a thread resumed under one.
+    sig::UnblockAllOsSignals();
   }
 
   fsup_ctx_switch(&cur->ctx, &next->ctx);
@@ -60,14 +65,17 @@ void SwitchTo(Tcb* next) {
   ReapZombies();
 }
 
-/// No thread is runnable: wait for a timer, I/O readiness, or an external signal. Runs inside
+// No thread is runnable: wait for a timer, I/O readiness, or an external signal. Runs inside
 // the kernel, so any signal that arrives is deferred and replayed by the dispatch loop. The
 // sleep itself happens in io::PollOnce (epoll_pwait2 with the nanosecond deadline budget, or
-// the poll fallback) so fd readiness and signals both end it; deadlock detection is O(1) —
-// NextDeadlineNs reads the timer-heap head and ExternalWakeupPossible reads two counters.
+// the poll fallback) so fd readiness and signals both end it. A signal deferred after the
+// dispatch loop's check but before the sleep starts ends it too: the sleep syscall is the
+// tail of a restartable sequence that first re-reads the deferred set (arch/ras.S), so it is
+// never entered over a logged signal. Deadlock detection is O(1) — NextDeadlineNs reads the
+// timer-heap head and ExternalWakeupPossible reads two counters.
 void IdleWait() {
   KernelState& k = ks();
-  sig::UnblockAllOsSignals();
+  sig::UnblockAllOsSignals();  // the sleep must be interruptible; normally already so, no call
 
   const int64_t deadline = sig::NextDeadlineNs();
   if (deadline < 0 && !io::HaveWaiters() && !sig::ExternalWakeupPossible()) {
@@ -86,9 +94,8 @@ void IdleWait() {
   if (!debug::replay::Replaying() && deadline >= 0 && NowNs() >= deadline) {
     sig::OnTimerTick(debug::replay::AsyncSite::kInDispatcher);
   }
-  const SigSet deferred = k.sigs_caught_in_kernel.exchange(0, std::memory_order_relaxed);
-  if (deferred != 0) {
-    sig::HandleDeferred(deferred);
+  if (k.sigs_caught_in_kernel.load(std::memory_order_relaxed) != 0) {
+    sig::HandleDeferred(k.sigs_caught_in_kernel.exchange(0, std::memory_order_relaxed));
   }
 }
 
@@ -103,9 +110,10 @@ void DispatchKeepKernel() {
     k.dispatch_pending = 0;
 
     // Replay signals logged while in the kernel before selecting: they may ready threads.
-    const SigSet deferred = k.sigs_caught_in_kernel.exchange(0, std::memory_order_relaxed);
-    if (deferred != 0) {
-      sig::HandleDeferred(deferred);
+    // A plain load first: the exchange is a locked instruction, taken only when there is
+    // something to take.
+    if (k.sigs_caught_in_kernel.load(std::memory_order_relaxed) != 0) {
+      sig::HandleDeferred(k.sigs_caught_in_kernel.exchange(0, std::memory_order_relaxed));
       continue;
     }
 

@@ -224,6 +224,8 @@ void ApplyRedirectIfAny() {
   auto* env = static_cast<sigjmp_buf*>(self->redirect_env);
   const int val = self->redirect_val;
   self->redirect_env = nullptr;
+  // The jump may restore a mask sigsetjmp saved and may skip a handler's shadow restore.
+  SetOsMaskShadow(OsMask::kUnknown);
   ::siglongjmp(*env, val);
 }
 

@@ -79,7 +79,21 @@ void OnDispatch(Tcb* next);
 // external signal — used by the idle loop's deadlock detection.
 bool ExternalWakeupPossible();
 
-// OS mask helpers (the paper's two sigsetmask calls per delivered signal).
+// The process signal mask as fsup last set or entered it. The paper pays two sigsetmask calls
+// per delivered signal; with this shadow a request for the state already in force makes no
+// call. Each handler saves the shadow on entry, sets the state the kernel entered it under, and
+// restores the saved one before its sigreturn restores the real mask.
+enum class OsMask : uint8_t {
+  kUnknown,    // after a failed call or a change made elsewhere: the next request calls
+  kNone,       // nothing blocked
+  kAll,        // everything blocked
+  kOwnSignal,  // nothing but the signals of the universal-handler frames running on this
+               // stack: the kernel blocked each on entry and lifts it at that sigreturn
+};
+OsMask OsMaskShadow();
+void SetOsMaskShadow(OsMask m);
+
+// OS mask helpers: one sigprocmask(SIG_SETMASK) when the shadow differs, none otherwise.
 void BlockAllOsSignals();
 void UnblockAllOsSignals();
 

@@ -5,12 +5,24 @@
 //
 //   in the kernel      — log the signal and set the dispatcher flag; it is replayed when the
 //                        dispatcher runs (Figure 2). One store, no syscalls.
-//   outside the kernel — enter the kernel, re-enable all signals (sigprocmask call #1 of the
-//                        paper's two), run the delivery model, and invoke the dispatcher —
+//   outside the kernel — enter the kernel, run the delivery model, and invoke the dispatcher,
 //                        which may switch away, leaving this handler frame pending on the
 //                        interrupted thread's stack until the thread is re-dispatched (with
-//                        signals blocked: call #2, in the dispatcher). Returning performs the
-//                        kernel's sigreturn, restoring the pre-signal register state and mask.
+//                        signals blocked, by the dispatcher). Returning performs the kernel's
+//                        sigreturn, restoring the pre-signal register state and mask.
+//
+// The paper makes two sigsetmask calls per delivered signal: #1 re-enables signals once the
+// kernel flag protects the handler, #2 blocks them again when a thread with a pending handler
+// frame resumes. Here the handler is installed with an empty sa_mask (SIGPROF excepted: the
+// sampler is not reentrant), so the host kernel blocks only the signal being taken, for free,
+// and lifts it at sigreturn. Call #1 is gone: any other signal still lands, and is deferred by
+// the kernel flag; a second instance of the same one is held by the host kernel until the
+// frame returns, coalescing exactly as the deferred set would. Nesting is therefore bounded
+// by the number of distinct signals. (SA_NODEFER would bound nothing: a sender faster than
+// the host's frame setup stacks one frame per signal before a handler instruction runs.)
+// Call #2 remains, and with it one unblock when a handler switches away from its frame
+// (dispatcher.cpp, SwitchTo): a delivery that switches threads pays two calls, one that does
+// not pays none.
 //
 // The handler also implements the restartable-atomic-sequence contract: if it interrupted a
 // registered sequence, the saved program counter is rewound to the sequence start before
@@ -52,10 +64,8 @@ bool g_installed = false;
 
 alignas(16) unsigned char g_alt_stack[64 * 1024];
 
-void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
-  (void)info;
-  auto* uc = static_cast<ucontext_t*>(ucv);
-
+// The body of the universal handler, run under the shadow bracket below.
+void HandleOsSignal(int signo, ucontext_t* uc) {
   // Restartable atomic sequences: rewind an interrupted sequence to its start.
   auto pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   if (ras::RewindIfInside(&pc)) {
@@ -73,7 +83,7 @@ void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
   // too (attributed to the interrupted thread). When sampling is off, SIGPROF falls through
   // to the ordinary delivery model (a user can pt_sigwait it, as before).
   if (signo == SIGPROF && debug::profiler::g_signal_sampling) {
-    debug::profiler::OnSigprof(ucv);
+    debug::profiler::OnSigprof(uc);
     return;
   }
 
@@ -92,9 +102,6 @@ void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
   Tcb* self = k.current;
   self->interrupted_by_signal = true;
 
-  // Paper's sigsetmask call #1: with the kernel flag protecting us, all signals re-enable.
-  UnblockAllOsSignals();
-
   DeliverAsync(signo, debug::replay::AsyncSite::kPreEntry);
 
   // May switch to another thread; if so, this frame stays pending on self's stack and we
@@ -106,8 +113,11 @@ void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
   if (SelfHandlersPending()) {
     // The delivery chose the interrupted thread itself: run the user handler now, at this
     // thread's priority, under the live signal frame (Figure 3's "same thread" case). Make
-    // sure it runs preemptible even on the resumed-with-signals-blocked path.
-    UnblockAllOsSignals();
+    // sure it runs preemptible even on the resumed-with-signals-blocked path. Its own signal
+    // may stay blocked until sigreturn: the handler's mask blocks it anyway.
+    if (OsMaskShadow() != OsMask::kOwnSignal) {
+      UnblockAllOsSignals();
+    }
     RunSelfHandlers();
   }
 
@@ -115,8 +125,7 @@ void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
   // sigreturn restores the interrupted register state and the pre-signal mask.
 }
 
-void SyncHandler(int signo, siginfo_t* info, void* ucv) {
-  auto* uc = static_cast<ucontext_t*>(ucv);
+void HandleSyncFault(int signo, siginfo_t* info, ucontext_t* uc) {
   auto pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   if (ras::RewindIfInside(&pc)) {
     // A fault inside a registered sequence is a library bug, not a preemption.
@@ -199,6 +208,25 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
   hostos::Sigaction(signo, &dfl, nullptr);
 }
 
+// The kernel sets the process mask on handler entry and sigreturn restores it; both handlers
+// keep the shadow in step across the same bracket. The saved state is a plain local, not a
+// destructor: a user handler may leave through siglongjmp (pt_handler_redirect), and
+// ApplyRedirectIfAny marks the shadow unknown before it jumps.
+void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
+  (void)info;
+  const OsMask saved = OsMaskShadow();
+  SetOsMaskShadow(signo == SIGPROF ? OsMask::kAll : OsMask::kOwnSignal);
+  HandleOsSignal(signo, static_cast<ucontext_t*>(ucv));
+  SetOsMaskShadow(saved);
+}
+
+void SyncHandler(int signo, siginfo_t* info, void* ucv) {
+  const OsMask saved = OsMaskShadow();
+  SetOsMaskShadow(OsMask::kAll);
+  HandleSyncFault(signo, info, static_cast<ucontext_t*>(ucv));
+  SetOsMaskShadow(saved);
+}
+
 }  // namespace
 
 void InstallOsHandlers() {
@@ -216,13 +244,17 @@ void InstallOsHandlers() {
                __LINE__);
   }
 
+  // Every claimed signal but SIGPROF blocks only itself while its handler frame runs (see the
+  // header). SIGPROF blocks everything: OnSigprof must not be re-entered.
   struct sigaction sa{};
   sa.sa_sigaction = &UniversalHandler;
-  ::sigfillset(&sa.sa_mask);
+  ::sigemptyset(&sa.sa_mask);
   sa.sa_flags = SA_SIGINFO;
+  struct sigaction prof = sa;
+  ::sigfillset(&prof.sa_mask);
   for (int signo : kClaimedSignals) {
-    if (hostos::Sigaction(signo, &sa, g_installed ? nullptr : &g_saved_actions[signo]) !=
-        0) {
+    if (hostos::Sigaction(signo, signo == SIGPROF ? &prof : &sa,
+                          g_installed ? nullptr : &g_saved_actions[signo]) != 0) {
       log::RawWriteCstr("fsup fatal: init: sigaction failed for signal ");
       log::RawWriteInt(signo);
       log::RawWriteCstr("\n");

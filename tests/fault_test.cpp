@@ -1,7 +1,8 @@
 // Fault-injection tests: deterministic host-call failures at the hostos boundary and the
 // hardened error paths they exercise — resource exhaustion degrading to EAGAIN with no leaked
-// pool entries, benign EINTR absorbed by the retry loops, wait-for-graph deadlock detection
-// returning EDEADLK instead of hanging, and byte-for-byte replayable failure schedules.
+// pool entries, benign EINTR absorbed by the retry loops, failed mask calls losing no signal,
+// wait-for-graph deadlock detection returning EDEADLK instead of hanging, and byte-for-byte
+// replayable failure schedules.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "src/core/pthread.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
+#include "src/signals/sigmodel.hpp"
 #include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
@@ -42,6 +44,7 @@ TEST_F(FaultTest, SpecParsingAcceptsTheDocumentedSyntax) {
   EXPECT_TRUE(fault::ParseSpec("setitimer:k=13:EINTR;poll:k=7:EINTR"));
   EXPECT_TRUE(fault::ParseSpec("sigaction:p=250@42:EINVAL"));
   EXPECT_TRUE(fault::ParseSpec("kill:n=2:11"));  // numeric errno
+  EXPECT_TRUE(fault::ParseSpec("epoll_wait:n=1:raise=SIGUSR1;poll:k=3:raise=12"));
   fault::Clear();
 
   EXPECT_FALSE(fault::ParseSpec(""));
@@ -51,6 +54,8 @@ TEST_F(FaultTest, SpecParsingAcceptsTheDocumentedSyntax) {
   EXPECT_FALSE(fault::ParseSpec("mmap:x=1:ENOMEM"));       // unknown mode
   EXPECT_FALSE(fault::ParseSpec("mmap:p=50:EINTR"));       // random without seed
   EXPECT_FALSE(fault::ParseSpec("mmap:n=1"));              // missing errno
+  EXPECT_FALSE(fault::ParseSpec("poll:n=1:raise=SIGFOO")); // unknown signal
+  EXPECT_FALSE(fault::ParseSpec("poll:n=1:raise=999"));    // no such signal
   // A bad clause must not half-arm the good one before it.
   EXPECT_FALSE(fault::ParseSpec("mmap:n=1:ENOMEM;junk"));
   EXPECT_FALSE(fault::AnyArmed());
@@ -156,6 +161,52 @@ TEST_F(FaultTest, PersistentSetitimerFailureDoesNotStrandSleepers) {
   EXPECT_EQ(0, pt_delay(2 * 1000 * 1000));  // 2ms
   EXPECT_GE(NowNs() - start, 2 * 1000 * 1000);
   EXPECT_GT(fault::InjectedCount(Call::kSetitimer), 0u);
+}
+
+TEST_F(FaultTest, FailingMaskCallsLoseNoSignalAndForgetTheShadow) {
+  // Every sigprocmask fails, with EINTR past the wrapper's retry budget or with a hard errno,
+  // while a handler readies a higher-priority thread and the interrupted thread later resumes:
+  // the two mask calls a switching delivery still makes. Delivery must not depend on them,
+  // and a failed call must leave the shadow unknown, so that the next request calls again.
+  // (soak_test_fault's sigprocmask rule covered this path while every delivery made a mask
+  // call; soak makes almost none now.)
+  for (const int err : {EINTR, EINVAL}) {
+    SCOPED_TRACE(err);
+    fault::Clear();
+    pt_reinit();
+    static int taken = 0;
+    taken = 0;
+    ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR1), nullptr));
+    auto waiter = +[](void*) -> void* {
+      for (int i = 0; i < 2; ++i) {
+        int signo = 0;
+        if (pt_sigwait(SigBit(SIGUSR1), &signo) != 0) {
+          return nullptr;
+        }
+        ++taken;
+      }
+      return nullptr;
+    };
+    ThreadAttr hi;
+    hi.priority = kDefaultPrio + 1;
+    pt_thread_t t;
+    ASSERT_EQ(0, pt_create(&t, &hi, waiter, nullptr));  // blocks in pt_sigwait at once
+    fault::FailEveryKth(Call::kSigprocmask, 1, err);
+
+    ::kill(::getpid(), SIGUSR1);  // handler → waiter preempts → blocks again → main resumes
+    EXPECT_EQ(1, taken);
+    EXPECT_GT(fault::InjectedCount(Call::kSigprocmask), 0u);
+
+    sig::BlockAllOsSignals();
+    EXPECT_EQ(sig::OsMask::kUnknown, sig::OsMaskShadow());
+    ::kill(::getpid(), SIGUSR1);  // the same delivery with the shadow unknown
+    EXPECT_EQ(2, taken);
+    ASSERT_EQ(0, pt_join(t, nullptr));
+
+    fault::Clear();
+    sig::UnblockAllOsSignals();
+    EXPECT_EQ(sig::OsMask::kNone, sig::OsMaskShadow());
+  }
 }
 
 struct PipeWorld {

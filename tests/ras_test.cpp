@@ -1,8 +1,12 @@
-// Restartable atomic sequences (paper Figure 4): the three lock primitives, the registry,
-// and PC-rewind behaviour under real signal interruption.
+// Restartable atomic sequences (paper Figure 4): the three lock primitives, the list and
+// idle-sleep sequences, the registry, and PC-rewind behaviour under real signal interruption.
 
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 
@@ -73,7 +77,24 @@ TEST_F(RasTest, SequencesAreRegistered) {
   EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_pop_end)));
   EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_push_begin)));
   EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_push_end)));
+  EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_begin)));
+  EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_end)));
   EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(&ras::Register)));
+}
+
+TEST_F(RasTest, IdleSyscallSleepsOnlyOverAnEmptyDeferredSet) {
+  volatile uint64_t deferred = 0;
+  EXPECT_EQ(::getpid(), fsup_ras_idle_syscall(SYS_getpid, 0, 0, 0, 0, &deferred));
+  deferred = SigBit(SIGUSR1);
+  EXPECT_EQ(-EINTR, fsup_ras_idle_syscall(SYS_getpid, 0, 0, 0, 0, &deferred));
+  // A signal that lands on the syscall instruction itself (2 bytes, the last of the sequence)
+  // is rewound to the test; one that lands after it, i.e. during the sleep, is not.
+  const auto begin = reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_begin);
+  uintptr_t pc = reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_end) - 2;
+  EXPECT_TRUE(ras::RewindIfInside(&pc));
+  EXPECT_EQ(begin, pc);
+  pc = reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_end);
+  EXPECT_FALSE(ras::RewindIfInside(&pc));
 }
 
 TEST_F(RasTest, ListPushPopIsLifoThroughTheFirstWord) {
