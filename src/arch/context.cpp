@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include <ucontext.h>
+
 #include "src/util/assert.hpp"
 
 extern "C" void fsup_ctx_boot();
@@ -39,7 +41,62 @@ uint64_t LoadWord(const void* base, ptrdiff_t off) {
   return value;
 }
 
+// The host describes the xsave image of a signal frame in the fxsave area's software-reserved
+// bytes: struct _fpx_sw_bytes, whose magic, feature mask and standard-format size sit here.
+constexpr size_t kSwBytesOffset = 464;
+constexpr uint32_t kXstateMagic1 = 0x46505853;
+
+// The thunk's last three instructions, which follow its restartable tail: popfq, popq %rbp,
+// ret $128 (one, one and three bytes).
+constexpr uintptr_t kPreemptPopsBytes = 5;
+constexpr greg_t kRedZoneBytes = 128;
+
 }  // namespace
+
+extern "C" {
+uintptr_t fsup_preempt_pc = 0;
+uint64_t fsup_xsave_mask = 0;
+uint64_t fsup_xsave_bytes = 0;
+}
+
+void CtxPreemptOnReturn(void* ucontext) {
+  auto* uc = static_cast<ucontext_t*>(ucontext);
+  greg_t* g = uc->uc_mcontext.gregs;
+  const auto pc = static_cast<uintptr_t>(g[REG_RIP]);
+  const auto tail = reinterpret_cast<uintptr_t>(fsup_preempt_tail_begin);
+  const auto end = reinterpret_cast<uintptr_t>(fsup_preempt_tail_end);
+  if (pc == tail) {
+    // Leaving an earlier preemption (the restart rewound any PC of the tail to its start):
+    // dispatch again from that frame, which is intact and still addressed by %rsp and %rbp.
+    g[REG_RIP] = reinterpret_cast<greg_t>(&fsup_preempt_redispatch);
+    return;
+  }
+  if (pc - end < kPreemptPopsBytes) {
+    // In the last pops: finish them here. The new frame then lands where the old one was.
+    auto* sp = reinterpret_cast<const uint64_t*>(g[REG_RSP]);
+    if (pc == end) {
+      g[REG_EFL] = static_cast<greg_t>(*sp++);
+    }
+    if (pc <= end + 1) {
+      g[REG_RBP] = static_cast<greg_t>(*sp++);
+    }
+    g[REG_RIP] = static_cast<greg_t>(*sp++);
+    g[REG_RSP] = reinterpret_cast<greg_t>(sp) + kRedZoneBytes;
+  }
+
+  // Save what the host saved, sized by the frame rather than XCR0: features whose state the
+  // host keeps out of signal frames (AMX tile data, say) would not fit a small stack.
+  const char* sw = reinterpret_cast<const char*>(uc->uc_mcontext.fpregs) + kSwBytesOffset;
+  uint32_t magic = 0;
+  uint32_t bytes = 0;
+  std::memcpy(&magic, sw, sizeof(magic));
+  std::memcpy(&fsup_xsave_mask, sw + 8, sizeof(fsup_xsave_mask));
+  std::memcpy(&bytes, sw + 16, sizeof(bytes));
+  FSUP_CHECK_MSG(magic == kXstateMagic1, "preemption needs xsave signal frames");
+  fsup_xsave_bytes = bytes;
+  fsup_preempt_pc = static_cast<uintptr_t>(g[REG_RIP]);
+  g[REG_RIP] = reinterpret_cast<greg_t>(&fsup_preempt_thunk);
+}
 
 void CtxMake(Context& ctx, void* stack_lo, size_t stack_size, ThreadEntry entry, void* arg) {
   FSUP_CHECK(stack_size >= 4096);

@@ -5,9 +5,10 @@
 // r12-r15) plus the SSE/x87 control words onto the current stack and records rsp in the old
 // thread's Context, then restores the same frame shape from the new thread's Context. As the
 // paper argues for SPARC, no other state needs to move: caller-saved registers are dead across
-// the explicit call into the library, and for threads interrupted asynchronously the full
-// register file is preserved by the UNIX signal frame that remains pending on the thread's
-// stack until it is resumed.
+// the explicit call into the library. Every suspended thread got there by such a call: a thread
+// interrupted asynchronously is not switched inside the signal handler but returned into a
+// preemption thunk (CtxPreemptOnReturn), whose frame saves the registers the interrupted code
+// had live and which then calls into the library like any other code.
 //
 // Saved frame layout, from the saved sp upward:
 //   sp +  0 : mxcsr (4 bytes) | x87 control word (2 bytes) | pad
@@ -51,6 +52,12 @@ void CtxPushFakeCall(Context& ctx, void (*fn)(void*), void* arg);
 // Number of bytes CtxPushFakeCall consumes below the saved sp (frame + pop area).
 inline constexpr size_t kFakeCallFrameBytes = 88;
 
+// Rewrites a signal handler's ucontext so that its sigreturn resumes the interrupted thread in
+// fsup_preempt_thunk, which saves the interrupted registers, calls fsup_preempt_cc with the
+// kernel still held, and returns to the interrupted PC. A PC already in the thunk's tail
+// re-dispatches from the thread's existing thunk frame instead of stacking a second one.
+void CtxPreemptOnReturn(void* ucontext);
+
 }  // namespace fsup
 
 extern "C" {
@@ -71,6 +78,18 @@ void fsup_ctx_switch(fsup::Context* save, const fsup::Context* load);
 
 // Defined in signals/fake_call.cpp: the wrapper body that fake-call frames land in.
 [[noreturn]] void fsup_fake_call_cc(void (*fn)(void*), void* arg, void* resume_sp);
+
+// The preemption thunk (context.S) and its state. fsup_preempt_cc (signals/universal_handler.cpp)
+// is its body: entered with the kernel held, it dispatches and returns the kernel state's
+// address, whose flags the thunk's tail clears and re-checks.
+void fsup_preempt_thunk();
+void fsup_preempt_redispatch();
+void* fsup_preempt_cc();
+extern const char fsup_preempt_tail_begin[];
+extern const char fsup_preempt_tail_end[];
+extern uintptr_t fsup_preempt_pc;  // where the thunk returns to
+extern uint64_t fsup_xsave_mask;   // the features the host saved in the signal frame
+extern uint64_t fsup_xsave_bytes;  // their standard-format size
 
 }  // extern "C"
 

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 
+#include "src/arch/context.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/counters.hpp"
 
@@ -63,6 +64,8 @@ void RegisterBuiltins() {
            reinterpret_cast<uintptr_t>(fsup_ras_list_push_end));
   Register(reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_begin),
            reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_end));
+  Register(reinterpret_cast<uintptr_t>(fsup_preempt_tail_begin),
+           reinterpret_cast<uintptr_t>(fsup_preempt_tail_end));
 }
 
 }  // namespace fsup::ras

@@ -44,7 +44,7 @@ bool RewindIfInside(uintptr_t* pc);
 bool Inside(uintptr_t pc);
 
 // Installs the library's built-in sequences (the mutex lock path, the list push/pop, the
-// idle sleep). Idempotent.
+// idle sleep, the preemption thunk's tail). Idempotent.
 void RegisterBuiltins();
 
 }  // namespace fsup::ras

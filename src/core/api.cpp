@@ -23,7 +23,6 @@
 #include "src/kernel/kernel.hpp"
 #include "src/sched/perverted.hpp"
 #include "src/sched/policy.hpp"
-#include "src/signals/fake_call.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/signals/sigwait.hpp"
 #include "src/tsd/tsd.hpp"
@@ -55,13 +54,6 @@ void ReapTerminatedLocked(Tcb* t) {
     return;  // static storage; never pooled
   }
   k.pool->Free(t);
-}
-
-// Drains self-directed user handlers queued while we were in the kernel. Call after Exit().
-void DrainSelf() {
-  if (sig::SelfHandlersPending()) {
-    sig::RunSelfHandlers();
-  }
 }
 
 bool ValidSignal(int signo) {
@@ -139,8 +131,10 @@ void ExitCurrent(void* retval) {
 void pt_init() { kernel::EnsureInit(); }
 
 void pt_reinit() {
-  kernel::ReinitForTesting();
+  // The libc state first: it frees the main thread's block through the main thread's TSD,
+  // which the kernel reinit destroys along with the main TCB.
   libc_internal::ResetForTesting();
+  kernel::ReinitForTesting();
   tsd::ResetForTesting();
   sched::SetPolicy(PervertedPolicy::kNone, 0);
 }
@@ -311,7 +305,6 @@ int pt_join(pt_thread_t t, void** retval) {
       *retval = self->join_result;
     }
     kernel::Exit();
-    DrainSelf();
     return 0;
   }
 
@@ -455,7 +448,6 @@ int pt_kill(pt_thread_t t, int signo) {
   }
   sig::DeliverToProcess(signo, sig::Cause::kDirected, t);
   kernel::Exit();
-  DrainSelf();
   return 0;
 }
 
@@ -480,7 +472,6 @@ int pt_sigmask(SigMaskHow how, SigSet set, SigSet* old_set) {
   }
   sig::CheckPendingAfterUnmask(self);
   kernel::Exit();
-  DrainSelf();
   return 0;
 }
 
@@ -655,7 +646,6 @@ int pt_delay(int64_t duration_ns) {
   }
   cancel::TestIntrInKernel();
   kernel::Exit();
-  DrainSelf();
   return rc;
 }
 

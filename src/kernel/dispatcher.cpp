@@ -44,19 +44,9 @@ void SwitchTo(Tcb* next) {
   k.current = next;
 
   sig::OnDispatch(next);
-
-  if (next->interrupted_by_signal) {
-    // `next` still has a UNIX signal frame pending on its stack. Block process signals before
-    // resuming it so the universal handler cannot stack another instance on top of the
-    // un-returned one (the paper's rule against unbounded stack growth); the handler's return
-    // path (sigreturn) re-enables them.
-    sig::BlockAllOsSignals();
-  } else {
-    // Every other thread runs with them unblocked, whoever switched to it. Free (the shadowed
-    // mask) unless the switch leaves a universal-handler frame, whose own signal the host
-    // kernel blocked, or a thread resumed under one.
-    sig::UnblockAllOsSignals();
-  }
+  // Every thread resumes with nothing blocked. The mask is not empty here only when `cur`
+  // leaves a handler frame; lift it before `next` runs.
+  sig::LeaveHandlerFrame(cur);
 
   fsup_ctx_switch(&cur->ctx, &next->ctx);
 
@@ -75,7 +65,7 @@ void SwitchTo(Tcb* next) {
 // timer-heap head and ExternalWakeupPossible reads two counters.
 void IdleWait() {
   KernelState& k = ks();
-  sig::UnblockAllOsSignals();  // the sleep must be interruptible; normally already so, no call
+  sig::LeaveHandlerFrame(k.current);  // the sleep must be interruptible by every signal
 
   const int64_t deadline = sig::NextDeadlineNs();
   if (deadline < 0 && !io::HaveWaiters() && !sig::ExternalWakeupPossible()) {

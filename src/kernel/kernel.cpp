@@ -68,7 +68,7 @@ void InitRuntime() {
   sig::InstallOsHandlers();
   // Make the signal state canonical: nothing blocked. (After a reinit the mask was fully
   // blocked across the handler swap; on first init this is the process default anyway.)
-  sig::UnblockAllOsSignals();
+  sig::SetHostMask(false);
 
   // Observability env hooks. FSUP_TRACE_FILE=<path> turns tracing on and dumps a Chrome
   // trace_event JSON at process exit (the final pt_exit leaves via std::exit, so atexit
@@ -117,7 +117,7 @@ void ReinitForTesting() {
   // SIGALRM landing while the saved (default) disposition is restored would kill the process.
   itimerval off{};
   hostos::Setitimer(ITIMER_REAL, &off, nullptr);
-  sig::BlockAllOsSignals();
+  sig::SetHostMask(true);
   sig::UninstallOsHandlers();
   io::ResetForTesting();
 
@@ -141,9 +141,12 @@ void MakeReady(Tcb* t, bool front) {
   // Every sigwait wakeup funnels through here — including the cancellation fake call, which
   // never returns control to SigwaitInternal — so this is the one place the sigwait-blocked
   // count (deadlock detection, O(1) ExternalWakeupPossible) can be maintained without leaks.
+  // The woken thread stops counting as unmasked for its wait set at once: a second signal
+  // that arrives before it runs must pend, not find a recipient that can no longer take it.
   if (t->state == ThreadState::kBlocked && t->block_reason == BlockReason::kSigwait) {
     FSUP_ASSERT(k.sigwait_blocked > 0);
     --k.sigwait_blocked;
+    t->sigwait_set = 0;
   }
   // t may be the current thread: a blocked thread with no runnable peer idles on its own
   // stack inside the dispatcher, and its own timer/IO wakeup re-readies it.

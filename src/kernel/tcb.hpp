@@ -124,10 +124,10 @@ struct Tcb {
   bool detached = false;
   bool lazy = false;  // created with deferred activation; first reference activates it
 
-  // True while the thread's saved frame has a UNIX signal frame pending on top of it (it was
-  // preempted inside the universal signal handler). Dispatchers must block process signals
-  // before resuming such a thread — the paper's defence against unbounded stack growth.
-  bool interrupted_by_signal = false;
+  // True while the thread runs outside the kernel inside a universal-handler or fault-handler
+  // frame, whose signals the host kernel blocks until the frame returns: leaving the frame
+  // by a switch, an idle sleep or a redirect must unblock them (sig::LeaveHandlerFrame).
+  bool in_handler_frame = false;
 
   int prio = kDefaultPrio;       // current, possibly boosted by a mutex protocol
   int base_prio = kDefaultPrio;  // as assigned by creation attributes / pt_setprio

@@ -36,11 +36,6 @@ void UserHandlerTramp(void* argp) {
   Tcb* self = kernel::Current();
 
   kernel::ExitProtocol();
-  if (self->interrupted_by_signal) {
-    // The dispatcher blocked OS signals to protect the pending signal frame above us; the
-    // user handler itself must stay preemptible.
-    UnblockAllOsSignals();
-  }
 
   if (rec->reacquire_mutex != nullptr) {
     // The handler interrupted a conditional wait: re-acquire the mutex, terminating the wait
@@ -59,17 +54,11 @@ void UserHandlerTramp(void* argp) {
   NoteSigmaskSet(self, rec->saved_mask);
   rec->in_use = false;
   CheckPendingAfterUnmask(self);
-  kernel::Exit();
-  if (SelfHandlersPending()) {
-    RunSelfHandlers();  // the unmask may have queued handlers for this very thread
-  }
+  kernel::Exit();  // runs any handler the unmask queued for this very thread
 
   ApplyRedirectIfAny();  // step 6 (redirect case): never returns if one is pending
 
   kernel::Enter();
-  if (self->interrupted_by_signal) {
-    BlockAllOsSignals();  // restore the protection before resuming under the signal frame
-  }
   // Return into fsup_fake_call_cc, which restores the original frame — landing inside the
   // dispatcher (in kernel) at the thread's interruption point.
 }
@@ -77,12 +66,8 @@ void UserHandlerTramp(void* argp) {
 // Fake call used by cancellation: re-acquires a condwait mutex if needed, then exits.
 void CancelTramp(void* argp) {
   auto* rec = static_cast<FakeRec*>(argp);
-  Tcb* self = kernel::Current();
 
   kernel::ExitProtocol();
-  if (self->interrupted_by_signal) {
-    UnblockAllOsSignals();
-  }
   if (rec->reacquire_mutex != nullptr) {
     const int rc = sync::MutexLock(rec->reacquire_mutex);
     FSUP_CHECK_MSG(rc == 0, "cancel mutex reacquire failed");
@@ -224,8 +209,7 @@ void ApplyRedirectIfAny() {
   auto* env = static_cast<sigjmp_buf*>(self->redirect_env);
   const int val = self->redirect_val;
   self->redirect_env = nullptr;
-  // The jump may restore a mask sigsetjmp saved and may skip a handler's shadow restore.
-  SetOsMaskShadow(OsMask::kUnknown);
+  LeaveHandlerFrame(self);  // the jump skips the sigreturn of a handler frame it leaves
   ::siglongjmp(*env, val);
 }
 

@@ -1,6 +1,5 @@
 #include "src/signals/sigmodel.hpp"
 
-#include <atomic>
 #include <bit>
 #include <unistd.h>
 
@@ -25,25 +24,6 @@ SigSet EffectiveMask(const Tcb* t) { return t->sigmask & ~t->sigwait_set; }
 
 int LowestSignal(SigSet set) { return std::countr_zero(set); }
 
-// Outlives pt_reinit: the process mask does too. Written only after the call it describes
-// succeeded, so a handler that lands in between sees the old state, which then errs towards
-// one redundant call, never towards a skipped one.
-std::atomic<OsMask> g_os_mask{OsMask::kUnknown};
-
-void SetOsMask(OsMask want) {
-  if (g_os_mask.load(std::memory_order_relaxed) == want) {
-    return;
-  }
-  sigset_t set;
-  if (want == OsMask::kAll) {
-    ::sigfillset(&set);
-  } else {
-    ::sigemptyset(&set);
-  }
-  const bool ok = hostos::Sigprocmask(SIG_SETMASK, &set, nullptr) == 0;
-  g_os_mask.store(ok ? want : OsMask::kUnknown, std::memory_order_relaxed);
-}
-
 // Performs the UNIX default action for signo on the whole process (action step 7): reset the
 // OS disposition, unblock, re-raise. If the process survives (stop/continue signals), the
 // universal handler is reinstalled.
@@ -61,7 +41,6 @@ void DefaultActionOnProcess(int signo) {
   ::sigemptyset(&just);
   ::sigaddset(&just, signo);
   hostos::Sigprocmask(SIG_UNBLOCK, &just, nullptr);
-  SetOsMaskShadow(OsMask::kUnknown);
   hostos::Kill(::getpid(), signo);
   // Fatal signals do not return. Stop signals resume here on SIGCONT:
   InstallOsHandlers();
@@ -236,13 +215,22 @@ bool ExternalWakeupPossible() {
   return k.sigwait_blocked > 0 || k.handlers_installed > 0;
 }
 
-OsMask OsMaskShadow() { return g_os_mask.load(std::memory_order_relaxed); }
+void LeaveHandlerFrame(Tcb* t) {
+  if (t->in_handler_frame) {
+    t->in_handler_frame = false;
+    SetHostMask(false);
+  }
+}
 
-void SetOsMaskShadow(OsMask m) { g_os_mask.store(m, std::memory_order_relaxed); }
-
-void BlockAllOsSignals() { SetOsMask(OsMask::kAll); }
-
-void UnblockAllOsSignals() { SetOsMask(OsMask::kNone); }
+void SetHostMask(bool block_all) {
+  sigset_t set;
+  if (block_all) {
+    ::sigfillset(&set);
+  } else {
+    ::sigemptyset(&set);
+  }
+  hostos::Sigprocmask(SIG_SETMASK, &set, nullptr);
+}
 
 void ForgetThread(Tcb* t) {
   CancelBlockTimer(t);

@@ -79,23 +79,17 @@ void OnDispatch(Tcb* next);
 // external signal — used by the idle loop's deadlock detection.
 bool ExternalWakeupPossible();
 
-// The process signal mask as fsup last set or entered it. The paper pays two sigsetmask calls
-// per delivered signal; with this shadow a request for the state already in force makes no
-// call. Each handler saves the shadow on entry, sets the state the kernel entered it under, and
-// restores the saved one before its sigreturn restores the real mask.
-enum class OsMask : uint8_t {
-  kUnknown,    // after a failed call or a change made elsewhere: the next request calls
-  kNone,       // nothing blocked
-  kAll,        // everything blocked
-  kOwnSignal,  // nothing but the signals of the universal-handler frames running on this
-               // stack: the kernel blocked each on entry and lifts it at that sigreturn
-};
-OsMask OsMaskShadow();
-void SetOsMaskShadow(OsMask m);
+// The host process mask is empty on every thread except inside a live universal-handler or
+// fault-handler frame, where the host kernel blocks the frame's own signal (every signal, for
+// SIGPROF and faults) until its sigreturn. A thread that leaves such a frame other than by
+// returning from it — a switch or an idle sleep while an in-frame user handler blocks or a
+// nested delivery preempts it, or a redirect (ApplyRedirectIfAny) — lifts that mask first:
+// one sigprocmask, made when Tcb::in_handler_frame says the thread is in such a frame.
+void LeaveHandlerFrame(Tcb* t);
 
-// OS mask helpers: one sigprocmask(SIG_SETMASK) when the shadow differs, none otherwise.
-void BlockAllOsSignals();
-void UnblockAllOsSignals();
+// One sigprocmask(SIG_SETMASK): block everything (across a reinit's handler swap), or
+// nothing.
+void SetHostMask(bool block_all);
 
 // Installs/uninstalls the process-level universal handler for all maskable signals.
 void InstallOsHandlers();

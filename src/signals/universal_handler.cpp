@@ -5,11 +5,15 @@
 //
 //   in the kernel      — log the signal and set the dispatcher flag; it is replayed when the
 //                        dispatcher runs (Figure 2). One store, no syscalls.
-//   outside the kernel — enter the kernel, run the delivery model, and invoke the dispatcher,
-//                        which may switch away, leaving this handler frame pending on the
-//                        interrupted thread's stack until the thread is re-dispatched (with
-//                        signals blocked, by the dispatcher). Returning performs the kernel's
-//                        sigreturn, restoring the pre-signal register state and mask.
+//   outside the kernel — enter the kernel and run the delivery model. A delivery that stays
+//                        on the interrupted thread leaves the kernel here, running any
+//                        handler it queued for this thread in this frame. A delivery that
+//                        switches threads (it readied a better thread, ended a slice, or left
+//                        deferred work) does not switch here: the handler keeps the kernel
+//                        held and rewrites its ucontext so that sigreturn resumes the thread
+//                        in a preemption thunk (arch/context.S, the paper's fake call applied
+//                        to the running thread), which saves the interrupted registers,
+//                        dispatches, and returns to the interrupted PC.
 //
 // The paper makes two sigsetmask calls per delivered signal: #1 re-enables signals once the
 // kernel flag protects the handler, #2 blocks them again when a thread with a pending handler
@@ -20,19 +24,22 @@
 // frame returns, coalescing exactly as the deferred set would. Nesting is therefore bounded
 // by the number of distinct signals. (SA_NODEFER would bound nothing: a sender faster than
 // the host's frame setup stacks one frame per signal before a handler instruction runs.)
-// Call #2 remains, and with it one unblock when a handler switches away from its frame
-// (dispatcher.cpp, SwitchTo): a delivery that switches threads pays two calls, one that does
-// not pays none.
+// Call #2 is gone too: no thread is ever suspended under a handler frame by a delivery, so
+// none resumes under one. The host mask is empty everywhere but inside a live handler frame;
+// the only mask calls left are made when a thread leaves such a frame other than by
+// returning (sig::LeaveHandlerFrame).
 //
 // The handler also implements the restartable-atomic-sequence contract: if it interrupted a
 // registered sequence, the saved program counter is rewound to the sequence start before
-// anything else can run.
+// anything else can run, so the thunk returns to the sequence start too.
 
 #include <csignal>
 #include <cerrno>
+#include <cstddef>
 #include <ucontext.h>
 #include <unistd.h>
 
+#include "src/arch/context.hpp"
 #include "src/arch/ras.hpp"
 #include "src/debug/introspect.hpp"
 #include "src/debug/obs.hpp"
@@ -64,8 +71,9 @@ bool g_installed = false;
 
 alignas(16) unsigned char g_alt_stack[64 * 1024];
 
-// The body of the universal handler, run under the shadow bracket below.
-void HandleOsSignal(int signo, ucontext_t* uc) {
+void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
+  (void)info;
+  auto* uc = static_cast<ucontext_t*>(ucv);
   // Restartable atomic sequences: rewind an interrupted sequence to its start.
   auto pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   if (ras::RewindIfInside(&pc)) {
@@ -99,33 +107,27 @@ void HandleOsSignal(int signo, ucontext_t* uc) {
 
   k.in_kernel = 1;
   counters::Bump(counters::kKernelEntries);
-  Tcb* self = k.current;
-  self->interrupted_by_signal = true;
-
   DeliverAsync(signo, debug::replay::AsyncSite::kPreEntry);
 
-  // May switch to another thread; if so, this frame stays pending on self's stack and we
-  // resume here when self is next dispatched (with OS signals blocked by the dispatcher).
-  kernel::Dispatch();
-
-  self->interrupted_by_signal = false;
-
-  if (SelfHandlersPending()) {
-    // The delivery chose the interrupted thread itself: run the user handler now, at this
-    // thread's priority, under the live signal frame (Figure 3's "same thread" case). Make
-    // sure it runs preemptible even on the resumed-with-signals-blocked path. Its own signal
-    // may stay blocked until sigreturn: the handler's mask blocks it anyway.
-    if (OsMaskShadow() != OsMask::kOwnSignal) {
-      UnblockAllOsSignals();
-    }
-    RunSelfHandlers();
+  if (k.dispatch_pending != 0) {
+    // A switch: sigreturn resumes the thread in the preemption thunk, with the kernel held.
+    CtxPreemptOnReturn(uc);
+  } else {
+    // No switch: leave the kernel here, running any handler the delivery queued for this
+    // thread under the live signal frame (Figure 3's "same thread" case).
+    Tcb* self = k.current;
+    const bool outer = self->in_handler_frame;
+    self->in_handler_frame = true;
+    kernel::Dispatch();
+    self->in_handler_frame = outer;
   }
 
   errno = saved_errno;
   // sigreturn restores the interrupted register state and the pre-signal mask.
 }
 
-void HandleSyncFault(int signo, siginfo_t* info, ucontext_t* uc) {
+void SyncHandler(int signo, siginfo_t* info, void* ucv) {
+  auto* uc = static_cast<ucontext_t*>(ucv);
   auto pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   if (ras::RewindIfInside(&pc)) {
     // A fault inside a registered sequence is a library bug, not a preemption.
@@ -192,9 +194,12 @@ void HandleSyncFault(int signo, siginfo_t* info, ucontext_t* uc) {
     NoteSigmaskSet(self, saved | a.mask | SigBit(signo));
     ++self->signals_taken;
     debug::obs::Emit(debug::obs::Event::kSignal, self, self->id, static_cast<uint32_t>(signo));
+    const bool outer = self->in_handler_frame;
+    self->in_handler_frame = true;  // the handler may block: every signal is blocked here
     a.handler(signo);
     NoteSigmaskSet(self, saved);
     ApplyRedirectIfAny();
+    self->in_handler_frame = outer;
     return;
   }
   if (a.installed && a.ignore) {
@@ -206,25 +211,6 @@ void HandleSyncFault(int signo, siginfo_t* info, ucontext_t* uc) {
   dfl.sa_handler = SIG_DFL;
   ::sigemptyset(&dfl.sa_mask);
   hostos::Sigaction(signo, &dfl, nullptr);
-}
-
-// The kernel sets the process mask on handler entry and sigreturn restores it; both handlers
-// keep the shadow in step across the same bracket. The saved state is a plain local, not a
-// destructor: a user handler may leave through siglongjmp (pt_handler_redirect), and
-// ApplyRedirectIfAny marks the shadow unknown before it jumps.
-void UniversalHandler(int signo, siginfo_t* info, void* ucv) {
-  (void)info;
-  const OsMask saved = OsMaskShadow();
-  SetOsMaskShadow(signo == SIGPROF ? OsMask::kAll : OsMask::kOwnSignal);
-  HandleOsSignal(signo, static_cast<ucontext_t*>(ucv));
-  SetOsMaskShadow(saved);
-}
-
-void SyncHandler(int signo, siginfo_t* info, void* ucv) {
-  const OsMask saved = OsMaskShadow();
-  SetOsMaskShadow(OsMask::kAll);
-  HandleSyncFault(signo, info, static_cast<ucontext_t*>(ucv));
-  SetOsMaskShadow(saved);
 }
 
 }  // namespace
@@ -330,3 +316,22 @@ int SetAction(int signo, void (*handler)(int), SigSet mask, bool ignore, VSigAct
 }
 
 }  // namespace fsup::sig
+
+// The body of fsup_preempt_thunk: a switching delivery's dispatch, run on the thread the
+// universal handler interrupted, after its sigreturn restored the pre-signal mask. Entered
+// with the kernel held, and returns with it held unless handlers queued for this thread ran
+// (outside the kernel, with nothing blocked). The thunk's tail then leaves the kernel and
+// re-checks (Figure 2), reading the three flags at these offsets.
+static_assert(offsetof(fsup::KernelState, in_kernel) == 0);
+static_assert(offsetof(fsup::KernelState, dispatch_pending) == 4);
+static_assert(offsetof(fsup::KernelState, sigs_caught_in_kernel) == 8);
+extern "C" void* fsup_preempt_cc() {
+  using namespace fsup;
+  const int saved_errno = errno;
+  kernel::DispatchKeepKernel();
+  if (sig::SelfHandlersPending()) {
+    kernel::ExitProtocol();
+  }
+  errno = saved_errno;
+  return &kernel::ks();
+}

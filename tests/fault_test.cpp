@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 
 #include "src/core/attr.hpp"
@@ -16,7 +17,6 @@
 #include "src/core/pthread.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
-#include "src/signals/sigmodel.hpp"
 #include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
@@ -163,49 +163,42 @@ TEST_F(FaultTest, PersistentSetitimerFailureDoesNotStrandSleepers) {
   EXPECT_GT(fault::InjectedCount(Call::kSetitimer), 0u);
 }
 
-TEST_F(FaultTest, FailingMaskCallsLoseNoSignalAndForgetTheShadow) {
+TEST_F(FaultTest, FailingMaskCallsLoseNoSignal) {
   // Every sigprocmask fails, with EINTR past the wrapper's retry budget or with a hard errno,
-  // while a handler readies a higher-priority thread and the interrupted thread later resumes:
-  // the two mask calls a switching delivery still makes. Delivery must not depend on them,
-  // and a failed call must leave the shadow unknown, so that the next request calls again.
-  // (soak_test_fault's sigprocmask rule covered this path while every delivery made a mask
-  // call; soak makes almost none now.)
+  // while a user handler running in main's universal-handler frame yields to a worker: the
+  // one mask call left on a delivery path, made when a thread leaves a handler frame by a
+  // switch. The worker then runs with the frame's signal still blocked and sends it again.
+  // The host holds that signal, it is not lost: it lands when main's frame returns, and the
+  // frame's sigreturn leaves nothing blocked. (soak_test_fault's sigprocmask rule covered
+  // mask calls while every delivery made one; a delivery makes none now.)
   for (const int err : {EINTR, EINVAL}) {
     SCOPED_TRACE(err);
     fault::Clear();
     pt_reinit();
-    static int taken = 0;
-    taken = 0;
-    ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR1), nullptr));
-    auto waiter = +[](void*) -> void* {
-      for (int i = 0; i < 2; ++i) {
-        int signo = 0;
-        if (pt_sigwait(SigBit(SIGUSR1), &signo) != 0) {
-          return nullptr;
-        }
-        ++taken;
+    static int handled = 0;
+    handled = 0;
+    ASSERT_EQ(0, pt_sigaction(SIGUSR1, +[](int) {
+      ++handled;
+      pt_yield();  // to the worker, from inside the frame
+    }, 0));
+    auto worker = +[](void*) -> void* {
+      while (handled == 0) {
+        pt_yield();
       }
+      ::kill(::getpid(), SIGUSR1);
       return nullptr;
     };
-    ThreadAttr hi;
-    hi.priority = kDefaultPrio + 1;
     pt_thread_t t;
-    ASSERT_EQ(0, pt_create(&t, &hi, waiter, nullptr));  // blocks in pt_sigwait at once
+    ASSERT_EQ(0, pt_create(&t, nullptr, worker, nullptr));
     fault::FailEveryKth(Call::kSigprocmask, 1, err);
-
-    ::kill(::getpid(), SIGUSR1);  // handler → waiter preempts → blocks again → main resumes
-    EXPECT_EQ(1, taken);
-    EXPECT_GT(fault::InjectedCount(Call::kSigprocmask), 0u);
-
-    sig::BlockAllOsSignals();
-    EXPECT_EQ(sig::OsMask::kUnknown, sig::OsMaskShadow());
-    ::kill(::getpid(), SIGUSR1);  // the same delivery with the shadow unknown
-    EXPECT_EQ(2, taken);
+    ::kill(::getpid(), SIGUSR1);
     ASSERT_EQ(0, pt_join(t, nullptr));
-
+    EXPECT_EQ(2, handled);
+    EXPECT_GT(fault::InjectedCount(Call::kSigprocmask), 0u);
+    sigset_t cur;
+    ::pthread_sigmask(SIG_BLOCK, nullptr, &cur);
+    EXPECT_TRUE(::sigisemptyset(&cur));
     fault::Clear();
-    sig::UnblockAllOsSignals();
-    EXPECT_EQ(sig::OsMask::kNone, sig::OsMaskShadow());
   }
 }
 

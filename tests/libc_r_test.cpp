@@ -188,5 +188,13 @@ TEST_F(LibcRTest, StateBlocksFreedAtThreadExit) {
   EXPECT_EQ(before, libc_internal::LiveStateBlocks());  // TSD destructor reclaimed it
 }
 
+TEST_F(LibcRTest, ReinitFreesTheMainThreadsStateBlock) {
+  char text[] = "a b";
+  ASSERT_NE(nullptr, pt_strtok(text, " "));  // allocates main's state block
+  EXPECT_EQ(1, libc_internal::LiveStateBlocks());
+  pt_reinit();
+  EXPECT_EQ(0, libc_internal::LiveStateBlocks());
+}
+
 }  // namespace
 }  // namespace fsup

@@ -14,7 +14,7 @@
 #include "src/core/pthread.hpp"
 #include "src/kernel/ready_queue.hpp"
 #include "src/util/intrusive_list.hpp"
-#include "src/util/rng.hpp"
+#include "tests/rng.hpp"
 
 namespace fsup {
 namespace {

@@ -1,17 +1,22 @@
 // Restartable atomic sequences (paper Figure 4): the three lock primitives, the list and
-// idle-sleep sequences, the registry, and PC-rewind behaviour under real signal interruption.
+// idle-sleep sequences, the preemption thunk's tail, the registry, and PC-rewind behaviour
+// under real signal interruption.
 
 #include <gtest/gtest.h>
 
 #include <sys/syscall.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 
+#include "src/arch/context.hpp"
 #include "src/arch/ras.hpp"
 #include "src/core/pthread.hpp"
+#include "src/kernel/kernel.hpp"
 #include "src/sync/mutex.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
@@ -95,6 +100,117 @@ TEST_F(RasTest, IdleSyscallSleepsOnlyOverAnEmptyDeferredSet) {
   EXPECT_EQ(begin, pc);
   pc = reinterpret_cast<uintptr_t>(fsup_ras_idle_syscall_end);
   EXPECT_FALSE(ras::RewindIfInside(&pc));
+}
+
+TEST_F(RasTest, PreemptionThunkTailIsRegistered) {
+  const auto begin = reinterpret_cast<uintptr_t>(fsup_preempt_tail_begin);
+  const auto end = reinterpret_cast<uintptr_t>(fsup_preempt_tail_end);
+  EXPECT_TRUE(ras::Inside(begin));
+  EXPECT_TRUE(ras::Inside(end - 1));
+  EXPECT_FALSE(ras::Inside(end));  // the last pops move %rsp: the handler finishes them
+  EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(&fsup_preempt_thunk)));
+  EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(&fsup_preempt_redispatch)));
+}
+
+// Calls the installed universal handler directly on a hand-made ucontext, for a SIGUSR1 that
+// a higher-priority thread waits for: a switching delivery. The handler returns with the
+// kernel held and the context redirected; running the dispatch it left pending (the thunk
+// body's job) lets the waiter take the signal.
+class PreemptRedirectTest : public RasTest {
+ protected:
+  void SetUp() override {
+    RasTest::SetUp();
+    taken_ = 0;
+    ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR1), nullptr));
+    auto waiter = +[](void*) -> void* {
+      while (taken_ < kRounds) {
+        int signo = 0;
+        if (pt_sigwait(SigBit(SIGUSR1), &signo) != 0) {
+          return nullptr;
+        }
+        ++taken_;
+      }
+      return nullptr;
+    };
+    ThreadAttr hi;
+    hi.priority = kDefaultPrio + 1;
+    ASSERT_EQ(0, pt_create(&waiter_, &hi, waiter, nullptr));  // blocks in pt_sigwait
+    struct sigaction sa{};
+    ASSERT_EQ(0, ::sigaction(SIGUSR1, nullptr, &sa));
+    handler_ = sa.sa_sigaction;
+    ASSERT_EQ(0, ::getcontext(&uc_));
+    // What the host writes into an xsave signal frame's fxsave area to describe the image:
+    // magic, extended size, features (x87 and SSE here), standard-format size.
+    const uint32_t sw_bytes[5] = {0x46505853, 580, 3, 0, 576};
+    std::memcpy(reinterpret_cast<char*>(uc_.uc_mcontext.fpregs) + 464, sw_bytes,
+                sizeof(sw_bytes));
+  }
+  void TearDown() override {
+    while (taken_ < kRounds) {
+      ::kill(::getpid(), SIGUSR1);
+    }
+    ASSERT_EQ(0, pt_join(waiter_, nullptr));
+  }
+
+  // Delivers at `pc`/`sp`; returns with the dispatch done and the redirected context in uc_.
+  void DeliverAt(uintptr_t pc, uintptr_t sp) {
+    uc_.uc_mcontext.gregs[REG_RIP] = static_cast<greg_t>(pc);
+    uc_.uc_mcontext.gregs[REG_RSP] = static_cast<greg_t>(sp);
+    fsup_preempt_pc = 0;
+    const int before = taken_;
+    handler_(SIGUSR1, nullptr, &uc_);
+    EXPECT_TRUE(kernel::InKernel()) << "the handler must leave the switch to the thunk";
+    EXPECT_EQ(before, taken_);
+    kernel::Dispatch();
+    EXPECT_EQ(before + 1, taken_);
+  }
+  greg_t Reg(int r) const { return uc_.uc_mcontext.gregs[r]; }
+
+  static constexpr int kRounds = 4;
+  static inline int taken_ = 0;
+  pt_thread_t waiter_{};
+  void (*handler_)(int, siginfo_t*, void*) = nullptr;
+  ucontext_t uc_{};
+};
+
+TEST_F(PreemptRedirectTest, RewindHappensBeforeTheRedirect) {
+  uint64_t stack[8] = {};
+  const auto sp = reinterpret_cast<uintptr_t>(&stack[4]);
+  DeliverAt(reinterpret_cast<uintptr_t>(fsup_ras_lock_begin) + 3, sp);
+  EXPECT_EQ(reinterpret_cast<greg_t>(&fsup_preempt_thunk), Reg(REG_RIP));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(fsup_ras_lock_begin), fsup_preempt_pc)
+      << "the thunk must return to the start of the interrupted sequence";
+  EXPECT_EQ(static_cast<greg_t>(sp), Reg(REG_RSP));
+}
+
+TEST_F(PreemptRedirectTest, DeliveryInTheTailRedispatchesFromTheExistingFrame) {
+  uint64_t stack[8] = {};
+  const auto sp = reinterpret_cast<uintptr_t>(&stack[4]);
+  DeliverAt(reinterpret_cast<uintptr_t>(fsup_preempt_tail_end) - 1, sp);
+  EXPECT_EQ(reinterpret_cast<greg_t>(&fsup_preempt_redispatch), Reg(REG_RIP));
+  EXPECT_EQ(0u, fsup_preempt_pc) << "no second frame";
+  EXPECT_EQ(static_cast<greg_t>(sp), Reg(REG_RSP));
+}
+
+TEST_F(PreemptRedirectTest, DeliveryInTheLastPopsFinishesThemFirst) {
+  const auto end = reinterpret_cast<uintptr_t>(fsup_preempt_tail_end);
+  // The frame's top, as the pops see it: flags, the interrupted %rbp, the interrupted PC.
+  uint64_t frame[3] = {0x247, 0x1234, 0x5678};
+  const auto top = reinterpret_cast<greg_t>(&frame[3]) + 128;  // ret $128 skips the red zone
+  uc_.uc_mcontext.gregs[REG_EFL] = 0x202;
+  uc_.uc_mcontext.gregs[REG_RBP] = 0;
+  DeliverAt(end, reinterpret_cast<uintptr_t>(&frame[0]));  // at popfq
+  EXPECT_EQ(reinterpret_cast<greg_t>(&fsup_preempt_thunk), Reg(REG_RIP));
+  EXPECT_EQ(0x5678u, fsup_preempt_pc);
+  EXPECT_EQ(top, Reg(REG_RSP));
+  EXPECT_EQ(0x247, Reg(REG_EFL));
+  EXPECT_EQ(0x1234, Reg(REG_RBP));
+
+  uc_.uc_mcontext.gregs[REG_EFL] = 0x202;
+  DeliverAt(end + 2, reinterpret_cast<uintptr_t>(&frame[2]));  // at ret $128
+  EXPECT_EQ(0x5678u, fsup_preempt_pc);
+  EXPECT_EQ(top, Reg(REG_RSP));
+  EXPECT_EQ(0x202, Reg(REG_EFL));  // already popped
 }
 
 TEST_F(RasTest, ListPushPopIsLifoThroughTheFirstWord) {

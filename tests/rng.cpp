@@ -1,4 +1,4 @@
-#include "src/util/rng.hpp"
+#include "tests/rng.hpp"
 
 namespace fsup {
 namespace {

@@ -5,8 +5,8 @@
 // random-switch policy hashes (seed, draw count) instead, so a replay re-derives each draw:
 // sched/perverted.hpp.)
 
-#ifndef FSUP_SRC_UTIL_RNG_HPP_
-#define FSUP_SRC_UTIL_RNG_HPP_
+#ifndef FSUP_TESTS_RNG_HPP_
+#define FSUP_TESTS_RNG_HPP_
 
 #include <cstdint>
 
@@ -32,4 +32,4 @@ class Rng {
 
 }  // namespace fsup
 
-#endif  // FSUP_SRC_UTIL_RNG_HPP_
+#endif  // FSUP_TESTS_RNG_HPP_

@@ -1,15 +1,16 @@
 // Deterministic count gate for external signal delivery: exact host-call counts, not timings.
 // The paper pays two sigsetmask calls per signal received by the process. fsup's universal
-// handler runs under the mask it interrupted (empty sa_mask, SA_NODEFER), and the process
-// mask is shadowed, so a delivery that does not resume a thread under its handler frame makes
-// no mask call at all:
+// handler runs under the mask it interrupted (empty sa_mask), and a delivery that switches
+// threads returns into the preemption thunk before it switches, so no thread ever resumes
+// under a handler frame and no delivery makes a mask call:
 //
 //   kill → pt_sigaction handler on the running thread     0 sigprocmask, 0 host calls
 //   kill → an equal-priority thread waiting in pt_sigwait 0 sigprocmask, 0 host calls
+//   kill → a higher-priority thread waiting in pt_sigwait 0 sigprocmask, 0 host calls
+//   SIGALRM ending a round-robin slice                    0 sigprocmask
 //
-// A delivery that readies a higher-priority thread still pays the paper's two: one unblock
-// as the handler switches away from its frame, one block when the frame's thread resumes.
-// The signals are sent with a raw kill(2), which hostos does not count.
+// The signals are sent with a raw kill(2), which hostos does not count. A slice still costs
+// one setitimer, which re-arms the one-shot interval timer for the next slice.
 
 #include <gtest/gtest.h>
 
@@ -87,7 +88,7 @@ TEST_F(SignalCountTest, KillToASigwaitThreadMakesNoMaskCall) {
   ASSERT_EQ(0, pt_join(t, nullptr));
 }
 
-TEST_F(SignalCountTest, KillThatSwitchesAwayFromTheHandlerFrameMakesTwoMaskCalls) {
+TEST_F(SignalCountTest, KillThatSwitchesThreadsMakesNoMaskCall) {
   static int taken = 0;
   taken = 0;
   ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR2), nullptr));
@@ -106,16 +107,54 @@ TEST_F(SignalCountTest, KillThatSwitchesAwayFromTheHandlerFrameMakesTwoMaskCalls
   pt_thread_t t;
   ASSERT_EQ(0, pt_create(&t, &hi, waiter, nullptr));  // runs at once, blocks in pt_sigwait
   for (int i = 0; i < kWarm; ++i) {
-    ::kill(::getpid(), SIGUSR2);  // the waiter preempts us inside the handler frame
+    ::kill(::getpid(), SIGUSR2);  // the waiter preempts us once the handler has returned
   }
   hostos::ResetCallCounts();
   for (int i = 0; i < kSignals; ++i) {
     ::kill(::getpid(), SIGUSR2);
   }
   EXPECT_EQ(kWarm + kSignals, taken);
-  EXPECT_EQ(2u * kSignals, hostos::CallCount(hostos::Call::kSigprocmask));
-  EXPECT_EQ(2u * kSignals, hostos::TotalCallCount());
+  EXPECT_EQ(0u, hostos::CallCount(hostos::Call::kSigprocmask));
+  EXPECT_EQ(0u, hostos::TotalCallCount());
   ASSERT_EQ(0, pt_join(t, nullptr));
+}
+
+TEST_F(SignalCountTest, SliceSwitchBetweenRoundRobinSpinnersMakesNoMaskCall) {
+  // Two round-robin spinners under 1 ms slices: every switch between them is a SIGALRM that
+  // ends a slice, taken while a spinner runs user code. Each spinner counts the turns it
+  // notices until they add up to kTurns; main waits in pt_join.
+  constexpr int kTurns = 60;
+  static volatile int turns = 0;
+  static volatile int last = 0;
+  turns = 0;
+  last = 0;
+  pt_enable_time_slicing(1000);
+  ThreadAttr rr;
+  rr.inherit_policy = false;
+  rr.policy = SchedPolicy::kRr;
+  auto spin = +[](void* arg) -> void* {
+    const int me = static_cast<int>(reinterpret_cast<intptr_t>(arg));
+    while (turns < kTurns) {
+      if (last != me) {
+        last = me;
+        turns = turns + 1;
+      }
+    }
+    return nullptr;
+  };
+  pt_thread_t t1, t2;
+  ASSERT_EQ(0, pt_create(&t1, &rr, spin, reinterpret_cast<void*>(1)));
+  ASSERT_EQ(0, pt_create(&t2, &rr, spin, reinterpret_cast<void*>(2)));
+  const uint64_t switches_before = pt_stats().ctx_switches;
+  hostos::ResetCallCounts();
+  ASSERT_EQ(0, pt_join(t1, nullptr));
+  ASSERT_EQ(0, pt_join(t2, nullptr));
+  const uint64_t switches = pt_stats().ctx_switches - switches_before;
+  const uint64_t mask_calls = hostos::CallCount(hostos::Call::kSigprocmask);
+  pt_disable_time_slicing();
+  EXPECT_GE(turns, kTurns);
+  EXPECT_GE(switches, static_cast<uint64_t>(kTurns));
+  EXPECT_EQ(0u, mask_calls) << "over " << switches << " switches";
 }
 
 }  // namespace

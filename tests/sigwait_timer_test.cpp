@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <csignal>
 #include <cerrno>
 
@@ -36,6 +38,32 @@ TEST_F(SigwaitTimerTest, SigwaitConsumesDirectedSignal) {
   ASSERT_EQ(0, pt_join(t, nullptr));
   EXPECT_EQ(0, a.rc);
   EXPECT_EQ(SIGUSR2, a.got);
+}
+
+TEST_F(SigwaitTimerTest, SecondSignalBeforeTheWokenWaiterRunsPendsForIt) {
+  // The first SIGUSR2 wakes an equal-priority waiter, which does not run before main yields.
+  // The second must pend at the process level for the waiter's next pt_sigwait: the woken
+  // waiter no longer counts as unmasked for it (it would take the default action, which
+  // ends the process).
+  ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR2), nullptr));
+  static int taken = 0;
+  taken = 0;
+  auto body = +[](void*) -> void* {
+    for (int i = 0; i < 2; ++i) {
+      int got = 0;
+      if (pt_sigwait(SigBit(SIGUSR2), &got) == 0 && got == SIGUSR2) {
+        ++taken;
+      }
+    }
+    return nullptr;
+  };
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, nullptr, body, nullptr));
+  pt_yield();  // the waiter suspends in pt_sigwait
+  ::kill(::getpid(), SIGUSR2);
+  ::kill(::getpid(), SIGUSR2);
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  EXPECT_EQ(2, taken);
 }
 
 TEST_F(SigwaitTimerTest, SigwaitReturnsAlreadyPendingSignal) {

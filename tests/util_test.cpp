@@ -7,7 +7,7 @@
 #include "src/util/dual_loop_timer.hpp"
 #include "src/util/fixed_pool.hpp"
 #include "src/util/intrusive_list.hpp"
-#include "src/util/rng.hpp"
+#include "tests/rng.hpp"
 #include "src/util/stats.hpp"
 
 namespace fsup {
