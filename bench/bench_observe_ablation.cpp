@@ -355,7 +355,7 @@ void MeasureEnabled(const Dims& d, Enabled* e) {
       [] { debug::replay::StopRecording(); });
 
   debug::replay::StartRecording();
-  pt_profile_start(0);  // recording: tick-sampling mode, no itimer, no collector
+  pt_profile_start(0);  // recording: tick-sampling mode, no itimer
   e->sample_ns = MeasureTickSample(d.enter_iters / 4);
   pt_profile_stop();
   debug::replay::StopRecording();

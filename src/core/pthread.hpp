@@ -126,7 +126,8 @@ void pt_trace_user(uint32_t a, uint32_t b);
 // FSUP_PROFILE / FSUP_PROFILE_HZ / FSUP_PROFILE_FILE / FSUP_STATS_SHM environment variables.
 int pt_profile_start(int hz);
 
-// Ends the session (joins the collector thread); aggregates survive for pt_profile_dump.
+// Ends the session (disarms the sampler, takes a final collection point and unmaps the stats
+// segment); aggregates survive for pt_profile_dump.
 // Returns 0 or EINVAL when no session is active.
 int pt_profile_stop();
 

@@ -168,9 +168,9 @@ int TraceDumpJson(const char* path) {
                    pid, tid, ToUs(last_ns, t0));
     }
   }
-  // "C" counter tracks from the profiler's collector, named from the counter registry: one
-  // per gauge, and a "<name>/s" rate track over each collector interval for every counter
-  // that moved — the series fsup_top shows.
+  // "C" counter tracks from the profiler's collection points, named from the counter
+  // registry: one per gauge, and a "<name>/s" rate track between consecutive points for every
+  // counter that moved — the series fsup_top shows.
   for (size_t i = 0; i < points.size(); ++i) {
     const counters::Block& b = points[i].block;
     const double ts = ToUs(points[i].t_ns, t0);

@@ -40,7 +40,7 @@ constexpr uint8_t kInterest[static_cast<int>(Event::kCount)] = {
     kMetrics,              // kPreempt
     kMetrics,              // kResume
     kMetrics,              // kExit
-    kMetrics,              // kIdlePoll
+    kMetrics | kOffCpu,    // kIdlePoll
     kMetrics,              // kLockFailed
 };
 
@@ -70,12 +70,14 @@ void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b, uint16_t gen) {
     if (e == Event::kSuspend) {
       profiler::CaptureBlock(t, static_cast<BlockReason>(b), now, __builtin_frame_address(0),
                              __builtin_return_address(0));
-    } else {
+    } else if (e == Event::kWake) {
       profiler::CloseBlock(t, now);
+    } else {
+      profiler::MaybeCollect(now);  // kIdlePoll: publish the state the process idles in
     }
   }
   if ((want & kTickSample) != 0) {
-    profiler::TickSample(__builtin_frame_address(0), __builtin_return_address(0));
+    profiler::TickSample(now, __builtin_frame_address(0), __builtin_return_address(0));
   }
   if ((want & kMetrics) != 0) {
     metrics::Consume(e, t, b, gen, now);

@@ -10,7 +10,8 @@
 //   kMetrics    the metrics accumulators (debug/metrics.hpp): switch counts, time in state,
 //               mutex wait/hold histograms derived from the block/lock/unlock events
 //   kOffCpu     the off-CPU profiler (debug/profiler.hpp): suspend opens a capture, wake
-//               closes it into a sample weighted by the blocked time
+//               closes it into a sample weighted by the blocked time; an idle poll takes
+//               the session's collection point when one is due
 //   kTickSample the deterministic on-CPU sampler that rides the (recorded) timer tick
 //
 // Ordering contract: a state-transition Emit fires BEFORE the site mutates the thread's state

@@ -14,13 +14,14 @@
 #include <string>
 #include <vector>
 
-#include "src/core/pthread.hpp"
 #include "src/debug/metrics.hpp"
 #include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/stats_shm.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
+#include "src/sync/cond.hpp"
+#include "src/sync/mutex.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/dual_loop_timer.hpp"
 #include "src/util/log.hpp"
@@ -219,8 +220,6 @@ void EndBusy() {
 bool g_active = false;
 int g_hz = kDefaultHz;
 uint32_t g_session = 0;  // stamps off-CPU captures; stale captures are ignored
-bool g_collector_stop = false;
-pt_thread_t g_collector = nullptr;
 
 StatsShm* g_shm = nullptr;
 
@@ -230,6 +229,7 @@ CounterPoint g_counter_ring[kCounterPoints];
 uint64_t g_counter_total = 0;
 
 constexpr int64_t kCollectPeriodNs = 20 * 1000 * 1000;
+int64_t g_last_collect_ns = 0;
 
 // The n heaviest entries of t, descending by weight. Inside a busy section.
 void TopStacks(const Table& t, StatsShmStack* out, int n) {
@@ -257,7 +257,8 @@ void TopStacks(const Table& t, StatsShmStack* out, int n) {
   }
 }
 
-// Publishes one seqlock-versioned frame into the shared segment. In-kernel (single writer).
+// Publishes one seqlock-versioned frame into the shared segment. One writer at a time: code
+// in the kernel, or the SIGPROF sampler when it interrupted code outside it.
 void PublishShm() {
   if (g_shm == nullptr) {
     return;
@@ -278,23 +279,15 @@ void PublishShm() {
   __atomic_store_n(&s->seq, seq + 2, __ATOMIC_RELEASE);  // even: frame consistent
 }
 
-// One collection period: stamp a counter point, republish the shm frame. In-kernel.
-void CollectOnce() {
+// One collection period: stamp a counter point, republish the shm frame. Same writers as
+// PublishShm.
+void CollectOnce(int64_t now) {
   CounterPoint& p = g_counter_ring[g_counter_total % kCounterPoints];
-  p.t_ns = NowNs();
+  p.t_ns = now;
   metrics::CaptureCounters(&p.block);
   ++g_counter_total;
+  g_last_collect_ns = now;
   PublishShm();
-}
-
-void* CollectorMain(void*) {
-  while (!g_collector_stop) {
-    pt_delay(kCollectPeriodNs);
-    kernel::Enter();
-    CollectOnce();
-    kernel::Exit();
-  }
-  return nullptr;
 }
 
 int ArmItimer(int hz) {
@@ -447,7 +440,13 @@ void CloseBlock(Tcb* t, int64_t now) {
   EndBusy();
 }
 
-void TickSample(void* fp, void* pc) {
+void MaybeCollect(int64_t now) {
+  if (now - g_last_collect_ns >= kCollectPeriodNs) {
+    CollectOnce(now);
+  }
+}
+
+void TickSample(int64_t now, void* fp, void* pc) {
   // Deterministic-mode on-CPU sample: ticks are recorded/replayed decisions, so sampling here
   // (instead of from an unsynchronized ITIMER_PROF) makes the sample sequence reproducible.
   // The tick runs in-kernel on the interrupted thread's behalf; we sample the live kernel
@@ -461,12 +460,13 @@ void TickSample(void* fp, void* pc) {
   BeginBusy();
   Fold(g_oncpu, s);
   EndBusy();
+  MaybeCollect(now);
 }
 
 void OnSigprof(void* ucontext) {
   // Signal context, possibly mid-kernel or mid-anything: touch only the profile tables (or
-  // the pending slot) and the interrupted thread's stack bounds; preserve errno; never enter
-  // the kernel.
+  // the pending slot), the interrupted thread's stack bounds and, outside the kernel, the
+  // collection state; preserve errno; never enter the kernel.
   const int saved_errno = errno;
   const auto* uc = static_cast<const ucontext_t*>(ucontext);
   const auto pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
@@ -478,6 +478,11 @@ void OnSigprof(void* ucontext) {
   s.depth = static_cast<uint8_t>(WalkFrames(pc, fp, b, s.pcs, kMaxDepth));
   if (!g_busy) {
     Fold(g_oncpu, s);  // every signal is blocked in this handler: nothing can interleave
+    // Outside the kernel its state is as consistent as code inside it sees it, and no other
+    // collector can be mid-frame: this is the live mode's collection point.
+    if (kernel::ks().in_kernel == 0) {
+      MaybeCollect(NowNs());
+    }
   } else if (!g_pending_full) {
     g_pending = s;
     std::atomic_signal_fence(std::memory_order_seq_cst);
@@ -508,7 +513,6 @@ int StartImpl(int hz, bool reset) {
     ResetSession();
   }
   g_hz = hz > 0 ? hz : kDefaultHz;
-  g_collector_stop = false;
 
   if (replay::CurrentMode() == replay::Mode::kOff) {
     // Live sampling: the profiling interval timer ticks on consumed CPU time and SIGPROF is
@@ -541,28 +545,10 @@ int StartImpl(int hz, bool reset) {
     }
   }
   g_active = true;
-  // First frame immediately: a monitor attaching between now and the collector's first period
-  // (or a process that exits before one elapses) sees real counters, not the zeroed segment.
-  CollectOnce();
+  // First frame immediately: a monitor attaching before the first collection point (or a
+  // process that exits before one) sees real counters, not the zeroed segment.
+  CollectOnce(NowNs());
   kernel::Exit();
-
-  // No collector thread under record/replay: its periodic pt_delay would sit in the timer
-  // heap next to the workload's own timers, and replay expires timers by recorded COUNT in
-  // deadline order — the collector's 20ms deadline vs a workload's 1ms deadlines can order
-  // differently between the (real-time) recording and the (fast-forwarded) replay, so its
-  // mere presence would make otherwise-deterministic workloads diverge. Tick sampling does
-  // not need it: ticks and wakes fold straight into the tables.
-  if (replay::CurrentMode() != replay::Mode::kOff) {
-    return 0;
-  }
-  ThreadAttr attr;
-  attr.name = "fsup-prof";
-  attr.priority = kMaxPrio;  // wake promptly over busy user threads; runs for microseconds
-  const int rc = pt_create(&g_collector, &attr, CollectorMain, nullptr);
-  if (rc != 0) {
-    Stop();
-    return rc;
-  }
   return 0;
 }
 
@@ -582,16 +568,7 @@ int Stop() {
     g_signal_sampling = false;
     DisarmItimer();
   }
-  g_collector_stop = true;
-  kernel::Exit();
-
-  if (g_collector != nullptr) {
-    pt_join(g_collector, nullptr);
-    g_collector = nullptr;
-  }
-
-  kernel::Enter();
-  CollectOnce();  // final shm frame so a monitor sees the session's last word
+  CollectOnce(NowNs());  // final shm frame so a monitor sees the session's last word
   if (g_shm != nullptr) {
     hostos::ShmUnmapStats(g_shm, kStatsShmSize);
     g_shm = nullptr;
@@ -609,7 +586,7 @@ void Collect() {
   kernel::EnsureInit();
   kernel::Enter();
   if (g_active) {
-    CollectOnce();
+    CollectOnce(NowNs());
   }
   kernel::Exit();
 }

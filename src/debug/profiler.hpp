@@ -11,10 +11,13 @@
 // buffer); the wake event folds the capture into the off-CPU table, weighted by blocked
 // nanoseconds and keyed by the wait object (mutex#/cond# tag + BlockReason) as well.
 //
-// No sampler allocates; the counts live in the registry's "profiler" group. A collector — an
-// ordinary library thread — periodically publishes a seqlock-versioned shared-memory stats
-// block for tools/fsup_top (FSUP_STATS_SHM) and records the counter points that debug/export
-// turns into Perfetto counter tracks in the Chrome-trace JSON.
+// No sampler allocates; the counts live in the registry's "profiler" group. Profiling adds no
+// thread: at most every 20 ms the samplers take a collection point — the SIGPROF sampler when
+// it lands outside the kernel, the tick sampler under record/replay, and the idle poll — which
+// records a counter point (debug/export turns these into Perfetto counter tracks in the
+// Chrome-trace JSON) and republishes the seqlock-versioned shared-memory stats block for
+// tools/fsup_top (FSUP_STATS_SHM). An idle process therefore publishes the state it went idle
+// in, and nothing more until it runs again.
 //
 // Export: pt_profile_dump writes flamegraph.pl-compatible folded stacks ("0xPC;0xPC N") with
 // a /proc/self/maps sidecar for offline symbolization; FSUP_PROFILE_FILE arms an atexit dump.
@@ -45,13 +48,13 @@ namespace fsup::debug::profiler {
 inline constexpr int kDefaultHz = 997;  // prime, so sampling doesn't phase-lock the slice tick
 
 // Starts a profiling session: resets aggregates, arms ITIMER_PROF (live mode) or tick
-// piggybacking (record/replay), maps the FSUP_STATS_SHM segment if configured, and spawns the
-// collector thread. Returns 0, EBUSY if already active, or the errno of a failed host call
-// (fault-injectable setitimer) with everything unwound.
+// piggybacking (record/replay), maps the FSUP_STATS_SHM segment if configured, and takes the
+// first collection point. Returns 0, EBUSY if already active, or the errno of a failed host
+// call (fault-injectable setitimer) with everything unwound.
 int Start(int hz);
 
-// Stops the session: disarms the sampler, joins the collector, publishes a final shm frame and
-// unmaps the segment. Aggregated data is retained for Dump. Returns 0 or EINVAL if inactive.
+// Stops the session: disarms the sampler, takes a final collection point and unmaps the
+// segment. Aggregated data is retained for Dump. Returns 0 or EINVAL if inactive.
 int Stop();
 
 bool Active();
@@ -66,9 +69,8 @@ int Dump(const char* path);
 // The session's on-CPU sampling rate, 0 while no session runs.
 uint64_t SampleHz();
 
-// Runs one collection period now, as the collector thread does every 20 ms: records a
-// counter point and republishes the FSUP_STATS_SHM frame. No-op without a session. Enters
-// the kernel.
+// Takes one collection point now, whether or not one is due: records a counter point and
+// republishes the FSUP_STATS_SHM frame. No-op without a session. Enters the kernel.
 void Collect();
 
 // Environment hooks (FSUP_PROFILE, FSUP_PROFILE_HZ, FSUP_PROFILE_FILE, FSUP_STATS_SHM), called
@@ -76,8 +78,8 @@ void Collect();
 // setup sees the real replay mode. Re-reads the environment every call (pt_reinit).
 void InitFromEnv();
 
-// Called at the top of kernel::ReinitForTesting, before the single-thread assert: stops any
-// active session (joining the collector thread) so teardown sees only the main thread.
+// Called at the top of kernel::ReinitForTesting: stops any active session, which disarms
+// ITIMER_PROF and unmaps the stats segment before the handlers are uninstalled.
 void ShutdownForReinit();
 
 // ---------------------------------------------------------------------------------------------
@@ -94,20 +96,27 @@ void CaptureBlock(Tcb* t, BlockReason reason, int64_t now, void* fp, void* pc);
 // closing wait.
 void CloseBlock(Tcb* t, int64_t now);
 
+// Idle poll (kOffCpu), and the samplers below: takes a collection point if 20 ms have passed
+// since the last one. One writer at a time: code inside the kernel, or the SIGPROF sampler
+// when it interrupted code outside it.
+void MaybeCollect(int64_t now);
+
 // Timer tick (kTickSample): one deterministic on-CPU sample per tick (ticks are
-// recorded/replayed decisions, so replay reproduces the exact sample sequence).
-void TickSample(void* fp, void* pc);
+// recorded/replayed decisions, so replay reproduces the exact sample sequence), then
+// MaybeCollect.
+void TickSample(int64_t now, void* fp, void* pc);
 
 // The SIGPROF branch of the universal handler. Called with the raw ucontext_t* (as void* to
 // keep <ucontext.h> out of this header); async-signal-safe, touches only the on-CPU table (or
 // its pending slot) and the interrupted thread's TCB stack bounds, never enters the kernel.
+// A sample that lands outside the kernel and outside a busy section also runs MaybeCollect.
 // Preserves errno.
 void OnSigprof(void* ucontext);
 
 // ---------------------------------------------------------------------------------------------
-// Counter tracks for the Chrome-trace export ("ph":"C"). The collector appends one point per
-// collection period, the whole counter block as metrics::CaptureCounters reads it; export
-// turns each gauge and the rate of each counter that moved into a track.
+// Counter tracks for the Chrome-trace export ("ph":"C"). Each collection point appends one
+// point, the whole counter block as metrics::CaptureCounters reads it; export turns each
+// gauge and the rate of each counter that moved into a track.
 // ---------------------------------------------------------------------------------------------
 
 struct CounterPoint {

@@ -1,18 +1,19 @@
 // Shared-memory stats segment layout (FSUP_STATS_SHM).
 //
-// The runtime's profiler collector mmaps a small MAP_SHARED file and republishes a fixed-size
-// statistics block into it every collection period; `tools/fsup_top` (a standalone binary that
-// does NOT link the library) mmaps the same file read-only and renders a refreshing top-style
-// view. This header is therefore deliberately freestanding: plain structs, <cstdint> and the
+// The runtime's profiler mmaps a small MAP_SHARED file and republishes a fixed-size statistics
+// block into it at each collection point; `tools/fsup_top` (a standalone binary that does NOT
+// link the library) mmaps the same file read-only and renders a refreshing top-style view.
+// This header is therefore deliberately freestanding: plain structs, <cstdint> and the
 // freestanding counter registry only — both sides compile it independently and must agree
 // on the layout. A change to the registry's lists changes the layout: bump kStatsShmVersion.
 //
 // Consistency protocol: a seqlock. The writer bumps `seq` to an odd value, updates the body,
 // then bumps it even; a reader copies the whole block and accepts the copy only if `seq` was
-// even and unchanged across the copy. Single writer (the collector, inside the Pthreads
-// kernel), any number of cross-process readers, no reader-side blocking — a dead or stalled
-// target can never wedge the monitor. Accesses to `seq` go through __atomic builtins so the
-// protocol works across processes without dragging std::atomic into the shared layout.
+// even and unchanged across the copy. One writer at a time — code inside the Pthreads kernel,
+// or the SIGPROF sampler when it interrupted code outside it — any number of cross-process
+// readers, no reader-side blocking: a dead or stalled target can never wedge the monitor.
+// Accesses to `seq` go through __atomic builtins so the protocol works across processes
+// without dragging std::atomic into the shared layout.
 
 #ifndef FSUP_SRC_DEBUG_STATS_SHM_HPP_
 #define FSUP_SRC_DEBUG_STATS_SHM_HPP_

@@ -104,8 +104,8 @@ void ReinitForTesting() {
   FSUP_CHECK_MSG(k.in_kernel == 0, "reinit inside the kernel");
   FSUP_CHECK_MSG(k.current == k.main_tcb, "reinit off the main thread");
 
-  // An active profiling session holds a collector thread and possibly ITIMER_PROF + a shm
-  // mapping; stop it (joining the collector) before the only-main-thread check below.
+  // An active profiling session holds ITIMER_PROF and possibly a shm mapping; stop it
+  // before the handlers it samples through are uninstalled.
   debug::profiler::ShutdownForReinit();
 
   Enter();

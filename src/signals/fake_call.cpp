@@ -27,6 +27,24 @@ FakeRec* AllocRec(Tcb* t) {
   return nullptr;
 }
 
+// Figure 3 steps 2-6 for one handler run, on the receiving thread outside the kernel: both
+// the fake-call wrapper and the self-directed drain end here.
+void RunHandler(Tcb* self, FakeRec* rec) {
+  const int saved_errno = errno;  // step 2
+  if (rec->handler != nullptr) {
+    rec->handler(rec->signo);  // step 3
+  }
+  errno = saved_errno;  // step 4
+
+  kernel::Enter();  // step 5: restore the mask and deliver what it was hiding
+  NoteSigmaskSet(self, rec->saved_mask);
+  rec->in_use = false;
+  CheckPendingAfterUnmask(self);
+  kernel::Exit();  // runs any handler the unmask queued for this very thread
+
+  ApplyRedirectIfAny();  // step 6 (redirect case): never returns if one is pending
+}
+
 // Wrapper body for a fake call landed on a *suspended* thread. Entered with the kernel still
 // held (the dispatcher's switch resumed straight into the doctored frame); must complete the
 // kernel exit the dispatcher began, and re-enter before resuming the original frame, which
@@ -44,19 +62,7 @@ void UserHandlerTramp(void* argp) {
     FSUP_CHECK_MSG(rc == 0, "condwait mutex reacquire failed in fake call");
   }
 
-  const int saved_errno = errno;  // Figure 3 step 2
-  if (rec->handler != nullptr) {
-    rec->handler(rec->signo);  // step 3
-  }
-  errno = saved_errno;  // step 4
-
-  kernel::Enter();  // step 5: restore the mask and deliver what it was hiding
-  NoteSigmaskSet(self, rec->saved_mask);
-  rec->in_use = false;
-  CheckPendingAfterUnmask(self);
-  kernel::Exit();  // runs any handler the unmask queued for this very thread
-
-  ApplyRedirectIfAny();  // step 6 (redirect case): never returns if one is pending
+  RunHandler(self, rec);
 
   kernel::Enter();
   // Return into fsup_fake_call_cc, which restores the original frame — landing inside the
@@ -184,20 +190,7 @@ void RunSelfHandlers() {
     if (rec == nullptr) {
       return;
     }
-
-    const int saved_errno = errno;
-    if (rec->handler != nullptr) {
-      rec->handler(rec->signo);
-    }
-    errno = saved_errno;
-
-    kernel::Enter();
-    NoteSigmaskSet(self, rec->saved_mask);
-    rec->in_use = false;
-    CheckPendingAfterUnmask(self);
-    kernel::Exit();
-
-    ApplyRedirectIfAny();
+    RunHandler(self, rec);
   }
 }
 

@@ -631,9 +631,9 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
   ASSERT_EQ(0, pt_sem_init(&w.release, 0));
 
   // Everything on while main is the only thread, so no event falls between the enables.
-  // Under a recording session the profiler samples from the timer tick and runs no collector
-  // thread: the run has no asynchronous events at all, and the stats segment is published
-  // only when the test asks.
+  // Under a recording session the profiler samples from the timer tick: the run has no
+  // asynchronous events at all, and the stats segment is published only at ticks, idle
+  // polls and when the test asks, none of which falls inside the cut below.
   const std::string shm = ::testing::TempDir() + "observers_agree.shm";
   ASSERT_EQ(0, ::setenv("FSUP_STATS_SHM", shm.c_str(), 1));
   const MetricsSnapshot before = pt_metrics_snapshot();

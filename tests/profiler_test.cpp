@@ -2,17 +2,20 @@
 // blocked-time attribution to the planted wait object, graceful degradation under injected
 // host-call faults, sampling on frames deep in a thread stack, per-session sample counts,
 // sidecar files on long dump paths, no lost off-CPU sample in a wake storm, deterministic
-// sample counts under record→replay, the shared-memory stats segment + fsup_top, and the
-// capped thread dumps.
+// sample counts and counter points under record→replay, an idle session that costs the
+// program nothing, the shared-memory stats segment + fsup_top (fresh, idle and stale
+// frames), and the capped thread dumps.
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +31,7 @@
 #include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/stack_pool.hpp"
+#include "src/util/dual_loop_timer.hpp"
 
 namespace fsup {
 namespace {
@@ -406,8 +410,8 @@ TEST_F(ProfilerTest, WakeStormKeepsEveryOffCpuSample) {
   Storm s;
   ASSERT_EQ(0, pt_mutex_init(&s.mutex, nullptr));
   ASSERT_EQ(0, pt_cond_init(&s.cond));
-  // Recording: tick sampling, so no SIGPROF lands and no collector thread runs. Only the
-  // wakes themselves fold their samples.
+  // Recording: tick sampling, so no SIGPROF lands. Only the wakes themselves fold their
+  // samples.
   debug::replay::StartRecording();
   ASSERT_EQ(0, pt_profile_start(0));
 
@@ -472,6 +476,9 @@ TEST_F(ProfilerTest, SampleCountIsDeterministicUnderRecordReplay) {
   debug::replay::StartRecording();
   const uint64_t recorded = ReplaySampleCount();
   debug::replay::StopRecording();
+  // Counter points exist under record/replay too: the idle polls in the workers' 40 ms of
+  // delays take collection points besides the ones Start and Stop take.
+  EXPECT_GT(debug::profiler::CounterSnapshot().size(), 2u);
   ASSERT_EQ(0, debug::replay::SaveLog(log.c_str()));
   ASSERT_GT(recorded, 0u) << "tick sampling produced nothing to compare";
 
@@ -486,6 +493,68 @@ TEST_F(ProfilerTest, SampleCountIsDeterministicUnderRecordReplay) {
   std::remove(log.c_str());
 }
 
+// -- an idle session --------------------------------------------------------------------
+
+struct IdleCost {
+  uint64_t setitimer = 0;
+  uint64_t ctx_switches = 0;
+  int eintr = 0;
+  uint32_t live_threads = 0;
+};
+
+// 0.6 s of idleness: a raw blocking read on a pipe that a forked child writes after 300 ms,
+// then a 300 ms pt_delay. Returns what the window cost in host timers, switches and EINTRs.
+IdleCost IdleWindowCost() {
+  int fds[2];
+  EXPECT_EQ(0, ::pipe(fds));
+  IdleCost cost;
+  cost.live_threads = pt_stats().live_threads;
+  const uint64_t setitimer = counters::Get(counters::kHostSetitimer);
+  const uint64_t ctx_switches = counters::Get(counters::kKernelCtxSwitches);
+  const pid_t child = ::fork();
+  if (child == 0) {
+    ::usleep(300 * 1000);
+    (void)!::write(fds[1], "x", 1);
+    for (;;) {
+      ::pause();  // killed after the window, so its SIGCHLD falls outside it
+    }
+  }
+  EXPECT_GT(child, 0);
+  char c = 0;
+  for (;;) {
+    const ssize_t n = ::read(fds[0], &c, 1);
+    if (n < 0 && errno == EINTR) {
+      ++cost.eintr;
+      continue;
+    }
+    EXPECT_EQ(1, n);
+    break;
+  }
+  pt_delay(300 * 1000 * 1000);
+  cost.setitimer = counters::Get(counters::kHostSetitimer) - setitimer;
+  cost.ctx_switches = counters::Get(counters::kKernelCtxSwitches) - ctx_switches;
+  ::kill(child, SIGKILL);
+  ::waitpid(child, nullptr, 0);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  return cost;
+}
+
+TEST_F(ProfilerTest, IdleSessionCostsTheIdleProgramNothing) {
+  const IdleCost plain = IdleWindowCost();
+  ASSERT_EQ(0, pt_profile_start(997));
+  const IdleCost profiled = IdleWindowCost();
+  ASSERT_EQ(0, pt_profile_stop());
+
+  // ITIMER_PROF ticks on CPU time only and profiling adds no thread, so an idle program
+  // arms no timer, switches no thread and takes no signal it would not take unprofiled.
+  EXPECT_EQ(plain.setitimer, profiled.setitimer);
+  EXPECT_EQ(plain.ctx_switches, profiled.ctx_switches);
+  EXPECT_EQ(0, plain.eintr);
+  EXPECT_EQ(0, profiled.eintr);
+  EXPECT_EQ(plain.live_threads, profiled.live_threads);
+}
+
 // -- shared-memory stats + fsup_top ------------------------------------------------------
 
 TEST_F(ProfilerTest, StatsShmPublishesConsistentFrames) {
@@ -495,7 +564,7 @@ TEST_F(ProfilerTest, StatsShmPublishesConsistentFrames) {
 
   pt_thread_t t = nullptr;
   ASSERT_EQ(0, pt_create(&t, nullptr, BurnThread, nullptr));
-  pt_delay(50 * 1000 * 1000);  // let the collector publish a few frames
+  pt_delay(50 * 1000 * 1000);  // the burner's samples publish a few frames
 
   // Read the segment the way fsup_top does: mmap read-only, seqlock copy.
   const int fd = ::open(shm.c_str(), O_RDONLY);
@@ -520,13 +589,49 @@ TEST_F(ProfilerTest, StatsShmPublishesConsistentFrames) {
   EXPECT_EQ(debug::kStatsShmMagic, copy.magic);
   EXPECT_EQ(debug::kStatsShmVersion, copy.version);
   EXPECT_EQ(::getpid(), copy.pid);
-  EXPECT_GE(copy.block[counters::kThreadsLive], 2u);  // main + burner (+ collector)
+  EXPECT_GE(copy.block[counters::kThreadsLive], 2u);  // main + burner
   EXPECT_EQ(997u, copy.block[counters::kProfilerHz]);
   EXPECT_GT(copy.updated_ns, 0);
   ::munmap(mem, debug::kStatsShmSize);
 
   ASSERT_EQ(0, pt_join(t, nullptr));
   ASSERT_EQ(0, pt_profile_stop());
+}
+
+// Runs `fsup_top --once path` and returns its exit status and output.
+int RunFsupTopOnce(const char* bin, const std::string& path, std::string* out) {
+  const std::string cmd = std::string(bin) + " --once " + path + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) {
+    return -1;
+  }
+  char buf[512];
+  for (;;) {
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
+      *out += buf;
+    } else if (std::ferror(pipe) && errno == EINTR) {
+      // A SIGALRM or SIGPROF (no SA_RESTART) interrupts the blocking read when fsup_top is
+      // slow to answer, e.g. on a loaded host.
+      std::clearerr(pipe);
+    } else {
+      break;
+    }
+  }
+  return ::pclose(pipe);
+}
+
+// Writes one frame into a fresh stats file the way the runtime lays it out.
+void WriteFrame(const std::string& path, pid_t pid, int64_t updated_ns) {
+  debug::StatsShm frame;
+  frame.magic = debug::kStatsShmMagic;
+  frame.version = debug::kStatsShmVersion;
+  frame.pid = pid;
+  frame.updated_ns = updated_ns;
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(0, ::ftruncate(fd, debug::kStatsShmSize));
+  ASSERT_EQ(static_cast<ssize_t>(sizeof(frame)), ::write(fd, &frame, sizeof(frame)));
+  ::close(fd);
 }
 
 TEST_F(ProfilerTest, FsupTopOnceRendersLiveStats) {
@@ -537,34 +642,49 @@ TEST_F(ProfilerTest, FsupTopOnceRendersLiveStats) {
   const std::string shm = base_ + ".shm";
   ASSERT_EQ(0, ::setenv("FSUP_STATS_SHM", shm.c_str(), 1));
   ASSERT_EQ(0, pt_profile_start(997));
-  pt_delay(30 * 1000 * 1000);  // at least one collector publish
+  pt_delay(30 * 1000 * 1000);  // idle: the segment keeps the frame Start published
 
   // Attach/detach smoke: fsup_top renders one frame from our segment and exits 0 without
   // ever entering this process's Pthreads kernel (it is a separate process, not linked
-  // against the library).
-  const std::string cmd = std::string(bin) + " --once " + shm + " 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(nullptr, pipe);
+  // against the library). The frame is fresh and its writer alive: no tag.
   std::string out;
-  char buf[512];
-  for (;;) {
-    if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
-      out += buf;
-    } else if (std::ferror(pipe) && errno == EINTR) {
-      // The collector's periodic SIGALRM (no SA_RESTART) interrupts the blocking read when
-      // fsup_top is slow to answer, e.g. on a loaded host.
-      std::clearerr(pipe);
-    } else {
-      break;
-    }
-  }
-  const int rc = ::pclose(pipe);
-  EXPECT_EQ(0, rc) << out;
+  EXPECT_EQ(0, RunFsupTopOnce(bin, shm, &out)) << out;
   EXPECT_NE(std::string::npos, out.find("fsup_top")) << out;
   EXPECT_NE(std::string::npos, out.find("threads.live=")) << out;
   EXPECT_NE(std::string::npos, out.find("pool.mapped_bytes=")) << out;
+  EXPECT_EQ(std::string::npos, out.find("[STALE")) << out;
+  EXPECT_EQ(std::string::npos, out.find("[idle")) << out;
 
   ASSERT_EQ(0, pt_profile_stop());
+}
+
+TEST_F(ProfilerTest, FsupTopTellsAnIdleWriterFromAGoneOne) {
+  const char* bin = std::getenv("FSUP_TOP_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "FSUP_TOP_BIN not set";
+  }
+  const std::string shm = base_ + ".shm";
+
+  // A fresh frame whose writer, a forked child, has exited (and been reaped): stale.
+  const pid_t child = ::fork();
+  if (child == 0) {
+    WriteFrame(shm, ::getpid(), NowNs());
+    ::_exit(::testing::Test::HasFailure() ? 1 : 0);
+  }
+  ASSERT_GT(child, 0);
+  int status = 0;
+  ASSERT_EQ(child, ::waitpid(child, &status, 0));
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  std::string out;
+  EXPECT_EQ(0, RunFsupTopOnce(bin, shm, &out)) << out;
+  EXPECT_NE(std::string::npos, out.find("[STALE")) << out;
+
+  // A 5 s old frame from a live writer (this process): an idle target, not a stale one.
+  WriteFrame(shm, ::getpid(), NowNs() - 5'000'000'000);
+  out.clear();
+  EXPECT_EQ(0, RunFsupTopOnce(bin, shm, &out)) << out;
+  EXPECT_NE(std::string::npos, out.find("[idle")) << out;
+  EXPECT_EQ(std::string::npos, out.find("[STALE")) << out;
 }
 
 // -- counter tracks in the trace export --------------------------------------------------
@@ -575,7 +695,7 @@ TEST_F(ProfilerTest, TraceExportCarriesCounterTracks) {
   ASSERT_EQ(0, pt_profile_start(997));
   pt_thread_t t = nullptr;
   ASSERT_EQ(0, pt_create(&t, nullptr, BurnThread, nullptr));
-  pt_delay(50 * 1000 * 1000);  // two+ collector periods -> multiple counter points
+  pt_delay(50 * 1000 * 1000);  // two+ collection periods -> multiple counter points
   ASSERT_EQ(0, pt_join(t, nullptr));
   ASSERT_EQ(0, pt_profile_stop());
   debug::trace::Enable(false);

@@ -10,6 +10,7 @@
 //         PATH defaults to $FSUP_STATS_SHM.
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -95,9 +96,16 @@ void PrintStacks(const char* title, const StatsShmStack* rows, bool offcpu) {
 }
 
 void RenderFrame(const StatsShm& s, const StatsShm* prev, int64_t interval_ns) {
+  // A target publishes only while it runs, so an old frame alone means an idle writer; the
+  // frame is stale only when the writer is gone.
   const int64_t age_ns = MonotonicNowNs() - s.updated_ns;
-  std::printf("fsup_top — pid %d%s\n", s.pid,
-              age_ns > 2000000000 ? "  [STALE: no publish in >2s]" : "");
+  std::printf("fsup_top — pid %d", s.pid);
+  if (::kill(s.pid, 0) != 0 && errno == ESRCH) {
+    std::printf("  [STALE: pid %d is gone]", s.pid);
+  } else if (age_ns > 2000000000) {
+    std::printf("  [idle: no publish in %.1fs]", static_cast<double>(age_ns) / 1e9);
+  }
+  std::printf("\n");
   fsup::counters::Render(s.block, [](const char* text) { std::fputs(text, stdout); });
   if (prev != nullptr && interval_ns > 0) {
     std::printf("per second:");
