@@ -12,10 +12,6 @@
 namespace fsup::cancel {
 namespace {
 
-// Set when the *current* thread must cancel itself: a running thread cannot receive a fake
-// call, so the public API wrapper completes the act after leaving the kernel.
-bool g_self_cancel = false;
-
 bool IsInterruptionPoint(BlockReason r) {
   switch (r) {
     case BlockReason::kCond:
@@ -33,18 +29,15 @@ bool IsInterruptionPoint(BlockReason r) {
   return false;
 }
 
-// Acts on the cancellation: disable interruptibility, mask everything, fake-call pt_exit
-// (paper: "the interruptibility state of the receiving thread is changed to disabled, all
-// other signals are disabled for this thread, and a fake call to pthread_exit is pushed").
+// Acts on the cancellation of another thread: disable interruptibility, mask everything,
+// fake-call pt_exit (paper: "the interruptibility state of the receiving thread is changed to
+// disabled, all other signals are disabled for this thread, and a fake call to pthread_exit
+// is pushed"). The running thread acts on its own cancel in TestIntrInKernel instead.
 void ActOn(Tcb* t) {
   debug::obs::Emit(debug::obs::Event::kCancel, t, t->id, 1);
   t->intr_enabled = false;
   sig::NoteSigmaskSet(t, kSigSetAll);
   t->pending &= ~SigBit(kSigCancel);
-  if (t == kernel::Current()) {
-    g_self_cancel = true;
-    return;
-  }
   sig::FakeCallCancel(t);
 }
 
@@ -52,23 +45,28 @@ void ActOn(Tcb* t) {
 
 void CancelAction(Tcb* t) {
   FSUP_ASSERT(kernel::InKernel());
+  // A cancel aimed at the running thread pends; the entry point that sent it acts on it
+  // before leaving the kernel if the thread is asynchronous.
+  const bool self = t == kernel::Current();
   switch (t->interruptibility()) {
     case Interruptibility::kDisabled:
       debug::obs::Emit(debug::obs::Event::kCancel, t, t->id, 0);
-      t->pending |= SigBit(kSigCancel);  // Table 1 row 1: pends until enabled
-      return;
+      break;  // Table 1 row 1: pends until enabled
     case Interruptibility::kControlled:
-      if (t != kernel::Current() && t->state == ThreadState::kBlocked &&
-          IsInterruptionPoint(t->block_reason)) {
+      if (!self && t->state == ThreadState::kBlocked && IsInterruptionPoint(t->block_reason)) {
         ActOn(t);  // suspended *at* an interruption point: the point is reached
-      } else {
-        t->pending |= SigBit(kSigCancel);  // Table 1 row 2: pends until a point is reached
+        return;
       }
-      return;
+      break;  // Table 1 row 2: pends until a point is reached
     case Interruptibility::kAsynchronous:
-      ActOn(t);  // Table 1 row 3: acted upon immediately
-      return;
+      if (!self) {
+        ActOn(t);  // Table 1 row 3: acted upon immediately
+        return;
+      }
+      debug::obs::Emit(debug::obs::Event::kCancel, t, t->id, 1);
+      break;
   }
+  t->pending |= SigBit(kSigCancel);
 }
 
 void RequestInKernel(Tcb* t) { sig::DeliverToThread(t, kSigCancel); }
@@ -85,12 +83,6 @@ void TestIntrInKernel() {
   api::ExitCurrent(kCanceled);
 }
 
-bool TakeSelfCancel() {
-  const bool take = g_self_cancel;
-  g_self_cancel = false;
-  return take;
-}
-
 int SetInterruptibility(bool enabled, Interruptibility* old_state) {
   kernel::EnsureInit();
   kernel::Enter();
@@ -100,13 +92,10 @@ int SetInterruptibility(bool enabled, Interruptibility* old_state) {
                                     : Interruptibility::kDisabled;
   }
   self->intr_enabled = enabled;
-  if (enabled && self->intr_async && (self->pending & SigBit(kSigCancel)) != 0) {
-    ActOn(self);
+  if (self->intr_async) {
+    TestIntrInKernel();  // enabling an asynchronous thread acts on a pending cancel
   }
   kernel::Exit();
-  if (TakeSelfCancel()) {
-    api::ExitCurrent(kCanceled);
-  }
   return 0;
 }
 
@@ -119,13 +108,10 @@ int SetInterruptType(bool asynchronous, Interruptibility* old_state) {
                                   : Interruptibility::kControlled;
   }
   self->intr_async = asynchronous;
-  if (asynchronous && self->intr_enabled && (self->pending & SigBit(kSigCancel)) != 0) {
-    ActOn(self);
+  if (asynchronous) {
+    TestIntrInKernel();  // going asynchronous acts on a pending, enabled cancel
   }
   kernel::Exit();
-  if (TakeSelfCancel()) {
-    api::ExitCurrent(kCanceled);
-  }
   return 0;
 }
 

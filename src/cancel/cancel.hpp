@@ -10,7 +10,10 @@
 // Interruption points are the calls that may suspend indefinitely (conditional wait, sigwait,
 // join, delay, I/O waits) plus pt_testintr — but NOT mutex lock, so cleanup handlers always
 // see mutexes in a deterministic state. Acting on a cancellation disables interruptibility,
-// masks all signals for the thread, and pushes a fake call to pt_exit onto its stack.
+// masks all signals for the thread and ends it through pt_exit: another thread by a fake call
+// pushed onto its stack, the running thread directly (TestIntrInKernel). A cancel aimed at the
+// running thread always pends first, and a pending cancel is never redelivered as a signal:
+// only an interruption point or an interruptibility change acts on it.
 
 #ifndef FSUP_SRC_CANCEL_CANCEL_HPP_
 #define FSUP_SRC_CANCEL_CANCEL_HPP_
@@ -27,12 +30,10 @@ void RequestInKernel(Tcb* t);
 void CancelAction(Tcb* t);
 
 // Interruption point, kernel already entered: if a cancellation is pending and enabled on the
-// current thread, acts on it (never returns in that case).
+// current thread, acts on it (never returns in that case). Besides the interruption points,
+// the three calls that can make a pending cancel actionable on an asynchronous thread —
+// pt_cancel on itself, pt_setintr, pt_setintrtype — end here before leaving the kernel.
 void TestIntrInKernel();
-
-// True if the current thread must self-cancel; consumed by the public API wrappers after they
-// leave the kernel (a running thread cannot fake-call itself).
-bool TakeSelfCancel();
 
 // pt_setintr / pt_setintrtype / pt_testintr backing.
 int SetInterruptibility(bool enabled, Interruptibility* old_state);

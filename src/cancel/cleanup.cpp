@@ -63,13 +63,4 @@ void RunAll(Tcb* t) {
   }
 }
 
-int Depth() {
-  Tcb* self = kernel::Current();
-  int n = 0;
-  for (CleanupNode* p = self->cleanup_head; p != nullptr; p = p->next) {
-    ++n;
-  }
-  return n;
-}
-
 }  // namespace fsup::cleanup

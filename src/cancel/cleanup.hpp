@@ -26,9 +26,6 @@ int Pop(bool execute);
 // outside the kernel.
 void RunAll(Tcb* t);
 
-// Number of registered handlers on the current thread (tests).
-int Depth();
-
 }  // namespace fsup::cleanup
 
 #endif  // FSUP_SRC_CANCEL_CLEANUP_HPP_

@@ -41,21 +41,6 @@ void* ThreadStartTramp(void* tcbp) {
   return self->entry(self->entry_arg);
 }
 
-// Reclaims a terminated, detachable thread that is NOT the current one. In kernel.
-void ReapTerminatedLocked(Tcb* t) {
-  KernelState& k = kernel::ks();
-  FSUP_ASSERT(t->state == ThreadState::kTerminated);
-  FSUP_ASSERT(t != k.current);
-  t->link.Unlink();  // zombie list, if queued there
-  t->all_link.Unlink();
-  sig::NoteThreadUnlinked(t);
-  sig::ForgetThread(t);
-  if (t == k.main_tcb) {
-    return;  // static storage; never pooled
-  }
-  k.pool->Free(t);
-}
-
 bool ValidSignal(int signo) {
   return signo > 0 && signo <= kMaxSignal && signo != SIGKILL && signo != SIGSTOP &&
          signo != kSigCancel;
@@ -100,27 +85,7 @@ void ExitCurrent(void* retval) {
   tsd::RunDestructors(self);  // user code
 
   kernel::Enter();
-  KernelState& k = kernel::ks();
-  self->retval = retval;
-  debug::obs::Emit(debug::obs::Event::kExit, self, self->id, 0);
-  self->state = ThreadState::kTerminated;
-  sig::ForgetThread(self);
-  io::ForgetThread(self);
-
-  const bool had_joiners = !self->joiners.empty();
-  Tcb* j;
-  while ((j = self->joiners.PopFront()) != nullptr) {
-    j->join_result = retval;
-    j->join_satisfied = true;
-    kernel::MakeReady(j);
-  }
-  if (had_joiners) {
-    self->detached = true;  // every joiner has its answer; nothing left to collect
-  }
-  if (self->detached && self != k.main_tcb) {
-    // Reaping happens off this stack: the next dispatched thread drains the zombie list.
-    k.zombies.PushBack(self);
-  }
+  kernel::Terminate(self, retval);
   kernel::TerminateCurrent();
 }
 
@@ -312,7 +277,7 @@ int pt_join(pt_thread_t t, void** retval) {
   if (retval != nullptr) {
     *retval = t->retval;
   }
-  ReapTerminatedLocked(t);
+  kernel::Reap(t);
   kernel::Exit();
   return 0;
 }
@@ -330,11 +295,7 @@ int pt_detach(pt_thread_t t) {
   if (t->state == ThreadState::kTerminated) {
     // "after a terminated thread is detached, any memory associated with the thread can be
     // reclaimed" — reclaim right away.
-    if (t == kernel::Current()) {
-      t->detached = true;  // reap happens at termination (we are running on its stack)
-    } else {
-      ReapTerminatedLocked(t);
-    }
+    kernel::Reap(t);
   } else {
     t->detached = true;
   }
@@ -446,7 +407,7 @@ int pt_kill(pt_thread_t t, int signo) {
     kernel::Exit();
     return ESRCH;
   }
-  sig::DeliverToProcess(signo, sig::Cause::kDirected, t);
+  sig::DeliverToThread(t, signo);
   kernel::Exit();
   return 0;
 }
@@ -476,6 +437,7 @@ int pt_sigmask(SigMaskHow how, SigSet set, SigSet* old_set) {
 }
 
 int pt_sigaction(int signo, void (*handler)(int), SigSet mask) {
+  mask &= ~SigBit(kSigCancel);  // as in pt_sigmask: a handler cannot hold off cancellation
   return sig::SetAction(signo, handler, mask, /*ignore=*/false, nullptr);
 }
 
@@ -525,27 +487,16 @@ int pt_cancel(pt_thread_t t) {
     return ESRCH;
   }
   if (t->lazy && api::ActivateLazyInKernel(t) != 0) {
-    // No stack to run cancellation on: mark the thread terminated directly — it never
-    // started, so there are no cleanup handlers or TSD destructors to honor.
-    debug::obs::Emit(debug::obs::Event::kExit, t, t->id, 0);
-    t->state = ThreadState::kTerminated;
-    t->retval = kCanceled;
-    Tcb* j;
-    while ((j = t->joiners.PopFront()) != nullptr) {
-      j->join_result = kCanceled;
-      j->join_satisfied = true;
-      kernel::MakeReady(j);
+    // No stack to run cancellation on: it never started, so there are no cleanup handlers
+    // or TSD destructors to honor — end it where it stands.
+    kernel::Terminate(t, kCanceled);
+  } else {
+    cancel::RequestInKernel(t);
+    if (t == kernel::Current() && t->intr_async) {
+      cancel::TestIntrInKernel();  // a self-cancel acts before pt_cancel returns
     }
-    FSUP_CHECK(kernel::ks().live_threads > 0);
-    --kernel::ks().live_threads;
-    kernel::Exit();
-    return 0;
   }
-  cancel::RequestInKernel(t);
   kernel::Exit();
-  if (cancel::TakeSelfCancel()) {
-    api::ExitCurrent(kCanceled);
-  }
   return 0;
 }
 

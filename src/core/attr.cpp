@@ -11,12 +11,6 @@ ThreadAttr MakeThreadAttr(int priority, const char* name) {
   return a;
 }
 
-ThreadAttr MakeDetachedAttr(int priority, const char* name) {
-  ThreadAttr a = MakeThreadAttr(priority, name);
-  a.detached = true;
-  return a;
-}
-
 ThreadAttr MakeLazyAttr(int priority, const char* name) {
   ThreadAttr a = MakeThreadAttr(priority, name);
   a.lazy = true;

@@ -10,8 +10,6 @@ namespace fsup {
 // A ThreadAttr with the given priority (-1 = inherit) and optional name.
 ThreadAttr MakeThreadAttr(int priority, const char* name = nullptr);
 
-ThreadAttr MakeDetachedAttr(int priority, const char* name = nullptr);
-
 // Lazy (deferred-activation) creation attributes — the paper's future-work feature.
 ThreadAttr MakeLazyAttr(int priority, const char* name = nullptr);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,11 +130,45 @@ int TraceDumpJson(const char* path) {
                  pid, tid, label.c_str());
   }
 
+  // "C" counter tracks from the profiler's collection points, named from the counter
+  // registry: one per gauge, and a "<name>/s" rate track between consecutive points for every
+  // counter that moved — the series fsup_top shows. Written merged with the trace records in
+  // timestamp order, so ts never decreases through the file.
+  auto write_point = [&](size_t i) {
+    const counters::Block& b = points[i].block;
+    const double ts = ToUs(points[i].t_ns, t0);
+    auto counter = [&](const char* name, const char* suffix, double value) {
+      sep();
+      std::fprintf(f,
+                   "{\"ph\":\"C\",\"pid\":%ld,\"ts\":%.3f,\"name\":\"%s%s\","
+                   "\"cat\":\"fsup\",\"args\":{\"value\":%.0f}}",
+                   pid, ts, name, suffix, value);
+    };
+    for (int g = 0; g < counters::kGaugeCount; ++g) {
+      counter(counters::kGaugeNames[g], "", static_cast<double>(b.gauges[g]));
+    }
+    const int64_t dt_ns = i > 0 ? points[i].t_ns - points[i - 1].t_ns : 0;
+    for (int c = 0; c < counters::kCount && dt_ns > 0; ++c) {
+      if (points.back().block.counters[c] != points.front().block.counters[c]) {
+        const double delta = static_cast<double>(b.counters[c]) -
+                             static_cast<double>(points[i - 1].block.counters[c]);
+        counter(counters::kNames[c], "/s", delta * 1e9 / static_cast<double>(dt_ns));
+      }
+    }
+  };
+  size_t next_point = 0;
+  auto points_until = [&](int64_t t_ns) {
+    for (; next_point < points.size() && points[next_point].t_ns <= t_ns; ++next_point) {
+      write_point(next_point);
+    }
+  };
+
   // kSwitch records become "running" slices on each thread's track; everything else is an
   // instant on the logging thread's track.
   std::unordered_map<uint32_t, bool> open;  // tid -> has an open "running" slice
   int64_t last_ns = t0;
   for (const Record& r : recs) {
+    points_until(r.t_ns);
     last_ns = r.t_ns;
     if (r.event == Event::kSwitch) {
       if (open[r.a]) {
@@ -168,31 +203,7 @@ int TraceDumpJson(const char* path) {
                    pid, tid, ToUs(last_ns, t0));
     }
   }
-  // "C" counter tracks from the profiler's collection points, named from the counter
-  // registry: one per gauge, and a "<name>/s" rate track between consecutive points for every
-  // counter that moved — the series fsup_top shows.
-  for (size_t i = 0; i < points.size(); ++i) {
-    const counters::Block& b = points[i].block;
-    const double ts = ToUs(points[i].t_ns, t0);
-    auto counter = [&](const char* name, const char* suffix, double value) {
-      sep();
-      std::fprintf(f,
-                   "{\"ph\":\"C\",\"pid\":%ld,\"ts\":%.3f,\"name\":\"%s%s\","
-                   "\"cat\":\"fsup\",\"args\":{\"value\":%.0f}}",
-                   pid, ts, name, suffix, value);
-    };
-    for (int g = 0; g < counters::kGaugeCount; ++g) {
-      counter(counters::kGaugeNames[g], "", static_cast<double>(b.gauges[g]));
-    }
-    const int64_t dt_ns = i > 0 ? points[i].t_ns - points[i - 1].t_ns : 0;
-    for (int c = 0; c < counters::kCount && dt_ns > 0; ++c) {
-      if (points.back().block.counters[c] != points.front().block.counters[c]) {
-        const double delta = static_cast<double>(b.counters[c]) -
-                             static_cast<double>(points[i - 1].block.counters[c]);
-        counter(counters::kNames[c], "/s", delta * 1e9 / static_cast<double>(dt_ns));
-      }
-    }
-  }
+  points_until(INT64_MAX);  // the points taken after the last record
   std::fputs("\n]}\n", f);
 
   if (std::ferror(f) != 0) {

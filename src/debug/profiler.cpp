@@ -535,7 +535,8 @@ int StartImpl(int hz, bool reset) {
     void* mem = hostos::ShmMapStats(shm_path, kStatsShmSize);
     if (mem == nullptr) {
       // The profile itself is still viable without the live monitor: degrade, don't fail.
-      log::Write("profiler: FSUP_STATS_SHM map failed, live monitor disabled");
+      log::RawWriteCstr("fsup: FSUP_STATS_SHM: cannot map the stats segment, live monitor "
+                        "disabled\n");
     } else {
       g_shm = static_cast<StatsShm*>(mem);
       *g_shm = StatsShm{};  // fresh file contents are zero already; a reused file is not

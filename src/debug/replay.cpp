@@ -602,7 +602,7 @@ void FireAsync() {
   if (r.kind == Decision::kTick) {
     sig::ForceTimerTick(r.a, (r.b & kSliceFired) != 0);
   } else {
-    sig::DeliverToProcess(static_cast<int>(r.a), sig::Cause::kExternal, nullptr);
+    sig::DeliverToProcess(static_cast<int>(r.a));
   }
 }
 

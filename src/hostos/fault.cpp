@@ -31,7 +31,6 @@ struct Rule {
 
 Rule g_rules[kNumCalls];
 bool g_any_armed = false;
-uint64_t g_total_injected = 0;
 bool g_env_done = false;
 
 Rule& RuleFor(Call c) { return g_rules[static_cast<int>(c)]; }
@@ -241,7 +240,6 @@ void Clear() {
     r = Rule{};
   }
   g_any_armed = false;
-  g_total_injected = 0;
 }
 
 bool AnyArmed() { return g_any_armed; }
@@ -272,7 +270,6 @@ int ShouldFail(Call c) {
   if (debug::replay::Replaying()) {
     const int err = debug::replay::ReplayFault(static_cast<uint32_t>(c));
     if (err != 0) {
-      ++g_total_injected;
       debug::obs::Emit(debug::obs::Event::kFault, nullptr, static_cast<uint32_t>(c),
                        static_cast<uint32_t>(err));
     }
@@ -304,7 +301,6 @@ int ShouldFail(Call c) {
     ::kill(::getpid(), r.raise_signo);
     return 0;
   }
-  ++g_total_injected;
   // The firing is a scheduling decision: record it (before the trace record, so the ring
   // stamp matches the replay side) and a replayed run will re-inject it at the same index.
   debug::replay::OnFault(static_cast<uint32_t>(c), static_cast<uint32_t>(r.err));
@@ -314,8 +310,6 @@ int ShouldFail(Call c) {
 }
 
 uint64_t InjectedCount(Call c) { return RuleFor(c).injected; }
-
-uint64_t TotalInjected() { return g_total_injected; }
 
 bool ParseSpec(const char* spec) {
   if (spec == nullptr) {

@@ -47,8 +47,8 @@ void FailNth(Call c, uint64_t nth, int err);
 void FailEveryKth(Call c, uint64_t k, int err);
 void FailRandom(Call c, uint64_t seed, uint32_t permille, int err);
 // The raise action on FailNth's ordinal: the nth invocation first sends `signo` to the
-// process (an uncounted kill), then runs. Counted in InjectedCount, not in TotalInjected,
-// and traced by the signal's own arrival rather than as a fault.
+// process (an uncounted kill), then runs. Counted in InjectedCount, and traced by the
+// signal's own arrival rather than as a fault.
 void RaiseNth(Call c, uint64_t nth, int signo);
 
 // The wrapper-side hook: records one invocation of `c` and returns the errno to inject, or 0
@@ -57,7 +57,6 @@ int ShouldFail(Call c);
 
 // Telemetry.
 uint64_t InjectedCount(Call c);
-uint64_t TotalInjected();
 
 // Parses and arms a FSUP_FAULT_SPEC string. Returns false (arming nothing) on syntax errors.
 bool ParseSpec(const char* spec);

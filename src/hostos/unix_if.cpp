@@ -280,6 +280,4 @@ bool InGuardPage(const void* addr, const void* usable_base) {
 
 int RawGetpid() { return static_cast<int>(::syscall(SYS_getpid)); }
 
-int RawGettid() { return static_cast<int>(::syscall(SYS_gettid)); }
-
 }  // namespace fsup::hostos

@@ -109,9 +109,6 @@ size_t PageSize();
 // "enter and exit UNIX kernel".
 int RawGetpid();
 
-// Raw gettid; used to enforce the single-OS-thread discipline of the library.
-int RawGettid();
-
 }  // namespace fsup::hostos
 
 #endif  // FSUP_SRC_HOSTOS_UNIX_IF_HPP_

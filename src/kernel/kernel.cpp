@@ -92,7 +92,6 @@ void InitRuntime() {
   // FSUP_PROFILE / FSUP_PROFILE_FILE: after the replay mode is known, because the profiler's
   // sampling source depends on it (ITIMER_PROF live, tick piggybacking under record/replay).
   debug::profiler::InitFromEnv();
-  log::Write("runtime initialized");
 }
 
 void ReinitForTesting() {
@@ -210,26 +209,54 @@ void EnterExitProbe() {
   ExitProtocol();
 }
 
-void ReapZombies() {
+void Terminate(Tcb* t, void* retval) {
   KernelState& k = ks();
   FSUP_ASSERT(k.in_kernel != 0);
-  Tcb* z;
-  while ((z = k.zombies.PopFront()) != nullptr) {
-    FSUP_ASSERT(z != k.current);
-    z->all_link.Unlink();
-    sig::NoteThreadUnlinked(z);
-    sig::ForgetThread(z);
-    k.pool->Free(z);
+  FSUP_ASSERT(t->state != ThreadState::kTerminated);
+  t->retval = retval;
+  debug::obs::Emit(debug::obs::Event::kExit, t, t->id, 0);
+  t->state = ThreadState::kTerminated;
+  t->lazy = false;  // a thread that never ran never will: activation must not revive it
+  sig::ForgetThread(t);
+  io::ForgetThread(t);
+  while (Tcb* j = t->joiners.PopFront()) {
+    j->join_result = retval;
+    j->join_satisfied = true;
+    MakeReady(j);
+    t->detached = true;  // every joiner has its answer; nothing left to collect
+  }
+  if (t->detached && t != k.main_tcb) {
+    // Reaped off t's own stack: by the thread the dispatcher switches to, or pt_create.
+    k.zombies.PushBack(t);
+  }
+  FSUP_CHECK(k.live_threads > 0);
+  --k.live_threads;
+}
+
+void Reap(Tcb* t) {
+  KernelState& k = ks();
+  FSUP_ASSERT(k.in_kernel != 0);
+  FSUP_ASSERT(t->state == ThreadState::kTerminated);
+  FSUP_ASSERT(t != k.current);
+  t->link.Unlink();  // the zombie list, if queued there
+  t->all_link.Unlink();
+  sig::NoteThreadUnlinked(t);
+  if (t != k.main_tcb) {
+    k.pool->Free(t);  // the main TCB is static storage, never pooled
+  }
+}
+
+void ReapZombies() {
+  FSUP_ASSERT(ks().in_kernel != 0);
+  while (Tcb* z = ks().zombies.PopFront()) {
+    Reap(z);
   }
 }
 
 void TerminateCurrent() {
   KernelState& k = ks();
   FSUP_ASSERT(k.in_kernel != 0);
-  // The caller emitted the kExit event before mutating the state.
   FSUP_ASSERT(k.current->state == ThreadState::kTerminated);
-  FSUP_CHECK(k.live_threads > 0);
-  --k.live_threads;
   if (k.live_threads == 0) {
     // Last thread: the process is done (the paper-era semantics of the final pthread_exit).
     k.in_kernel = 0;

@@ -164,10 +164,21 @@ void DispatchKeepKernel();
 // life inside the monitor and must complete the kernel exit that the dispatcher began.
 void ExitProtocol();
 
-// Reaps zombie threads (returns TCBs + stacks to the pool). In-kernel only.
+// The one way a thread ends — the running thread from pt_exit, or a lazy thread that never
+// ran: records retval, marks t terminated, forgets its timers and fd wait, hands retval to
+// its joiners (which detaches it), queues it as a zombie if detached, and drops it from
+// live_threads. Returns; a running t then leaves through TerminateCurrent. In kernel.
+void Terminate(Tcb* t, void* retval);
+
+// The one way a terminated thread's TCB and stack go back to the pool (pt_join, pt_detach,
+// the zombie list). t must not be the running thread. In kernel.
+void Reap(Tcb* t);
+
+// Reaps every queued zombie. In kernel.
 void ReapZombies();
 
-// Queues the current thread for reaping and dispatches away forever.
+// Dispatches away from the terminated running thread forever (or ends the process if no
+// thread is left alive).
 [[noreturn]] void TerminateCurrent();
 
 // Probe for the Table 2 metric "enter and exit Pthreads kernel": one Enter + cheap Exit.

@@ -94,25 +94,10 @@ void DeliverToThread(Tcb* t, int signo) {
   DefaultActionOnProcess(signo);
 }
 
-void DeliverToProcess(int signo, Cause cause, Tcb* hint) {
+void DeliverToProcess(int signo) {
   FSUP_ASSERT(kernel::InKernel());
   KernelState& k = kernel::ks();
   const SigSet bit = SigBit(signo);
-
-  // Steps 1-4: directed, synchronous, timer, and I/O causes name their thread.
-  switch (cause) {
-    case Cause::kDirected:
-    case Cause::kTimer:
-    case Cause::kIo:
-      FSUP_ASSERT(hint != nullptr);
-      DeliverToThread(hint, signo);
-      return;
-    case Cause::kSynchronous:
-      DeliverToThread(k.current, signo);
-      return;
-    case Cause::kExternal:
-      break;
-  }
 
   // Step 5: find a thread with the signal unmasked. Fast path: the masked-thread counter
   // says no linked thread blocks anything, so the first live thread (almost always main, at
@@ -169,7 +154,9 @@ void CheckPendingAfterUnmask(Tcb* t) {
   FSUP_ASSERT(kernel::InKernel());
   KernelState& k = kernel::ks();
   for (;;) {
-    SigSet deliverable = t->pending & ~EffectiveMask(t);
+    // A pending cancel is not a deliverable signal: interruption points and interruptibility
+    // changes act on it (cancel.hpp). Redelivering it would only pend it again, forever.
+    SigSet deliverable = t->pending & ~EffectiveMask(t) & ~SigBit(kSigCancel);
     if (deliverable != 0) {
       const int s = LowestSignal(deliverable);
       t->pending &= ~SigBit(s);
@@ -195,7 +182,7 @@ void DeliverAsync(int signo, debug::replay::AsyncSite site) {
   // An asynchronous process-level signal is a scheduling decision: its arrival point is
   // recorded, and a replayed run refires it from the log at the same decision index and site.
   debug::replay::OnExtSignal(signo, site);
-  DeliverToProcess(signo, Cause::kExternal, nullptr);
+  DeliverToProcess(signo);
 }
 
 void HandleDeferred(SigSet set) {

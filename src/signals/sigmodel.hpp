@@ -16,7 +16,8 @@
 //   2. alarm from a timer expiration                → wake the sleeper / re-slice
 //   3. thread suspended in sigwait                  → wake it, mask the sigwait set
 //   4. a user handler is registered                 → fake call, mask per sigaction
-//   5. the cancellation signal                      → fake call to pt_exit
+//   5. the cancellation signal                      → Table 1: pend, or fake call to
+//                                                     pt_exit (cancel/cancel.hpp)
 //   6. disposition "ignore"                         → discard
 //   7. default                                      → default action on the process
 //
@@ -33,18 +34,11 @@
 
 namespace fsup::sig {
 
-enum class Cause : uint8_t {
-  kExternal,     // asynchronous process-level signal
-  kSynchronous,  // fault caused by the current thread (SIGSEGV, SIGFPE, ...)
-  kTimer,        // expiration of a timer armed by some thread
-  kIo,           // completion of I/O requested by some thread
-  kDirected,     // pt_kill: explicitly aimed at one thread
-};
-
-// Stage 1: find a recipient for a process-level signal and run stage 2 on it, or pend the
-// signal at the process level. `hint` names the causing/armoring/directed thread for causes
-// that have one.
-void DeliverToProcess(int signo, Cause cause, Tcb* hint);
+// Stage 1 for an external (process-level) signal: find a recipient and run stage 2 on it, or
+// pend the signal at the process level. Steps 1-4 name their thread and are taken where they
+// arise: pt_kill runs stage 2 on its target, the fault handler runs on the faulting thread,
+// and the timer heap and the I/O waits wake the thread that armed or asked.
+void DeliverToProcess(int signo);
 
 // Stage 2: take the action for `signo` on thread `t`.
 void DeliverToThread(Tcb* t, int signo);

@@ -10,18 +10,6 @@
 namespace fsup {
 
 namespace log {
-namespace {
-
-bool g_enabled = [] {
-  const char* env = ::getenv("FSUP_LOG");
-  return env != nullptr && env[0] == '1';
-}();
-
-}  // namespace
-
-void SetEnabled(bool on) { g_enabled = on; }
-
-bool Enabled() { return g_enabled; }
 
 void RawWrite(const char* data, size_t len) {
   // Best effort; short writes to stderr are acceptable for diagnostics.
@@ -56,26 +44,6 @@ void RawWriteHex(uint64_t value) {
   *--p = 'x';
   *--p = '0';
   RawWrite(p, static_cast<size_t>(buf + sizeof(buf) - p));
-}
-
-void Write(const char* msg) {
-  if (!g_enabled) {
-    return;
-  }
-  RawWriteCstr("fsup: ");
-  RawWriteCstr(msg);
-  RawWriteCstr("\n");
-}
-
-void WriteInt(const char* msg, int64_t value) {
-  if (!g_enabled) {
-    return;
-  }
-  RawWriteCstr("fsup: ");
-  RawWriteCstr(msg);
-  RawWriteCstr(" ");
-  RawWriteInt(value);
-  RawWriteCstr("\n");
 }
 
 }  // namespace log

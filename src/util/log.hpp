@@ -1,9 +1,8 @@
 // Minimal async-signal-safe logging.
 //
 // The library runs code inside UNIX signal handlers (the universal signal handler and the
-// dispatcher), where stdio is not safe. All diagnostics therefore go through write(2)-based
-// helpers. Logging is off by default and enabled with FSUP_LOG=1 in the environment or
-// fsup::log::SetEnabled(true).
+// dispatcher), where stdio is not safe. All diagnostics — warnings, fatal errors, thread
+// dumps — therefore go through write(2)-based helpers.
 
 #ifndef FSUP_SRC_UTIL_LOG_HPP_
 #define FSUP_SRC_UTIL_LOG_HPP_
@@ -12,15 +11,6 @@
 #include <cstdint>
 
 namespace fsup::log {
-
-void SetEnabled(bool on);
-bool Enabled();
-
-// Writes the message to stderr with a "fsup: " prefix and trailing newline. Signal safe.
-void Write(const char* msg);
-
-// Formats "<msg> <value>" with a signal-safe integer formatter.
-void WriteInt(const char* msg, int64_t value);
 
 // Signal-safe building blocks, also used by the fatal-error path.
 void RawWrite(const char* data, size_t len);

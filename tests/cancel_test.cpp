@@ -1,9 +1,12 @@
-// Cancellation — the paper's Table 1, row by row, plus interruption-point semantics and
-// cleanup interaction.
+// Cancellation — the paper's Table 1, row by row, plus interruption-point semantics, cleanup
+// interaction, and a pending cancel staying pending across mask changes and handler returns.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 
 #include "src/core/attr.hpp"
 #include "src/core/pthread.hpp"
@@ -251,6 +254,114 @@ TEST_F(CancelTest, CancelTerminatedThreadIsEsrch) {
   pt_yield();
   EXPECT_EQ(ESRCH, pt_cancel(t));
   ASSERT_EQ(0, pt_join(t, nullptr));
+}
+
+TEST_F(CancelTest, GoingAsyncActsOnAPendingCancel) {
+  static int phase = 0;
+  phase = 0;
+  auto body = +[](void*) -> void* {
+    pt_yield();  // cancel pends: controlled, not at a point
+    phase = 1;
+    pt_setintrtype(true);  // enabled + async + pending → acts here
+    phase = 2;             // never reached
+    return nullptr;
+  };
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, nullptr, body, nullptr));
+  pt_yield();
+  ASSERT_EQ(0, pt_cancel(t));
+  void* ret = nullptr;
+  ASSERT_EQ(0, pt_join(t, &ret));
+  EXPECT_EQ(kCanceled, ret);
+  EXPECT_EQ(1, phase);
+}
+
+// A pending cancel is not a deliverable signal: opening the mask (pt_sigmask, a handler's
+// return) must leave it pending for the next interruption point, not redeliver it. Each case
+// runs in a forked child killed after 2 s, so a kernel that spins on the redelivery fails the
+// test instead of hanging it.
+::testing::AssertionResult FinishesInChild(bool (*body)()) {
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    return ::testing::AssertionFailure() << "fork failed";
+  }
+  if (pid == 0) {
+    ::_exit(body() ? 0 : 1);
+  }
+  for (int i = 0; i < 200; ++i) {
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+        return ::testing::AssertionSuccess();
+      }
+      return ::testing::AssertionFailure() << "child ended with status " << status;
+    }
+    ::usleep(10 * 1000);
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  return ::testing::AssertionFailure() << "child still running after 2 s: killed";
+}
+
+bool g_reached = false;
+int g_handled = 0;
+
+// Creates body's thread, lets it run to its first yield, cancels it there (the cancel pends),
+// optionally sends it SIGUSR1, then joins: true if it was cancelled after reaching the end.
+bool CancelAtFirstYield(void* (*body)(void*), bool kill_too) {
+  g_reached = false;
+  g_handled = 0;
+  pt_thread_t t;
+  if (pt_create(&t, nullptr, body, nullptr) != 0) {
+    return false;
+  }
+  pt_yield();
+  if (pt_cancel(t) != 0 || (kill_too && pt_kill(t, SIGUSR1) != 0)) {
+    return false;
+  }
+  void* ret = nullptr;
+  return pt_join(t, &ret) == 0 && ret == kCanceled && g_reached;
+}
+
+TEST_F(CancelTest, SigmaskOnControlledThreadKeepsTheCancelPending) {
+  EXPECT_TRUE(FinishesInChild(+[] {
+    return CancelAtFirstYield(+[](void*) -> void* {
+      pt_yield();  // the cancel pends here
+      pt_sigmask(SigMaskHow::kSetMask, 0, nullptr);
+      g_reached = true;
+      pt_testintr();  // acts
+      return nullptr;
+    }, false);
+  }));
+}
+
+TEST_F(CancelTest, SigmaskOnDisabledThreadKeepsTheCancelPending) {
+  EXPECT_TRUE(FinishesInChild(+[] {
+    return CancelAtFirstYield(+[](void*) -> void* {
+      pt_setintr(false);
+      pt_yield();  // the cancel pends here
+      pt_sigmask(SigMaskHow::kUnblock, SigBit(SIGUSR1), nullptr);
+      g_reached = true;
+      pt_setintr(true);
+      pt_testintr();  // acts
+      return nullptr;
+    }, false);
+  }));
+}
+
+TEST_F(CancelTest, HandlerReturnOnThreadWithPendingCancelKeepsItPending) {
+  EXPECT_TRUE(FinishesInChild(+[] {
+    if (pt_sigaction(SIGUSR1, +[](int) { ++g_handled; }, 0) != 0) {
+      return false;
+    }
+    // The handler runs when the thread resumes from its yield, then returns into it.
+    return CancelAtFirstYield(+[](void*) -> void* {
+      pt_yield();
+      g_reached = g_handled == 1;
+      pt_testintr();  // acts
+      return nullptr;
+    }, true);
+  }));
 }
 
 TEST_F(CancelTest, SetIntrReportsPreviousState) {

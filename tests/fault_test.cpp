@@ -17,6 +17,7 @@
 #include "src/core/pthread.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
+#include "src/kernel/kernel.hpp"
 #include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
@@ -342,31 +343,45 @@ TEST_F(FaultTest, InjectionIsRecordedInTheTraceRing) {
   debug::trace::Enable(false);
 }
 
+// Drains the pre-cached stack pool: parks enough threads on a semaphore that every pooled
+// stack is in use, so the next activation must go to mmap. Release undoes it.
 struct LazyWorld {
   pt_sem_t gate;
+  pt_thread_t parked[12];
+  int parked_count = 0;
+
+  void Drain() {
+    ASSERT_EQ(0, pt_sem_init(&gate, 0));
+    auto park = +[](void* g) -> void* {
+      pt_sem_wait(static_cast<pt_sem_t*>(g));
+      return nullptr;
+    };
+    parked_count = 0;
+    while (probe::StackPoolFree() > 0 && parked_count < 12) {
+      ASSERT_EQ(0, pt_create(&parked[parked_count], nullptr, park, &gate));
+      ++parked_count;
+    }
+  }
+  void Release() {
+    for (int i = 0; i < parked_count; ++i) {
+      ASSERT_EQ(0, pt_sem_post(&gate));
+    }
+    for (int i = 0; i < parked_count; ++i) {
+      ASSERT_EQ(0, pt_join(parked[i], nullptr));
+    }
+    ASSERT_EQ(0, pt_sem_destroy(&gate));
+  }
 };
+
+void* ReturnNull(void*) { return nullptr; }
 
 TEST_F(FaultTest, LazyActivationUnderExhaustionReturnsEagainAndRetries) {
   static LazyWorld w;
-  ASSERT_EQ(0, pt_sem_init(&w.gate, 0));
-
-  // Drain the pre-cached stack pool: park enough threads on a semaphore that every pooled
-  // stack is in use, so the next activation must go to mmap.
-  auto parked = +[](void*) -> void* {
-    pt_sem_wait(&w.gate);
-    return nullptr;
-  };
-  pt_thread_t parked_threads[12];
-  int parked_count = 0;
-  while (probe::StackPoolFree() > 0 && parked_count < 12) {
-    ASSERT_EQ(0, pt_create(&parked_threads[parked_count], nullptr, parked, nullptr));
-    ++parked_count;
-  }
+  w.Drain();
 
   ThreadAttr lazy = MakeLazyAttr(-1, "lazy");
   pt_thread_t lz;
-  auto body = +[](void*) -> void* { return nullptr; };
-  ASSERT_EQ(0, pt_create(&lz, &lazy, body, nullptr));  // no stack yet: cannot fail
+  ASSERT_EQ(0, pt_create(&lz, &lazy, &ReturnNull, nullptr));  // no stack yet: cannot fail
 
   fault::FailEveryKth(Call::kMmap, 1, ENOMEM);
   EXPECT_EQ(EAGAIN, pt_activate(lz));
@@ -374,14 +389,45 @@ TEST_F(FaultTest, LazyActivationUnderExhaustionReturnsEagainAndRetries) {
   // The thread stayed lazy; once the exhaustion clears, activation (via join) succeeds.
   fault::Clear();
   EXPECT_EQ(0, pt_join(lz, nullptr));
+  w.Release();
+}
 
-  for (int i = 0; i < parked_count; ++i) {
-    ASSERT_EQ(0, pt_sem_post(&w.gate));
-  }
-  for (int i = 0; i < parked_count; ++i) {
-    ASSERT_EQ(0, pt_join(parked_threads[i], nullptr));
-  }
-  ASSERT_EQ(0, pt_sem_destroy(&w.gate));
+// A lazy thread cancelled while no stack can be mapped never runs: it ends where it stands,
+// and a detached one is reclaimed like any other detached thread.
+TEST_F(FaultTest, DetachedLazyThreadCancelledUnderExhaustionIsReclaimed) {
+  static LazyWorld w;
+  w.Drain();
+
+  ThreadAttr lazy = MakeLazyAttr(-1, "lazy");
+  lazy.detached = true;
+  pt_thread_t lz;
+  ASSERT_EQ(0, pt_create(&lz, &lazy, &ReturnNull, nullptr));
+  fault::FailEveryKth(Call::kMmap, 1, ENOMEM);
+  ASSERT_EQ(0, pt_cancel(lz));
+  fault::Clear();
+  w.Release();
+
+  EXPECT_EQ(1u, pt_stats().live_threads);
+  EXPECT_EQ(1u, kernel::ks().all_threads.size()) << "the cancelled TCB was never reaped";
+  pt_reinit();  // aborts on a TCB left on the all-threads list
+}
+
+TEST_F(FaultTest, JoinableLazyThreadCancelledUnderExhaustionJoinsCanceled) {
+  static LazyWorld w;
+  w.Drain();
+
+  ThreadAttr lazy = MakeLazyAttr(-1, "lazy");
+  pt_thread_t lz;
+  ASSERT_EQ(0, pt_create(&lz, &lazy, &ReturnNull, nullptr));
+  fault::FailEveryKth(Call::kMmap, 1, ENOMEM);
+  ASSERT_EQ(0, pt_cancel(lz));
+  // Still exhausted: the join collects the terminated thread, it does not try to start it.
+  void* ret = nullptr;
+  EXPECT_EQ(0, pt_join(lz, &ret));
+  EXPECT_EQ(kCanceled, ret);
+  fault::Clear();
+  w.Release();
+  EXPECT_EQ(1u, kernel::ks().all_threads.size());
 }
 
 }  // namespace

@@ -4,13 +4,16 @@
 // an epoll-recorded schedule works under the poll backend, a divergent workload aborts with
 // the first mismatched decision, and a run that outlives its log falls back to live
 // execution. A recording started under an armed exploration gate replays, and a log of an
-// older format is refused. The C entry points get a smoke test at the end.
+// older format is refused. Slice ticks and external signals that land in user code replay at
+// the kernel-entry gate. The C entry points get a smoke test at the end.
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -201,6 +204,77 @@ void FaultWorkload() {
   }
 }
 
+// Pure computation between kernel entries (a few microseconds): a replayed run repeats it
+// exactly, and a tick or signal that lands in it lands in user code, the pre-entry site.
+volatile uint64_t g_sink = 0;
+
+uint64_t Spin(uint64_t x) {
+  for (int i = 0; i < 2000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+  }
+  return x;
+}
+
+void* Spinner(void*) {
+  uint64_t x = 1;
+  for (int i = 0; i < 3000; ++i) {
+    x = Spin(x);
+    pt_testintr();  // a kernel entry: where replay fires what landed in the spin before it
+  }
+  g_sink = x;
+  return nullptr;
+}
+
+// Two SCHED_RR spinners under 1 ms slicing: the slice ticks land in user code.
+void SpinnerWorkload() {
+  pt_enable_time_slicing(1000);
+  ThreadAttr rr;
+  rr.policy = SchedPolicy::kRr;
+  rr.inherit_policy = false;
+  pt_thread_t t[2] = {};
+  for (auto& th : t) {
+    ASSERT_EQ(0, pt_create(&th, &rr, Spinner, nullptr));
+  }
+  for (auto& th : t) {
+    EXPECT_EQ(0, pt_join(th, nullptr));
+  }
+  pt_disable_time_slicing();
+}
+
+int g_usr1 = 0;
+int g_chld = 0;
+
+void InstallCountingHandlers() {
+  g_usr1 = 0;
+  g_chld = 0;
+  ASSERT_EQ(0, pt_sigaction(SIGUSR1, +[](int) { ++g_usr1; }, 0));
+  ASSERT_EQ(0, pt_sigaction(SIGCHLD, +[](int) { ++g_chld; }, 0));
+}
+
+// Main spins until the SIGCHLD of the signalling child has been handled. Replayed, the log
+// steers the same signals to the same kernel entries, so the loop ends at the same round.
+void SpinUntilChildExits() {
+  uint64_t x = 1;
+  for (int i = 0; g_chld == 0 && i < 200000; ++i) {
+    x = Spin(x);
+    pt_testintr();
+  }
+  g_sink = x;
+}
+
+// How many records of `kind` in the in-memory log the recorded run took in user code.
+size_t PreEntryRecords(debug::replay::Decision kind) {
+  std::vector<debug::replay::LogRecord> log(debug::replay::LogSize());
+  const size_t n = debug::replay::CopyLog(log.data(), log.size());
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (log[i].kind == kind && (log[i].b & debug::replay::kSiteDispatcher) == 0) {
+      ++count;
+    }
+  }
+  return count;
+}
+
 // -- tests -------------------------------------------------------------------------------
 
 TEST_F(ReplayTest, SyncWorkloadReplaysBitExactly) {
@@ -299,6 +373,68 @@ TEST_F(ReplayTest, FaultFiringsAreReplayStable) {
   FaultWorkload();  // note: no rule armed this time
   debug::replay::StopReplay();
 
+  ExpectSameRing(recorded, RingKeys());
+}
+
+// Slice ticks that preempted a spinner in user code were taken by the universal handler
+// before any kernel entry; replay fires them at the entry gate (kernel::Enter) of the same
+// kernel section.
+TEST_F(ReplayTest, UserCodeSliceTicksReplayAtTheEntryGate) {
+  debug::trace::Clear();
+  debug::trace::Enable(true);
+  debug::replay::StartRecording();
+  SpinnerWorkload();
+  debug::replay::StopRecording();
+  ASSERT_EQ(0, debug::replay::SaveLog(path_.c_str()));
+  ASSERT_GT(PreEntryRecords(debug::replay::Decision::kTick), 0u)
+      << "no slice tick landed in user code";
+  const std::vector<Key> recorded = RingKeys();
+
+  pt_reinit();
+  debug::trace::Clear();
+  ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
+  SpinnerWorkload();
+  debug::replay::StopReplay();
+
+  ExpectSameRing(recorded, RingKeys());
+}
+
+// External signals from another process (a forked child's SIGUSR1s, then its SIGCHLD) that
+// reached a handler in user code replay at the entry gate without the child.
+TEST_F(ReplayTest, UserCodeExternalSignalsReplayWithoutTheSender) {
+  debug::trace::Clear();
+  debug::trace::Enable(true);
+  InstallCountingHandlers();
+  debug::replay::StartRecording();
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    for (int i = 0; i < 5; ++i) {
+      ::usleep(2000);
+      ::kill(::getppid(), SIGUSR1);
+    }
+    ::_exit(0);
+  }
+  SpinUntilChildExits();
+  debug::replay::StopRecording();
+  ASSERT_EQ(child, ::waitpid(child, nullptr, 0));
+  ASSERT_EQ(0, debug::replay::SaveLog(path_.c_str()));
+  ASSERT_EQ(1, g_chld);
+  ASSERT_GT(g_usr1, 0);
+  const int recorded_usr1 = g_usr1;
+  ASSERT_GT(PreEntryRecords(debug::replay::Decision::kExtSignal), 0u)
+      << "no external signal landed in user code";
+  const std::vector<Key> recorded = RingKeys();
+
+  pt_reinit();
+  debug::trace::Clear();
+  InstallCountingHandlers();
+  ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
+  SpinUntilChildExits();
+  debug::replay::StopReplay();
+
+  EXPECT_EQ(recorded_usr1, g_usr1);
+  EXPECT_EQ(1, g_chld);
   ExpectSameRing(recorded, RingKeys());
 }
 

@@ -112,7 +112,7 @@ TEST_F(SigModelTest, Recipient5LinearSearchSkipsMaskedThreads) {
   Parked p;
   p.Start();
   kernel::Enter();
-  sig::DeliverToProcess(SIGUSR2, sig::Cause::kExternal, nullptr);
+  sig::DeliverToProcess(SIGUSR2);
   kernel::Exit();
   p.Finish();
   EXPECT_EQ(p.t, g_handled_on);
@@ -125,7 +125,7 @@ TEST_F(SigModelTest, Recipient6PendsOnProcessWhenAllMask) {
   Parked p;
   p.Start(SigBit(SIGUSR2));  // the parked thread masks it too
   kernel::Enter();
-  sig::DeliverToProcess(SIGUSR2, sig::Cause::kExternal, nullptr);
+  sig::DeliverToProcess(SIGUSR2);
   kernel::Exit();
   EXPECT_EQ(0, g_handled_count);
   EXPECT_TRUE(SigIsMember(pt_sigpending(), SIGUSR2));  // pending at process level

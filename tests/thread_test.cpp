@@ -7,6 +7,7 @@
 
 #include "src/core/attr.hpp"
 #include "src/core/pthread.hpp"
+#include "src/kernel/kernel.hpp"
 
 namespace fsup {
 namespace {
@@ -95,6 +96,20 @@ TEST_F(ThreadTest, DetachAfterTerminationReclaims) {
   pt_yield();  // default equal priority: FIFO runs it to completion on yield
   EXPECT_EQ(1, x);
   EXPECT_EQ(0, pt_detach(t));
+}
+
+TEST_F(ThreadTest, DetachLiveThreadReapsItAfterExit) {
+  pt_thread_t t;
+  int x = 0;
+  ASSERT_EQ(0, pt_create(&t, nullptr, &AddOne, &x));
+  ASSERT_EQ(0, pt_detach(t));  // still live: only marked, reaped once it has ended
+  EXPECT_EQ(EINVAL, pt_detach(t));
+  EXPECT_EQ(EINVAL, pt_join(t, nullptr));
+  EXPECT_EQ(2u, kernel::ks().all_threads.size());
+  pt_yield();  // it runs to completion; the switch back here reaps the zombie it left
+  EXPECT_EQ(1, x);
+  EXPECT_EQ(1u, pt_stats().live_threads);
+  EXPECT_EQ(1u, kernel::ks().all_threads.size());
 }
 
 TEST_F(ThreadTest, DoubleDetachFails) {

@@ -2,8 +2,8 @@
 //
 // The exported file is parsed back with a small self-contained JSON well-formedness parser
 // (no third-party dependency) plus field-level checks: every event carries ph/pid, timed
-// events carry non-decreasing ts, switch-derived slices balance, and metadata names the
-// process and threads.
+// events carry non-decreasing ts, switch-derived slices balance, counter points name a
+// registry track, and metadata names the process and threads.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -21,6 +21,7 @@
 
 #include "src/core/pthread.hpp"
 #include "src/debug/trace.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup {
 namespace {
@@ -250,6 +251,21 @@ std::string FieldString(const std::string& ev, const char* key) {
   return end == std::string::npos ? "" : ev.substr(start, end - start);
 }
 
+// A "C" track is named for a gauge, or for a counter's rate ("<counter>/s").
+bool IsCounterTrackName(const std::string& name) {
+  for (const char* g : counters::kGaugeNames) {
+    if (name == g) {
+      return true;
+    }
+  }
+  for (const char* c : counters::kNames) {
+    if (name == std::string(c) + "/s") {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string TempPath(const char* tag) {
   return std::string("/tmp/fsup_trace_") + tag + "_" + std::to_string(::getpid()) + ".json";
 }
@@ -354,7 +370,7 @@ TEST_F(TraceExportTest, ExportedWorkloadParsesBackWithSaneFields) {
 
   const double want_pid = static_cast<double>(::getpid());
   double last_ts = -1.0;
-  int begins = 0, ends = 0, instants = 0, metas = 0;
+  int begins = 0, ends = 0, instants = 0, metas = 0, counter_points = 0;
   bool saw_process_name = false, saw_thread_meta = false, saw_user = false,
        saw_cond_wait = false;
   for (const std::string& ev : events) {
@@ -379,6 +395,14 @@ TEST_F(TraceExportTest, ExportedWorkloadParsesBackWithSaneFields) {
     ASSERT_TRUE(FieldNumber(ev, "ts", &ts)) << ev;
     EXPECT_GE(ts, last_ts) << "timestamps must be monotonic: " << ev;
     last_ts = ts;
+    if (ph == "C") {
+      // A counter point (a profiling session is live): a process-wide track, no tid.
+      ++counter_points;
+      EXPECT_TRUE(IsCounterTrackName(FieldString(ev, "name"))) << ev;
+      double value = -1.0;
+      EXPECT_TRUE(FieldNumber(ev, "value", &value)) << ev;
+      continue;
+    }
     EXPECT_TRUE(ev.find("\"tid\":") != std::string::npos) << ev;
     if (ph == "B") {
       ++begins;
@@ -412,6 +436,9 @@ TEST_F(TraceExportTest, ExportedWorkloadParsesBackWithSaneFields) {
   EXPECT_TRUE(saw_cond_wait);
   // Thread names from the live TCBs made it into the metadata.
   EXPECT_NE(std::string::npos, json.find("\"name\":\"main\""));
+  if (pt_profile_active()) {
+    EXPECT_GT(counter_points, 0);  // a session's points become counter tracks
+  }
 }
 
 using TraceExportDeathTest = TraceExportTest;
