@@ -1,6 +1,7 @@
 // Table 3 / Table 4 quantified: per-protocol lock/unlock cost as a function of the number of
-// held mutexes (the inheritance unlock's linear search vs the ceiling protocol's stack pop),
-// plus the Table 4 mixed-protocol script replayed with priorities printed per step.
+// held mutexes (the inheritance unlock's linear search vs the ceiling protocol's per-level
+// ceiling counts), plus the Table 4 mixed-protocol script replayed with priorities printed per
+// step.
 
 #include <cstdio>
 #include <vector>
@@ -15,7 +16,8 @@ namespace {
 // Cost of lock+unlock of ONE mutex of the given protocol while `held` other mutexes of the
 // same protocol stay locked — exposes the unlock-time linear search of the inheritance
 // protocol (Table 3: "Implementation: linear search of locked mutexes (unlock)" vs
-// "push/pop of ceiling values (stack)").
+// "push/pop of ceiling values (stack)" — here a count per ceiling level with an occupancy
+// mask, whose top is one instruction in any unlock order).
 double LockUnlockNs(MutexProtocol proto, int held) {
   MutexAttr attr;
   attr.protocol = proto;
@@ -139,7 +141,7 @@ int main() {
   std::printf("\nShape checks (paper Table 3):\n");
   std::printf("  * 'none' is the cheapest (pure test-and-set fast path, no kernel)\n");
   std::printf("  * inheritance cost grows with held mutexes (linear unlock search)\n");
-  std::printf("  * ceiling cost is flat in held mutexes (stack push/pop)\n");
+  std::printf("  * ceiling cost is flat in held mutexes (per-level ceiling counts)\n");
 
   Table4Mixing();
   return 0;

@@ -343,7 +343,8 @@ int pt_setprio(pt_thread_t t, int prio) {
     return EINVAL;
   }
   kernel::Enter();
-  sched::SetBasePriority(t, prio);
+  t->base_prio = prio;
+  sched::Recompute(t, /*to_head=*/false);
   kernel::Exit();
   return 0;
 }

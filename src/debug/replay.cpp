@@ -600,7 +600,11 @@ void FireAsync() {
   const LogRecord r = g_buf[g_cursor];
   Advance();
   if (r.kind == Decision::kTick) {
-    sig::ForceTimerTick(r.a, (r.b & kSliceFired) != 0);
+    const uint32_t expired = sig::ForceTimerTick(r.a, (r.b & kSliceFired) != 0);
+    if (expired != r.a) {
+      Diverge("replayed tick expired fewer timers than recorded", Decision::kTick, expired,
+              r.b);
+    }
   } else {
     sig::DeliverToProcess(static_cast<int>(r.a));
   }

@@ -63,6 +63,8 @@ void SwitchTo(Tcb* next) {
 // tail of a restartable sequence that first re-reads the deferred set (arch/ras.S), so it is
 // never entered over a logged signal. Deadlock detection is O(1) — NextDeadlineNs reads the
 // timer-heap head and ExternalWakeupPossible reads two counters.
+// A deadline ITIMER_REAL is armed for is served by its SIGALRM alone, one tick per shot: a
+// timeout racing the signal would tick twice. The timeout is for a deadline not armed.
 void IdleWait() {
   KernelState& k = ks();
   sig::LeaveHandlerFrame(k.current);  // the sleep must be interruptible by every signal
@@ -72,8 +74,9 @@ void IdleWait() {
     DeadlockAbort();
   }
 
+  const bool backstop = deadline >= 0 && deadline != k.itimer_deadline_ns;
   int64_t timeout_ns = -1;
-  if (deadline >= 0) {
+  if (backstop) {
     const int64_t now = NowNs();
     timeout_ns = deadline > now ? deadline - now : 0;
   }
@@ -81,7 +84,7 @@ void IdleWait() {
 
   // Under replay the wall clock is meaningless — ticks fire only when the log says so (the
   // dispatch loop's replay gate), never from a live deadline comparison.
-  if (!debug::replay::Replaying() && deadline >= 0 && NowNs() >= deadline) {
+  if (backstop && !debug::replay::Replaying() && NowNs() >= deadline) {
     sig::OnTimerTick(debug::replay::AsyncSite::kInDispatcher);
   }
   if (k.sigs_caught_in_kernel.load(std::memory_order_relaxed) != 0) {

@@ -108,6 +108,24 @@ struct TcbProfile {
   uintptr_t pcs[kMaxDepth] = {};
 };
 
+// The ceilings of the ceiling mutexes a thread holds, as a multiset: a 16-bit count per level
+// plus an occupancy mask (PrioBuckets' shape), so the top is one clz in any unlock order.
+struct HeldCeilings {
+  uint32_t mask = 0;
+  uint16_t count[kNumPrios] = {};
+
+  void Add(int ceiling) {
+    ++count[ceiling];
+    mask |= 1u << ceiling;
+  }
+  void Remove(int ceiling) {
+    if (--count[ceiling] == 0) {
+      mask &= ~(1u << ceiling);
+    }
+  }
+  int Top() const { return mask == 0 ? kMinPrio - 1 : 31 - __builtin_clz(mask); }
+};
+
 struct Tcb {
   // -- queue membership ------------------------------------------------------------------
   ListNode link;      // ready queue or (exclusive) the wait queue of whatever blocks us
@@ -129,7 +147,7 @@ struct Tcb {
   // by a switch, an idle sleep or a redirect must unblock them (sig::LeaveHandlerFrame).
   bool in_handler_frame = false;
 
-  int prio = kDefaultPrio;       // current, possibly boosted by a mutex protocol
+  int prio = kDefaultPrio;       // current: derived from base_prio and the held mutexes
   int base_prio = kDefaultPrio;  // as assigned by creation attributes / pt_setprio
   SchedPolicy policy = SchedPolicy::kFifo;
 
@@ -198,10 +216,10 @@ struct Tcb {
   bool cond_requeued = false;
   bool timed_out = false;
 
-  Mutex* owned_head = nullptr;  // singly linked list of held mutexes (inheritance search)
-
-  int srp_stack[kMaxCeilDepth] = {};  // saved priorities for the ceiling (SRP) protocol
-  int srp_depth = 0;
+  // The held-mutex inputs of the priority rule (sched/policy.hpp): the held inheritance
+  // mutexes, searched linearly (paper Table 3), and the held ceilings.
+  Mutex* owned_head = nullptr;
+  HeldCeilings held_ceilings;
 
   // -- join ------------------------------------------------------------------------------
   IntrusiveList<Tcb, &Tcb::link> joiners;  // threads blocked joining on us

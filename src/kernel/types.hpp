@@ -22,7 +22,6 @@ inline constexpr int64_t kDefaultSliceUs = 10000;
 
 inline constexpr int kMaxTsdKeys = 64;
 inline constexpr int kMaxFakeRecs = 16;   // max simultaneously pending fake-call records/thread
-inline constexpr int kMaxCeilDepth = 128;  // max nesting of ceiling-protocol mutexes
 
 // Signals. Virtual signal numbers coincide with the host's classic UNIX numbers (1..31);
 // SIGCANCEL is the paper's internal cancellation signal and exists only inside the library.
@@ -73,7 +72,7 @@ enum class BlockReason : uint8_t {
 enum class MutexProtocol : uint8_t {
   kNone = 0,
   kInherit,
-  kProtect,  // priority ceiling via SRP stack
+  kProtect,  // priority ceiling: the holder runs at least at the mutex's ceiling
 };
 
 // Mutex types. Only kNormal is eligible for the kernel-bypassing fast path: the error-check

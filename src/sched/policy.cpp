@@ -1,5 +1,7 @@
 #include "src/sched/policy.hpp"
 
+#include <algorithm>
+
 #include "src/debug/obs.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sync/cond.hpp"
@@ -7,14 +9,13 @@
 #include "src/util/assert.hpp"
 
 namespace fsup::sched {
+namespace {
 
+// Sets t's current priority and keeps the queue t sits on consistent with it.
 void ApplyPriority(Tcb* t, int new_prio, bool to_head) {
   KernelState& k = kernel::ks();
   FSUP_ASSERT(k.in_kernel != 0);
   FSUP_ASSERT(new_prio >= kMinPrio && new_prio <= kMaxPrio);
-  if (new_prio == t->prio) {
-    return;
-  }
   t->prio = new_prio;
   switch (t->state) {
     case ThreadState::kRunning:
@@ -48,41 +49,38 @@ void ApplyPriority(Tcb* t, int new_prio, bool to_head) {
   }
 }
 
-void BoostChain(Tcb* holder, int prio) {
-  // Transitive priority inheritance: a boosted holder that is itself blocked on another
-  // inheritance mutex passes the boost on. Depth-bounded against cyclic lock graphs (which
-  // are application deadlocks, found by the deadlock detector, not here).
-  int depth = 0;
-  while (holder != nullptr && holder->prio < prio && depth++ < 64) {
-    debug::obs::Emit(debug::obs::Event::kPrioBoost, holder, holder->id,
-                     static_cast<uint32_t>(prio));
-    ApplyPriority(holder, prio, /*to_head=*/true);
-    if (holder->state == ThreadState::kBlocked &&
-        holder->block_reason == BlockReason::kMutex && holder->waiting_on_mutex != nullptr &&
-        holder->waiting_on_mutex->proto == MutexProtocol::kInherit) {
-      Mutex* m = holder->waiting_on_mutex;
-      holder = m->owner;  // the owner word IS the lock state (nullptr = unlocked)
-    } else {
-      break;
-    }
+// The rule (policy.hpp). The ceilings are one lookup in the held-ceiling multiset; the
+// inheritance term is the paper's linear search of the held inheritance mutexes.
+int DerivedPrio(const Tcb* t) {
+  int prio = std::max(t->base_prio, t->held_ceilings.Top());
+  for (const Mutex* m = t->owned_head; m != nullptr; m = m->next_owned) {
+    prio = std::max(prio, sync::MaxWaiterPrio(m));
   }
+  return prio;
 }
 
-void SetBasePriority(Tcb* t, int prio) {
+}  // namespace
+
+void Recompute(Tcb* t, bool to_head) {
   FSUP_ASSERT(kernel::InKernel());
-  t->base_prio = prio;
-  // The current priority follows the base unless a protocol boost holds it higher.
-  int effective = prio;
-  for (Mutex* m = t->owned_head; m != nullptr; m = m->next_owned) {
-    const int w = sync::MaxWaiterPrio(m);
-    if (w > effective) {
-      effective = w;
+  for (int hops = 0; t != nullptr && hops < 64; ++hops) {
+    const int prio = DerivedPrio(t);
+    if (prio == t->prio) {
+      return;
     }
+    debug::obs::Emit(prio > t->prio ? debug::obs::Event::kPrioBoost
+                                    : debug::obs::Event::kPrioRestore,
+                     t, t->id, static_cast<uint32_t>(prio));
+    ApplyPriority(t, prio, to_head);
+    // t is a waiter of the inheritance mutex it blocks on: its holder's input just changed.
+    if (t->state != ThreadState::kBlocked || t->block_reason != BlockReason::kMutex ||
+        t->waiting_on_mutex == nullptr ||
+        t->waiting_on_mutex->proto != MutexProtocol::kInherit) {
+      return;
+    }
+    t = t->waiting_on_mutex->owner;  // the owner word IS the lock state (nullptr = unlocked)
+    to_head = true;
   }
-  if (t->srp_depth > 0 && t->prio > effective) {
-    effective = t->prio;  // keep an active ceiling boost
-  }
-  ApplyPriority(t, effective, /*to_head=*/false);
 }
 
 }  // namespace fsup::sched

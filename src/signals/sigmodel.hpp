@@ -105,9 +105,10 @@ void CancelAlarm(Tcb* t);
 // Fires every due timer (SIGALRM path and idle-loop timeout path). In kernel.
 void OnTimerTick(debug::replay::AsyncSite site);
 
-// Replay-side tick: expires exactly `expired` heap entries and forces the slice branch if
-// `slice_fired`, regardless of the wall clock. Called by the replay gates. In kernel.
-void ForceTimerTick(uint32_t expired, bool slice_fired);
+// Replay-side tick: expires up to `expired` heap entries (returns how many; fewer means the
+// run diverged) and forces the slice branch if `slice_fired`, regardless of the wall clock.
+// Called by the replay gates. In kernel.
+uint32_t ForceTimerTick(uint32_t expired, bool slice_fired);
 
 // Earliest pending deadline (timers + RR slice), or -1 if none. In kernel.
 int64_t NextDeadlineNs();

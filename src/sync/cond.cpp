@@ -6,7 +6,6 @@
 #include "src/cancel/cancel.hpp"
 #include "src/debug/obs.hpp"
 #include "src/kernel/kernel.hpp"
-#include "src/sched/policy.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/sync/fastpath.hpp"
 #include "src/sync/tag.hpp"
@@ -31,15 +30,6 @@ void MarkRequeued(Cond* c, Tcb* w, Mutex* m) {
   w->cond_requeued = true;
 }
 
-// After waiters landed on an inheritance mutex's queue without passing through LockInKernel,
-// the owner must still inherit the top waiter priority (transitively).
-void BoostAfterRequeue(Mutex* m) {
-  if (m->proto == MutexProtocol::kInherit && m->owner != nullptr &&
-      m->owner->prio < m->waiters.TopPrio()) {
-    sched::BoostChain(m->owner, m->waiters.TopPrio());
-  }
-}
-
 // A broadcast may requeue waiters onto a mutex nobody holds. Waiters queued on an unlocked
 // mutex are only ever popped by an unlock — if no thread locks it again, the queue is
 // orphaned and the waiters hang until the idle loop's deadlock abort. Do what UnlockInKernel
@@ -48,19 +38,9 @@ void BoostAfterRequeue(Mutex* m) {
 // woken waiter contends for the same mutex — it is awake and will lock and later unlock it,
 // draining the queue through the normal handoff path with its priority claim intact.
 void HandoffIfUnlocked(Mutex* m) {
-  if (m->owner != nullptr) {
-    return;
+  if (m->owner == nullptr) {
+    HandOff(m);
   }
-  Tcb* next = m->waiters.PopHighest();
-  if (next == nullptr) {
-    m->has_waiters = 0;
-    return;
-  }
-  if (m->waiters.empty()) {
-    m->has_waiters = 0;
-  }
-  m->owner = next;
-  kernel::MakeReady(next);
 }
 
 }  // namespace
@@ -243,7 +223,7 @@ int CondBroadcast(Cond* c) {
       c->waiters.SpliceAllOnto(target->waiters,
                                [&](Tcb* w) { MarkRequeued(c, w, target); });
       target->has_waiters = 1;
-      BoostAfterRequeue(target);
+      WaitersChanged(target);
       if (first->cond_mutex != target) {
         HandoffIfUnlocked(target);
       }
@@ -253,7 +233,6 @@ int CondBroadcast(Cond* c) {
         Mutex* m = w->cond_mutex;
         MarkRequeued(c, w, m);
         InsertWaiter(m, w);
-        BoostAfterRequeue(m);
         if (first->cond_mutex != m) {
           HandoffIfUnlocked(m);
         }

@@ -54,29 +54,49 @@ void RemoveFromOwnedList(Mutex* m, Tcb* t) {
   FSUP_CHECK_MSG(false, "mutex missing from owner's held list");
 }
 
-// Protocol work on acquisition. In kernel (or uncontended NONE path, which has no work).
-int OnAcquired(Mutex* m, Tcb* self) {
-  switch (m->proto) {
-    case MutexProtocol::kNone:
-      break;
-    case MutexProtocol::kInherit:
-      AddToOwnedList(m, self);
-      break;
-    case MutexProtocol::kProtect: {
-      if (self->base_prio > m->ceiling) {
-        debug::obs::Emit(debug::obs::Event::kLockFailed, self, self->id, m->tag);
-        return EINVAL;  // ceiling below a locker's priority: the paper says "undefined"
-      }
-      // SRP: push the previous priority and raise to the ceiling immediately on acquire.
-      FSUP_CHECK_MSG(self->srp_depth < kMaxCeilDepth, "ceiling mutexes nested too deeply");
-      self->srp_stack[self->srp_depth++] = self->prio;
-      if (m->ceiling > self->prio) {
-        debug::obs::Emit(debug::obs::Event::kPrioBoost, self, self->id,
-                         static_cast<uint32_t>(m->ceiling));
-        sched::ApplyPriority(self, m->ceiling, /*to_head=*/true);
-      }
-      break;
+// A protocol mutex joins and leaves its holder's priority inputs exactly when the owner word
+// changes hands, so the derived priority never lags ownership, not even across a handoff to a
+// waiter that has not run yet. An input at or below the current priority cannot raise the max:
+// an uncontended inheritance lock stays O(1) (the paper's protocol boosts on contention).
+void TakeOwnership(Mutex* m, Tcb* t) {
+  m->owner = t;
+  if (m->proto == MutexProtocol::kNone) {
+    return;
+  }
+  int input = m->ceiling;
+  if (m->proto == MutexProtocol::kInherit) {
+    AddToOwnedList(m, t);
+    input = MaxWaiterPrio(m);
+  } else {
+    t->held_ceilings.Add(m->ceiling);
+  }
+  if (input > t->prio) {
+    sched::Recompute(t, /*to_head=*/true);
+  }
+}
+
+// The holder gives m up, lowering itself with head placement (the paper: a thread must not
+// lose its turn for a boost it did not choose), and m passes to the top waiter.
+void Release(Mutex* m, Tcb* self) {
+  if (m->proto != MutexProtocol::kNone) {
+    if (m->proto == MutexProtocol::kInherit) {
+      RemoveFromOwnedList(m, self);
+    } else {
+      self->held_ceilings.Remove(m->ceiling);
     }
+    sched::Recompute(self, /*to_head=*/true);
+  }
+  HandOff(m);
+}
+
+// Completes an acquisition whose owner word already names self. A ceiling below the locker's
+// base priority is rejected (the paper says "undefined"; we say EINVAL) and the mutex released
+// again, to the next waiter if one is queued: a caller told EINVAL owns nothing.
+int OnAcquired(Mutex* m, Tcb* self) {
+  if (m->proto == MutexProtocol::kProtect && self->base_prio > m->ceiling) {
+    debug::obs::Emit(debug::obs::Event::kLockFailed, self, self->id, m->tag);
+    Release(m, self);
+    return EINVAL;
   }
   debug::obs::Emit(debug::obs::Event::kMutexLock, self, self->id, m->tag, m->tag_gen);
   return 0;
@@ -121,9 +141,16 @@ int MutexDestroy(Mutex* m) {
   return 0;
 }
 
+void WaitersChanged(Mutex* m) {
+  if (m->proto == MutexProtocol::kInherit && m->owner != nullptr) {
+    sched::Recompute(m->owner, /*to_head=*/true);
+  }
+}
+
 void InsertWaiter(Mutex* m, Tcb* t) {
   m->has_waiters = 1;
   m->waiters.Push(t);
+  WaitersChanged(m);
 }
 
 void RepositionWaiter(Mutex* m, Tcb* t) { m->waiters.Reposition(t); }
@@ -133,9 +160,21 @@ void RemoveWaiter(Mutex* m, Tcb* t) {
   if (m->waiters.empty()) {
     m->has_waiters = 0;
   }
+  WaitersChanged(m);
 }
 
-int MaxWaiterPrio(const Mutex* m) { return m->waiters.TopPrio(); }
+void HandOff(Mutex* m) {
+  Tcb* next = m->waiters.PopHighest();
+  if (m->waiters.empty()) {
+    m->has_waiters = 0;
+  }
+  if (next == nullptr) {
+    m->owner = nullptr;
+    return;
+  }
+  kernel::MakeReady(next);  // first, so a raised priority re-buckets it on the ready queue
+  TakeOwnership(m, next);
+}
 
 int CompleteHandoff(Mutex* m, Tcb* self) {
   FSUP_ASSERT(kernel::InKernel());
@@ -196,93 +235,27 @@ int LockInKernel(Mutex* m, Tcb* self) {
     }
     ++m->contended_acquires;
     debug::obs::Emit(debug::obs::Event::kMutexBlock, self, self->id, m->tag);
-    if (m->proto == MutexProtocol::kInherit && m->owner != nullptr &&
-        m->owner->prio < self->prio) {
-      sched::BoostChain(m->owner, self->prio);
-    }
-    InsertWaiter(m, self);
     self->waiting_on_mutex = m;
+    InsertWaiter(m, self);
     kernel::Suspend(BlockReason::kMutex);
     self->waiting_on_mutex = nullptr;
     // Re-check: handoff made us owner, or a fake call woke us spuriously and we re-contend.
   }
-  m->owner = self;
+  TakeOwnership(m, self);
   return OnAcquired(m, self);
 }
 
 void UnlockInKernel(Mutex* m, Tcb* self) {
   FSUP_ASSERT(kernel::InKernel());
   FSUP_ASSERT(m->holder() == self);
+  debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag, m->tag_gen);
   if (m->recursion > 0) {
-    // A recursive re-entry being balanced: the mutex stays held, so no protocol restore, no
+    // A recursive re-entry being balanced: the mutex stays held, so no priority change, no
     // hold-interval close, no handoff.
     --m->recursion;
-    debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag, m->tag_gen);
     return;
   }
-  debug::obs::Emit(debug::obs::Event::kMutexUnlock, self, self->id, m->tag, m->tag_gen);
-
-  // Protocol: lower the priority on unlock.
-  switch (m->proto) {
-    case MutexProtocol::kNone:
-      break;
-    case MutexProtocol::kInherit: {
-      RemoveFromOwnedList(m, self);
-      // Linear search over the mutexes still held: the new priority is the max of the base
-      // priority and every remaining contender's priority (paper Table 3).
-      int new_prio = self->base_prio;
-      for (Mutex* held = self->owned_head; held != nullptr; held = held->next_owned) {
-        const int w = MaxWaiterPrio(held);
-        if (w > new_prio) {
-          new_prio = w;
-        }
-      }
-      if (new_prio != self->prio) {
-        debug::obs::Emit(debug::obs::Event::kPrioRestore, self, self->id,
-                         static_cast<uint32_t>(new_prio));
-        sched::ApplyPriority(self, new_prio, /*to_head=*/true);
-      }
-      break;
-    }
-    case MutexProtocol::kProtect: {
-      FSUP_CHECK_MSG(self->srp_depth > 0, "ceiling unlock without matching lock");
-      int restored = self->srp_stack[--self->srp_depth];
-      // Mixing rule (paper Table 4): a pure stack restore would drop an inheritance boost
-      // acquired *while* the ceiling was held, reintroducing unbounded inversion. "The linear
-      // search of the inheritance protocol would determine the correct priority for the
-      // ceiling protocol as well if the protocols were mixed" — so take the max over the
-      // still-held inheritance mutexes' contenders.
-      for (Mutex* held = self->owned_head; held != nullptr; held = held->next_owned) {
-        const int w = MaxWaiterPrio(held);
-        if (w > restored) {
-          restored = w;
-        }
-      }
-      if (restored != self->prio) {
-        debug::obs::Emit(debug::obs::Event::kPrioRestore, self, self->id,
-                         static_cast<uint32_t>(restored));
-        // Head placement: the thread was forced into the boost, so it must not lose its turn
-        // when the boost ends (paper, discussion of lowering on unlock).
-        sched::ApplyPriority(self, restored, /*to_head=*/true);
-      }
-      break;
-    }
-  }
-
-  Tcb* next = m->waiters.PopHighest();
-  if (next == nullptr) {
-    m->has_waiters = 0;
-    m->owner = nullptr;
-    return;
-  }
-  if (m->waiters.empty()) {
-    m->has_waiters = 0;
-  }
-  // Handoff: ownership passes directly (the owner word never drops to nullptr, so no barging
-  // window opens — not even for fast-path lockers); the waiter completes OnAcquired when it
-  // runs.
-  m->owner = next;
-  kernel::MakeReady(next);
+  Release(m, self);
 }
 
 int MutexLock(Mutex* m) {
@@ -331,7 +304,7 @@ int MutexTrylock(Mutex* m) {
   } else if (m->owner != nullptr) {
     rc = EBUSY;
   } else {
-    m->owner = self;
+    TakeOwnership(m, self);
     rc = OnAcquired(m, self);
   }
   if (rc == 0) {
@@ -373,7 +346,15 @@ int MutexSetCeiling(Mutex* m, int ceiling, int* old_ceiling) {
   if (old_ceiling != nullptr) {
     *old_ceiling = m->ceiling;
   }
+  Tcb* holder = m->owner;
+  if (holder != nullptr) {
+    holder->held_ceilings.Remove(m->ceiling);  // the count the holder's lock added
+    holder->held_ceilings.Add(ceiling);
+  }
   m->ceiling = static_cast<int16_t>(ceiling);
+  if (holder != nullptr) {
+    sched::Recompute(holder, /*to_head=*/true);
+  }
   kernel::Exit();
   return 0;
 }

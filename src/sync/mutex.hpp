@@ -10,9 +10,9 @@
 // The standard's attributes force a slower path: as the paper complains, "a simple mutex lock
 // could have been implemented with a test-and-set instruction. But it now requires an
 // additional check of the attributes" — our fast path performs exactly that check, and the
-// protocol variants (priority inheritance; priority ceiling emulated via the SRP stack) plus
-// the error-check/recursive types always enter the kernel, which the Table 2 / Table 3
-// benches quantify.
+// protocol variants (priority inheritance, priority ceiling; both feed the holder's derived
+// priority, sched/policy.hpp) plus the error-check/recursive types always enter the kernel,
+// which the Table 2 / Table 3 benches quantify.
 //
 // Contended unlocks hand the mutex directly to the highest-priority waiter (the waiting thread
 // with the highest priority acquires the mutex — no barging window exists because the owner
@@ -64,7 +64,7 @@ struct Mutex {
   // the kernel monitor — recursive mutexes never take the fast path.
   uint32_t recursion = 0;
 
-  // Membership in the owner's held-mutex list: the inheritance protocol's unlock performs a
+  // Membership in the owner's held inheritance-mutex list: the priority rule performs a
   // linear search over these (paper Table 3, "Implementation: linear search of locked
   // mutexes").
   Mutex* next_owned = nullptr;
@@ -83,28 +83,36 @@ int MutexUnlock(Mutex* m);
 int MutexSetCeiling(Mutex* m, int ceiling, int* old_ceiling);
 
 // In-kernel halves, shared with condition variables, cancellation, and fake calls.
-int LockInKernel(Mutex* m, Tcb* self);      // may suspend; returns 0 or EDEADLK/EINVAL
-void UnlockInKernel(Mutex* m, Tcb* self);   // protocol actions + handoff
+int LockInKernel(Mutex* m, Tcb* self);      // may suspend; 0, EDEADLK or EINVAL (owns nothing)
+void UnlockInKernel(Mutex* m, Tcb* self);   // m leaves self's priority inputs, then HandOff
+
+// Passes a released m to its top waiter, readied with the owner word already naming it (no
+// barging window, not even for fast-path lockers), or unlocks m when nobody waits. In kernel.
+void HandOff(Mutex* m);
 
 // Enqueues t on m's wait queue (tail of its priority bucket), maintaining the has_waiters
-// mirror. O(1). In kernel.
+// mirror, then WaitersChanged. In kernel.
 void InsertWaiter(Mutex* m, Tcb* t);
+
+// m's waiters changed: the holder of an inheritance mutex re-derives its priority. In kernel.
+void WaitersChanged(Mutex* m);
 
 // Re-buckets t within m's waiter queue after t's priority changed (inheritance chains).
 // O(1) per boost-chain link — the former sorted list re-scanned the queue on every link.
 void RepositionWaiter(Mutex* m, Tcb* t);
 
-// Removes t from m's waiter queue, maintaining the has_waiters mirror. O(1). In kernel.
+// Removes t from m's waiter queue, maintaining the has_waiters mirror, then WaitersChanged (a
+// cancelled or interrupted waiter takes its boost along). In kernel.
 void RemoveWaiter(Mutex* m, Tcb* t);
 
 // Highest priority among m's waiters, or kMinPrio - 1 when none (inheritance recompute).
 // O(1): reads the occupancy bitmap.
-int MaxWaiterPrio(const Mutex* m);
+inline int MaxWaiterPrio(const Mutex* m) { return m->waiters.TopPrio(); }
 
 // Completes an acquisition that arrived by direct handoff while the thread was suspended in
 // CondWait (a broadcast requeued it onto m, an unlock popped it and set it as owner): runs
-// the protocol acquisition work that LockInKernel's loop performs for ordinary waiters.
-// Returns 0 or EINVAL (ceiling violation). In kernel.
+// the ceiling check that LockInKernel's loop performs for ordinary waiters. Returns 0 or
+// EINVAL (ceiling violation; m released again). In kernel.
 int CompleteHandoff(Mutex* m, Tcb* self);
 
 // True if `self` blocking on `m` would close a cycle in the wait-for graph: follows the

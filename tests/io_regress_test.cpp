@@ -25,6 +25,7 @@
 #include <string>
 
 #include "src/core/pthread.hpp"
+#include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/io/io.hpp"
 
@@ -85,8 +86,10 @@ TEST_F(IoRegressTest, PollBackendIdlesWithClampedTimeoutUnderFarFutureDeadline) 
   g_clamp_fd = fds[0];
   g_clamp_n = 0;
 
-  // One thread sleeps six weeks out (the armed deadline the idle loop must budget for), one
-  // blocks on the pipe.
+  // One thread sleeps six weeks out, one blocks on the pipe. The interval timer cannot be
+  // armed (every setitimer fails), so the idle loop must budget the poll timeout for the
+  // deadline itself; an armed timer would end the sleep with its signal instead.
+  hostos::fault::FailEveryKth(hostos::Call::kSetitimer, 1, EINVAL);
   pt_thread_t reader;
   ASSERT_EQ(0, pt_create(&g_far_sleeper, nullptr, &FarFutureSleeper, nullptr));
   ASSERT_EQ(0, pt_create(&reader, nullptr, &ClampReader, nullptr));
@@ -101,6 +104,7 @@ TEST_F(IoRegressTest, PollBackendIdlesWithClampedTimeoutUnderFarFutureDeadline) 
 
   ASSERT_EQ(0, pt_cancel(g_far_sleeper));
   ASSERT_EQ(0, pt_join(g_far_sleeper, nullptr));
+  hostos::fault::Clear();
   ::close(fds[0]);
   ::close(fds[1]);
   ASSERT_EQ(0, ::unsetenv("FSUP_IO_BACKEND"));

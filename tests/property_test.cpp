@@ -1,6 +1,7 @@
 // Property/model-based tests: the ready queue against a reference model under random
 // operation sequences, the intrusive list against std::list, timer ordering under random
-// deadlines, and protocol invariants swept across the parameter space (TEST_P).
+// deadlines, protocol invariants swept across the parameter space (TEST_P), and the priority
+// rule under random ceiling-mutex steps.
 
 #include <gtest/gtest.h>
 
@@ -242,6 +243,82 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(MutexProtocol::kNone, MutexProtocol::kInherit,
                                          MutexProtocol::kProtect),
                        ::testing::Values(2, 5, 9)));
+
+// ---------------------------------------------------------------------------------------
+// The priority rule under random steps: one thread locks and unlocks ceiling mutexes in any
+// order, changes its base priority and moves the ceilings of held and unheld mutexes. After
+// every step its priority must equal max(base, held ceilings).
+// ---------------------------------------------------------------------------------------
+
+class PriorityRuleTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override { pt_reinit(); }
+};
+
+TEST_P(PriorityRuleTest, PriorityIsMaxOfBaseAndHeldCeilings) {
+  const uint64_t seed = GetParam();
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  Rng rng(seed);
+  constexpr int kMutexes = 8;
+  auto random_prio = [&] { return static_cast<int>(rng.NextBelow(kNumPrios)); };
+  pt_mutex_t m[kMutexes];
+  int ceiling[kMutexes];
+  bool held[kMutexes] = {};
+  for (int i = 0; i < kMutexes; ++i) {
+    ceiling[i] = random_prio();
+    const MutexAttr a = MakeCeilingMutexAttr(ceiling[i]);
+    ASSERT_EQ(0, pt_mutex_init(&m[i], &a));
+  }
+  int base = kDefaultPrio;
+  ASSERT_EQ(0, pt_setprio(pt_self(), base));
+
+  for (int step = 0; step < 2000; ++step) {
+    const int i = static_cast<int>(rng.NextBelow(kMutexes));
+    switch (rng.NextBelow(4)) {
+      case 0:
+        if (!held[i]) {
+          const int want = base > ceiling[i] ? EINVAL : 0;
+          ASSERT_EQ(want, pt_mutex_lock(&m[i])) << "step " << step;
+          held[i] = want == 0;
+        }
+        break;
+      case 1:
+        if (held[i]) {
+          ASSERT_EQ(0, pt_mutex_unlock(&m[i])) << "step " << step;
+          held[i] = false;
+        }
+        break;
+      case 2:
+        base = random_prio();
+        ASSERT_EQ(0, pt_setprio(pt_self(), base)) << "step " << step;
+        break;
+      default:
+        ceiling[i] = random_prio();
+        ASSERT_EQ(0, pt_mutex_setceiling(&m[i], ceiling[i])) << "step " << step;
+        break;
+    }
+    int want = base;
+    for (int j = 0; j < kMutexes; ++j) {
+      if (held[j]) {
+        want = std::max(want, ceiling[j]);
+      }
+    }
+    int prio = -1;
+    ASSERT_EQ(0, pt_getprio(pt_self(), &prio));
+    ASSERT_EQ(want, prio) << "step " << step;
+  }
+  for (int i = 0; i < kMutexes; ++i) {
+    if (held[i]) {
+      ASSERT_EQ(0, pt_mutex_unlock(&m[i]));
+    }
+    EXPECT_EQ(0, pt_mutex_destroy(&m[i]));
+  }
+  int prio = -1;
+  ASSERT_EQ(0, pt_getprio(pt_self(), &prio));
+  EXPECT_EQ(base, prio);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PriorityRuleTest, ::testing::Values(1u, 42u, 2024u, 31337u));
 
 // ---------------------------------------------------------------------------------------
 // Perverted-policy invariant sweep: a correctly synchronized counter is exact under every

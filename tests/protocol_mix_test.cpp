@@ -13,7 +13,9 @@
 //
 // The paper argues the Pi column (keep the max over remaining inheritance boosts) avoids the
 // unbounded inversion that the naive stack restore (Pc) reintroduces at step 4 — so that is
-// what this implementation does, and what this test pins down.
+// what this implementation does, and what this test pins down. The priority is derived from
+// the base and every held mutex (sched/policy.hpp), so no saved value can go stale in any
+// unlock order.
 
 #include <gtest/gtest.h>
 
@@ -105,7 +107,7 @@ TEST_F(ProtocolMixTest, Table4MixedProtocolsKeepInheritanceBoost) {
 
 TEST_F(ProtocolMixTest, PureCeilingStillRestoresByStack) {
   // Sanity cross-check: with no inheritance mutex involved, step-4-style unlock restores the
-  // pre-lock priority exactly (the SRP stack behaviour is untouched by the mixing rule).
+  // pre-lock priority exactly (the priority falls back to the highest ceiling still held).
   pt_mutex_t c1, c2;
   const MutexAttr a1 = MakeCeilingMutexAttr(2);
   const MutexAttr a2 = MakeCeilingMutexAttr(3);
@@ -173,6 +175,39 @@ TEST_F(ProtocolMixTest, InheritanceUnderCeilingBoostStaysConsistent) {
   EXPECT_EQ(0, s.final_prio);
   pt_mutex_destroy(&ceil);
   pt_mutex_destroy(&inht);
+}
+
+TEST_F(ProtocolMixTest, InheritanceUnlockKeepsAStillHeldCeiling) {
+  // Hold a ceiling-10 mutex and an inheritance mutex, get boosted to 12 by a waiter, then give
+  // the inheritance mutex up: the ceiling, still held, decides the priority.
+  static pt_mutex_t inht, ceil;
+  const MutexAttr ia = MakeInheritMutexAttr();
+  const MutexAttr ca = MakeCeilingMutexAttr(10);
+  ASSERT_EQ(0, pt_mutex_init(&inht, &ia));
+  ASSERT_EQ(0, pt_mutex_init(&ceil, &ca));
+  ASSERT_EQ(0, pt_setprio(pt_self(), 5));
+  ASSERT_EQ(0, pt_mutex_lock(&ceil));
+  ASSERT_EQ(0, pt_mutex_lock(&inht));
+  auto contender = +[](void*) -> void* {
+    EXPECT_EQ(0, pt_mutex_lock(&inht));
+    EXPECT_EQ(0, pt_mutex_unlock(&inht));
+    return nullptr;
+  };
+  ThreadAttr high = MakeThreadAttr(12);
+  pt_thread_t th;
+  ASSERT_EQ(0, pt_create(&th, &high, contender, nullptr));  // blocks on inht: boost to 12
+  int p;
+  pt_getprio(pt_self(), &p);
+  EXPECT_EQ(12, p);
+  ASSERT_EQ(0, pt_mutex_unlock(&inht));  // hands inht over; the contender runs and exits
+  pt_getprio(pt_self(), &p);
+  EXPECT_EQ(10, p);
+  ASSERT_EQ(0, pt_mutex_unlock(&ceil));
+  pt_getprio(pt_self(), &p);
+  EXPECT_EQ(5, p);
+  ASSERT_EQ(0, pt_join(th, nullptr));
+  EXPECT_EQ(0, pt_mutex_destroy(&ceil));
+  EXPECT_EQ(0, pt_mutex_destroy(&inht));
 }
 
 }  // namespace

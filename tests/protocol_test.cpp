@@ -310,5 +310,133 @@ TEST_F(ProtocolTest, InheritanceChainPropagates) {
   pt_mutex_destroy(&m2);
 }
 
+// The priority is derived from the base and the held mutexes, never restored from a saved
+// value: the cases below each left a stale priority behind under a save/restore stack.
+
+int SelfPrio() {
+  int prio = -1;
+  EXPECT_EQ(0, pt_getprio(pt_self(), &prio));
+  return prio;
+}
+
+TEST_F(ProtocolTest, CeilingsUnlockedOutOfOrderKeepTheHigherCeiling) {
+  pt_mutex_t m10, m15;
+  const MutexAttr a10 = MakeCeilingMutexAttr(kMid);
+  const MutexAttr a15 = MakeCeilingMutexAttr(kHi);
+  ASSERT_EQ(0, pt_mutex_init(&m10, &a10));
+  ASSERT_EQ(0, pt_mutex_init(&m15, &a15));
+  ASSERT_EQ(0, pt_setprio(pt_self(), kLo));
+  ASSERT_EQ(0, pt_mutex_lock(&m10));
+  ASSERT_EQ(0, pt_mutex_lock(&m15));
+  ASSERT_EQ(0, pt_mutex_unlock(&m10));  // not LIFO
+  EXPECT_EQ(kHi, SelfPrio());           // the ceiling-15 mutex is still held
+  ASSERT_EQ(0, pt_mutex_unlock(&m15));
+  EXPECT_EQ(kLo, SelfPrio());
+  EXPECT_EQ(0, pt_mutex_destroy(&m15));
+  EXPECT_EQ(0, pt_mutex_destroy(&m10));
+}
+
+TEST_F(ProtocolTest, SetprioAboveAHeldCeilingSurvivesTheUnlock) {
+  pt_mutex_t m;
+  const MutexAttr a = MakeCeilingMutexAttr(kMid);
+  ASSERT_EQ(0, pt_mutex_init(&m, &a));
+  ASSERT_EQ(0, pt_setprio(pt_self(), kLo));
+  ASSERT_EQ(0, pt_mutex_lock(&m));
+  ASSERT_EQ(0, pt_setprio(pt_self(), 20));
+  EXPECT_EQ(20, SelfPrio());
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  EXPECT_EQ(20, SelfPrio());  // the base set while the ceiling was held
+  EXPECT_EQ(0, pt_mutex_destroy(&m));
+}
+
+TEST_F(ProtocolTest, SetprioBelowAHeldCeilingLandsOnTheNewBaseAtUnlock) {
+  pt_mutex_t m;
+  const MutexAttr a = MakeCeilingMutexAttr(kMid);
+  ASSERT_EQ(0, pt_mutex_init(&m, &a));
+  ASSERT_EQ(0, pt_setprio(pt_self(), 8));
+  ASSERT_EQ(0, pt_mutex_lock(&m));
+  ASSERT_EQ(0, pt_setprio(pt_self(), 3));
+  EXPECT_EQ(kMid, SelfPrio());  // the ceiling still holds the thread up
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  EXPECT_EQ(3, SelfPrio());
+  EXPECT_EQ(0, pt_mutex_destroy(&m));
+}
+
+TEST_F(ProtocolTest, CancelledWaiterTakesItsBoostAlong) {
+  static pt_mutex_t m;
+  const MutexAttr a = MakeInheritMutexAttr();
+  ASSERT_EQ(0, pt_mutex_init(&m, &a));
+  ASSERT_EQ(0, pt_setprio(pt_self(), kLo));
+  ASSERT_EQ(0, pt_mutex_lock(&m));
+  auto waiter = +[](void*) -> void* {
+    EXPECT_EQ(0, pt_setintrtype(/*asynchronous=*/true));
+    pt_mutex_lock(&m);  // blocks for good: cancelled while waiting
+    ADD_FAILURE() << "the cancelled waiter acquired the mutex";
+    return nullptr;
+  };
+  ThreadAttr hi = MakeThreadAttr(20);
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, &hi, waiter, nullptr));
+  EXPECT_EQ(20, SelfPrio());  // inherited from the waiter
+  ASSERT_EQ(0, pt_cancel(t));
+  void* result = nullptr;
+  ASSERT_EQ(0, pt_join(t, &result));
+  EXPECT_EQ(kCanceled, result);
+  EXPECT_EQ(kLo, SelfPrio());  // the only waiter is gone while the mutex is still held
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  EXPECT_EQ(0, pt_mutex_destroy(&m));
+}
+
+TEST_F(ProtocolTest, RejectedCeilingLockLeavesTheMutexFree) {
+  pt_mutex_t m;
+  const MutexAttr a = MakeCeilingMutexAttr(kLo);
+  ASSERT_EQ(0, pt_mutex_init(&m, &a));
+  ASSERT_EQ(0, pt_setprio(pt_self(), 20));
+  EXPECT_EQ(EINVAL, pt_mutex_lock(&m));
+  EXPECT_EQ(20, SelfPrio());
+  EXPECT_EQ(EINVAL, pt_mutex_trylock(&m));  // still above the ceiling, and nothing owned
+  EXPECT_EQ(EPERM, pt_mutex_unlock(&m));
+  ASSERT_EQ(0, pt_setprio(pt_self(), 3));
+  ASSERT_EQ(0, pt_mutex_lock(&m));
+  EXPECT_EQ(kLo, SelfPrio());
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  EXPECT_EQ(0, pt_mutex_destroy(&m));
+}
+
+TEST_F(ProtocolTest, RejectedHandoffPassesTheMutexOn) {
+  // A waiter whose priority is above the ceiling is handed the mutex, rejects it with EINVAL,
+  // and releases it on the spot: the next waiter gets it and nothing is left owned.
+  static pt_mutex_t m;
+  static int rc_above = -1;
+  static int rc_below = -1;
+  const MutexAttr a = MakeCeilingMutexAttr(kMid);
+  ASSERT_EQ(0, pt_mutex_init(&m, &a));
+  ASSERT_EQ(0, pt_setprio(pt_self(), kLo));
+  ASSERT_EQ(0, pt_mutex_lock(&m));  // main now runs at the ceiling, kMid
+  auto above = +[](void*) -> void* {
+    rc_above = pt_mutex_lock(&m);
+    return nullptr;
+  };
+  auto below = +[](void*) -> void* {
+    rc_below = pt_mutex_lock(&m);
+    if (rc_below == 0) {
+      EXPECT_EQ(0, pt_mutex_unlock(&m));
+    }
+    return nullptr;
+  };
+  ThreadAttr a_above = MakeThreadAttr(kHi);
+  ThreadAttr a_below = MakeThreadAttr(kMid);
+  pt_thread_t t_above, t_below;
+  ASSERT_EQ(0, pt_create(&t_above, &a_above, above, nullptr));  // runs at once and blocks
+  ASSERT_EQ(0, pt_create(&t_below, &a_below, below, nullptr));
+  pt_yield();  // the equal-priority locker queues behind the higher one
+  ASSERT_EQ(0, pt_mutex_unlock(&m));
+  ASSERT_EQ(0, pt_join(t_above, nullptr));
+  ASSERT_EQ(0, pt_join(t_below, nullptr));
+  EXPECT_EQ(EINVAL, rc_above);
+  EXPECT_EQ(0, rc_below);
+  EXPECT_EQ(0, pt_mutex_destroy(&m));
+}
+
 }  // namespace
 }  // namespace fsup

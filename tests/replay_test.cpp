@@ -5,7 +5,8 @@
 // the first mismatched decision, and a run that outlives its log falls back to live
 // execution. A recording started under an armed exploration gate replays, and a log of an
 // older format is refused. Slice ticks and external signals that land in user code replay at
-// the kernel-entry gate. The C entry points get a smoke test at the end.
+// the kernel-entry gate, and each delay's timer shot is one tick decision. The C entry points
+// get a smoke test at the end.
 
 #include <gtest/gtest.h>
 
@@ -262,13 +263,15 @@ void SpinUntilChildExits() {
   g_sink = x;
 }
 
-// How many records of `kind` in the in-memory log the recorded run took in user code.
-size_t PreEntryRecords(debug::replay::Decision kind) {
+// How many records of `kind` the in-memory log holds; with pre_entry_only, how many of them
+// the recorded run took in user code.
+size_t Records(debug::replay::Decision kind, bool pre_entry_only = false) {
   std::vector<debug::replay::LogRecord> log(debug::replay::LogSize());
   const size_t n = debug::replay::CopyLog(log.data(), log.size());
   size_t count = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (log[i].kind == kind && (log[i].b & debug::replay::kSiteDispatcher) == 0) {
+    const bool in_dispatcher = (log[i].b & debug::replay::kSiteDispatcher) != 0;
+    if (log[i].kind == kind && !(pre_entry_only && in_dispatcher)) {
       ++count;
     }
   }
@@ -376,6 +379,18 @@ TEST_F(ReplayTest, FaultFiringsAreReplayStable) {
   ExpectSameRing(recorded, RingKeys());
 }
 
+// Each delay's deadline is one interval-timer shot, served by one tick: a recording of N
+// delays on a lone thread holds exactly N tick decisions, each expiring the sleeper.
+TEST_F(ReplayTest, EachDelayRecordsOneTick) {
+  constexpr int kDelays = 20;
+  debug::replay::StartRecording();
+  for (int i = 0; i < kDelays; ++i) {
+    ASSERT_EQ(0, pt_delay(50 * 1000));
+  }
+  debug::replay::StopRecording();
+  EXPECT_EQ(static_cast<size_t>(kDelays), Records(debug::replay::Decision::kTick));
+}
+
 // Slice ticks that preempted a spinner in user code were taken by the universal handler
 // before any kernel entry; replay fires them at the entry gate (kernel::Enter) of the same
 // kernel section.
@@ -386,7 +401,7 @@ TEST_F(ReplayTest, UserCodeSliceTicksReplayAtTheEntryGate) {
   SpinnerWorkload();
   debug::replay::StopRecording();
   ASSERT_EQ(0, debug::replay::SaveLog(path_.c_str()));
-  ASSERT_GT(PreEntryRecords(debug::replay::Decision::kTick), 0u)
+  ASSERT_GT(Records(debug::replay::Decision::kTick, /*pre_entry_only=*/true), 0u)
       << "no slice tick landed in user code";
   const std::vector<Key> recorded = RingKeys();
 
@@ -422,7 +437,7 @@ TEST_F(ReplayTest, UserCodeExternalSignalsReplayWithoutTheSender) {
   ASSERT_EQ(1, g_chld);
   ASSERT_GT(g_usr1, 0);
   const int recorded_usr1 = g_usr1;
-  ASSERT_GT(PreEntryRecords(debug::replay::Decision::kExtSignal), 0u)
+  ASSERT_GT(Records(debug::replay::Decision::kExtSignal, /*pre_entry_only=*/true), 0u)
       << "no external signal landed in user code";
   const std::vector<Key> recorded = RingKeys();
 

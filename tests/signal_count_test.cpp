@@ -8,9 +8,11 @@
 //   kill → an equal-priority thread waiting in pt_sigwait 0 sigprocmask, 0 host calls
 //   kill → a higher-priority thread waiting in pt_sigwait 0 sigprocmask, 0 host calls
 //   SIGALRM ending a round-robin slice                    0 sigprocmask
+//   pt_delay on a lone thread                             1 timer tick, 1 setitimer
 //
 // The signals are sent with a raw kill(2), which hostos does not count. A slice still costs
-// one setitimer, which re-arms the one-shot interval timer for the next slice.
+// one setitimer, which re-arms the one-shot interval timer for the next slice; so does a
+// delay, whose one shot is served by exactly one tick.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
+#include "src/util/counters.hpp"
 
 namespace fsup {
 namespace {
@@ -155,6 +158,27 @@ TEST_F(SignalCountTest, SliceSwitchBetweenRoundRobinSpinnersMakesNoMaskCall) {
   EXPECT_GE(turns, kTurns);
   EXPECT_GE(switches, static_cast<uint64_t>(kTurns));
   EXPECT_EQ(0u, mask_calls) << "over " << switches << " switches";
+}
+
+TEST_F(SignalCountTest, DelayOnALoneThreadTakesOneTickAndOneSetitimer) {
+  // The idle wait sleeps until the interval timer's SIGALRM: one shot, one tick. A timeout
+  // racing the signal would tick in the kernel and again for the signal.
+  constexpr int kDelays = 200;
+  pt_metrics_enable(true);  // counts the ticks (metrics.timer_ticks)
+  for (int i = 0; i < kWarm; ++i) {
+    ASSERT_EQ(0, pt_delay(50 * 1000));
+  }
+  const uint64_t ticks_before = counters::Get(counters::kMetricsTimerTicks);
+  hostos::ResetCallCounts();
+  for (int i = 0; i < kDelays; ++i) {
+    ASSERT_EQ(0, pt_delay(50 * 1000));
+  }
+  const uint64_t ticks = counters::Get(counters::kMetricsTimerTicks) - ticks_before;
+  const uint64_t setitimers = hostos::CallCount(hostos::Call::kSetitimer);
+  pt_metrics_enable(false);
+  EXPECT_EQ(static_cast<uint64_t>(kDelays), ticks);
+  EXPECT_EQ(static_cast<uint64_t>(kDelays), setitimers);
+  EXPECT_EQ(0u, hostos::CallCount(hostos::Call::kSigprocmask));
 }
 
 }  // namespace
