@@ -35,13 +35,13 @@
 #include <cstring>
 #include <string>
 
+#include "bench/stats.hpp"
 #include "src/core/pthread.hpp"
 #include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/trace.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/util/dual_loop_timer.hpp"
-#include "src/util/stats.hpp"
 
 namespace fsup {
 namespace {

@@ -198,7 +198,7 @@ int fsup_replay_start(const char* path) {
   return fsup::debug::replay::StartReplay(path);
 }
 
-void fsup_replay_stop(void) { fsup::debug::replay::StopReplay(); }
+size_t fsup_replay_stop(void) { return fsup::debug::replay::StopReplay(); }
 
 uint64_t fsup_replay_decisions(void) { return fsup::debug::replay::DecisionCount(); }
 

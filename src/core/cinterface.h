@@ -110,7 +110,7 @@ uint64_t fsup_profile_samples(void);
 void fsup_replay_record_start(void);
 int fsup_replay_record_save(const char* path); /* stops recording; 0 or errno */
 int fsup_replay_start(const char* path);       /* enters replay mode; 0 or errno */
-void fsup_replay_stop(void);
+size_t fsup_replay_stop(void);                 /* leaves replay; unconsumed records */
 uint64_t fsup_replay_decisions(void);
 
 #ifdef __cplusplus

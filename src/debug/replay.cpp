@@ -423,16 +423,18 @@ int StartReplay(const char* path) {
   return 0;
 }
 
-void StopReplay() {
+size_t StopReplay() {
   if (!Replaying()) {
-    return;
+    return 0;
   }
+  const size_t unconsumed = g_len - g_cursor;
   g_mode = static_cast<uint8_t>(Mode::kOff);
   g_need_rearm = false;
   UpdateFlags();
   kernel::Enter();
   RearmItimer();
   kernel::ExitProtocol();
+  return unconsumed;
 }
 
 void InitFromEnv() {

@@ -108,8 +108,10 @@ int SaveLog(const char* path);
 // initialized and idle.
 int StartReplay(const char* path);
 
-// Leaves replay mode and re-arms the interval timer from the live timer heap.
-void StopReplay();
+// Leaves replay mode and re-arms the interval timer from the live timer heap. Returns the
+// number of log records the run did not consume: 0 for a replay that followed the whole
+// recording, and 0 when the run already left replay mode by running off the log's end.
+size_t StopReplay();
 
 // Reads a log file into out (pass nullptr to only query the record count). Used by the
 // exploration tool to lift the forced-switch ordinals out of a failing run's recording.

@@ -95,6 +95,10 @@ class PrioWaitQueue {
   // Enqueues t at the tail of its current priority's bucket.
   void Push(Tcb* t) { b_.Push(t, t->prio, /*front=*/false); }
 
+  // Enqueues t at the head of its current priority's bucket: a broadcast's picked waiter goes
+  // ahead of same-priority waiters that queued before it (cond.cpp).
+  void PushFront(Tcb* t) { b_.Push(t, t->prio, /*front=*/true); }
+
   // Dequeues the longest-waiting thread of the highest occupied priority, or nullptr.
   Tcb* PopHighest() { return b_.PopHighest(); }
 

@@ -209,9 +209,9 @@ struct Tcb {
   bool cond_signalled = false;   // woken by pt_cond_signal/broadcast (vs timeout/interrupt)
   bool cond_interrupted = false; // conditional wait terminated by a user signal handler
   // Broadcast moved this waiter from the condition variable's queue onto cond_mutex's wait
-  // queue without waking it (wake-one + requeue). The thread is suspended inside CondWait but
-  // blocks with reason kMutex and waiting_on_mutex set, so the wait-for-graph detector and
-  // priority repositioning see an ordinary mutex waiter; this flag tells interruption and
+  // queue without waking it (requeue). The thread is suspended inside CondWait but blocks
+  // with reason kMutex and waiting_on_mutex set, so the wait-for-graph detector and priority
+  // repositioning see an ordinary mutex waiter; this flag tells interruption and
   // cancellation that the logical wait is still the conditional one.
   bool cond_requeued = false;
   bool timed_out = false;

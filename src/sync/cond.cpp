@@ -187,7 +187,7 @@ int CondBroadcast(Cond* c) {
   }
   kernel::Enter();
 
-  // Wake one: the highest-priority waiter contends for the mutex normally.
+  // The highest-priority, longest-waiting waiter goes first.
   Tcb* first = c->waiters.PopHighest();
   if (c->waiters.empty()) {
     c->has_waiters = 0;
@@ -198,10 +198,7 @@ int CondBroadcast(Cond* c) {
     kernel::Exit();
     return 0;
   }
-  ++c->signals_sent;
-  first->cond_signalled = true;
-  sig::CancelBlockTimer(first);
-  kernel::MakeReady(first);
+  Mutex* const first_m = first->cond_mutex;
 
   // Requeue the rest: every remaining waiter would wake only to re-block on its mutex, so
   // move it there directly — no context switches, no thundering herd. The standard leaves
@@ -224,7 +221,7 @@ int CondBroadcast(Cond* c) {
                                [&](Tcb* w) { MarkRequeued(c, w, target); });
       target->has_waiters = 1;
       WaitersChanged(target);
-      if (first->cond_mutex != target) {
+      if (first_m != target) {
         HandoffIfUnlocked(target);
       }
     } else {
@@ -233,13 +230,29 @@ int CondBroadcast(Cond* c) {
         Mutex* m = w->cond_mutex;
         MarkRequeued(c, w, m);
         InsertWaiter(m, w);
-        if (first->cond_mutex != m) {
+        if (first_m != m) {
           HandoffIfUnlocked(m);
         }
       }
     }
     c->has_waiters = 0;  // the requeue drained the condition queue completely
     debug::obs::Emit(debug::obs::Event::kCondRequeue, nullptr, moved, c->tag);
+  }
+
+  // Woken while its mutex is held and has other waiters (earlier lockers, or the rest just
+  // requeued), the picked waiter would run only to block again at the tail. Queue it at the
+  // head of its level instead: the unlock's handoff makes it owner, one switch-in in all. A
+  // free or otherwise uncontested mutex keeps the wake, so a one-waiter broadcast leaves the
+  // unlock on its fast path. Either way its timer goes: it returns 0.
+  sig::CancelBlockTimer(first);
+  if (first_m->owner != nullptr && !first_m->waiters.empty()) {
+    MarkRequeued(c, first, first_m);
+    first_m->waiters.PushFront(first);
+    WaitersChanged(first_m);
+  } else {
+    ++c->signals_sent;
+    first->cond_signalled = true;
+    kernel::MakeReady(first);
   }
 
   kernel::Exit();

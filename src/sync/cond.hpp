@@ -7,10 +7,13 @@
 // exactly the behaviour the paper describes). Wakeups go to the highest-priority waiter.
 // Spurious wakeups are permitted by the standard; callers re-evaluate their predicate.
 //
-// Broadcast wakes only the highest-priority waiter and REQUEUES the rest directly onto the
-// mutex's wait queue (the futex-requeue discipline): since every broadcast waiter would
-// immediately re-block on the mutex anyway, moving them with pointer splices instead of
-// waking them avoids the O(waiters) thundering herd of context switches. Requeued waiters
+// Broadcast picks the highest-priority, longest-waiting waiter and REQUEUES the rest directly
+// onto the mutex's wait queue (the futex-requeue discipline): since every broadcast waiter
+// would immediately re-block on the mutex anyway, moving them with pointer splices instead of
+// waking them avoids the O(waiters) thundering herd of context switches. The picked waiter is
+// woken when its mutex is free or uncontested; when the mutex is held and others will queue
+// on it, it is requeued too, at the head of its priority level, so the unlock hands the
+// mutex to it first and it does not run just to block again behind the rest. Requeued waiters
 // block as ordinary mutex waiters (coherent for the wait-for-graph deadlock detector and
 // priority repositioning) but keep their conditional-wait identity (Tcb::cond_requeued):
 // armed timeout timers stay armed and convert to a normal ETIMEDOUT-after-reacquisition,
@@ -58,8 +61,9 @@ int CondWait(Cond* c, Mutex* m, int64_t deadline_ns);
 
 int CondSignal(Cond* c);
 
-// Wakes the highest-priority waiter and requeues every other waiter onto its recorded mutex
-// (see the header comment). Zero waiters: no-op. One waiter: identical to CondSignal.
+// Wakes the highest-priority waiter, or queues it first on its held and contested mutex, and
+// requeues every other waiter onto its recorded mutex (see the header comment). Zero
+// waiters: no-op.
 int CondBroadcast(Cond* c);
 
 // Re-buckets t within c's waiter queue after t's priority changed. O(1). In kernel.

@@ -368,7 +368,7 @@ TEST_F(FastpathTest, ContendedRunRecordsAndReplaysWithFastPathOn) {
   const uint64_t r0 = debug::replay::DecisionCount();
   workload();
   const uint64_t replayed_decisions = debug::replay::DecisionCount() - r0;
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
   std::remove(path.c_str());
 
   EXPECT_EQ(recorded_decisions, replayed_decisions);

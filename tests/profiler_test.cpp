@@ -485,7 +485,7 @@ TEST_F(ProfilerTest, SampleCountIsDeterministicUnderRecordReplay) {
   pt_reinit();
   ASSERT_EQ(0, debug::replay::StartReplay(log.c_str()));
   const uint64_t replayed = ReplaySampleCount();
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
 
   // Ticks are recorded decisions and wake events follow the recorded schedule, so the
   // replayed session commits exactly as many samples as the recording did.

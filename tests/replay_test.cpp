@@ -46,7 +46,7 @@ class ReplayTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    debug::replay::StopReplay();
+    EXPECT_EQ(0u, debug::replay::StopReplay());
     debug::replay::StopRecording();
     hostos::fault::Clear();
     debug::trace::Enable(false);
@@ -295,7 +295,7 @@ TEST_F(ReplayTest, SyncWorkloadReplaysBitExactly) {
   debug::trace::Clear();
   ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
   SyncWorkload();
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
   const std::vector<Key> replayed = RingKeys();
 
   ASSERT_FALSE(recorded.empty());
@@ -315,7 +315,7 @@ TEST_F(ReplayTest, IoWorkloadReplaysBitExactly) {
   debug::trace::Clear();
   ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
   IoWorkload();
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
 
   ASSERT_FALSE(recorded.empty());
   ExpectSameRing(recorded, RingKeys());
@@ -339,7 +339,7 @@ TEST_F(ReplayTest, EpollRecordingReplaysUnderPollBackend) {
   debug::trace::Clear();
   ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
   IoWorkload();
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
   ASSERT_EQ(0, ::unsetenv("FSUP_IO_BACKEND"));
 
   ASSERT_FALSE(recorded.empty());
@@ -374,7 +374,7 @@ TEST_F(ReplayTest, FaultFiringsAreReplayStable) {
   debug::trace::Clear();
   ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
   FaultWorkload();  // note: no rule armed this time
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
 
   ExpectSameRing(recorded, RingKeys());
 }
@@ -409,7 +409,7 @@ TEST_F(ReplayTest, UserCodeSliceTicksReplayAtTheEntryGate) {
   debug::trace::Clear();
   ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
   SpinnerWorkload();
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
 
   ExpectSameRing(recorded, RingKeys());
 }
@@ -446,7 +446,7 @@ TEST_F(ReplayTest, UserCodeExternalSignalsReplayWithoutTheSender) {
   InstallCountingHandlers();
   ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
   SpinUntilChildExits();
-  debug::replay::StopReplay();
+  EXPECT_EQ(0u, debug::replay::StopReplay());
 
   EXPECT_EQ(recorded_usr1, g_usr1);
   EXPECT_EQ(1, g_chld);
@@ -483,7 +483,7 @@ TEST_F(ReplayTest, TruncatedLogFallsBackToLiveExecution) {
   SyncWorkload();  // consumes the log
   IoWorkload();    // runs past its end — live
   EXPECT_EQ(debug::replay::Mode::kOff, debug::replay::CurrentMode());
-  debug::replay::StopReplay();  // no-op: exhaustion already left replay mode
+  EXPECT_EQ(0u, debug::replay::StopReplay());  // no-op: exhaustion already left replay mode
 }
 
 // Both session starts rewind the exploration gate's ordinal: a recording started after the
@@ -501,7 +501,9 @@ TEST_F(ReplayTest, RecordingStartedUnderArmedGateReplays) {
           std::exit(2);
         }
         SyncWorkload();
-        debug::replay::StopReplay();
+        if (debug::replay::StopReplay() != 0) {
+          std::exit(3);
+        }
         std::exit(0);
       },
       ::testing::ExitedWithCode(0), "");
@@ -557,7 +559,7 @@ TEST_F(ReplayTest, CInterfaceRoundTrip) {
   pt_reinit();
   ASSERT_EQ(0, fsup_replay_start(path_.c_str()));
   SyncWorkload();
-  fsup_replay_stop();
+  EXPECT_EQ(0u, fsup_replay_stop());
   EXPECT_EQ(debug::replay::Mode::kOff, debug::replay::CurrentMode());
 }
 

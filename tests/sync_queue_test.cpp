@@ -1,7 +1,9 @@
 // Wake ordering and broadcast-requeue semantics of the shared priority wait queues:
-// same-priority FIFO across mutex handoff, cond signal and broadcast-requeue; timeout,
-// signal interruption and cancellation of a waiter that a broadcast parked on the mutex's
-// wait queue; and the MutexSetCeiling-as-first-entry-point regression.
+// same-priority FIFO across mutex handoff, cond signal and broadcast-requeue; a broadcast's
+// picked waiter queued first on its held mutex instead of woken to block again (its order,
+// its single switch-in, its cancelled timer); timeout, signal interruption and cancellation
+// of a waiter that a broadcast parked on the mutex's wait queue; and the
+// MutexSetCeiling-as-first-entry-point regression.
 
 #include <gtest/gtest.h>
 
@@ -171,9 +173,9 @@ TEST_F(SyncQueueTest, CondSignalSamePrioIsFifo) {
 }
 
 TEST_F(SyncQueueTest, BroadcastWakesByPriorityAndRequeuesFifo) {
-  // One high-priority waiter plus four equal-priority ones. The broadcast wakes only the
-  // high one; the rest move to the mutex queue without running and acquire in their original
-  // FIFO order behind it.
+  // One high-priority waiter plus four equal-priority ones. The broadcast picks the high one
+  // and queues it first on the held mutex; the rest move to the mutex queue without running
+  // and acquire in their original FIFO order behind it.
   OrderShared s;
   s.Init();
   debug::trace::Enable(true);
@@ -203,12 +205,12 @@ TEST_F(SyncQueueTest, BroadcastWakesByPriorityAndRequeuesFifo) {
   const RequeueTrace rq = ScanRequeues();
   debug::trace::Enable(false);
   ASSERT_EQ(static_cast<size_t>(kN + 1), s.order.size());
-  EXPECT_EQ(100, s.order[0]);  // the one woken thread: highest priority
+  EXPECT_EQ(100, s.order[0]);  // the picked thread: highest priority
   for (int i = 0; i < kN; ++i) {
     EXPECT_EQ(i, s.order[i + 1]) << "requeued waiters lost FIFO order at position " << i;
   }
   EXPECT_EQ(1, rq.events);  // the broadcast requeued instead of waking the herd
-  EXPECT_EQ(static_cast<uint32_t>(kN), rq.last_moved);
+  EXPECT_EQ(static_cast<uint32_t>(kN), rq.last_moved);  // the rest; the picked one not counted
   s.Destroy();
 }
 
@@ -231,6 +233,92 @@ TEST_F(SyncQueueTest, BroadcastWithZeroOrOneWaitersDoesNotRequeue) {
   debug::trace::Enable(false);
   EXPECT_EQ(0, rq.events);
   ASSERT_EQ(1u, s.order.size());
+  s.Destroy();
+}
+
+// Waiters 1..3 (and optionally a locker already blocked on the held mutex, id 9), all one
+// priority above the holder, so each runs and blocks as soon as it is created. The holder
+// broadcasts with the mutex held, unlocks, and returns the acquisition order.
+std::vector<int> BroadcastHeldOrder(bool with_locker) {
+  OrderShared s;
+  s.Init();
+  OrderArg args[] = {{&s, 1}, {&s, 2}, {&s, 3}};
+  OrderArg locker_arg{&s, 9};
+  ThreadAttr a = MakeThreadAttr(kDefaultPrio + 1);
+  pt_thread_t ts[3];
+  pt_thread_t locker = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(0, pt_create(&ts[i], &a, &WaitAndRecord, &args[i]));
+  }
+  EXPECT_EQ(0, pt_mutex_lock(&s.m));
+  if (with_locker) {
+    EXPECT_EQ(0, pt_create(&locker, &a, &LockAndRecord, &locker_arg));
+  }
+  s.flag = true;
+  EXPECT_EQ(0, pt_cond_broadcast(&s.c));
+  EXPECT_EQ(0, pt_mutex_unlock(&s.m));
+  for (pt_thread_t t : ts) {
+    EXPECT_EQ(0, pt_join(t, nullptr));
+  }
+  if (with_locker) {
+    EXPECT_EQ(0, pt_join(locker, nullptr));
+  }
+  s.Destroy();
+  return s.order;
+}
+
+TEST_F(SyncQueueTest, BroadcastWithMutexHeldKeepsSamePrioFifo) {
+  // The picked waiter (longest waiting) is queued at the head of its level on the held
+  // mutex: it acquires first instead of waking, re-blocking and landing behind the others.
+  EXPECT_EQ((std::vector<int>{1, 2, 3}), BroadcastHeldOrder(/*with_locker=*/false));
+}
+
+TEST_F(SyncQueueTest, BroadcastPickedWaiterPrecedesEarlierLocker) {
+  // Head placement puts the picked waiter ahead of a same-priority thread that blocked in
+  // pt_mutex_lock before the broadcast; the requeued rest still queue behind that locker.
+  EXPECT_EQ((std::vector<int>{1, 9, 2, 3}), BroadcastHeldOrder(/*with_locker=*/true));
+}
+
+struct SwitchArg {
+  OrderShared* s;
+  uint64_t switches = 0;  // this waiter's switch-ins between entering and leaving its wait
+};
+
+void* WaitAndCountSwitches(void* ap) {
+  auto* a = static_cast<SwitchArg*>(ap);
+  EXPECT_EQ(0, pt_mutex_lock(&a->s->m));
+  const uint64_t before = pt_self()->switches_in;
+  while (!a->s->flag) {
+    EXPECT_EQ(0, pt_cond_wait(&a->s->c, &a->s->m));
+  }
+  a->switches = pt_self()->switches_in - before;
+  EXPECT_EQ(0, pt_mutex_unlock(&a->s->m));
+  return nullptr;
+}
+
+TEST_F(SyncQueueTest, BroadcastWithMutexHeldTakesOneSwitchInPerWaiter) {
+  // Every waiter runs exactly once, when an unlock hands it the mutex. A woken picked waiter
+  // would run twice: once to block behind the requeued rest, once to take the mutex.
+  OrderShared s;
+  s.Init();
+  constexpr int kN = 8;
+  std::vector<SwitchArg> args(kN, SwitchArg{&s});
+  std::vector<pt_thread_t> ts(kN);
+  ThreadAttr a = MakeThreadAttr(kDefaultPrio + 1);
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(0, pt_create(&ts[i], &a, &WaitAndCountSwitches, &args[i]));
+  }
+  ASSERT_EQ(0, pt_mutex_lock(&s.m));
+  s.flag = true;
+  ASSERT_EQ(0, pt_cond_broadcast(&s.c));
+  ASSERT_EQ(0, pt_mutex_unlock(&s.m));
+  uint64_t total = 0;
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(0, pt_join(ts[i], nullptr));
+    EXPECT_EQ(1u, args[i].switches) << "waiter " << i;
+    total += args[i].switches;
+  }
+  EXPECT_EQ(static_cast<uint64_t>(kN), total);
   s.Destroy();
 }
 
@@ -279,8 +367,8 @@ struct RequeueShared {
   }
 };
 
-// High-priority waiter: absorbs the broadcast's wake-one slot so the thread under test is
-// always among the requeued.
+// High-priority waiter: takes the broadcast's picked slot so the thread under test is
+// always among the rest it requeues.
 void* HiWaiter(void* ap) {
   auto* s = static_cast<RequeueShared*>(ap);
   EXPECT_EQ(0, pt_mutex_lock(&s->m));
@@ -320,6 +408,46 @@ TEST_F(SyncQueueTest, RequeuedTimedWaiterTimesOutWithMutexHeld) {
   EXPECT_EQ(ETIMEDOUT, s.rc);
   EXPECT_TRUE(s.held_at_return);
   EXPECT_TRUE(s.hi_woke);
+  s.Destroy();
+}
+
+TEST_F(SyncQueueTest, PickedTimedWaiterPastDeadlineReturnsZero) {
+  // The picked waiter's block timer is cancelled when the broadcast queues it on the held
+  // mutex: its deadline passing while the holder keeps the mutex does not turn the signalled
+  // wait into ETIMEDOUT.
+  RequeueShared s;
+  s.Init();
+  auto timed_body = +[](void* ap) -> void* {
+    auto* s = static_cast<RequeueShared*>(ap);
+    EXPECT_EQ(0, pt_mutex_lock(&s->m));
+    s->rc = pt_cond_timedwait(&s->c, &s->m, 10 * 1000 * 1000);  // 10ms
+    s->held_at_return = s->m.holder() == pt_self();
+    EXPECT_EQ(0, pt_mutex_unlock(&s->m));
+    return nullptr;
+  };
+  auto lo_body = +[](void* ap) -> void* {
+    auto* s = static_cast<RequeueShared*>(ap);
+    EXPECT_EQ(0, pt_mutex_lock(&s->m));
+    while (!s->flag) {
+      EXPECT_EQ(0, pt_cond_wait(&s->c, &s->m));
+    }
+    EXPECT_EQ(0, pt_mutex_unlock(&s->m));
+    return nullptr;
+  };
+  pt_thread_t t_timed, t_lo;
+  ThreadAttr a_hi = MakeThreadAttr(kDefaultPrio + 2);
+  ThreadAttr a_lo = MakeThreadAttr(kDefaultPrio + 1);
+  ASSERT_EQ(0, pt_create(&t_timed, &a_hi, timed_body, &s));  // the one the broadcast picks
+  ASSERT_EQ(0, pt_create(&t_lo, &a_lo, lo_body, &s));        // requeued behind it
+  ASSERT_EQ(0, pt_mutex_lock(&s.m));
+  s.flag = true;
+  ASSERT_EQ(0, pt_cond_broadcast(&s.c));
+  EXPECT_EQ(0, pt_delay(40 * 1000 * 1000));  // past the picked waiter's deadline
+  ASSERT_EQ(0, pt_mutex_unlock(&s.m));
+  ASSERT_EQ(0, pt_join(t_timed, nullptr));
+  ASSERT_EQ(0, pt_join(t_lo, nullptr));
+  EXPECT_EQ(0, s.rc);
+  EXPECT_TRUE(s.held_at_return);
   s.Destroy();
 }
 

@@ -4,11 +4,11 @@
 
 #include <vector>
 
+#include "bench/stats.hpp"
 #include "src/util/dual_loop_timer.hpp"
 #include "src/util/fixed_pool.hpp"
 #include "src/util/intrusive_list.hpp"
 #include "tests/rng.hpp"
-#include "src/util/stats.hpp"
 
 namespace fsup {
 namespace {
