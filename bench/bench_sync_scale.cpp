@@ -5,10 +5,10 @@
 //
 //  1. Broadcast drain: N waiters on one condition variable, one broadcast with the mutex
 //     held, join the drain. The requeue discipline queues every waiter on the mutex (the
-//     picked one at the head), so each waiter is switched in exactly once, when an unlock
-//     hands it the mutex: waiter_switches == N (the herd wakeup paid ~2 per waiter: wake,
-//     re-block on the mutex, wake again). Total context switches per waiter stay flat in N
-//     at ~1.5, because main's in-order joins interleave with the FIFO drain.
+//     picked one at the head), so each waiter is switched in once, when an unlock hands it
+//     the mutex (the herd wakeup paid ~2 per waiter: wake, re-block on the mutex, wake
+//     again); sync_queue_test pins that count. Context switches per waiter, main's included,
+//     stay flat in N at ~1.5, because main's in-order joins interleave with the FIFO drain.
 //  2. Contended lock/unlock throughput vs queue depth: N-2 filler threads park on the mutex
 //     at a lower priority while two hot threads rotate it between them, so every cycle
 //     enqueues into and pops from a queue held ~N-1 deep without rotating N distinct stacks
@@ -26,9 +26,9 @@
 //     lock cycle with no validation, no owner record, no API). Acceptance: the ras pair
 //     costs <= ~2x the bare pair.
 //
-// Exit status 1 when a count-based check fails: waiter_switches != N on a broadcast row, or
-// switches per waiter at the largest N above 1.5x the smallest. The timing checks only print
-// a verdict: the same code runs up to 1.5x slower for seconds at a time on a shared host.
+// Exit status 1 when the count-based check fails: switches per waiter at the largest N
+// above 1.5x the smallest. The timing checks only print a verdict: the same code runs up to
+// 1.5x slower for seconds at a time on a shared host.
 //
 // Usage: bench_sync_scale [--smoke] [--json PATH]. Writes BENCH_sync.json unless --json
 // names another file; --smoke shrinks every dimension for the ctest smoke run.
@@ -65,7 +65,6 @@ struct BroadcastRow {
   double broadcast_us = 0;       // the pt_cond_broadcast call itself
   double drain_ms = 0;           // broadcast until every waiter returned
   uint64_t ctx_switches = 0;     // across the drain
-  uint64_t waiter_switches = 0;  // the waiters' own switch-ins inside their waits
   double switches_per_waiter = 0;
   bool valid = false;
 };
@@ -74,17 +73,14 @@ struct BroadcastShared {
   pt_mutex_t m;
   pt_cond_t c;
   bool go = false;
-  uint64_t waiter_switches = 0;
 };
 BroadcastShared g_bc;
 
 void* BroadcastWaiter(void*) {
   pt_mutex_lock(&g_bc.m);
-  const uint64_t sw0 = pt_self()->switches_in;
   while (!g_bc.go) {
     pt_cond_wait(&g_bc.c, &g_bc.m);
   }
-  g_bc.waiter_switches += pt_self()->switches_in - sw0;
   pt_mutex_unlock(&g_bc.m);
   return nullptr;
 }
@@ -94,7 +90,6 @@ BroadcastRow RunBroadcast(int n) {
   row.n = n;
   pt_reinit();
   g_bc.go = false;  // the sync objects themselves are placement-new'd by their init calls
-  g_bc.waiter_switches = 0;
   if (pt_mutex_init(&g_bc.m) != 0 || pt_cond_init(&g_bc.c) != 0) {
     return row;
   }
@@ -124,7 +119,6 @@ BroadcastRow RunBroadcast(int n) {
   row.broadcast_us = static_cast<double>(t1 - t0) / 1e3;
   row.drain_ms = static_cast<double>(t2 - t0) / 1e6;
   row.ctx_switches = sw1 - sw0;
-  row.waiter_switches = g_bc.waiter_switches;
   row.switches_per_waiter = static_cast<double>(row.ctx_switches) / n;
   row.valid = true;
   pt_mutex_destroy(&g_bc.m);
@@ -436,10 +430,9 @@ void WriteJson(const char* path, const BroadcastRow* bc, size_t nbc, const Conte
     first = false;
     std::fprintf(f,
                  "  {\"n\":%d,\"broadcast_us\":%.2f,\"drain_ms\":%.3f,"
-                 "\"ctx_switches\":%llu,\"waiter_switches\":%llu,\"switches_per_waiter\":%.3f}",
+                 "\"ctx_switches\":%llu,\"switches_per_waiter\":%.3f}",
                  bc[i].n, bc[i].broadcast_us, bc[i].drain_ms,
                  static_cast<unsigned long long>(bc[i].ctx_switches),
-                 static_cast<unsigned long long>(bc[i].waiter_switches),
                  bc[i].switches_per_waiter);
   }
   std::fputs("\n],\"contended\":[\n", f);
@@ -505,21 +498,13 @@ int main(int argc, char** argv) {
   ContendedRow ct[4];
 
   std::printf("Broadcast drain — requeue onto the held mutex vs waiter count\n");
-  std::printf("| %5s | %12s | %10s | %12s | %15s | %10s |\n", "N", "broadcast_us", "drain_ms",
-              "ctx_switches", "waiter_switches", "sw/waiter");
-  bool counts_ok = true;
+  std::printf("| %5s | %12s | %10s | %12s | %10s |\n", "N", "broadcast_us", "drain_ms",
+              "ctx_switches", "sw/waiter");
   for (size_t i = 0; i < ncounts; ++i) {
     bc[i] = RunBroadcast(counts[i]);
-    std::printf("| %5d | %12.2f | %10.3f | %12llu | %15llu | %10.3f |\n", bc[i].n,
-                bc[i].broadcast_us, bc[i].drain_ms,
-                static_cast<unsigned long long>(bc[i].ctx_switches),
-                static_cast<unsigned long long>(bc[i].waiter_switches),
+    std::printf("| %5d | %12.2f | %10.3f | %12llu | %10.3f |\n", bc[i].n, bc[i].broadcast_us,
+                bc[i].drain_ms, static_cast<unsigned long long>(bc[i].ctx_switches),
                 bc[i].switches_per_waiter);
-    if (!bc[i].valid || bc[i].waiter_switches != static_cast<uint64_t>(bc[i].n)) {
-      std::printf("  FAIL: N=%d waiters took %llu switch-ins (expected %d)\n", bc[i].n,
-                  static_cast<unsigned long long>(bc[i].waiter_switches), bc[i].n);
-      counts_ok = false;
-    }
   }
 
   std::printf("\nContended lock/unlock — held queue depth ~N-1\n");
@@ -555,7 +540,6 @@ int main(int argc, char** argv) {
   const double tp_ratio =
       ct_lo.valid && ct_hi.valid && ct_lo.ops_per_sec > 0 ? ct_hi.ops_per_sec / ct_lo.ops_per_sec : 0;
   const bool flat = sw_ratio > 0 && sw_ratio <= 1.5;
-  counts_ok = counts_ok && flat;
   std::printf("\n  broadcast switches/waiter ratio N=%d vs N=%d: %.2f (acceptance: <= 1.50)"
               " -> %s\n",
               bc_hi.n, bc_lo.n, sw_ratio, flat ? "PASS" : "FAIL");
@@ -568,5 +552,5 @@ int main(int argc, char** argv) {
 
   WriteJson(args.json, bc, ncounts, ct, ncounts, boost, un, sw_ratio, tp_ratio);
   pt_reinit();
-  return counts_ok ? 0 : 1;
+  return flat ? 0 : 1;
 }

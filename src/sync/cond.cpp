@@ -14,19 +14,23 @@
 namespace fsup::sync {
 namespace {
 
-// Bookkeeping for one waiter moved from a condition queue onto mutex m's wait queue by a
-// broadcast. The thread stays suspended at its CondWait suspension point but blocks as an
+// Bookkeeping for a waiter a broadcast moved from a condition queue onto mutex m's wait
+// queue. The thread stays suspended at its CondWait suspension point but blocks as an
 // ordinary mutex waiter: the wait-for-graph detector follows waiting_on_mutex, priority
-// changes reposition it in m's queue, and a direct unlock handoff can make it owner. The
-// cond_requeued flag preserves the logical conditional-wait identity for interruption and
-// cancellation; an armed timeout timer stays armed (expiry converts to a normal mutex-wake
-// that returns ETIMEDOUT after reacquisition).
-void MarkRequeued(Cond* c, Tcb* w, Mutex* m) {
+// changes reposition it in m's queue, and a direct unlock handoff can make it owner.
+void ParkOnMutex(Cond* c, Tcb* w, Mutex* m) {
   ++c->signals_sent;
   w->cond_signalled = true;  // the broadcast reached it; it returns once it re-holds m
   w->waiting_on_cond = nullptr;
   w->waiting_on_mutex = m;
   w->block_reason = BlockReason::kMutex;
+}
+
+// One of the rest a broadcast requeues. The cond_requeued flag preserves the logical
+// conditional-wait identity for interruption and cancellation; an armed timeout timer stays
+// armed (expiry converts to a normal mutex-wake that returns ETIMEDOUT after reacquisition).
+void MarkRequeued(Cond* c, Tcb* w, Mutex* m) {
+  ParkOnMutex(c, w, m);
   w->cond_requeued = true;
 }
 
@@ -239,16 +243,15 @@ int CondBroadcast(Cond* c) {
     debug::obs::Emit(debug::obs::Event::kCondRequeue, nullptr, moved, c->tag);
   }
 
-  // Woken while its mutex is held and has other waiters (earlier lockers, or the rest just
-  // requeued), the picked waiter would run only to block again at the tail. Queue it at the
-  // head of its level instead: the unlock's handoff makes it owner, one switch-in in all. A
-  // free or otherwise uncontested mutex keeps the wake, so a one-waiter broadcast leaves the
-  // unlock on its fast path. Either way its timer goes: it returns 0.
+  // Woken while its mutex is held, the picked waiter would run only to block on it again
+  // (behind the rest just requeued, or at once if it outranks the holder). Queue it at the
+  // head of its level instead: the unlock's handoff makes it owner, one switch-in in all.
+  // It waits as the plain mutex waiter it would have become (no cond_requeued), so its wait
+  // returns 0 even if a signal handler interrupts the mutex wait; its timer goes either way.
   sig::CancelBlockTimer(first);
-  if (first_m->owner != nullptr && !first_m->waiters.empty()) {
-    MarkRequeued(c, first, first_m);
-    first_m->waiters.PushFront(first);
-    WaitersChanged(first_m);
+  if (first_m->owner != nullptr) {
+    ParkOnMutex(c, first, first_m);
+    InsertWaiter(first_m, first, /*to_head=*/true);
   } else {
     ++c->signals_sent;
     first->cond_signalled = true;

@@ -11,9 +11,9 @@
 // onto the mutex's wait queue (the futex-requeue discipline): since every broadcast waiter
 // would immediately re-block on the mutex anyway, moving them with pointer splices instead of
 // waking them avoids the O(waiters) thundering herd of context switches. The picked waiter is
-// woken when its mutex is free or uncontested; when the mutex is held and others will queue
-// on it, it is requeued too, at the head of its priority level, so the unlock hands the
-// mutex to it first and it does not run just to block again behind the rest. Requeued waiters
+// woken when its mutex is free; when the mutex is held, it is queued on it too, at the head
+// of its priority level, so the unlock hands the mutex to it first and it does not run just
+// to block again. It waits as a plain mutex waiter and returns 0. The rest, requeued waiters,
 // block as ordinary mutex waiters (coherent for the wait-for-graph deadlock detector and
 // priority repositioning) but keep their conditional-wait identity (Tcb::cond_requeued):
 // armed timeout timers stay armed and convert to a normal ETIMEDOUT-after-reacquisition,
@@ -61,7 +61,7 @@ int CondWait(Cond* c, Mutex* m, int64_t deadline_ns);
 
 int CondSignal(Cond* c);
 
-// Wakes the highest-priority waiter, or queues it first on its held and contested mutex, and
+// Wakes the highest-priority waiter, or queues it first on its mutex if that is held, and
 // requeues every other waiter onto its recorded mutex (see the header comment). Zero
 // waiters: no-op.
 int CondBroadcast(Cond* c);

@@ -147,9 +147,13 @@ void WaitersChanged(Mutex* m) {
   }
 }
 
-void InsertWaiter(Mutex* m, Tcb* t) {
+void InsertWaiter(Mutex* m, Tcb* t, bool to_head) {
   m->has_waiters = 1;
-  m->waiters.Push(t);
+  if (to_head) {
+    m->waiters.PushFront(t);
+  } else {
+    m->waiters.Push(t);
+  }
   WaitersChanged(m);
 }
 

@@ -90,9 +90,10 @@ void UnlockInKernel(Mutex* m, Tcb* self);   // m leaves self's priority inputs, 
 // barging window, not even for fast-path lockers), or unlocks m when nobody waits. In kernel.
 void HandOff(Mutex* m);
 
-// Enqueues t on m's wait queue (tail of its priority bucket), maintaining the has_waiters
-// mirror, then WaitersChanged. In kernel.
-void InsertWaiter(Mutex* m, Tcb* t);
+// Enqueues t on m's wait queue (tail of its priority bucket, or its head when to_head: a
+// broadcast's picked waiter), maintaining the has_waiters mirror, then WaitersChanged. In
+// kernel.
+void InsertWaiter(Mutex* m, Tcb* t, bool to_head = false);
 
 // m's waiters changed: the holder of an inheritance mutex re-derives its priority. In kernel.
 void WaitersChanged(Mutex* m);

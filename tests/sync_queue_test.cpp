@@ -1,9 +1,9 @@
 // Wake ordering and broadcast-requeue semantics of the shared priority wait queues:
 // same-priority FIFO across mutex handoff, cond signal and broadcast-requeue; a broadcast's
 // picked waiter queued first on its held mutex instead of woken to block again (its order,
-// its single switch-in, its cancelled timer); timeout, signal interruption and cancellation
-// of a waiter that a broadcast parked on the mutex's wait queue; and the
-// MutexSetCeiling-as-first-entry-point regression.
+// its single switch-in, its cancelled timer, its return value under a signal); timeout,
+// signal interruption and cancellation of a waiter that a broadcast requeued onto the
+// mutex's wait queue; and the MutexSetCeiling-as-first-entry-point regression.
 
 #include <gtest/gtest.h>
 
@@ -296,30 +296,36 @@ void* WaitAndCountSwitches(void* ap) {
   return nullptr;
 }
 
-TEST_F(SyncQueueTest, BroadcastWithMutexHeldTakesOneSwitchInPerWaiter) {
-  // Every waiter runs exactly once, when an unlock hands it the mutex. A woken picked waiter
-  // would run twice: once to block behind the requeued rest, once to take the mutex.
+// n waiters one priority above the holder; the holder broadcasts with the mutex held and
+// unlocks. Returns each waiter's switch-ins inside its wait.
+std::vector<uint64_t> BroadcastHeldSwitchIns(int n) {
   OrderShared s;
   s.Init();
-  constexpr int kN = 8;
-  std::vector<SwitchArg> args(kN, SwitchArg{&s});
-  std::vector<pt_thread_t> ts(kN);
+  std::vector<SwitchArg> args(n, SwitchArg{&s});
+  std::vector<pt_thread_t> ts(n);
   ThreadAttr a = MakeThreadAttr(kDefaultPrio + 1);
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(0, pt_create(&ts[i], &a, &WaitAndCountSwitches, &args[i]));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(0, pt_create(&ts[i], &a, &WaitAndCountSwitches, &args[i]));
   }
-  ASSERT_EQ(0, pt_mutex_lock(&s.m));
+  EXPECT_EQ(0, pt_mutex_lock(&s.m));
   s.flag = true;
-  ASSERT_EQ(0, pt_cond_broadcast(&s.c));
-  ASSERT_EQ(0, pt_mutex_unlock(&s.m));
-  uint64_t total = 0;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(0, pt_join(ts[i], nullptr));
-    EXPECT_EQ(1u, args[i].switches) << "waiter " << i;
-    total += args[i].switches;
+  EXPECT_EQ(0, pt_cond_broadcast(&s.c));
+  EXPECT_EQ(0, pt_mutex_unlock(&s.m));
+  std::vector<uint64_t> switches;
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(0, pt_join(ts[i], nullptr));
+    switches.push_back(args[i].switches);
   }
-  EXPECT_EQ(static_cast<uint64_t>(kN), total);
   s.Destroy();
+  return switches;
+}
+
+TEST_F(SyncQueueTest, BroadcastWithMutexHeldTakesOneSwitchInPerWaiter) {
+  // Every waiter runs exactly once, when an unlock hands it the mutex. A woken picked waiter
+  // would run twice: once to block (behind the requeued rest, or on the mutex its lower-
+  // priority holder still has), once to take the mutex. One waiter is the second case.
+  EXPECT_EQ(std::vector<uint64_t>(1, 1), BroadcastHeldSwitchIns(1));
+  EXPECT_EQ(std::vector<uint64_t>(8, 1), BroadcastHeldSwitchIns(8));
 }
 
 TEST_F(SyncQueueTest, SetprioRepositionsABlockedMutexWaiter) {
@@ -483,6 +489,42 @@ TEST_F(SyncQueueTest, RequeuedWaiterInterruptedBySignalReturnsEintr) {
   // mutex before it, and the conditional wait terminated with EINTR holding the mutex.
   EXPECT_TRUE(g_usr1_ran);
   EXPECT_EQ(EINTR, s.rc);
+  EXPECT_TRUE(s.held_at_return);
+  ASSERT_EQ(0, pt_sigaction(SIGUSR1, nullptr, 0));
+  s.Destroy();
+}
+
+TEST_F(SyncQueueTest, PickedWaiterInterruptedBySignalReturnsZero) {
+  // The broadcast reached the picked waiter before the signal did: queued on the held mutex
+  // it is a plain mutex waiter, as if it had woken and blocked in pt_mutex_lock. The handler
+  // runs, the wait re-acquires the mutex and returns 0, not EINTR.
+  RequeueShared s;
+  s.Init();
+  g_usr1_ran = false;
+  ASSERT_EQ(0, pt_sigaction(SIGUSR1, &Usr1Handler, 0));
+  auto wait_body = +[](void* ap) -> void* {
+    auto* s = static_cast<RequeueShared*>(ap);
+    EXPECT_EQ(0, pt_mutex_lock(&s->m));
+    s->rc = pt_cond_wait(&s->c, &s->m);
+    s->held_at_return = s->m.holder() == pt_self();
+    EXPECT_EQ(0, pt_mutex_unlock(&s->m));
+    return nullptr;
+  };
+  pt_thread_t t_picked, t_rest;
+  ThreadAttr a_hi = MakeThreadAttr(kDefaultPrio + 3);
+  ThreadAttr a_rest = MakeThreadAttr(kDefaultPrio + 2);  // HiWaiter, requeued behind it
+  ASSERT_EQ(0, pt_create(&t_picked, &a_hi, wait_body, &s));
+  ASSERT_EQ(0, pt_create(&t_rest, &a_rest, &HiWaiter, &s));
+  ASSERT_EQ(0, pt_mutex_lock(&s.m));
+  s.flag = true;
+  ASSERT_EQ(0, pt_cond_broadcast(&s.c));  // t_picked is now queued first on the held mutex
+  ASSERT_EQ(0, pt_kill(t_picked, SIGUSR1));
+  ASSERT_EQ(0, pt_mutex_unlock(&s.m));
+  ASSERT_EQ(0, pt_join(t_picked, nullptr));
+  ASSERT_EQ(0, pt_join(t_rest, nullptr));
+  EXPECT_TRUE(s.hi_woke);
+  EXPECT_TRUE(g_usr1_ran);
+  EXPECT_EQ(0, s.rc);
   EXPECT_TRUE(s.held_at_return);
   ASSERT_EQ(0, pt_sigaction(SIGUSR1, nullptr, 0));
   s.Destroy();
