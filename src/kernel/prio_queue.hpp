@@ -5,9 +5,9 @@
 // bitmap make every queue operation O(1): push is a list append plus a bit-set, "highest
 // occupied priority" is one countl_zero, erase uses the level recorded in Tcb::queued_level.
 // The dispatcher's ready queue has always worked this way; PrioWaitQueue gives mutex and
-// condition-variable waiter queues the identical structure, so blocking, wake-one, priority
-// repositioning (inheritance boost chains) and broadcast-requeue are all constant time where
-// the former sorted lists paid a linear scan per insert.
+// condition-variable waiter queues the identical structure, so blocking, wake-one and priority
+// repositioning (inheritance boost chains) are constant time, and a broadcast-requeue costs one
+// pop and one push per waiter, where the former sorted lists paid a linear scan per insert.
 //
 // A thread is on at most one queue through Tcb::link at a time, so queued_level can serve the
 // ready queue and every wait queue without conflict; plain lists that also use Tcb::link
@@ -50,38 +50,6 @@ class PrioBuckets {
   uint32_t size() const { return count_; }  // maintained by Push/Pop/Erase — O(1)
   uint32_t bitmap() const { return bitmap_; }
 
-  // Splices every thread of `from` onto the tails of this queue's levels, preserving FIFO
-  // order within each level: 32 pointer splices at most, no per-thread relinking. Both queues
-  // must bucket by the same level scheme (Tcb::queued_level is already correct). `fn` runs
-  // for each moved thread *before* its level is spliced (bookkeeping: flags, traces).
-  template <typename Fn>
-  void SpliceAppendFrom(PrioBuckets& from, Fn&& fn) {
-    while (from.bitmap_ != 0) {
-      const int level = 31 - __builtin_clz(from.bitmap_);
-      for (Tcb* t : from.level_[level]) {
-        fn(t);
-      }
-      level_[level].SpliceBack(from.level_[level]);
-      bitmap_ |= 1u << level;
-      from.bitmap_ &= ~(1u << level);
-    }
-    count_ += from.count_;
-    from.count_ = 0;
-  }
-
-  // Applies fn to every queued thread, highest level first, FIFO within a level. fn must not
-  // mutate the queue.
-  template <typename Fn>
-  void ForEach(Fn&& fn) {
-    for (uint32_t bm = bitmap_; bm != 0;) {
-      const int level = 31 - __builtin_clz(bm);
-      bm &= ~(1u << level);
-      for (Tcb* t : level_[level]) {
-        fn(t);
-      }
-    }
-  }
-
  private:
   IntrusiveList<Tcb, &Tcb::link> level_[kNumPrios];
   uint32_t bitmap_ = 0;
@@ -120,19 +88,6 @@ class PrioWaitQueue {
 
   bool empty() const { return b_.empty(); }
   uint32_t size() const { return b_.size(); }
-
-  // Broadcast-requeue: moves every waiter onto dst level-by-level (FIFO order preserved,
-  // requeued waiters queue behind dst's existing waiters of the same priority), running fn on
-  // each moved thread first. O(levels) splices + O(waiters) bookkeeping, zero wakeups.
-  template <typename Fn>
-  void SpliceAllOnto(PrioWaitQueue& dst, Fn&& fn) {
-    dst.b_.SpliceAppendFrom(b_, static_cast<Fn&&>(fn));
-  }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) {
-    b_.ForEach(static_cast<Fn&&>(fn));
-  }
 
  private:
   PrioBuckets b_;

@@ -34,14 +34,11 @@ void MarkRequeued(Cond* c, Tcb* w, Mutex* m) {
   w->cond_requeued = true;
 }
 
-// A broadcast may requeue waiters onto a mutex nobody holds. Waiters queued on an unlocked
-// mutex are only ever popped by an unlock — if no thread locks it again, the queue is
-// orphaned and the waiters hang until the idle loop's deadlock abort. Do what UnlockInKernel
-// would have done: hand the mutex to the top waiter immediately (the woken thread finds
-// holder() == self in CondWait and runs CompleteHandoff). Callers skip this when the first
-// woken waiter contends for the same mutex — it is awake and will lock and later unlock it,
-// draining the queue through the normal handoff path with its priority claim intact.
-void HandoffIfUnlocked(Mutex* m) {
+// Queues w on m. A waiter queued on a free mutex is only ever popped by an unlock, and none
+// may come, so pass m on at once as UnlockInKernel would: its top waiter becomes owner and
+// finds holder() == self in CondWait.
+void Requeue(Tcb* w, Mutex* m, bool to_head) {
+  InsertWaiter(m, w, to_head);
   if (m->owner == nullptr) {
     HandOff(m);
   }
@@ -191,72 +188,29 @@ int CondBroadcast(Cond* c) {
   }
   kernel::Enter();
 
-  // The highest-priority, longest-waiting waiter goes first.
+  // Every waiter would wake only to block on its mutex again, so each goes straight onto its
+  // own recorded mutex (the standard leaves waits through different mutexes undefined; each
+  // still lands on the one it waited with). The picked waiter goes to the head of its level,
+  // so the next handoff of its mutex is its own. It waits as the plain mutex waiter it would
+  // have become (no cond_requeued), so its wait returns 0 even if a signal handler interrupts
+  // the mutex wait, and its timer goes.
   Tcb* first = c->waiters.PopHighest();
-  if (c->waiters.empty()) {
-    c->has_waiters = 0;
-  }
   debug::obs::Emit(debug::obs::Event::kCondSignal, first, first != nullptr ? first->id : 0,
                    c->tag);
-  if (first == nullptr) {
-    kernel::Exit();
-    return 0;
-  }
-  Mutex* const first_m = first->cond_mutex;
-
-  // Requeue the rest: every remaining waiter would wake only to re-block on its mutex, so
-  // move it there directly — no context switches, no thundering herd. The standard leaves
-  // concurrent waits through different mutexes undefined; we still handle them by requeueing
-  // each waiter onto its own recorded mutex (the uniform case moves whole priority levels
-  // with pointer splices).
-  if (!c->waiters.empty()) {
-    Mutex* target = nullptr;
-    bool uniform = true;
-    c->waiters.ForEach([&](Tcb* w) {
-      if (target == nullptr) {
-        target = w->cond_mutex;
-      } else if (w->cond_mutex != target) {
-        uniform = false;
-      }
-    });
+  if (first != nullptr) {
+    sig::CancelBlockTimer(first);
+    ParkOnMutex(c, first, first->cond_mutex);
+    Requeue(first, first->cond_mutex, /*to_head=*/true);
     const uint32_t moved = c->waiters.size();
-    if (uniform) {
-      c->waiters.SpliceAllOnto(target->waiters,
-                               [&](Tcb* w) { MarkRequeued(c, w, target); });
-      target->has_waiters = 1;
-      WaitersChanged(target);
-      if (first_m != target) {
-        HandoffIfUnlocked(target);
-      }
-    } else {
-      Tcb* w;
-      while ((w = c->waiters.PopHighest()) != nullptr) {
-        Mutex* m = w->cond_mutex;
-        MarkRequeued(c, w, m);
-        InsertWaiter(m, w);
-        if (first_m != m) {
-          HandoffIfUnlocked(m);
-        }
-      }
+    for (Tcb* w; (w = c->waiters.PopHighest()) != nullptr;) {
+      MarkRequeued(c, w, w->cond_mutex);
+      Requeue(w, w->cond_mutex, /*to_head=*/false);
     }
-    c->has_waiters = 0;  // the requeue drained the condition queue completely
-    debug::obs::Emit(debug::obs::Event::kCondRequeue, nullptr, moved, c->tag);
+    if (moved > 0) {
+      debug::obs::Emit(debug::obs::Event::kCondRequeue, nullptr, moved, c->tag);
+    }
   }
-
-  // Woken while its mutex is held, the picked waiter would run only to block on it again
-  // (behind the rest just requeued, or at once if it outranks the holder). Queue it at the
-  // head of its level instead: the unlock's handoff makes it owner, one switch-in in all.
-  // It waits as the plain mutex waiter it would have become (no cond_requeued), so its wait
-  // returns 0 even if a signal handler interrupts the mutex wait; its timer goes either way.
-  sig::CancelBlockTimer(first);
-  if (first_m->owner != nullptr) {
-    ParkOnMutex(c, first, first_m);
-    InsertWaiter(first_m, first, /*to_head=*/true);
-  } else {
-    ++c->signals_sent;
-    first->cond_signalled = true;
-    kernel::MakeReady(first);
-  }
+  c->has_waiters = 0;
 
   kernel::Exit();
   return 0;

@@ -7,17 +7,16 @@
 // exactly the behaviour the paper describes). Wakeups go to the highest-priority waiter.
 // Spurious wakeups are permitted by the standard; callers re-evaluate their predicate.
 //
-// Broadcast picks the highest-priority, longest-waiting waiter and REQUEUES the rest directly
-// onto the mutex's wait queue (the futex-requeue discipline): since every broadcast waiter
-// would immediately re-block on the mutex anyway, moving them with pointer splices instead of
-// waking them avoids the O(waiters) thundering herd of context switches. The picked waiter is
-// woken when its mutex is free; when the mutex is held, it is queued on it too, at the head
-// of its priority level, so the unlock hands the mutex to it first and it does not run just
-// to block again. It waits as a plain mutex waiter and returns 0. The rest, requeued waiters,
-// block as ordinary mutex waiters (coherent for the wait-for-graph deadlock detector and
-// priority repositioning) but keep their conditional-wait identity (Tcb::cond_requeued):
-// armed timeout timers stay armed and convert to a normal ETIMEDOUT-after-reacquisition,
-// and fake-call interruption / cancellation still terminate the logical conditional wait.
+// Broadcast REQUEUES every waiter onto its own mutex's wait queue (the futex-requeue
+// discipline): since every broadcast waiter would immediately re-block on the mutex anyway,
+// moving it there instead of waking it avoids the O(waiters) thundering herd of context
+// switches. The picked (highest-priority, longest-waiting) waiter goes to the head of its
+// priority level, the rest to the tail, and a mutex nobody holds passes at once to its top
+// waiter. The picked waiter waits as a plain mutex waiter and returns 0. The rest, requeued
+// waiters, block as ordinary mutex waiters (coherent for the wait-for-graph deadlock detector
+// and priority repositioning) but keep their conditional-wait identity (Tcb::cond_requeued):
+// armed timeout timers stay armed and convert to a normal ETIMEDOUT-after-reacquisition, and
+// fake-call interruption / cancellation still terminate the logical conditional wait.
 
 #ifndef FSUP_SRC_SYNC_COND_HPP_
 #define FSUP_SRC_SYNC_COND_HPP_
@@ -61,9 +60,8 @@ int CondWait(Cond* c, Mutex* m, int64_t deadline_ns);
 
 int CondSignal(Cond* c);
 
-// Wakes the highest-priority waiter, or queues it first on its mutex if that is held, and
-// requeues every other waiter onto its recorded mutex (see the header comment). Zero
-// waiters: no-op.
+// Queues the highest-priority waiter first on its recorded mutex and every other waiter
+// behind it on its own (see the header comment). Zero waiters: no-op.
 int CondBroadcast(Cond* c);
 
 // Re-buckets t within c's waiter queue after t's priority changed. O(1). In kernel.

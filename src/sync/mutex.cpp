@@ -102,6 +102,13 @@ int OnAcquired(Mutex* m, Tcb* self) {
   return 0;
 }
 
+// m's waiters changed: the holder of an inheritance mutex re-derives its priority.
+void WaitersChanged(Mutex* m) {
+  if (m->proto == MutexProtocol::kInherit && m->owner != nullptr) {
+    sched::Recompute(m->owner, /*to_head=*/true);
+  }
+}
+
 }  // namespace
 
 int MutexInit(Mutex* m, const MutexAttr* attr) {
@@ -139,12 +146,6 @@ int MutexDestroy(Mutex* m) {
   m->magic = 0;
   kernel::Exit();
   return 0;
-}
-
-void WaitersChanged(Mutex* m) {
-  if (m->proto == MutexProtocol::kInherit && m->owner != nullptr) {
-    sched::Recompute(m->owner, /*to_head=*/true);
-  }
 }
 
 void InsertWaiter(Mutex* m, Tcb* t, bool to_head) {

@@ -91,19 +91,17 @@ void UnlockInKernel(Mutex* m, Tcb* self);   // m leaves self's priority inputs, 
 void HandOff(Mutex* m);
 
 // Enqueues t on m's wait queue (tail of its priority bucket, or its head when to_head: a
-// broadcast's picked waiter), maintaining the has_waiters mirror, then WaitersChanged. In
-// kernel.
+// broadcast's picked waiter), maintaining the has_waiters mirror; the holder of an
+// inheritance mutex then re-derives its priority. In kernel.
 void InsertWaiter(Mutex* m, Tcb* t, bool to_head = false);
-
-// m's waiters changed: the holder of an inheritance mutex re-derives its priority. In kernel.
-void WaitersChanged(Mutex* m);
 
 // Re-buckets t within m's waiter queue after t's priority changed (inheritance chains).
 // O(1) per boost-chain link — the former sorted list re-scanned the queue on every link.
 void RepositionWaiter(Mutex* m, Tcb* t);
 
-// Removes t from m's waiter queue, maintaining the has_waiters mirror, then WaitersChanged (a
-// cancelled or interrupted waiter takes its boost along). In kernel.
+// Removes t from m's waiter queue, maintaining the has_waiters mirror; the holder of an
+// inheritance mutex then re-derives its priority (a cancelled or interrupted waiter takes its
+// boost along). In kernel.
 void RemoveWaiter(Mutex* m, Tcb* t);
 
 // Highest priority among m's waiters, or kMinPrio - 1 when none (inheritance recompute).

@@ -102,22 +102,6 @@ class IntrusiveList {
 
   void Erase(T* t) { (t->*Node).Unlink(); }
 
-  // Moves every element of `other` to the tail of this list, preserving their order. O(1):
-  // four pointer stores, no per-element relinking. `other` is empty afterwards.
-  void SpliceBack(IntrusiveList& other) {
-    if (other.empty()) {
-      return;
-    }
-    ListNode* first = other.head_.next;
-    ListNode* last = other.head_.prev;
-    first->prev = head_.prev;
-    head_.prev->next = first;
-    last->next = &head_;
-    head_.prev = last;
-    other.head_.next = &other.head_;
-    other.head_.prev = &other.head_;
-  }
-
   bool Contains(const T* t) const {
     const ListNode* n = &(t->*Node);
     for (const ListNode* p = head_.next; p != &head_; p = p->next) {

@@ -149,6 +149,11 @@ void* SpinUntilSampled(void*) {
 
 TEST(LifecycleAllocTest, ProfilerSamplingAllocatesNothing) {
   pt_init();
+  // A session already running (FSUP_PROFILE=1 starts one at init) would make the start below
+  // fail with EBUSY: stop it, as the profiler fixture's TearDown does.
+  if (pt_profile_active()) {
+    ASSERT_EQ(0, pt_profile_stop());
+  }
   // A recording session samples on the timer tick: every on-CPU sample is taken and folded
   // in the kernel entry of a SIGALRM, on the stack of whatever thread it interrupted.
   debug::replay::StartRecording();

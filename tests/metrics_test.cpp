@@ -634,6 +634,11 @@ TEST_F(MetricsTest, ObserversAgreeOverOneRun) {
   // Under a recording session the profiler samples from the timer tick: the run has no
   // asynchronous events at all, and the stats segment is published only at ticks, idle
   // polls and when the test asks, none of which falls inside the cut below.
+  // A session already running (FSUP_PROFILE=1 starts one at init) would make the start below
+  // fail with EBUSY: stop it, so the run is sampled by this test's own recording session.
+  if (pt_profile_active()) {
+    ASSERT_EQ(0, pt_profile_stop());
+  }
   const std::string shm = ::testing::TempDir() + "observers_agree.shm";
   ASSERT_EQ(0, ::setenv("FSUP_STATS_SHM", shm.c_str(), 1));
   const MetricsSnapshot before = pt_metrics_snapshot();

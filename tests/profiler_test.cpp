@@ -41,6 +41,10 @@ class ProfilerTest : public ::testing::Test {
   void SetUp() override {
     ::unsetenv("FSUP_STATS_SHM");
     pt_reinit();
+    // Every case starts its own session: one FSUP_PROFILE=1 started at init is stopped first.
+    if (pt_profile_active()) {
+      pt_profile_stop();
+    }
     hostos::fault::Clear();
     debug::trace::Enable(false);
     base_ = std::string(::testing::TempDir()) + "fsup_prof_" +

@@ -1,9 +1,11 @@
 // Wake ordering and broadcast-requeue semantics of the shared priority wait queues:
 // same-priority FIFO across mutex handoff, cond signal and broadcast-requeue; a broadcast's
-// picked waiter queued first on its held mutex instead of woken to block again (its order,
-// its single switch-in, its cancelled timer, its return value under a signal); timeout,
-// signal interruption and cancellation of a waiter that a broadcast requeued onto the
-// mutex's wait queue; and the MutexSetCeiling-as-first-entry-point regression.
+// picked waiter queued first on its own mutex instead of woken to block again (its order,
+// its single switch-in, its cancelled timer, its return value under a signal, its handoff
+// of a free mutex); waiters requeued each onto its own mutex, held or free; the inheritance
+// boost a requeue gives the holder; timeout, signal interruption and cancellation of a
+// waiter that a broadcast requeued onto the mutex's wait queue; and the
+// MutexSetCeiling-as-first-entry-point regression.
 
 #include <gtest/gtest.h>
 
@@ -328,6 +330,61 @@ TEST_F(SyncQueueTest, BroadcastWithMutexHeldTakesOneSwitchInPerWaiter) {
   EXPECT_EQ(std::vector<uint64_t>(8, 1), BroadcastHeldSwitchIns(8));
 }
 
+TEST_F(SyncQueueTest, BroadcastHandsAFreeMutexToThePickedWaiter) {
+  // The broadcaster unlocked before it broadcast: the picked waiter is handed the free mutex
+  // at once, so the broadcaster's own lock right after queues behind it.
+  OrderShared s;
+  s.Init();
+  OrderArg arg{&s, 1};
+  pt_thread_t t;
+  ThreadAttr a = MakeThreadAttr(kDefaultPrio);
+  ASSERT_EQ(0, pt_create(&t, &a, &WaitAndRecord, &arg));
+  pt_yield();  // the waiter runs and blocks on the cond
+  ASSERT_EQ(0, pt_mutex_lock(&s.m));
+  s.flag = true;
+  ASSERT_EQ(0, pt_mutex_unlock(&s.m));
+  ASSERT_EQ(0, pt_cond_broadcast(&s.c));
+  ASSERT_EQ(0, pt_mutex_lock(&s.m));
+  s.order.push_back(0);
+  ASSERT_EQ(0, pt_mutex_unlock(&s.m));
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  EXPECT_EQ((std::vector<int>{1, 0}), s.order);
+  s.Destroy();
+}
+
+TEST_F(SyncQueueTest, BroadcastOntoHeldInheritMutexBoostsTheHolder) {
+  // Waiters at 20 and 18 wait with an inheritance mutex. A broadcast made while main (15)
+  // holds it queues both on the mutex, so main inherits its top waiter's priority until the
+  // unlock hands the mutex on.
+  OrderShared s;
+  pt_mutexattr_t attr;
+  attr.protocol = MutexProtocol::kInherit;
+  ASSERT_EQ(0, pt_mutex_init(&s.m, &attr));
+  ASSERT_EQ(0, pt_cond_init(&s.c));
+  OrderArg a_hi{&s, kDefaultPrio + 5};
+  OrderArg a_lo{&s, kDefaultPrio + 3};
+  ThreadAttr at_hi = MakeThreadAttr(kDefaultPrio + 5);
+  ThreadAttr at_lo = MakeThreadAttr(kDefaultPrio + 3);
+  pt_thread_t t_hi, t_lo;
+  ASSERT_EQ(0, pt_create(&t_lo, &at_lo, &WaitAndRecord, &a_lo));
+  ASSERT_EQ(0, pt_create(&t_hi, &at_hi, &WaitAndRecord, &a_hi));
+  ASSERT_EQ(0, pt_mutex_lock(&s.m));
+  int prio = -1;
+  ASSERT_EQ(0, pt_getprio(pt_self(), &prio));
+  EXPECT_EQ(kDefaultPrio, prio);
+  s.flag = true;
+  ASSERT_EQ(0, pt_cond_broadcast(&s.c));
+  ASSERT_EQ(0, pt_getprio(pt_self(), &prio));
+  EXPECT_EQ(kDefaultPrio + 5, prio);
+  ASSERT_EQ(0, pt_mutex_unlock(&s.m));
+  ASSERT_EQ(0, pt_getprio(pt_self(), &prio));
+  EXPECT_EQ(kDefaultPrio, prio);
+  ASSERT_EQ(0, pt_join(t_hi, nullptr));
+  ASSERT_EQ(0, pt_join(t_lo, nullptr));
+  EXPECT_EQ((std::vector<int>{kDefaultPrio + 5, kDefaultPrio + 3}), s.order);
+  s.Destroy();
+}
+
 TEST_F(SyncQueueTest, SetprioRepositionsABlockedMutexWaiter) {
   // Two waiters block at different priorities; raising the lower one above the other while
   // it is blocked must re-bucket it so it wins the next handoff.
@@ -404,7 +461,7 @@ TEST_F(SyncQueueTest, RequeuedTimedWaiterTimesOutWithMutexHeld) {
   ASSERT_EQ(0, pt_create(&t_hi, &a_hi, &HiWaiter, &s));
   ASSERT_EQ(0, pt_mutex_lock(&s.m));
   s.flag = true;
-  ASSERT_EQ(0, pt_cond_broadcast(&s.c));  // wakes t_hi, requeues t_timed with timer armed
+  ASSERT_EQ(0, pt_cond_broadcast(&s.c));  // picks t_hi, requeues t_timed with timer armed
   // Hold the mutex past the timeout: the requeued waiter's block timer must fire on the
   // mutex queue and convert the wait into ETIMEDOUT-after-reacquisition.
   EXPECT_EQ(0, pt_delay(120 * 1000 * 1000));
@@ -594,6 +651,8 @@ struct SplitShared {
 struct SplitArg {
   SplitShared* s;
   pt_mutex_t* m;  // this waiter's own mutex (concurrent waits through different mutexes)
+  int id = 0;
+  std::vector<int>* order = nullptr;  // when set, where the waiter records its id holding m
 };
 
 void* SplitWaiter(void* ap) {
@@ -605,15 +664,18 @@ void* SplitWaiter(void* ap) {
   // Whichever path woke us (contention or direct handoff), the wait returns holding m.
   EXPECT_EQ(pt_self(), a->m->holder());
   ++a->s->done;
+  if (a->order != nullptr) {
+    a->order->push_back(a->id);
+  }
   EXPECT_EQ(0, pt_mutex_unlock(a->m));
   return nullptr;
 }
 
 TEST_F(SyncQueueTest, BroadcastRequeueOntoUnlockedMutexHandsOff) {
-  // Uniform requeue path: after the first (highest-priority) waiter is woken toward ma, the
-  // whole remainder of the cond queue shares mb — which is unlocked (its waiter released it
-  // inside cond_wait) and which no other thread ever locks or unlocks again. Without the
-  // broadcast-side handoff the mb waiter hangs forever and the join below deadlock-aborts.
+  // The picked (highest-priority) waiter goes onto ma, the rest of the cond queue onto mb —
+  // which is unlocked (its waiter released it inside cond_wait) and which no other thread
+  // ever locks or unlocks again. Without the broadcast-side handoff the mb waiter hangs
+  // forever and the join below deadlock-aborts.
   SplitShared s;
   s.Init();
   SplitArg arg_hi{&s, &s.ma};
@@ -637,8 +699,8 @@ TEST_F(SyncQueueTest, BroadcastRequeueOntoUnlockedMutexHandsOff) {
 }
 
 TEST_F(SyncQueueTest, BroadcastRequeueOntoUnlockedMutexesNonUniform) {
-  // Non-uniform path: the remaining waiters split across mb and mc, so the broadcast walks
-  // them one by one — and must hand off EACH orphaned unlocked mutex, not just one target.
+  // The remaining waiters split across mb and mc: the broadcast must hand off EACH orphaned
+  // unlocked mutex, not just one target.
   SplitShared s;
   s.Init();
   SplitArg arg_a{&s, &s.ma};
@@ -660,12 +722,42 @@ TEST_F(SyncQueueTest, BroadcastRequeueOntoUnlockedMutexesNonUniform) {
   s.Destroy();
 }
 
+TEST_F(SyncQueueTest, BroadcastRequeueOntoHeldMixedMutexesKeepsFifo) {
+  // Waiters 1 and 2 wait with ma, 3 and 4 with mb, on one cond and at one priority. Main
+  // holds both mutexes when it broadcasts: each waiter queues on its own mutex in arrival
+  // order, the picked one (1) at the head of ma, and each unlock hands its mutex down.
+  SplitShared s;
+  s.Init();
+  std::vector<int> order_a;
+  std::vector<int> order_b;
+  SplitArg args[] = {{&s, &s.ma, 1, &order_a},
+                     {&s, &s.ma, 2, &order_a},
+                     {&s, &s.mb, 3, &order_b},
+                     {&s, &s.mb, 4, &order_b}};
+  ThreadAttr a = MakeThreadAttr(kDefaultPrio + 1);
+  pt_thread_t ts[4];
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(0, pt_create(&ts[i], &a, &SplitWaiter, &args[i]));  // runs and blocks at once
+  }
+  ASSERT_EQ(0, pt_mutex_lock(&s.ma));
+  ASSERT_EQ(0, pt_mutex_lock(&s.mb));
+  s.flag = true;
+  ASSERT_EQ(0, pt_cond_broadcast(&s.c));
+  ASSERT_EQ(0, pt_mutex_unlock(&s.ma));
+  ASSERT_EQ(0, pt_mutex_unlock(&s.mb));
+  for (pt_thread_t t : ts) {
+    ASSERT_EQ(0, pt_join(t, nullptr));
+  }
+  EXPECT_EQ(4, s.done);
+  EXPECT_EQ((std::vector<int>{1, 2}), order_a);
+  EXPECT_EQ((std::vector<int>{3, 4}), order_b);
+  s.Destroy();
+}
+
 TEST_F(SyncQueueTest, BroadcastRequeueSameUnlockedMutexNoDoubleOwner) {
-  // Guard-path regression: when the first-woken waiter contends the SAME unlocked mutex the
-  // rest were requeued onto, the broadcast must NOT hand the mutex to a queued waiter — the
-  // first waiter is awake, will barge-lock it, and drains the queue via its own unlocks. A
-  // premature handoff would give the lower-priority waiter the mutex over the runnable
-  // higher-priority one (or corrupt ownership outright).
+  // All three wait with one unlocked mutex. The broadcast hands it to the picked (highest-
+  // priority) waiter, and the rest queue behind it: one owner at a time, priority order.
+  // Handing it to a lower-priority waiter first, or to two owners, would break the order.
   OrderShared s;
   s.Init();
   OrderArg a1{&s, 1}, a2{&s, 2}, a3{&s, 3};
@@ -676,8 +768,8 @@ TEST_F(SyncQueueTest, BroadcastRequeueSameUnlockedMutexNoDoubleOwner) {
   ASSERT_EQ(0, pt_create(&t1, &hi, &WaitAndRecord, &a1));
   ASSERT_EQ(0, pt_create(&t2, &mid, &WaitAndRecord, &a2));
   ASSERT_EQ(0, pt_create(&t3, &lo, &WaitAndRecord, &a3));
-  // Broadcast WITHOUT holding s.m: the mutex is unlocked at requeue time, and t1 (first
-  // woken, highest priority) is the thread that must win it first.
+  // Broadcast WITHOUT holding s.m: the mutex is unlocked at requeue time, and t1 (picked,
+  // highest priority) is the thread that must win it first.
   s.flag = true;
   ASSERT_EQ(0, pt_cond_broadcast(&s.c));
   ASSERT_EQ(0, pt_join(t1, nullptr));
