@@ -190,12 +190,6 @@ void Consume(obs::Event e, Tcb* t, uint32_t b, uint16_t gen, int64_t now) {
       t->metrics.acct_state = static_cast<uint8_t>(t->state);
       t->metrics.state_since_ns = now;
       return;
-    case Event::kTimerTick:
-      counters::Bump(counters::kMetricsTimerTicks);
-      return;
-    case Event::kIdlePoll:
-      counters::Bump(counters::kMetricsIdlePolls);
-      return;
     case Event::kSignal:
       counters::Bump(counters::kMetricsSignalsDelivered);
       return;

@@ -31,7 +31,7 @@ constexpr uint8_t kInterest[static_cast<int>(Event::kCount)] = {
     kTrace,                // kCondSignal
     kTrace,                // kCancel
     kTM,                   // kFakeCall
-    kTM | kTickSample,     // kTimerTick
+    kTrace | kTickSample,  // kTimerTick
     kTrace,                // kCondRequeue
     kTM | kOffCpu,         // kSuspend
     kTM | kOffCpu,         // kWake
@@ -40,7 +40,7 @@ constexpr uint8_t kInterest[static_cast<int>(Event::kCount)] = {
     kMetrics,              // kPreempt
     kMetrics,              // kResume
     kMetrics,              // kExit
-    kMetrics | kOffCpu,    // kIdlePoll
+    kOffCpu,               // kIdlePoll
     kMetrics,              // kLockFailed
 };
 

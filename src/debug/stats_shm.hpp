@@ -25,7 +25,7 @@
 namespace fsup::debug {
 
 inline constexpr uint32_t kStatsShmMagic = 0x70755346;  // "FsUp"
-inline constexpr uint32_t kStatsShmVersion = 4;  // 4: profiler.samples/dropped are counters
+inline constexpr uint32_t kStatsShmVersion = 5;  // 5: kernel.timer_ticks, no metrics ticks
 inline constexpr int kStatsShmTopStacks = 8;   // hottest on-CPU / most-blocked rows exported
 inline constexpr int kStatsShmMaxDepth = 8;    // frames kept per exported stack
 

@@ -175,7 +175,9 @@ void FakeCallCancel(Tcb* t) {
 
 void RunSelfHandlers() {
   Tcb* self = kernel::Current();
-  for (;;) {
+  // Reading the count outside the kernel is safe: a signal that queues a record after this
+  // check drains it in its own handler's ExitProtocol.
+  while (self->self_direct_recs != 0) {
     FakeRec* rec = nullptr;
     kernel::Enter();
     for (FakeRec& r : self->fake_recs) {

@@ -112,6 +112,7 @@ uint32_t TickImpl(bool forced, uint32_t forced_expired, bool forced_slice,
                   debug::replay::AsyncSite site) {
   FSUP_ASSERT(kernel::InKernel());
   KernelState& k = kernel::ks();
+  counters::Bump(counters::kKernelTimerTicks);
   k.itimer_deadline_ns = -1;  // the programmed shot has fired (or we are past it)
   const int64_t now = NowNs();
   // Reserve the decision slot before any delivery below logs trace records, so the inner

@@ -42,6 +42,7 @@
   X(kKernelDeferredSignals, "kernel.deferred_signals") /* caught while in the kernel */  \
   X(kKernelForcedSwitches, "kernel.forced_switches")   /* by a perverted policy */       \
   X(kKernelEntries, "kernel.kernel_entries")                                             \
+  X(kKernelTimerTicks, "kernel.timer_ticks")           /* SIGALRM ticks taken */         \
   /* UNIX calls through hostos, in hostos::Call order */                                 \
   X(kHostSigaction, "hostos.sigaction")                                                  \
   X(kHostSigprocmask, "hostos.sigprocmask")                                              \
@@ -85,8 +86,6 @@
   X(kMetricsPreemptedSwitches, "metrics.preempted_switches")                             \
   X(kMetricsSignalsDelivered, "metrics.signals_delivered") /* user handlers run */       \
   X(kMetricsFakeCalls, "metrics.fake_calls")                                             \
-  X(kMetricsTimerTicks, "metrics.timer_ticks")                                           \
-  X(kMetricsIdlePolls, "metrics.idle_polls")                                             \
   /* the profiler's session: samples folded (on- and off-CPU), samples lost, and */      \
   /* the off-CPU share with its blocked time */                                          \
   X(kProfilerSamples, "profiler.samples")                                                \

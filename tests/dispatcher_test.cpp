@@ -1,5 +1,5 @@
 // Dispatcher behaviour (paper Figure 2): deferred signal replay, preemption decisions and
-// idle-loop wakeups. The mask-call counts per signal are gated in signal_count_test.
+// idle-loop wakeups. The mask-call counts per signal are gated in op_count_test.
 
 #include <gtest/gtest.h>
 

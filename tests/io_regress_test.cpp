@@ -136,8 +136,6 @@ TEST_F(IoRegressTest, CancellingHeadDeadlineReprogramsItimer) {
 }
 
 TEST_F(IoRegressTest, CancelStormFiresNoStaleSigalrmTicks) {
-  pt_metrics_enable(true);  // counts OnTimerTick invocations
-
   // Storm: every iteration arms a 60 ms deadline and cancels it microseconds later.
   constexpr int kIters = 30;
   for (int i = 0; i < kIters; ++i) {
@@ -149,14 +147,13 @@ TEST_F(IoRegressTest, CancelStormFiresNoStaleSigalrmTicks) {
     ASSERT_EQ(0, pt_join(t, nullptr));
     ASSERT_EQ(0, g_sw_rc);
   }
-  const uint64_t ticks_after_storm = pt_metrics_snapshot().block[counters::kMetricsTimerTicks];
+  const uint64_t ticks_after_storm = counters::Get(counters::kKernelTimerTicks);
 
   // Sit past every cancelled deadline. With the interval timer correctly disarmed nothing
   // fires; the seed's leftover programming delivered a stale SIGALRM right about now.
   ::usleep(150'000);
   pt_yield();
-  EXPECT_EQ(ticks_after_storm, pt_metrics_snapshot().block[counters::kMetricsTimerTicks]);
-  pt_metrics_enable(false);
+  EXPECT_EQ(ticks_after_storm, counters::Get(counters::kKernelTimerTicks));
 }
 
 pt_thread_t g_dl_t1;
