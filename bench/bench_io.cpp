@@ -16,7 +16,7 @@
 // fcntl; pipes keep one F_GETFL per pt_read/pt_write call.
 //
 // Usage: bench_io [--json PATH]. Writes BENCH_io.json unless --json names another file: one
-// row per backend x N, and one round-trip row per fd kind.
+// "readiness" row per backend x N, and one "round_trip" row per fd kind.
 
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -31,6 +31,7 @@
 #include <initializer_list>
 
 #include "bench/bench_args.hpp"
+#include "bench/ledger.hpp"
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/io/io.hpp"
@@ -196,7 +197,6 @@ struct RoundTrip {
   const char* kind;
   double ns = 0;          // mean over kRtReps repetitions
   double ns_stderr = 0;
-  double io_calls = 0;    // transfers + mode_calls per round trip
   double transfers = 0;   // recv/send/read/write attempts per round trip
   double mode_calls = 0;  // fcntl calls per round trip
   double probes = 0;      // ENOTSOCK probes per round trip
@@ -259,7 +259,6 @@ RoundTrip RunRoundTrip(const char* kind) {
   rt.transfers = static_cast<double>(s1.transfers - s0.transfers) / n;
   rt.mode_calls = static_cast<double>(s1.mode_calls - s0.mode_calls) / n;
   rt.probes = static_cast<double>(s1.notsock_probes - s0.notsock_probes) / n;
-  rt.io_calls = rt.transfers + rt.mode_calls;
   rt.valid = true;
 
   char q = 'q';
@@ -279,7 +278,7 @@ void PrintRoundTrip(const RoundTrip& r) {
     return;
   }
   std::printf("| %-10s | %8.0f ± %4.0f | %8.2f | %9.2f | %10.2f | %6.2f |\n", r.kind, r.ns,
-              r.ns_stderr, r.io_calls, r.transfers, r.mode_calls, r.probes);
+              r.ns_stderr, r.transfers + r.mode_calls, r.transfers, r.mode_calls, r.probes);
 }
 
 void Print(const Row& r) {
@@ -292,60 +291,13 @@ void Print(const Row& r) {
               100.0 * r.ctl_free_fraction);
 }
 
-void WriteJson(const char* path, const Row* rows, size_t nrows, double scaling,
-               double ctl_free, const RoundTrip* rts, size_t nrts) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_io: cannot write %s\n", path);
-    return;
-  }
-  std::fputs("{\"bench\":\"io_readiness\",\"rows\":[\n", f);
-  bool first = true;
-  for (size_t i = 0; i < nrows; ++i) {
-    const Row& r = rows[i];
-    if (!r.valid) {
-      continue;
-    }
-    if (!first) {
-      std::fputs(",\n", f);
-    }
-    first = false;
-    std::fprintf(f,
-                 "  {\"backend\":\"%s\",\"n\":%d,\"rounds\":%d,\"elapsed_s\":%.4f,"
-                 "\"waits_per_sec\":%.1f,\"epoll_ctl_per_wait\":%.5f,"
-                 "\"probe_syscalls_per_wait\":%.3f,\"ctl_free_wait_fraction\":%.4f}",
-                 r.backend, r.n, r.rounds, r.elapsed_s, r.waits_per_sec, r.ctl_per_wait,
-                 r.probes_per_wait, r.ctl_free_fraction);
-  }
-  std::fputs("\n],\"round_trips\":[\n", f);
-  first = true;
-  for (size_t i = 0; i < nrts; ++i) {
-    const RoundTrip& r = rts[i];
-    if (!r.valid) {
-      continue;
-    }
-    std::fprintf(f,
-                 "%s  {\"fd\":\"%s\",\"rounds\":%d,\"ns_per_round_trip\":%.1f,"
-                 "\"stderr_ns\":%.1f,\"io_calls_per_round_trip\":%.3f,"
-                 "\"transfers_per_round_trip\":%.3f,\"fcntl_per_round_trip\":%.3f,"
-                 "\"enotsock_probes_per_round_trip\":%.3f}",
-                 first ? "" : ",\n", r.kind, kRtReps * kRtRounds, r.ns, r.ns_stderr,
-                 r.io_calls, r.transfers, r.mode_calls, r.probes);
-    first = false;
-  }
-  std::fprintf(f,
-               "\n],\"epoll_scaling_8_to_4096\":%.4f,"
-               "\"epoll_steady_state_ctl_free\":%.4f}\n",
-               scaling, ctl_free);
-  std::fclose(f);
-}
-
 }  // namespace
 }  // namespace fsup
 
 int main(int argc, char** argv) {
   using namespace fsup;
   const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_io.json", /*has_smoke=*/false);
+  Ledger ledger(args.json, "io_readiness", /*timings=*/true);
   pt_init();
 
   constexpr size_t kNCounts = sizeof(kCounts) / sizeof(kCounts[0]);
@@ -405,6 +357,22 @@ int main(int argc, char** argv) {
     PrintRoundTrip(r);
   }
 
-  WriteJson(args.json, rows, nrows, scaling, ctl_free, rts, sizeof(rts) / sizeof(rts[0]));
-  return 0;
+  for (size_t i = 0; i < nrows; ++i) {
+    const Row& r = rows[i];
+    if (r.valid) {
+      ledger.Row("readiness").Set("backend", r.backend).Set("n", r.n).Set("rounds", r.rounds);
+      ledger.Set("elapsed_s", r.elapsed_s, 4).Set("waits_per_sec", r.waits_per_sec, 1);
+      ledger.Set("epoll_ctl_per_wait", r.ctl_per_wait, 5);
+      ledger.Set("probe_syscalls_per_wait", r.probes_per_wait);
+      ledger.Set("ctl_free_wait_fraction", r.ctl_free_fraction, 4);
+    }
+  }
+  for (const RoundTrip& r : rts) {
+    if (r.valid) {
+      ledger.Row("round_trip").Set("fd", r.kind).Set("rounds", kRtReps * kRtRounds);
+      ledger.Set("ns", r.ns, 1).Set("stderr_ns", r.ns_stderr, 1).Set("transfers", r.transfers);
+      ledger.Set("fcntl", r.mode_calls).Set("enotsock_probes", r.probes);
+    }
+  }
+  return ledger.Close(0);
 }

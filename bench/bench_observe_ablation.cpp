@@ -22,11 +22,13 @@
 //   bench_observe_ablation [--smoke] [--json PATH]
 //
 // --smoke shrinks every dimension (the ctest run); --json writes the results (default
-// BENCH_observe.json). The verdict column compares each difference with the 1.15 ns per op
-// budget. The exit code only catches what the comparison exists to catch: it is 1 when the
-// lock+unlock or enter/exit difference is both significant (> 2.5 stderr) and above 10 ns per
-// op, where a locked atomic or a syscall on the disabled path lands. Smaller differences are
-// within what code layout alone moves these primitives between the two builds.
+// BENCH_observe.json): per primitive, an observer "disabled" row (A and B means, the stderr of
+// their paired difference) and a row per observer (off and on means), then the on-CPU sample
+// price. The verdict column compares each difference with the 1.15 ns per op budget. The
+// exit code only catches what the comparison exists to catch: it is 1 when the lock+unlock or
+// enter/exit difference is both significant (> 2.5 stderr) and above 10 ns per op, where a
+// locked atomic or a syscall on the disabled path lands. Smaller differences are within what
+// code layout alone moves these primitives between the two builds.
 
 #include <unistd.h>
 
@@ -35,6 +37,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench/ledger.hpp"
 #include "bench/stats.hpp"
 #include "src/core/pthread.hpp"
 #include "src/debug/obs.hpp"
@@ -202,24 +205,6 @@ std::string SelfExe() {
   return n > 0 ? std::string(buf, static_cast<size_t>(n)) : std::string();
 }
 
-// The CPU the numbers were taken on (/proc/cpuinfo "model name"), for the JSON record.
-std::string CpuModel() {
-  std::string model = "unknown";
-  if (FILE* f = std::fopen("/proc/cpuinfo", "r"); f != nullptr) {
-    char line[256];
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-      const char* colon = std::strchr(line, ':');
-      if (std::strncmp(line, "model name", 10) == 0 && colon != nullptr) {
-        model = colon + 2;
-        model.erase(model.find_last_not_of(" \n") + 1);
-        break;
-      }
-    }
-    std::fclose(f);
-  }
-  return model;
-}
-
 struct Price {
   const char* observer;
   Stats off[kPrims];
@@ -307,8 +292,8 @@ bool MeasureDisabled(const Dims& d, bool smoke, Disabled* r) {
   return true;
 }
 
-// The disabled-cost table; fills within_budget per primitive.
-void ReportDisabled(const Dims& d, const Disabled& r, bool within_budget[kPrims]) {
+// The disabled-cost table.
+void ReportDisabled(const Dims& d, const Disabled& r) {
   std::printf("Observer ablation — all observers off (A, fsup) vs observation compiled out "
               "(B, fsup_noobs), %d ABBA subprocess pairs\n\n",
               d.pairs);
@@ -316,7 +301,6 @@ void ReportDisabled(const Dims& d, const Disabled& r, bool within_budget[kPrims]
               "stderr", "verdict");
   for (int i = 0; i < kPrims; ++i) {
     const double m = r.diff[i].mean();
-    within_budget[i] = !r.Significant(i) || m <= kBudgetNs;
     std::printf("  %-12s %10.3f %10.3f %+12.3f %10.3f  %s\n", kPrimNames[i], r.a_ns[i].mean(),
                 r.b_ns[i].mean(), m, r.Stderr(i),
                 !r.Significant(i) ? "indistinguishable"
@@ -381,57 +365,29 @@ void ReportEnabled(const Enabled& e) {
   std::printf("  recording: %.1f ns per switch decision (yield / 2)\n", e.RecordPerDecision());
 }
 
-void WriteJson(const char* json_path, bool smoke, const Dims& d, const Disabled& r,
-               const bool within_budget[kPrims], const Enabled& e) {
-  FILE* f = std::fopen(json_path, "w");
-  if (f == nullptr) {
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"observe_ablation\",\n  \"smoke\": %s,\n",
-               smoke ? "true" : "false");
-  std::fprintf(f, "  \"pairs\": %d,\n  \"host\": \"%s\",\n  \"nproc\": %ld,\n", d.pairs,
-               CpuModel().c_str(), ::sysconf(_SC_NPROCESSORS_ONLN));
-  std::fprintf(f, "  \"disabled\": [\n");
-  for (int i = 0; i < kPrims; ++i) {
-    std::fprintf(f,
-                 "    {\"op\": \"%s\", \"all_off_ns\": %.4f, \"compiled_out_ns\": %.4f, "
-                 "\"diff_ns\": %.4f, \"stderr_ns\": %.4f, \"within_budget\": %s}%s\n",
-                 kPrimNames[i], r.a_ns[i].mean(), r.b_ns[i].mean(), r.diff[i].mean(),
-                 r.Stderr(i), within_budget[i] ? "true" : "false", i + 1 < kPrims ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"enabled\": [\n");
-  for (int o = 0; o < 4; ++o) {
-    for (int i = 0; i < kPrims; ++i) {
-      const Price& p = e.prices[o];
-      std::fprintf(f,
-                   "    {\"observer\": \"%s\", \"op\": \"%s\", \"off_ns\": %.3f, "
-                   "\"on_ns\": %.3f, \"delta_ns\": %.3f}%s\n",
-                   p.observer, kPrimNames[i], p.off[i].mean(), p.on[i].mean(),
-                   p.on[i].mean() - p.off[i].mean(), o == 3 && i + 1 == kPrims ? "" : ",");
-    }
-  }
-  std::fprintf(f,
-               "  ],\n  \"offcpu_ns_per_block_wake\": %.2f,\n"
-               "  \"oncpu_ns_per_sample\": %.2f,\n"
-               "  \"record_ns_per_decision\": %.2f\n}\n",
-               e.OffcpuPerCycle(), e.sample_ns, e.RecordPerDecision());
-  std::fclose(f);
-  std::printf("\nwrote %s\n", json_path);
-}
-
-int RunParent(bool smoke, const char* json_path) {
+int RunParent(bool smoke, Ledger* ledger) {
   const Dims d = DimsFor(smoke);
 
   Disabled r;
-  bool within_budget[kPrims] = {};
   if (!MeasureDisabled(d, smoke, &r)) {
     return 2;
   }
-  ReportDisabled(d, r, within_budget);
+  ReportDisabled(d, r);
   Enabled e;
   MeasureEnabled(d, &e);
   ReportEnabled(e);
-  WriteJson(json_path, smoke, d, r, within_budget, e);
+  for (int i = 0; i < kPrims; ++i) {
+    ledger->Row(kPrimNames[i]).Set("observer", "disabled").Set("pairs", d.pairs);
+    ledger->Set("all_off_ns", r.a_ns[i].mean(), 4).Set("compiled_out_ns", r.b_ns[i].mean(), 4);
+    ledger->Set("stderr_ns", r.Stderr(i), 4);
+  }
+  for (const Price& p : e.prices) {
+    for (int i = 0; i < kPrims; ++i) {
+      ledger->Row(kPrimNames[i]).Set("observer", p.observer);
+      ledger->Set("off_ns", p.off[i].mean()).Set("on_ns", p.on[i].mean());
+    }
+  }
+  ledger->Row("oncpu_sample").Set("observer", "offcpu").Set("ns", e.sample_ns, 2);
   if (r.GateFails()) {
     std::printf("FAIL: a gated disabled-observer difference is significant and above %.1f "
                 "ns/op\n",
@@ -468,5 +424,6 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  return fsup::RunParent(smoke, json);
+  fsup::Ledger ledger(json, "observe_ablation", /*timings=*/true);
+  return ledger.Close(fsup::RunParent(smoke, &ledger));
 }

@@ -8,10 +8,9 @@
 //              instruction acquires the lock AND records the owner in the lock word
 //
 // The paper predicts test-and-set ≈ restartable sequence on a uniprocessor, and CAS only a
-// couple of cycles more. Also measured: RAS restart frequency under a timer storm, and the
-// PRODUCTION fast path — a full pt_mutex_lock/unlock pair on the owner-word RAS and on the
-// kernel monitor, so the raw-primitive costs above can be compared against what the RAS
-// costs once embedded in the real API (validation, Current(), EDEADLK check, fast-path gate).
+// couple of cycles more. Also measured: RAS restart frequency under a timer storm. What the
+// RAS costs once embedded in the real API, an uncontended pt_mutex_lock/unlock pair on the
+// fast path and on the kernel path, is bench_sync_scale's "uncontended" row.
 
 #include <csignal>
 #include <cstdio>
@@ -19,7 +18,6 @@
 #include "src/arch/ras.hpp"
 #include "src/core/bench_probes.hpp"
 #include "src/core/pthread.hpp"
-#include "src/sync/fastpath.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 namespace fsup {
@@ -56,16 +54,6 @@ double MeasureCas() {
   });
 }
 
-double MeasureMutexPair(pt_mutex_t* m, bool fast_path) {
-  sync::fastpath::SetRequested(fast_path);
-  DualLoopTimer t(2'000'000, 5);
-  const double ns = t.MeasureNs([&] {
-    pt_mutex_lock(m);
-    pt_mutex_unlock(m);
-  });
-  return ns;
-}
-
 volatile sig_atomic_t g_alarms = 0;
 void AlarmHandler(int) {
   g_alarms = g_alarms + 1;
@@ -91,21 +79,6 @@ int main() {
   std::printf("  * on a uniprocessor the RAS is competitive with the hardware test-and-set\n");
   std::printf("  * compare-and-swap costs only slightly more and removes the RAS handler\n");
   std::printf("    overhead entirely — the paper's argument for providing it in every ISA\n");
-
-  // The shipped API: an uncontended pt_mutex_lock/unlock pair on the RAS fast path, and the
-  // kill switch as the everything-in-the-kernel reference point.
-  pt_mutex_t m;
-  pt_mutex_init(&m);
-  const bool saved = sync::fastpath::Requested();
-  const double pt_ras = MeasureMutexPair(&m, true);
-  const double pt_off = MeasureMutexPair(&m, false);
-  sync::fastpath::SetRequested(saved);
-  pt_mutex_destroy(&m);
-  std::printf("\nProduction fast path — uncontended pt_mutex_lock+unlock pair [ns]\n\n");
-  std::printf("  %-44s %8.2f\n", "FSUP_FASTPATH=1 (owner-word RAS acquire)", pt_ras);
-  std::printf("  %-44s %8.2f\n", "FSUP_FASTPATH=0 (kernel monitor path)", pt_off);
-  std::printf("  fast-path speedup over the kernel path: %.1fx\n",
-              pt_ras > 0 ? pt_off / pt_ras : 0.0);
 
   // RAS restarts under a timer storm: a self-re-arming alarm fires every ~50us while the
   // main thread does nothing but execute the lock sequence back to back, so a sizable

@@ -39,6 +39,7 @@
 #include <cstring>
 
 #include "bench/bench_args.hpp"
+#include "bench/ledger.hpp"
 #include "src/arch/ras.hpp"
 #include "src/core/attr.hpp"
 #include "src/core/pthread.hpp"
@@ -410,78 +411,13 @@ UncontendedRow RunUncontended(bool smoke) {
 // Driver.
 // ---------------------------------------------------------------------------------------
 
-void WriteJson(const char* path, const BroadcastRow* bc, size_t nbc, const ContendedRow* ct,
-               size_t nct, const BoostResult& boost, const UncontendedRow& un,
-               double sw_ratio, double tp_ratio) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_sync: cannot write %s\n", path);
-    return;
-  }
-  std::fputs("{\"bench\":\"sync_scale\",\"broadcast\":[\n", f);
-  bool first = true;
-  for (size_t i = 0; i < nbc; ++i) {
-    if (!bc[i].valid) {
-      continue;
-    }
-    if (!first) {
-      std::fputs(",\n", f);
-    }
-    first = false;
-    std::fprintf(f,
-                 "  {\"n\":%d,\"broadcast_us\":%.2f,\"drain_ms\":%.3f,"
-                 "\"ctx_switches\":%llu,\"switches_per_waiter\":%.3f}",
-                 bc[i].n, bc[i].broadcast_us, bc[i].drain_ms,
-                 static_cast<unsigned long long>(bc[i].ctx_switches),
-                 bc[i].switches_per_waiter);
-  }
-  std::fputs("\n],\"contended\":[\n", f);
-  first = true;
-  for (size_t i = 0; i < nct; ++i) {
-    if (!ct[i].valid) {
-      continue;
-    }
-    if (!first) {
-      std::fputs(",\n", f);
-    }
-    first = false;
-    std::fprintf(f,
-                 "  {\"n\":%d,\"ops\":%llu,\"elapsed_s\":%.4f,\"ops_per_sec\":%.0f}",
-                 ct[i].n, static_cast<unsigned long long>(ct[i].ops), ct[i].elapsed_s,
-                 ct[i].ops_per_sec);
-  }
-  std::fputs("\n],\"boost_chain\":", f);
-  if (boost.valid) {
-    std::fprintf(f,
-                 "{\"chain\":%d,\"fillers_per_mutex\":%d,\"boosts\":%d,"
-                 "\"link_boosts\":%d,\"total_us\":%.2f,\"ns_per_link\":%.1f}",
-                 boost.chain, boost.fillers_per_mutex, boost.boosts, boost.link_boosts,
-                 boost.total_us, boost.ns_per_link);
-  } else {
-    std::fputs("null", f);
-  }
-  std::fputs(",\"uncontended\":", f);
-  if (un.valid) {
-    std::fprintf(f,
-                 "{\"bare_pair_ns\":%.3f,\"ras_pair_ns\":%.3f,\"off_pair_ns\":%.3f,"
-                 "\"fastpath_vs_bare_ratio\":%.3f}",
-                 un.bare_pair_ns, un.ras_pair_ns, un.off_pair_ns, un.ratio);
-  } else {
-    std::fputs("null", f);
-  }
-  std::fprintf(f,
-               ",\"broadcast_switches_per_waiter_ratio\":%.3f,"
-               "\"contended_throughput_ratio\":%.3f}\n",
-               sw_ratio, tp_ratio);
-  std::fclose(f);
-}
-
 }  // namespace
 }  // namespace fsup
 
 int main(int argc, char** argv) {
   using namespace fsup;
   const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_sync.json", /*has_smoke=*/true);
+  Ledger ledger(args.json, "sync_scale", /*timings=*/true);
   pt_init();
 
   const bool smoke = args.smoke;
@@ -550,7 +486,29 @@ int main(int argc, char** argv) {
               " -> %s\n",
               un.ratio, un.valid && un.ratio > 0 && un.ratio <= 2.0 ? "PASS" : "FAIL");
 
-  WriteJson(args.json, bc, ncounts, ct, ncounts, boost, un, sw_ratio, tp_ratio);
+  for (size_t i = 0; i < ncounts; ++i) {
+    if (bc[i].valid) {
+      ledger.Row("broadcast").Set("n", bc[i].n).Set("broadcast_us", bc[i].broadcast_us, 2);
+      ledger.Set("drain_ms", bc[i].drain_ms).Set("ctx_switches", bc[i].ctx_switches);
+      ledger.Set("switches_per_waiter", bc[i].switches_per_waiter);
+    }
+  }
+  for (size_t i = 0; i < ncounts; ++i) {
+    if (ct[i].valid) {
+      ledger.Row("contended").Set("n", ct[i].n).Set("ops", ct[i].ops);
+      ledger.Set("elapsed_s", ct[i].elapsed_s, 4).Set("ops_per_sec", ct[i].ops_per_sec, 0);
+    }
+  }
+  if (boost.valid) {
+    ledger.Row("boost_chain").Set("chain", boost.chain);
+    ledger.Set("fillers_per_mutex", boost.fillers_per_mutex).Set("boosts", boost.boosts);
+    ledger.Set("link_boosts", boost.link_boosts).Set("total_us", boost.total_us, 2);
+    ledger.Set("ns_per_link", boost.ns_per_link, 1);
+  }
+  if (un.valid) {
+    ledger.Row("uncontended").Set("bare_pair_ns", un.bare_pair_ns);
+    ledger.Set("ras_pair_ns", un.ras_pair_ns).Set("off_pair_ns", un.off_pair_ns);
+  }
   pt_reinit();
-  return flat ? 0 : 1;
+  return ledger.Close(flat ? 0 : 1);
 }

@@ -29,6 +29,7 @@
 #include <cstring>
 
 #include "bench/bench_args.hpp"
+#include "bench/ledger.hpp"
 #include "src/core/attr.hpp"
 #include "src/core/pthread.hpp"
 #include "src/util/dual_loop_timer.hpp"
@@ -177,46 +178,13 @@ WaveRow RunWave(int n, pt_thread_t* th, bool probe_population) {
   return row;
 }
 
-void WriteJson(const char* path, const WaveRow* sweep, size_t nsweep, const WaveRow& wave,
-               double create_ratio, double join_ratio) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_scale: cannot write %s\n", path);
-    return;
-  }
-  std::fputs("{\"bench\":\"thread_scale\",\"latency\":[\n", f);
-  bool first = true;
-  for (size_t i = 0; i < nsweep; ++i) {
-    if (!sweep[i].valid) {
-      continue;
-    }
-    if (!first) {
-      std::fputs(",\n", f);
-    }
-    first = false;
-    std::fprintf(f, "  {\"n\":%d,\"create_us\":%.3f,\"join_us\":%.3f}", sweep[i].n,
-                 sweep[i].create_us, sweep[i].join_us);
-  }
-  std::fprintf(f, "\n],\"create_latency_ratio\":%.3f,\"join_latency_ratio\":%.3f,\n",
-               create_ratio, join_ratio);
-  if (wave.valid) {
-    std::fprintf(f,
-                 "\"wave\":{\"n\":%d,\"create_us\":%.3f,\"join_us\":%.3f,"
-                 "\"rss_kib_per_thread\":%.2f,\"yield_ns\":%.1f}}\n",
-                 wave.n, wave.create_us, wave.join_us, wave.rss_kib, wave.yield_ns);
-  } else {
-    std::fprintf(f, "\"wave\":{\"n\":%d,\"created\":%d,\"failed\":true}}\n", wave.n,
-                 wave.created);
-  }
-  std::fclose(f);
-}
-
 }  // namespace
 }  // namespace fsup
 
 int main(int argc, char** argv) {
   using namespace fsup;
   const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_scale.json", /*has_smoke=*/true);
+  Ledger ledger(args.json, "thread_scale", /*timings=*/true);
   pt_init();
 
   const bool smoke = args.smoke;
@@ -260,8 +228,6 @@ int main(int argc, char** argv) {
   const WaveRow& hi = sweep[nsweep - 1];
   const double create_ratio =
       lo.valid && hi.valid && lo.create_us > 0 ? hi.create_us / lo.create_us : 0;
-  const double join_ratio =
-      lo.valid && hi.valid && lo.join_us > 0 ? hi.join_us / lo.join_us : 0;
   std::printf("\n  create latency ratio N=%d vs N=%d: %.2f (acceptance: <= 1.50) -> %s\n",
               hi.n, lo.n, create_ratio,
               create_ratio > 0 && create_ratio <= 1.5 ? "PASS" : "FAIL");
@@ -270,8 +236,18 @@ int main(int argc, char** argv) {
                                 ? "PASS"
                                 : "FAIL");
 
-  WriteJson(args.json, sweep, nsweep, wave, create_ratio, join_ratio);
+  for (size_t i = 0; i < nsweep; ++i) {
+    if (sweep[i].valid) {
+      ledger.Row("latency").Set("n", sweep[i].n).Set("create_us", sweep[i].create_us);
+      ledger.Set("join_us", sweep[i].join_us);
+    }
+  }
+  ledger.Row("wave").Set("n", wave.n).Set("created", wave.created);
+  if (wave.valid) {
+    ledger.Set("create_us", wave.create_us).Set("join_us", wave.join_us);
+    ledger.Set("rss_kib_per_thread", wave.rss_kib, 2).Set("yield_ns", wave.yield_ns, 1);
+  }
   std::free(th);
   pt_reinit();
-  return 0;
+  return ledger.Close(0);
 }

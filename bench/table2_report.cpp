@@ -27,6 +27,7 @@
 #include <cstring>
 
 #include "bench/bench_args.hpp"
+#include "bench/ledger.hpp"
 #include "src/core/attr.hpp"
 #include "src/core/bench_probes.hpp"
 #include "src/core/pthread.hpp"
@@ -345,40 +346,13 @@ void Print(const Row& r) {
   std::printf("| %-34s | %s | %s | %-24s |\n", r.metric, a, b, r.note);
 }
 
-// Machine-readable companion to the printed table, for dashboards and regression tracking.
-// One object per row; -1 (the kNone sentinel) becomes null.
-void WriteJson(const char* path, const Row* rows, size_t n) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "table2_report: cannot write %s\n", path);
-    return;
-  }
-  auto cell = [&](double v) {
-    if (v < 0) {
-      std::fputs("null", f);
-    } else {
-      std::fprintf(f, "%.3f", v);
-    }
-  };
-  std::fputs("{\"unit\":\"us\",\"rows\":[\n", f);
-  for (size_t i = 0; i < n; ++i) {
-    std::fprintf(f, "  {\"metric\":\"%s\",\"fsup_us\":", rows[i].metric);
-    cell(rows[i].fsup_us);
-    std::fputs(",\"native_us\":", f);
-    cell(rows[i].native_us);
-    std::fprintf(f, ",\"note\":\"%s\"}%s\n", rows[i].note, i + 1 < n ? "," : "");
-  }
-  std::fputs("]}\n", f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
-}
-
 }  // namespace
 }  // namespace fsup
 
 int main(int argc, char** argv) {
   using namespace fsup;
   const BenchArgs args = ParseBenchArgs(argc, argv, "BENCH_table2.json", /*has_smoke=*/false);
+  Ledger ledger(args.json, "table2", /*timings=*/true);
   pt_init();
   std::printf("Table 2 — Performance Metrics (microseconds, dual-loop timing)\n");
   std::printf("reproduction of: Mueller, \"A Library Implementation of POSIX Threads under "
@@ -395,6 +369,14 @@ int main(int argc, char** argv) {
   };
   for (const Row& r : rows) {
     Print(r);
+    ledger.Row(r.metric);
+    if (r.fsup_us >= 0) {
+      ledger.Set("fsup_us", r.fsup_us, 4);
+    }
+    if (r.native_us >= 0) {
+      ledger.Set("native_us", r.native_us, 4);
+    }
+    ledger.Set("note", r.note);
   }
 
   std::printf("\nShape checks (the paper's qualitative claims):\n");
@@ -403,6 +385,6 @@ int main(int argc, char** argv) {
   std::printf("  * thread context switch < UNIX process context switch\n");
   std::printf("  * internal thread signal << external (demultiplexed) thread signal\n");
 
-  WriteJson(args.json, rows, sizeof(rows) / sizeof(rows[0]));
-  return 0;
+  std::printf("\n");
+  return ledger.Close(0);
 }

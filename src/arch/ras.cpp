@@ -52,8 +52,6 @@ void RegisterBuiltins() {
   g_builtins_done = true;
   Register(reinterpret_cast<uintptr_t>(fsup_ras_lock_begin),
            reinterpret_cast<uintptr_t>(fsup_ras_lock_end));
-  Register(reinterpret_cast<uintptr_t>(fsup_ras_unlock_begin),
-           reinterpret_cast<uintptr_t>(fsup_ras_unlock_end));
   Register(reinterpret_cast<uintptr_t>(fsup_ras_owner_lock_begin),
            reinterpret_cast<uintptr_t>(fsup_ras_owner_lock_end));
   Register(reinterpret_cast<uintptr_t>(fsup_ras_owner_unlock_begin),

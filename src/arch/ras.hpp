@@ -55,11 +55,6 @@ extern "C" {
 // *lock = 1, returning 0. Returns 1 if the lock was already held.
 int fsup_ras_lock(volatile uint8_t* lock, void* owner, void* volatile* owner_slot);
 
-// Atomic-by-restart fast unlock: clears *lock if *has_waiters is 0, returning 0; returns 1
-// (lock untouched) when a waiter needs the kernel handoff. The owner field is deliberately
-// left stale — it is only meaningful while the lock word is set.
-int fsup_ras_unlock(volatile uint8_t* lock, volatile uint8_t* has_waiters);
-
 // Production mutex fast path, over the unified owner word (nullptr = unlocked, else the
 // owning TCB). The single committing store both acquires and publishes the owner, so the
 // kernel can never see a locked mutex without knowing who holds it. Returns nullptr on
@@ -95,8 +90,6 @@ long fsup_ras_idle_syscall(long nr, long a1, long a2, long a3, long a4,
 // Sequence bounds, exported for registration and tests.
 extern const char fsup_ras_lock_begin[];
 extern const char fsup_ras_lock_end[];
-extern const char fsup_ras_unlock_begin[];
-extern const char fsup_ras_unlock_end[];
 extern const char fsup_ras_owner_lock_begin[];
 extern const char fsup_ras_owner_lock_end[];
 extern const char fsup_ras_owner_unlock_begin[];

@@ -257,7 +257,7 @@ void CaptureCounters(counters::Block* out) {
     g[kPoolMappedHwBytes] = pool->mapped_hw_bytes();
     g[kPoolFreeBytes] = pool->pooled_bytes();
     g[kPoolFreeStacks] = pool->pooled_stacks();
-    g[kPoolBudgetBytes] = pool->pool_budget_bytes();
+    g[kPoolBudgetBytes] = StackPool::kBudgetBytes;
   }
   const io::IoStats ios = io::GetStats();
   g[kIoActiveWaiters] = static_cast<uint64_t>(ios.active_waiters);

@@ -27,8 +27,6 @@
 namespace fsup::kernel {
 namespace {
 
-constexpr size_t kPrecachedStacks = 8;
-
 // The main thread's TCB lives in static storage: it has no library-owned stack and must exist
 // before any pool does.
 alignas(Tcb) unsigned char g_main_tcb_storage[sizeof(Tcb)];
@@ -47,7 +45,7 @@ void InitRuntime() {
   hostos::fault::InitFromEnv();
 
   ras::RegisterBuiltins();
-  k.pool = new StackPool(kPrecachedStacks);
+  k.pool = new StackPool();
 
   Tcb* main_tcb = new (g_main_tcb_storage) Tcb();
   main_tcb->magic = kTcbMagic;

@@ -13,6 +13,8 @@ namespace fsup {
 static_assert((kMinStackSize & (kMinStackSize - 1)) == 0, "size classes assume pow2 floor");
 static_assert((StackPool::kMaxPooledStackSize & (StackPool::kMaxPooledStackSize - 1)) == 0,
               "size classes assume pow2 ceiling");
+static_assert(StackPool::kPrecached * kDefaultStackSize <= StackPool::kBudgetBytes,
+              "the precached stacks fit the budget");
 
 int StackPool::ClassIndex(size_t usable_size) {
   if (usable_size < kMinStackSize || usable_size > kMaxPooledStackSize ||
@@ -24,18 +26,15 @@ int StackPool::ClassIndex(size_t usable_size) {
   return cls;
 }
 
-StackPool::StackPool(size_t precache, size_t budget_bytes)
-    : budget_bytes_(budget_bytes), precache_target_(precache) {
-  tcb_pool_.Reserve(precache == 0 ? 1 : precache * 2);
-  // Pre-map `precache` default-size stacks so warm creation performs no kernel calls.
-  for (size_t i = 0; i < precache; ++i) {
+StackPool::StackPool() {
+  tcb_pool_.Reserve(kPrecached * 2);
+  for (size_t i = 0; i < kPrecached; ++i) {
     Stack s;
     if (!MapFresh(kDefaultStackSize, &s)) {
       break;
     }
     PushFree(s);
   }
-  EvictOverBudget();
 }
 
 StackPool::~StackPool() {
@@ -91,7 +90,7 @@ bool StackPool::TakePooledStack(int cls, Stack* out) {
 // bounds address-space pinning.
 void StackPool::EvictOverBudget() {
   int cls = kNumClasses - 1;
-  while (free_bytes_ > budget_bytes_ && cls >= 0) {
+  while (free_bytes_ > kBudgetBytes && cls >= 0) {
     Stack s;
     if (!TakePooledStack(cls, &s)) {
       --cls;

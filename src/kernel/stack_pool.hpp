@@ -24,13 +24,14 @@ namespace fsup {
 
 class StackPool {
  public:
-  // Default recycle budget: enough for bursty create/join batches across several size classes
-  // (e.g. 256 default 128 KiB stacks) without pinning unbounded address space.
-  static constexpr size_t kDefaultPoolBudgetBytes = 32u << 20;
+  // Default-size stacks pre-mapped when the pool is made, so warm creation maps nothing.
+  static constexpr size_t kPrecached = 8;
+  // The most mapped bytes the free lists hold; overflow evicts largest-first. Enough for
+  // bursty create/join batches across several size classes (e.g. 256 default 128 KiB stacks)
+  // without pinning unbounded address space.
+  static constexpr size_t kBudgetBytes = 32u << 20;
 
-  // Pre-maps `precache` default-size stacks. The free lists hold at most `budget_bytes` of
-  // mapped bytes; overflow evicts largest-first.
-  explicit StackPool(size_t precache = 8, size_t budget_bytes = kDefaultPoolBudgetBytes);
+  StackPool();
   ~StackPool();
 
   StackPool(const StackPool&) = delete;
@@ -63,7 +64,6 @@ class StackPool {
   // is counted in the "pool" group of util/counters.hpp, one set for every StackPool instance.
   size_t pooled_stacks() const { return free_count_; }
   size_t pooled_bytes() const { return free_bytes_; }
-  size_t pool_budget_bytes() const { return budget_bytes_; }
 
   // Reserved bytes currently mapped (stacks in use + free lists) and the high-water mark of
   // that sum over the pool's lifetime.
@@ -100,8 +100,6 @@ class StackPool {
   FreeStack* free_heads_[kNumClasses] = {};
   size_t free_count_ = 0;
   size_t free_bytes_ = 0;    // mapped (reserved) bytes across all free lists
-  size_t budget_bytes_;      // eviction is largest-first
-  size_t precache_target_;
   size_t live_bytes_ = 0;        // mapped (reserved) bytes across stacks in use
   size_t mapped_hw_bytes_ = 0;   // high-water of live_bytes_ + free_bytes_
 

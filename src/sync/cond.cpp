@@ -18,8 +18,7 @@ namespace {
 // queue. The thread stays suspended at its CondWait suspension point but blocks as an
 // ordinary mutex waiter: the wait-for-graph detector follows waiting_on_mutex, priority
 // changes reposition it in m's queue, and a direct unlock handoff can make it owner.
-void ParkOnMutex(Cond* c, Tcb* w, Mutex* m) {
-  ++c->signals_sent;
+void ParkOnMutex(Tcb* w, Mutex* m) {
   w->cond_signalled = true;  // the broadcast reached it; it returns once it re-holds m
   w->waiting_on_cond = nullptr;
   w->waiting_on_mutex = m;
@@ -29,8 +28,8 @@ void ParkOnMutex(Cond* c, Tcb* w, Mutex* m) {
 // One of the rest a broadcast requeues. The cond_requeued flag preserves the logical
 // conditional-wait identity for interruption and cancellation; an armed timeout timer stays
 // armed (expiry converts to a normal mutex-wake that returns ETIMEDOUT after reacquisition).
-void MarkRequeued(Cond* c, Tcb* w, Mutex* m) {
-  ParkOnMutex(c, w, m);
+void MarkRequeued(Tcb* w, Mutex* m) {
+  ParkOnMutex(w, m);
   w->cond_requeued = true;
 }
 
@@ -168,7 +167,6 @@ int CondSignal(Cond* c) {
   }
   debug::obs::Emit(debug::obs::Event::kCondSignal, w, w != nullptr ? w->id : 0, c->tag);
   if (w != nullptr) {
-    ++c->signals_sent;
     w->cond_signalled = true;
     sig::CancelBlockTimer(w);
     kernel::MakeReady(w);
@@ -199,11 +197,11 @@ int CondBroadcast(Cond* c) {
                    c->tag);
   if (first != nullptr) {
     sig::CancelBlockTimer(first);
-    ParkOnMutex(c, first, first->cond_mutex);
+    ParkOnMutex(first, first->cond_mutex);
     Requeue(first, first->cond_mutex, /*to_head=*/true);
     const uint32_t moved = c->waiters.size();
     for (Tcb* w; (w = c->waiters.PopHighest()) != nullptr;) {
-      MarkRequeued(c, w, w->cond_mutex);
+      MarkRequeued(w, w->cond_mutex);
       Requeue(w, w->cond_mutex, /*to_head=*/false);
     }
     if (moved > 0) {

@@ -45,7 +45,6 @@ struct Cond {
   volatile uint8_t has_waiters = 0;
 
   PrioWaitQueue waiters;  // per-priority FIFO buckets; every operation O(1)
-  uint64_t signals_sent = 0;
 };
 
 namespace sync {

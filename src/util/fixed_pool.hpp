@@ -69,7 +69,6 @@ class FixedPool {
   size_t pool_hits() const { return pool_hits_; }
   size_t heap_fallbacks() const { return heap_fallbacks_; }
   size_t capacity() const { return capacity_; }
-  size_t slab_count() const { return slabs_.size(); }
 
  private:
   struct alignas(alignof(T)) Slot {

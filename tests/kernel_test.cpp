@@ -110,7 +110,7 @@ TEST_F(KernelTest, PushBackLowestLevelParksBehindEveryone) {
 }
 
 TEST_F(KernelTest, StackPoolRecyclesDefaultStacks) {
-  StackPool pool(2);
+  StackPool pool;
   Tcb* t1 = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, t1);
   void* stack1 = t1->stack_base;
@@ -122,7 +122,7 @@ TEST_F(KernelTest, StackPoolRecyclesDefaultStacks) {
 }
 
 TEST_F(KernelTest, StackPoolGuardPageBelowStack) {
-  StackPool pool(1);
+  StackPool pool;
   Tcb* t = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, t);
   const char* base = static_cast<const char*>(t->stack_base);
@@ -133,7 +133,7 @@ TEST_F(KernelTest, StackPoolGuardPageBelowStack) {
 }
 
 TEST_F(KernelTest, StackPoolOddSizesBypassPool) {
-  StackPool pool(2);
+  StackPool pool;
   const uint64_t maps_before = counters::Get(counters::kPoolMaps);
   Tcb* t = pool.Allocate(kDefaultStackSize * 4);
   ASSERT_NE(nullptr, t);

@@ -17,10 +17,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/ledger.hpp"
 #include "src/core/pthread.hpp"
 #include "src/debug/replay.hpp"
 #include "src/io/io.hpp"
@@ -419,7 +421,7 @@ void RunRow(const Row& row, Window& w) {
   }
 }
 
-std::string g_ledger;  // the rows run, as JSON objects
+std::optional<Ledger> g_ledger;  // with --json: the rows run
 
 class OpCountTest : public ::testing::TestWithParam<Row> {};
 
@@ -447,8 +449,9 @@ TEST_P(OpCountTest, ExactPerOpCounts) {
     ::close(fd);
   }
   const bool epoll = io::GetStats().epoll_backend;
-  g_ledger += std::string(g_ledger.empty() ? "" : ",\n") + "  {\"row\":\"" + row.name +
-              "\",\"ops\":" + std::to_string(row.ops);
+  if (g_ledger) {
+    g_ledger->Row(row.name).Set("ops", row.ops);
+  }
   for (int c = 0; c < kColumns; ++c) {
     Cell cell = Eq(c, 0);
     for (const Cell& listed : row.cells) {  // under the poll backend, poll stands in for it
@@ -464,13 +467,14 @@ TEST_P(OpCountTest, ExactPerOpCounts) {
     } else {
       EXPECT_EQ(want, w.Delta(c)) << ColumnName(c) << " over " << row.ops << " ops";
     }
-    if (cell.at_least || w.Delta(c) != 0) {
-      const std::string v = std::to_string(cell.at_least ? cell.per_op : w.Delta(c) / row.ops);
-      g_ledger +=
-          std::string(",\"") + ColumnName(c) + "\":" + (cell.at_least ? "\">=" + v + "\"" : v);
+    if (!g_ledger) {
+      continue;
+    } else if (cell.at_least) {
+      g_ledger->Set(ColumnName(c), (">=" + std::to_string(cell.per_op)).c_str());
+    } else if (w.Delta(c) != 0) {
+      g_ledger->Set(ColumnName(c), w.Delta(c) / row.ops);
     }
   }
-  g_ledger += "}";
 }
 
 INSTANTIATE_TEST_SUITE_P(Table, OpCountTest, ::testing::ValuesIn(kRows),
@@ -482,12 +486,9 @@ INSTANTIATE_TEST_SUITE_P(Table, OpCountTest, ::testing::ValuesIn(kRows),
 // Usage: op_count_test [gtest flags] [--json PATH]
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);  // leaves the arguments it does not know
-  const int rc = RUN_ALL_TESTS();
-  if (argc != 3 || std::strcmp(argv[1], "--json") != 0) {
-    return rc;
+  if (argc == 3 && std::strcmp(argv[1], "--json") == 0) {
+    fsup::g_ledger.emplace(argv[2], "op_counts", /*timings=*/false);
   }
-  FILE* f = std::fopen(argv[2], "w");
-  const char* format = "{\"bench\":\"op_counts\",\"unit\":\"per op\",\"rows\":[\n%s\n]}\n";
-  const bool written = f != nullptr && std::fprintf(f, format, fsup::g_ledger.c_str()) > 0;
-  return written && std::fclose(f) == 0 ? rc : 1;
+  const int rc = RUN_ALL_TESTS();
+  return fsup::g_ledger ? fsup::g_ledger->Close(rc) : rc;
 }

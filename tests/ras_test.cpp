@@ -46,17 +46,19 @@ TEST_F(RasTest, RasLockFailsWhenHeld) {
 }
 
 TEST_F(RasTest, RasUnlockReleasesWhenNoWaiters) {
-  volatile uint8_t lock = 1;
+  int self = 0;
+  void* volatile word = &self;
   volatile uint8_t has_waiters = 0;
-  EXPECT_EQ(0, fsup_ras_unlock(&lock, &has_waiters));
-  EXPECT_EQ(0, lock);
+  EXPECT_EQ(0, fsup_ras_owner_unlock(&word, &has_waiters));
+  EXPECT_EQ(nullptr, word);
 }
 
 TEST_F(RasTest, RasUnlockDivertsWithWaiters) {
-  volatile uint8_t lock = 1;
+  int self = 0;
+  void* volatile word = &self;
   volatile uint8_t has_waiters = 1;
-  EXPECT_EQ(1, fsup_ras_unlock(&lock, &has_waiters));
-  EXPECT_EQ(1, lock);  // untouched: the kernel handoff path must run
+  EXPECT_EQ(1, fsup_ras_owner_unlock(&word, &has_waiters));
+  EXPECT_EQ(&self, word);  // untouched: the kernel handoff path must run
 }
 
 TEST_F(RasTest, XchgLockReturnsPreviousValue) {
@@ -77,7 +79,8 @@ TEST_F(RasTest, CasLockAcquiresAndReportsOwner) {
 TEST_F(RasTest, SequencesAreRegistered) {
   EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_lock_begin)));
   EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_lock_end)));
-  EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_unlock_begin)));
+  EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_owner_unlock_begin)));
+  EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_owner_unlock_end)));
   EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_pop_begin)));
   EXPECT_FALSE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_pop_end)));
   EXPECT_TRUE(ras::Inside(reinterpret_cast<uintptr_t>(fsup_ras_list_push_begin)));

@@ -37,7 +37,7 @@ TEST_F(StackPoolTest, ClassIndexGeometry) {
 }
 
 TEST_F(StackPoolTest, PerClassRecyclingReturnsTheSameMapping) {
-  StackPool pool(0);
+  StackPool pool;
   Tcb* small = pool.Allocate(kMinStackSize);
   Tcb* big = pool.Allocate(kMinStackSize * 4);
   ASSERT_NE(nullptr, small);
@@ -48,8 +48,8 @@ TEST_F(StackPoolTest, PerClassRecyclingReturnsTheSameMapping) {
   EXPECT_TRUE(big->stack_pooled);
   pool.Free(small);
   pool.Free(big);
-  EXPECT_EQ(2u, pool.pooled_stacks());
-  EXPECT_EQ(kMinStackSize * 5, pool.pooled_bytes());
+  EXPECT_EQ(StackPool::kPrecached + 2, pool.pooled_stacks());
+  EXPECT_EQ(StackPool::kPrecached * kDefaultStackSize + kMinStackSize * 5, pool.pooled_bytes());
 
   // Each request is served from its own class: no cross-class mixups, no fresh maps.
   const uint64_t maps = counters::Get(counters::kPoolMaps);
@@ -67,32 +67,44 @@ TEST_F(StackPoolTest, PerClassRecyclingReturnsTheSameMapping) {
 }
 
 TEST_F(StackPoolTest, NonPow2SizesBypassTheFreeLists) {
-  StackPool pool(0);
+  StackPool pool;
   Tcb* t = pool.Allocate(kMinStackSize * 3);
   ASSERT_NE(nullptr, t);
   EXPECT_FALSE(t->stack_pooled);
   EXPECT_GE(t->stack_size, kMinStackSize * 3);
   // Freed odd-size stacks are unmapped, not hoarded on a list no class can serve.
   pool.Free(t);
-  EXPECT_EQ(0u, pool.pooled_stacks());
-  EXPECT_EQ(0u, pool.pooled_bytes());
+  EXPECT_EQ(StackPool::kPrecached, pool.pooled_stacks());
+  EXPECT_EQ(StackPool::kPrecached * kDefaultStackSize, pool.pooled_bytes());
 }
 
 TEST_F(StackPoolTest, BudgetEvictsLargestFirst) {
-  // Budget below big+small: freeing both must evict the 1 MiB stack and keep the 16 KiB one
-  // (largest-first bounds address-space pinning while keeping the cheap, common classes warm).
-  StackPool pool(0, 65536);
-  EXPECT_EQ(65536u, pool.pool_budget_bytes());
-  Tcb* big = pool.Allocate(1u << 20);
+  // Four of the largest class overflow the budget on top of the precached stacks and a small
+  // one: freeing the fourth evicts one of the largest and keeps the 16 KiB one (largest-first
+  // bounds address-space pinning while keeping the cheap, common classes warm).
+  constexpr size_t kBig = StackPool::kMaxPooledStackSize;
+  static_assert(StackPool::kPrecached * kDefaultStackSize + kMinStackSize + 4 * kBig >
+                StackPool::kBudgetBytes);
+  static_assert(StackPool::kPrecached * kDefaultStackSize + kMinStackSize + 3 * kBig <=
+                StackPool::kBudgetBytes);
+  StackPool pool;
+  Tcb* big[4];
+  for (Tcb*& t : big) {
+    t = pool.Allocate(kBig);
+    ASSERT_NE(nullptr, t);
+  }
   Tcb* small = pool.Allocate(kMinStackSize);
-  ASSERT_NE(nullptr, big);
   ASSERT_NE(nullptr, small);
   void* small_base = small->stack_base;
   pool.Free(small);
-  EXPECT_EQ(1u, pool.pooled_stacks());  // under budget: kept
-  pool.Free(big);
-  EXPECT_EQ(1u, pool.pooled_stacks());  // over budget: the 1 MiB entry was evicted
-  EXPECT_EQ(size_t{kMinStackSize}, pool.pooled_bytes());
+  EXPECT_EQ(StackPool::kPrecached + 1, pool.pooled_stacks());  // under budget: kept
+  const uint64_t evictions = counters::Get(counters::PoolClass(9, counters::kPoolClass0Evictions));
+  for (Tcb* t : big) {
+    pool.Free(t);
+  }
+  EXPECT_EQ(StackPool::kPrecached + 1 + 3, pool.pooled_stacks());  // one big one evicted
+  EXPECT_EQ(evictions + 1,
+            counters::Get(counters::PoolClass(9, counters::kPoolClass0Evictions)));
 
   Tcb* small2 = pool.Allocate(kMinStackSize);
   ASSERT_NE(nullptr, small2);
@@ -101,7 +113,7 @@ TEST_F(StackPoolTest, BudgetEvictsLargestFirst) {
 }
 
 TEST_F(StackPoolTest, TcbSlotsComeFromTheSlabFreeList) {
-  StackPool pool(0);
+  StackPool pool;
   Tcb* t = pool.Allocate(kMinStackSize);
   ASSERT_NE(nullptr, t);
   pool.Free(t);
@@ -115,7 +127,7 @@ TEST_F(StackPoolTest, TcbSlotsComeFromTheSlabFreeList) {
 using ThreadList = IntrusiveList<Tcb, &Tcb::all_link>;
 
 TEST_F(StackPoolTest, GuardOwnerNamesTheCurrentThread) {
-  StackPool pool(0);
+  StackPool pool;
   Tcb* t = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, t);
   char* base = static_cast<char*>(t->stack_base);
@@ -129,7 +141,7 @@ TEST_F(StackPoolTest, GuardOwnerNamesTheCurrentThread) {
 }
 
 TEST_F(StackPoolTest, GuardOwnerNamesANonCurrentVictim) {
-  StackPool pool(0);
+  StackPool pool;
   Tcb* t1 = pool.Allocate(kDefaultStackSize);
   Tcb* t2 = pool.Allocate(kDefaultStackSize);
   Tcb* t3 = pool.Allocate(kMinStackSize);
@@ -155,7 +167,7 @@ TEST_F(StackPoolTest, GuardOwnerNamesANonCurrentVictim) {
 }
 
 TEST_F(StackPoolTest, GuardOwnerNamesTheCurrentTenantOfARecycledStack) {
-  StackPool pool(0);
+  StackPool pool;
   Tcb* first = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, first);
   char* base = static_cast<char*>(first->stack_base);
@@ -178,23 +190,28 @@ TEST_F(StackPoolTest, GuardOwnerNamesTheCurrentTenantOfARecycledStack) {
 }
 
 TEST_F(StackPoolTest, ParkedOrEvictedStackIsNobodys) {
-  StackPool pool(0, 2 * kDefaultStackSize);
+  StackPool pool;
   Tcb* live = pool.Allocate(kMinStackSize);
   Tcb* parked = pool.Allocate(kDefaultStackSize);
-  Tcb* big = pool.Allocate(1u << 20);
+  Tcb* big[4];
+  for (Tcb*& t : big) {
+    t = pool.Allocate(StackPool::kMaxPooledStackSize);
+    ASSERT_NE(nullptr, t);
+  }
   ASSERT_NE(nullptr, live);
   ASSERT_NE(nullptr, parked);
-  ASSERT_NE(nullptr, big);
   char* parked_base = static_cast<char*>(parked->stack_base);
-  char* big_base = static_cast<char*>(big->stack_base);
+  char* evicted_base = static_cast<char*>(big[3]->stack_base);
   pool.Free(parked);
-  pool.Free(big);  // over budget: unmapped at once
-  EXPECT_EQ(1u, pool.pooled_stacks());
+  for (Tcb* t : big) {
+    pool.Free(t);  // the last one is over budget: unmapped at once
+  }
+  EXPECT_EQ(StackPool::kPrecached + 3, pool.pooled_stacks());
   // Nothing runs on a parked stack or an unmapped one, so no guard hit there is a thread's.
   ThreadList threads;
   threads.PushBack(live);
   EXPECT_EQ(nullptr, StackPool::GuardOwner(parked_base - 1, live, threads));
-  EXPECT_EQ(nullptr, StackPool::GuardOwner(big_base - 1, live, threads));
+  EXPECT_EQ(nullptr, StackPool::GuardOwner(evicted_base - 1, live, threads));
   EXPECT_EQ(nullptr, StackPool::GuardOwner(parked_base - 1, nullptr, threads));
   live->all_link.Unlink();
   pool.Free(live);
