@@ -5,14 +5,16 @@
 //     ...
 //   ]}
 //
-// one flat row per line, its "op" first, then named values (numbers, strings, booleans).
+// one flat row per line, its "op" first, then named values (numbers or strings).
 // "host" (CPU model and online CPU count) is written only by ledgers that hold timings, so a
 // ledger of exact counts is byte-reproducible. A figure that written rows already determine,
 // such as the ratio of two rows, is left to the reader. Strings are written as given, unescaped.
 //
-// The file is opened when the Ledger is made, before anything is measured: a path that cannot
-// be opened ends the program at once, status 1. Close() writes the rows and closes the file; a
-// failed write or close names the path and makes the exit status nonzero.
+// The ledger is written to PATH.tmp, opened when the Ledger is made, before anything is
+// measured: a path that cannot be opened ends the program at once, status 1. Close() writes
+// the rows and renames PATH.tmp over PATH; a failed write, close or rename names the path and
+// makes the exit status nonzero. A run that ends before Close(), or closes with status 2
+// (setup failed, nothing measured), leaves PATH as it was.
 
 #ifndef FSUP_BENCH_LEDGER_HPP_
 #define FSUP_BENCH_LEDGER_HPP_
@@ -31,9 +33,9 @@ namespace fsup {
 class Ledger {
  public:
   Ledger(const char* path, const char* bench, bool timings)
-      : path_(path), f_(std::fopen(path, "w")) {
+      : path_(path), tmp_(std::string(path) + ".tmp"), f_(std::fopen(tmp_.c_str(), "w")) {
     if (f_ == nullptr) {
-      std::fprintf(stderr, "cannot write %s: %s\n", path, std::strerror(errno));
+      std::fprintf(stderr, "cannot write %s: %s\n", tmp_.c_str(), std::strerror(errno));
       std::exit(1);
     }
     text_ = std::string("{\"bench\":\"") + bench + "\"";
@@ -46,6 +48,7 @@ class Ledger {
     if (f_ != nullptr) {
       std::fclose(f_);
     }
+    std::remove(tmp_.c_str());  // gone already when Close() renamed it
   }
   Ledger(const Ledger&) = delete;
   Ledger& operator=(const Ledger&) = delete;
@@ -65,11 +68,7 @@ class Ledger {
     requires std::is_integral_v<T>
   Ledger& Set(const char* key, T v) {
     Key(key);
-    if constexpr (std::is_same_v<T, bool>) {
-      text_ += v ? "true" : "false";
-    } else {
-      text_ += std::to_string(v);
-    }
+    text_ += std::to_string(v);
     return *this;
   }
   Ledger& Set(const char* key, double v, int decimals = 3) {
@@ -80,13 +79,17 @@ class Ledger {
     return *this;
   }
 
-  // Writes the ledger and closes it. Returns `rc`, or 1 when `rc` is 0 and the write failed.
+  // Writes the ledger and puts it in place, unless `rc` is 2. Returns `rc`, or 1 when `rc` is 0
+  // and the write failed.
   int Close(int rc) {
+    if (rc == 2) {
+      return rc;
+    }
     text_ += rows_ == 0 ? "]}\n" : "}\n]}\n";
     const bool written = std::fputs(text_.c_str(), f_) >= 0;
     const bool closed = std::fclose(f_) == 0;
     f_ = nullptr;
-    if (!written || !closed) {
+    if (!written || !closed || std::rename(tmp_.c_str(), path_) != 0) {
       std::fprintf(stderr, "cannot write %s: %s\n", path_, std::strerror(errno));
       return rc != 0 ? rc : 1;
     }
@@ -120,6 +123,7 @@ class Ledger {
   }
 
   const char* path_;
+  std::string tmp_;
   FILE* f_;
   std::string text_;
   int rows_ = 0;

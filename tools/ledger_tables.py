@@ -8,10 +8,10 @@ Each generated table sits between two marker lines, `<!-- ledger:NAME -->` and
   table2-shape  the ratios behind Table 2's shape checks, paper and measured
   counts        OS calls, switches and kernel entries per operation (BENCH_counts.json)
 
-Usage: python3 tools/ledger_tables.py [--check] [--root DIR]
+Usage: python3 tools/ledger_tables.py [--check]
 
 --check writes nothing; it prints a diff and exits 1 when a generated table differs from what
-the ledgers give. --root is the repository root (default: this script's parent directory's).
+the ledgers give. The ledgers and EXPERIMENTS.md are read from the repository this script is in.
 """
 
 import argparse
@@ -95,17 +95,16 @@ def counts(ledgers):
 
 TABLES = {"table2": table2, "table2-shape": table2_shape, "counts": counts}
 LEDGERS = {"table2": "BENCH_table2.json", "counts": "BENCH_counts.json"}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true")
-    parser.add_argument("--root", type=pathlib.Path,
-                        default=pathlib.Path(__file__).resolve().parent.parent)
     args = parser.parse_args()
 
-    ledgers = {k: json.loads((args.root / f).read_text(encoding="utf-8")) for k, f in LEDGERS.items()}
-    doc_path = args.root / "EXPERIMENTS.md"
+    ledgers = {k: json.loads((ROOT / f).read_text(encoding="utf-8")) for k, f in LEDGERS.items()}
+    doc_path = ROOT / "EXPERIMENTS.md"
     old = doc_path.read_text(encoding="utf-8")
     new = old
     for name, generate in TABLES.items():
