@@ -65,9 +65,12 @@ void SwitchTo(Tcb* next) {
 // timer-heap head and ExternalWakeupPossible reads two counters.
 // A deadline ITIMER_REAL is armed for is served by its SIGALRM alone, one tick per shot: a
 // timeout racing the signal would tick twice. The timeout is for a deadline not armed.
+// Cancelling a timer leaves the interval timer alone, so the wait first settles it exactly:
+// an idle process never wakes for a deadline nobody waits on.
 void IdleWait() {
   KernelState& k = ks();
   sig::LeaveHandlerFrame(k.current);  // the sleep must be interruptible by every signal
+  sig::ProgramItimer();
 
   const int64_t deadline = sig::NextDeadlineNs();
   if (deadline < 0 && !io::HaveWaiters() && !sig::ExternalWakeupPossible()) {

@@ -222,6 +222,7 @@ void SetHostMask(bool block_all) {
 void ForgetThread(Tcb* t) {
   CancelBlockTimer(t);
   CancelAlarm(t);
+  ProgramItimer();  // settle a shot left for a cancelled deadline: an exited thread's never fires
 }
 
 }  // namespace fsup::sig

@@ -120,7 +120,7 @@ void ProgramItimer();
 void EnableTimeSlice(int64_t slice_us);
 void DisableTimeSlice();
 
-// Removes t from every signal/timer structure (thread reap / runtime reset).
+// Removes t from every signal/timer structure and settles the interval timer (thread exit).
 void ForgetThread(Tcb* t);
 
 }  // namespace fsup::sig

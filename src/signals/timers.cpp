@@ -8,6 +8,11 @@
 // tick path, one tick per shot. Only a deadline the timer could not be armed for is ticked
 // from the idle loop's timeout instead.
 //
+// Arm and cancel program the interval timer lazily: it only ever moves earlier, so a timed
+// wait met before its deadline makes no host call. A shot left for a cancelled deadline is
+// settled exactly at thread exit (ForgetThread) and at the top of the idle wait; a busy
+// process may take it once, as a tick that expires nothing. The slice is programmed exactly.
+//
 // Delivery follows the paper: a timer expiration directs SIGALRM "at the thread which armed
 // the timer" (recipient rule 3); the action (model action 2) readies a suspended sleeper, or
 // repositions the running thread at the tail of its queue when the expiration was caused by
@@ -38,7 +43,10 @@ void Arm(TimerEntry* e, Tcb* t, int64_t deadline_ns, TimerEntry::Kind kind) {
   e->kind = kind;
   e->armed = true;
   k.timers.Push(e);
-  ProgramItimer();
+  // Only ever earlier: a shot armed for an earlier, since cancelled, deadline stays.
+  if (k.itimer_deadline_ns < 0 || deadline_ns < k.itimer_deadline_ns) {
+    ProgramItimer();
+  }
 }
 
 void Cancel(TimerEntry* e) {
@@ -48,12 +56,7 @@ void Cancel(TimerEntry* e) {
   FSUP_ASSERT(kernel::InKernel());
   e->armed = false;
   kernel::ks().timers.Remove(e);
-  // If the cancelled entry was the heap head, the interval timer is programmed for a deadline
-  // nobody is waiting on: a timed wait that completes early would otherwise still take a stale
-  // SIGALRM (a wasted wakeup, and under a create/cancel storm a stream of them). ProgramItimer
-  // compares against itimer_deadline_ns, so when the head did NOT change this is a no-op — the
-  // common complete-before-deadline case costs no setitimer churn beyond the head case.
-  ProgramItimer();
+  // The interval timer is left alone, even when this was the head (see the header comment).
 }
 
 }  // namespace

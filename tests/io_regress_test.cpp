@@ -3,8 +3,9 @@
 //   1. The poll-fallback timeout is clamped to INT_MAX ms: a multi-week deadline used to
 //      overflow the static_cast<int> (3.6e9 ms → a negative int → an *infinite* poll where a
 //      bounded one was asked for).
-//   2. Cancelling the head deadline disarms/reprograms ITIMER_REAL: a create/cancel storm
-//      used to leave the interval timer programmed and fire stale SIGALRM ticks.
+//   2. A cancelled head deadline's shot is settled when its thread exits: ITIMER_REAL is
+//      disarmed or reprogrammed there (a cancel alone leaves it), so a create/cancel storm
+//      fires no stale SIGALRM ticks. The seed left the interval timer programmed.
 //   3. sig::ExternalWakeupPossible runs on counters: handler-install churn and sigwait wake
 //      (and cancellation) cycles must leave the counters balanced, or deadlock detection
 //      either misfires or goes blind.
@@ -122,8 +123,8 @@ void* SigwaitWithTimeout(void* timeout_ns) {
 
 TEST_F(IoRegressTest, CancellingHeadDeadlineReprogramsItimer) {
   // One deterministic cycle: arming the 10 s sigwait timeout programs ITIMER_REAL (1), the
-  // signal arrives long before the deadline and the cancellation must now DISARM it (2). The
-  // seed stopped at (1) and left the shot live.
+  // signal arrives long before the deadline, and the waiter's exit must now DISARM it (2).
+  // The seed stopped at (1) and left the shot live.
   const uint64_t before = hostos::CallCount(hostos::Call::kSetitimer);
   pt_thread_t t;
   ASSERT_EQ(0, pt_create(&t, nullptr, &SigwaitWithTimeout,
@@ -149,8 +150,8 @@ TEST_F(IoRegressTest, CancelStormFiresNoStaleSigalrmTicks) {
   }
   const uint64_t ticks_after_storm = counters::Get(counters::kKernelTimerTicks);
 
-  // Sit past every cancelled deadline. With the interval timer correctly disarmed nothing
-  // fires; the seed's leftover programming delivered a stale SIGALRM right about now.
+  // Sit past every cancelled deadline. With the interval timer disarmed at each waiter's exit
+  // nothing fires; the seed's leftover programming delivered a stale SIGALRM right about now.
   ::usleep(150'000);
   pt_yield();
   EXPECT_EQ(ticks_after_storm, counters::Get(counters::kKernelTimerTicks));

@@ -141,15 +141,31 @@ void* PeerLoop(void* row) {
   return nullptr;
 }
 
-// Passes the turn back with a signal each time main passes it over.
-void CondEcho() {
+// Passes the turn back with a signal each time main passes it over. With a timeout, each wait
+// has that deadline and meets it early: every wait arms a timer and every wakeup cancels it.
+void CondEcho(int64_t timeout_ns) {
   pt_mutex_lock(&g_m);
   while (!g_stop) {
     while (g_turn != 1) {
-      pt_cond_wait(&g_c, &g_m);
+      if (timeout_ns < 0) {
+        pt_cond_wait(&g_c, &g_m);
+      } else {
+        EXPECT_EQ(0, pt_cond_timedwait(&g_c, &g_m, timeout_ns));
+      }
     }
     g_turn = 0;
     pt_cond_signal(&g_c);
+  }
+  pt_mutex_unlock(&g_m);
+}
+
+// Passes the turn over to the CondEcho peer and waits until it comes back.
+void CondRoundTrip() {
+  pt_mutex_lock(&g_m);
+  g_turn = 1;
+  pt_cond_signal(&g_c);
+  while (g_turn != 0) {
+    pt_cond_wait(&g_c, &g_m);
   }
   pt_mutex_unlock(&g_m);
 }
@@ -297,15 +313,12 @@ const Row kRows[] = {
        EXPECT_EQ(0, pt_create(&t, nullptr, +[](void*) -> void* { return nullptr; }, nullptr));
        EXPECT_EQ(0, pt_join(t, nullptr));
      }},
-    {.name = "CondSignalRoundTrip", .ops = 1000, .cells = {Eq(kSw, 2), Eq(kEnt, 4)}, .op = [] {
-       pt_mutex_lock(&g_m);
-       g_turn = 1;
-       pt_cond_signal(&g_c);
-       while (g_turn != 0) {
-         pt_cond_wait(&g_c, &g_m);
-       }
-       pt_mutex_unlock(&g_m);
-     }, .peer = &CondEcho},
+    {.name = "CondSignalRoundTrip", .ops = 1000, .cells = {Eq(kSw, 2), Eq(kEnt, 4)},
+     .op = &CondRoundTrip, .peer = [] { CondEcho(-1); }},
+    // The same with a 1-s timed wait met early: the interval timer is programmed once, cold,
+    // and neither the cancel nor the next arm touches it.
+    {.name = "TimedWaitMetEarly", .ops = 1000, .cells = {Eq(kSw, 2), Eq(kEnt, 4)},
+     .op = &CondRoundTrip, .peer = [] { CondEcho(1000 * 1000 * 1000); }},
     {.name = "ContendedHandoff", .ops = 1000, .cells = {Eq(kSw, 4), Eq(kEnt, 7)}, .op = [] {
        pt_mutex_lock(&g_m);
        pt_sem_post(&g_s1);

@@ -47,6 +47,23 @@ TEST_F(RwlockTest, UnlockWithoutLockIsEperm) {
   EXPECT_EQ(EPERM, pt_rwlock_unlock(&rw_));
 }
 
+TEST_F(RwlockTest, TryWrLockTakesAFreeLockAndOnlyTheWriterUnlocks) {
+  ASSERT_EQ(0, pt_rwlock_trywrlock(&rw_));
+  EXPECT_TRUE(rw_.writer_active);
+  static int other_rc = -1;
+  other_rc = -1;
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, nullptr, +[](void* rw) -> void* {
+    other_rc = pt_rwlock_unlock(static_cast<pt_rwlock_t*>(rw));
+    return nullptr;
+  }, &rw_));
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  EXPECT_EQ(EPERM, other_rc);  // a non-holder's unlock leaves the writer in
+  EXPECT_TRUE(rw_.writer_active);
+  ASSERT_EQ(0, pt_rwlock_unlock(&rw_));
+  EXPECT_FALSE(rw_.writer_active);
+}
+
 TEST_F(RwlockTest, WriterBlocksUntilReadersDrain) {
   ASSERT_EQ(0, pt_rwlock_rdlock(&rw_));
   struct Arg {

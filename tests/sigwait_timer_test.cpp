@@ -7,9 +7,12 @@
 
 #include <csignal>
 #include <cerrno>
+#include <ctime>
 
 #include "src/core/attr.hpp"
 #include "src/core/pthread.hpp"
+#include "src/hostos/unix_if.hpp"
+#include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 namespace fsup {
@@ -295,6 +298,77 @@ TEST_F(SigwaitTimerTest, TimedwaitUnderTimerLoad) {
   EXPECT_GE(a2.elapsed, 45 * 1000 * 1000);
   pt_cond_destroy(&c);
   pt_mutex_destroy(&m);
+}
+
+// A timed wait met before its deadline leaves the interval timer armed for that deadline.
+// Main waits with `timeout_ns` and a peer signals it, then parks in a cond wait (timed with
+// `park_ns` when that is >= 0) until main releases it. The peer stays alive, so its exit does
+// not settle the interval timer.
+pt_mutex_t g_m;
+pt_cond_t g_c;
+bool g_signalled, g_released;
+int64_t g_park_ns;
+int g_park_rc;
+
+pt_thread_t MeetTimedWaitEarly(int64_t timeout_ns, int64_t park_ns) {
+  pt_mutex_init(&g_m);
+  pt_cond_init(&g_c);
+  g_signalled = g_released = false;
+  g_park_ns = park_ns;
+  g_park_rc = -1;
+  pt_thread_t peer;
+  EXPECT_EQ(0, pt_create(&peer, nullptr, +[](void*) -> void* {
+    pt_mutex_lock(&g_m);
+    g_signalled = true;
+    pt_cond_signal(&g_c);
+    while (!g_released) {
+      g_park_rc = g_park_ns < 0 ? pt_cond_wait(&g_c, &g_m)
+                                : pt_cond_timedwait(&g_c, &g_m, g_park_ns);
+    }
+    pt_mutex_unlock(&g_m);
+    return nullptr;
+  }, nullptr));
+  pt_mutex_lock(&g_m);
+  while (!g_signalled) {
+    EXPECT_EQ(0, pt_cond_timedwait(&g_c, &g_m, timeout_ns));
+  }
+  pt_mutex_unlock(&g_m);
+  return peer;
+}
+
+void Release(pt_thread_t peer) {
+  pt_mutex_lock(&g_m);
+  g_released = true;
+  pt_cond_signal(&g_c);
+  pt_mutex_unlock(&g_m);
+  EXPECT_EQ(0, pt_join(peer, nullptr));
+}
+
+TEST_F(SigwaitTimerTest, TimedWaitMetEarlyThenIdleTakesNoStaleTick) {
+  const uint64_t calls = hostos::CallCount(hostos::Call::kSetitimer);
+  const uint64_t ticks = counters::Get(counters::kKernelTimerTicks);
+  const pt_thread_t peer = MeetTimedWaitEarly(50 * 1000 * 1000, -1);
+  EXPECT_EQ(calls + 1, hostos::CallCount(hostos::Call::kSetitimer));  // the arm; not the cancel
+  // The delay's later deadline leaves the shot where it is; the idle wait moves it there.
+  EXPECT_EQ(0, pt_delay(100 * 1000 * 1000));
+  EXPECT_EQ(ticks + 1, counters::Get(counters::kKernelTimerTicks));  // the delay's own
+  EXPECT_EQ(calls + 2, hostos::CallCount(hostos::Call::kSetitimer));
+  Release(peer);
+}
+
+TEST_F(SigwaitTimerTest, TimedWaitMetEarlyThenBusyTakesAtMostOneEmptyTick) {
+  // The peer parks with a live 10-s deadline that the early tick must not expire.
+  const pt_thread_t peer = MeetTimedWaitEarly(20 * 1000 * 1000, 10'000'000'000);
+  const uint64_t ticks = counters::Get(counters::kKernelTimerTicks);
+  timespec start{}, now{};
+  ::clock_gettime(CLOCK_MONOTONIC, &start);
+  do {  // 60 ms in user code, past the dead deadline, with no library call
+    ::clock_gettime(CLOCK_MONOTONIC, &now);
+  } while ((now.tv_sec - start.tv_sec) * 1000000000 + (now.tv_nsec - start.tv_nsec) <
+           60 * 1000 * 1000);
+  EXPECT_LE(counters::Get(counters::kKernelTimerTicks), ticks + 1);
+  Release(peer);
+  EXPECT_EQ(0, g_park_rc);  // signalled, not timed out
 }
 
 }  // namespace
