@@ -4,47 +4,12 @@
 
 #include "src/debug/metrics.hpp"
 #include "src/debug/profiler.hpp"
+#include "src/debug/replay.hpp"
 #include "src/debug/trace.hpp"
 #include "src/kernel/tcb.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 namespace fsup::debug::obs {
-namespace {
-
-constexpr uint8_t kTM = kTrace | kMetrics;
-
-// Which observers consume each event. An event nobody enabled wants costs the slow-path call
-// and this lookup, never a clock read.
-constexpr uint8_t kInterest[static_cast<int>(Event::kCount)] = {
-    kTM,                   // kSwitch
-    kTM,                   // kMutexLock
-    kTM,                   // kMutexBlock
-    kTM,                   // kMutexUnlock
-    kTrace,                // kPrioBoost
-    kTrace,                // kPrioRestore
-    kTM,                   // kSignal
-    kTrace,                // kUser
-    kTrace,                // kFault
-    kTrace,                // kOverflow
-    kTM,                   // kDeadlock
-    kTrace,                // kCondWait
-    kTrace,                // kCondSignal
-    kTrace,                // kCancel
-    kTM,                   // kFakeCall
-    kTrace | kTickSample,  // kTimerTick
-    kTrace,                // kCondRequeue
-    kTM | kOffCpu,         // kSuspend
-    kTM | kOffCpu,         // kWake
-    kMetrics,              // kCreate
-    kMetrics,              // kYield
-    kMetrics,              // kPreempt
-    kMetrics,              // kResume
-    kMetrics,              // kExit
-    kOffCpu,               // kIdlePoll
-    kMetrics,              // kLockFailed
-};
-
-}  // namespace
 
 uint8_t g_mask = 0;
 
@@ -53,7 +18,13 @@ void Set(uint8_t bits, bool on) {
 }
 
 void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b, uint16_t gen) {
-  uint8_t want = g_mask & kInterest[static_cast<int>(e)];
+  const uint8_t interest = kInterest[static_cast<int>(e)];
+  // The schedule log goes first and takes no timestamp. It advances the decision counter the
+  // trace stamps its record with, so it also runs, to count, while only the trace is on.
+  if ((interest & kReplay) != 0 && (g_mask & (kTrace | kReplay)) != 0) {
+    replay::Observe(e, a, b, gen);
+  }
+  uint8_t want = g_mask & interest & ~kReplay;
   // A wake only closes a wait when the thread was blocked; readying a newborn is not one.
   if (e == Event::kWake && t->state != ThreadState::kBlocked) {
     want &= kMetrics;

@@ -3,8 +3,9 @@
 // Each scheduler transition site (switch, suspend, wake, yield, preemption, mutex lock/block/
 // unlock, signal and fake-call delivery, timer tick, fault firing, ...) makes exactly one
 // Emit(event, thread, a, b) call. Emit is inline and tests one byte — the observer mask —
-// so with every observer off a site costs one load and one predicted branch. The out-of-line
-// slow path takes one NowNs() and hands the event to each enabled consumer:
+// against Gate(event), a constant at the site, so an event none of whose observers is on
+// costs one load and one predicted branch. The out-of-line slow path hands the event to each
+// enabled consumer, reading NowNs() once for those that take a timestamp (all but the log):
 //
 //   kTrace      the trace ring (debug/trace.hpp) records the trace-visible events
 //   kMetrics    the metrics accumulators (debug/metrics.hpp): switch counts, time in state,
@@ -13,6 +14,12 @@
 //               closes it into a sample weighted by the blocked time; an idle poll takes
 //               the session's collection point when one is due
 //   kTickSample the deterministic on-CPU sampler that rides the (recorded) timer tick
+//   kReplay     the schedule log (debug/replay.hpp), set while recording or replaying: it
+//               appends each scheduling decision to the log, or checks it against the log
+//
+// The log's events (switch, tick, external signal, io wake, idle-pass end, fault, forced
+// switch) advance the decision counter while the trace, recording or replay is on, and the
+// log runs first, so a trace record carries its own decision's stamp.
 //
 // Ordering contract: a state-transition Emit fires BEFORE the site mutates the thread's state
 // (the metrics epoch-lazy reset and the off-CPU close both read the pre-transition state), and
@@ -20,12 +27,14 @@
 //
 // Mutex lock and unlock events carry a fifth operand, the mutex's tag generation
 // (sync/tag.hpp). Only the metrics consumer reads it: the trace records (a, b) alone, so a
-// replayed run, which allocates its tags in a new generation, still logs bit-exactly.
+// replayed run, which allocates its tags in a new generation, still logs bit-exactly. The
+// timer tick's fifth operand is 1 when the round-robin slice fired; only the log reads it.
 //
 // Building with FSUP_NO_OBSERVE=1 (the fsup_noobs library) makes the mask a constexpr 0 and
 // Emit an empty inline: the same sources with observation compiled out, which
-// bench_observe_ablation uses as its baseline. Replay's steering hooks are not part of this
-// funnel — they change behaviour, not just watch it.
+// bench_observe_ablation uses as its baseline. Recording compiles out with the rest: a noobs
+// build logs no decision. Replay's steering hooks (replay.hpp) are not part of this funnel —
+// they change behaviour, not just watch it — but verifying a replayed switch is.
 
 #ifndef FSUP_SRC_DEBUG_OBS_HPP_
 #define FSUP_SRC_DEBUG_OBS_HPP_
@@ -68,6 +77,12 @@ enum class Event : uint8_t {
   kExit,          // t = terminating thread, -> terminated
   kIdlePoll,      // the dispatcher idled in the readiness poll
   kLockFailed,    // t = locker whose acquisition failed the ceiling check: its wait ends here
+  // Consumer-only decision events: the schedule log's, with the same operands it logs.
+  kTickBegin,     // a = AsyncSite of a live tick; kTimerTick closes it (gen = slice fired)
+  kExtSignal,     // a = signo delivered to the process from outside, b = AsyncSite
+  kIoWake,        // a = thread id woken by an idle poll pass, b = readiness mask
+  kIdlePollDone,  // a = wakeups of the idle poll pass that ends here
+  kForcedSwitch,  // a = exploration gate ordinal of a forced switch
   kCount,
 };
 
@@ -76,6 +91,49 @@ inline constexpr uint8_t kTrace = 1u << 0;
 inline constexpr uint8_t kMetrics = 1u << 1;
 inline constexpr uint8_t kOffCpu = 1u << 2;
 inline constexpr uint8_t kTickSample = 1u << 3;
+inline constexpr uint8_t kReplay = 1u << 4;
+
+// Which observers consume each event.
+inline constexpr uint8_t kInterest[static_cast<int>(Event::kCount)] = {
+    kTrace | kMetrics | kReplay,     // kSwitch
+    kTrace | kMetrics,               // kMutexLock
+    kTrace | kMetrics,               // kMutexBlock
+    kTrace | kMetrics,               // kMutexUnlock
+    kTrace,                          // kPrioBoost
+    kTrace,                          // kPrioRestore
+    kTrace | kMetrics,               // kSignal
+    kTrace,                          // kUser
+    kTrace | kReplay,                // kFault
+    kTrace,                          // kOverflow
+    kTrace | kMetrics,               // kDeadlock
+    kTrace,                          // kCondWait
+    kTrace,                          // kCondSignal
+    kTrace,                          // kCancel
+    kTrace | kMetrics,               // kFakeCall
+    kTrace | kTickSample | kReplay,  // kTimerTick
+    kTrace,                          // kCondRequeue
+    kTrace | kMetrics | kOffCpu,     // kSuspend
+    kTrace | kMetrics | kOffCpu,     // kWake
+    kMetrics,                        // kCreate
+    kMetrics,                        // kYield
+    kMetrics,                        // kPreempt
+    kMetrics,                        // kResume
+    kMetrics,                        // kExit
+    kOffCpu,                         // kIdlePoll
+    kMetrics,                        // kLockFailed
+    kReplay,                         // kTickBegin
+    kReplay,                         // kExtSignal
+    kReplay,                         // kIoWake
+    kReplay,                         // kIdlePollDone
+    kReplay,                         // kForcedSwitch
+};
+
+// The observer bits that send an event to the slow path: its consumers', and the trace's for
+// a log event, which the funnel counts while the trace is on.
+constexpr uint8_t Gate(Event e) {
+  const uint8_t i = kInterest[static_cast<int>(e)];
+  return (i & kReplay) != 0 ? static_cast<uint8_t>(i | kTrace) : i;
+}
 
 #if FSUP_NO_OBSERVE
 
@@ -92,7 +150,7 @@ extern uint8_t g_mask;
 void EmitSlow(Event e, Tcb* t, uint32_t a, uint32_t b, uint16_t gen);
 
 inline void Emit(Event e, Tcb* t, uint32_t a, uint32_t b, uint16_t gen = 0) {
-  if (__builtin_expect(g_mask != 0, 0)) {
+  if (__builtin_expect((g_mask & Gate(e)) != 0, 0)) {
     EmitSlow(e, t, a, b, gen);
   }
 }

@@ -56,6 +56,7 @@ size_t g_len = 0;     // records in the log (record: appended; replay: loaded)
 size_t g_cursor = 0;  // replay: next record to consume
 bool g_truncated = false;
 bool g_need_rearm = false;  // replay ended outside the kernel; re-arm at the next Exit
+size_t g_tick_slot = kNoSlot;  // record: the open tick's record, until its kTimerTick
 
 // Function-local, so init running from another file's static constructors finds it built.
 std::string& AtExitPath() {
@@ -120,6 +121,7 @@ bool AsyncDue(AsyncSite site, uint64_t entries) {
 
 void UpdateFlags() {
   const bool replaying = g_mode == static_cast<uint8_t>(Mode::kReplay);
+  obs::Set(obs::kReplay, g_mode != static_cast<uint8_t>(Mode::kOff));
   sched::SetReplayExitHook(replaying || g_need_rearm);
 #if !FSUP_NO_OBSERVE
   uint8_t gate = 0;
@@ -223,10 +225,15 @@ void DumpRingTail() {
 }
 
 // Appends one decision while recording; a full log flips to off (truncated) so the run
-// continues live — a replay of a truncated log does the mirror-image fallback.
+// continues live — a replay of a truncated log does the mirror-image fallback. A tick still
+// open when the log fills is dropped with what it logged: its record would never be filled in.
 void Append(Decision kind, uint32_t a, uint32_t b) {
   if (g_len == g_cap) {
     g_truncated = true;
+    if (g_tick_slot != kNoSlot) {
+      g_len = g_tick_slot;
+      g_tick_slot = kNoSlot;
+    }
     g_mode = static_cast<uint8_t>(Mode::kOff);
     UpdateFlags();
     ++g_decisions;
@@ -273,9 +280,7 @@ void SaveAtExit() {
   if (AtExitPath().empty()) {
     return;
   }
-  if (Recording()) {
-    StopRecording();
-  }
+  StopRecording();
   SaveLog(AtExitPath().c_str());
 }
 
@@ -314,8 +319,6 @@ size_t StopRecording() {
   }
   return g_len;
 }
-
-bool Recording() { return g_mode == static_cast<uint8_t>(Mode::kRecord); }
 
 size_t LogSize() { return g_len; }
 
@@ -461,82 +464,70 @@ void InitFromEnv() {
   }
 }
 
-void OnSwitchSlow(uint32_t from, uint32_t to) {
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kSwitch, from, to);
-    return;
-  }
-  // Replay: the switch is a *derived* decision — recompute-and-verify.
-  const LogRecord r = Consume(Decision::kSwitch, from, to);
-  if (r.a != from || r.b != to) {
-    --g_cursor;  // point the report at the mismatched record
-    --g_decisions;
-    Diverge("context switch", Decision::kSwitch, from, to);
-  }
-}
-
-size_t BeginTick(AsyncSite site) {
-  switch (static_cast<Mode>(g_mode)) {
-    case Mode::kOff:
+void Observe(obs::Event e, uint32_t a, uint32_t b, uint16_t slice_fired) {
+  using obs::Event;
+  if (g_mode == static_cast<uint8_t>(Mode::kOff)) {  // the trace alone: count, log nothing
+    if (e != Event::kTimerTick) {
       ++g_decisions;
-      return kNoSlot;
-    case Mode::kRecord: {
-      const size_t slot = g_len;
-      Append(Decision::kTick, 0, AsyncB(site));
-      return g_mode == static_cast<uint8_t>(Mode::kRecord) ? slot : kNoSlot;
     }
-    case Mode::kReplay:
-      // Ticks in replay are forced from the log (ForceTimerTick), which bypasses this hook;
-      // a spontaneous tick means a stray physical SIGALRM slipped through.
-      Diverge("spontaneous timer tick", Decision::kTick, 0, 0);
-  }
-  return kNoSlot;
-}
-
-void EndTick(size_t slot, uint32_t expired, bool slice_fired) {
-  if (slot == kNoSlot || slot >= g_len) {
     return;
   }
-  g_buf[slot].a = expired;
-  g_buf[slot].b |= slice_fired ? kSliceFired : 0;
-}
-
-void OnExtSignal(int signo, AsyncSite site) {
-  switch (static_cast<Mode>(g_mode)) {
-    case Mode::kOff:
-      ++g_decisions;
+  // Replay verifies the switch; the log steers every other decision, which its steering hook
+  // consumed and counted. A live tick, external signal or io wake slipped past the steering.
+  const bool replaying = Replaying();
+  switch (e) {
+    case Event::kSwitch:
+      if (!replaying) {
+        Append(Decision::kSwitch, a, b);
+      } else if (const LogRecord r = Consume(Decision::kSwitch, a, b); r.a != a || r.b != b) {
+        --g_cursor;  // point the report at the mismatched record
+        --g_decisions;
+        Diverge("context switch", Decision::kSwitch, a, b);
+      }
       return;
-    case Mode::kRecord:
-      Append(Decision::kExtSignal, static_cast<uint32_t>(signo), AsyncB(site));
+    case Event::kTickBegin:  // reserves the tick's record: records logged during it follow
+      if (replaying) {
+        Diverge("spontaneous timer tick", Decision::kTick, 0, 0);
+      }
+      g_tick_slot = g_len;
+      Append(Decision::kTick, 0, AsyncB(static_cast<AsyncSite>(a)));
       return;
-    case Mode::kReplay:
-      Diverge("unexpected external signal", Decision::kExtSignal,
-              static_cast<uint32_t>(signo), 0);
-  }
-}
-
-void OnIoWakeSlow(uint32_t tid, uint32_t mask) {
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kIoWake, tid, mask);
-    return;
-  }
-  // Replay never runs the physical poll passes, so a live wake is a divergence.
-  Diverge("unexpected io wake", Decision::kIoWake, tid, mask);
-}
-
-void OnIoDone(uint32_t woke) {
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kIoDone, woke, 0);
-  } else {
-    ++g_decisions;
-  }
-}
-
-void OnFault(uint32_t call, uint32_t err) {
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kFault, call, err);
-  } else {
-    ++g_decisions;
+    case Event::kTimerTick:  // fills it in
+      if (g_tick_slot != kNoSlot) {
+        g_buf[g_tick_slot].a = b;
+        g_buf[g_tick_slot].b |= slice_fired != 0 ? kSliceFired : 0;
+        g_tick_slot = kNoSlot;
+      }
+      return;
+    case Event::kExtSignal:
+      if (replaying) {
+        Diverge("unexpected external signal", Decision::kExtSignal, a, 0);
+      }
+      Append(Decision::kExtSignal, a, AsyncB(static_cast<AsyncSite>(b)));
+      return;
+    case Event::kIoWake:
+      if (replaying) {
+        Diverge("unexpected io wake", Decision::kIoWake, a, b);
+      }
+      Append(Decision::kIoWake, a, b);
+      return;
+    case Event::kIdlePollDone:
+      if (!replaying) {
+        Append(Decision::kIoDone, a, 0);
+      }
+      return;
+    case Event::kFault:
+      if (!replaying) {
+        Append(Decision::kFault, a, b);
+      }
+      return;
+    case Event::kForcedSwitch:
+      if (!replaying) {
+        Append(Decision::kForced, a, 0);
+      }
+      return;
+    default:
+      return;
   }
 }
 
@@ -641,14 +632,6 @@ void RunGate() {
     kernel::Dispatch();
   }
 #endif
-}
-
-void OnForced(uint64_t ordinal) {
-  if (g_mode == static_cast<uint8_t>(Mode::kRecord)) {
-    Append(Decision::kForced, static_cast<uint32_t>(ordinal), 0);
-  } else {
-    ++g_decisions;
-  }
 }
 
 bool ReplayForced(uint64_t ordinal, bool applicable) {

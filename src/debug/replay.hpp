@@ -22,14 +22,20 @@
 // sleep). See DESIGN.md "Determinism and replay" for what counts as a decision and why this
 // is sufficient.
 //
-// The logical decision counter runs in EVERY mode (off included) and stamps each trace-ring
-// record, giving traces a timestamp that two runs can be compared on.
+// The record side is a consumer of the observation funnel (debug/obs.hpp, observer kReplay, set
+// while recording or replaying): each site that takes a decision emits one event, and Observe
+// logs it or, in replay, checks it. The steering entry points below stay with their sites.
+//
+// The logical decision counter stamps each trace-ring record, giving traces a timestamp that
+// two runs can be compared on. It advances while the trace, recording or replay is on.
 
 #ifndef FSUP_SRC_DEBUG_REPLAY_HPP_
 #define FSUP_SRC_DEBUG_REPLAY_HPP_
 
 #include <cstddef>
 #include <cstdint>
+
+#include "src/debug/obs.hpp"
 
 namespace fsup::debug::replay {
 
@@ -72,7 +78,7 @@ inline constexpr uint8_t kGateDispatcher = 1u << 1;
 // -- hot-path state (extern so the kernel's inline Enter and the trace ring can read it
 // without a function call; written only by this module) ---------------------------------
 extern uint8_t g_mode;             // Mode as a raw byte
-extern uint64_t g_decisions;       // logical decision counter, advances in every mode
+extern uint64_t g_decisions;       // logical decision counter (trace, record or replay on)
 #if FSUP_NO_OBSERVE
 // The observation-free baseline build (debug/obs.hpp): the kernel's replay entry and dispatcher
 // gates compile out.
@@ -95,7 +101,6 @@ void StartRecording();
 // Stops recording; the log stays in memory for SaveLog/CopyLog. Returns the record count.
 size_t StopRecording();
 
-bool Recording();
 size_t LogSize();
 bool LogTruncated();
 
@@ -124,40 +129,18 @@ size_t CopyLog(LogRecord* out, size_t max);
 // kernel::EnsureInit so a recorded trajectory starts at the first decision).
 void InitFromEnv();
 
-// -- hooks (called by the kernel; off mode just advances the decision counter) ------------
+// -- the funnel's consumer ------------------------------------------------------------------
 
-void OnSwitchSlow(uint32_t from, uint32_t to);
-inline void OnSwitch(uint32_t from, uint32_t to) {
-  if (g_mode != 0) {
-    OnSwitchSlow(from, to);
-  } else {
-    ++g_decisions;
-  }
-}
+// One event of the log's (obs::kInterest has kReplay), with its funnel operands. Record
+// appends the decision; replay verifies a switch and diverges on a live tick, external signal
+// or io wake; with only the trace on it counts the decision. kTimerTick is not one: it fills
+// in the tick record its kTickBegin reserved.
+void Observe(obs::Event e, uint32_t a, uint32_t b, uint16_t slice_fired);
 
-// Timer ticks patch their payload in after the expiry loop ran: BeginTick reserves the
-// decision slot (so records logged *during* the tick stamp after it), EndTick fills it.
-size_t BeginTick(AsyncSite site);
-void EndTick(size_t slot, uint32_t expired, bool slice_fired);
+// -- steering (called by the kernel while replaying) -----------------------------------------
 
-// An external (asynchronous process-level) signal reached the delivery model at `site`.
-void OnExtSignal(int signo, AsyncSite site);
-
-// The idle poll woke tid with the given readiness mask / finished a pass with `woke` wakeups.
-void OnIoWakeSlow(uint32_t tid, uint32_t mask);
-inline void OnIoWake(uint32_t tid, uint32_t mask) {
-  if (g_mode != 0) {
-    OnIoWakeSlow(tid, mask);
-  } else {
-    ++g_decisions;
-  }
-}
-void OnIoDone(uint32_t woke);
-
-// A fault rule fired for `call` injecting `err` (record path; replay steers via ReplayFault).
-void OnFault(uint32_t call, uint32_t err);
-
-// Replay-side steering. ReplayFault returns the errno to inject at this call (0 = none).
+// The fault injector's question at every host call while replaying: the errno to inject
+// (0 = none).
 int ReplayFault(uint32_t call);
 
 // Replays the next idle-poll outcome: consumes kIoWake/kFault records up to the pass's
@@ -175,9 +158,6 @@ bool GateInDispatcher();
 // async event, dispatch. An in-dispatcher record due in the section this entry opens raises
 // dispatch_pending, as the deferred signal did on record, so the section's exit dispatches.
 void RunGate();
-
-// The exploration gate (sched::OnKernelExit) forced a switch at gate `ordinal`.
-void OnForced(uint64_t ordinal);
 
 // Replay side of the gate at `ordinal`: true if the log forces a switch here (the record is
 // consumed and the caller demotes). A logged switch this gate passed, or one that finds

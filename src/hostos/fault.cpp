@@ -7,8 +7,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/debug/replay.hpp"
 #include "src/debug/obs.hpp"
+#include "src/debug/replay.hpp"
+#include "src/util/hash.hpp"
 
 namespace fsup::hostos::fault {
 namespace {
@@ -22,7 +23,7 @@ struct Rule {
   uint64_t nth = 0;       // one-shot: fail the nth invocation (1-based); 0 = off
   uint64_t every_k = 0;   // periodic: fail invocations nth, nth+k, ... ; 0 = off
   uint32_t permille = 0;  // random: fail with probability permille/1000; 0 = off
-  uint64_t rng_state = 0;
+  uint64_t seed = 0;      // random: invocation n fails when Hash(seed, n - 1) % 1000 < permille
   int err = 0;
   int raise_signo = 0;  // nonzero: the raise action instead of a failure
   uint64_t seen = 0;
@@ -42,14 +43,6 @@ Rule& ArmFresh(Call c, int err) {
   r.err = err;
   g_any_armed = true;
   return r;
-}
-
-// splitmix64: deterministic, seedable, good enough to scatter injections.
-uint64_t NextRand(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
 }
 
 struct NameEntry {
@@ -260,7 +253,7 @@ void RaiseNth(Call c, uint64_t nth, int signo) {
 void FailRandom(Call c, uint64_t seed, uint32_t permille, int err) {
   Rule& r = ArmFresh(c, err);
   r.permille = permille > 1000 ? 1000 : permille;
-  r.rng_state = seed;
+  r.seed = seed;
 }
 
 int ShouldFail(Call c) {
@@ -285,7 +278,7 @@ int ShouldFail(Call c) {
   ++r.seen;
   bool hit = false;
   if (r.permille != 0) {
-    hit = NextRand(&r.rng_state) % 1000 < r.permille;
+    hit = Hash(r.seed, r.seen - 1) % 1000 < r.permille;
   } else if (r.every_k != 0) {
     hit = r.seen >= r.nth && (r.seen - r.nth) % r.every_k == 0;
   } else if (r.nth != 0) {
@@ -301,9 +294,8 @@ int ShouldFail(Call c) {
     ::kill(::getpid(), r.raise_signo);
     return 0;
   }
-  // The firing is a scheduling decision: record it (before the trace record, so the ring
-  // stamp matches the replay side) and a replayed run will re-inject it at the same index.
-  debug::replay::OnFault(static_cast<uint32_t>(c), static_cast<uint32_t>(r.err));
+  // The firing is a scheduling decision: the event logs it, and a replayed run will re-inject
+  // it at the same index.
   debug::obs::Emit(debug::obs::Event::kFault, nullptr, static_cast<uint32_t>(c),
                    static_cast<uint32_t>(r.err));
   return r.err;

@@ -208,7 +208,7 @@ int WakeMatching(FdState* s, uint32_t revents) {
   s->waiters.ForEachSafe([&](Tcb* t) {
     if ((revents & (EPOLLERR | EPOLLHUP)) != 0 ||
         (revents & ToEpollMask(t->io_events)) != 0) {
-      debug::replay::OnIoWake(t->id, revents);
+      debug::obs::Emit(debug::obs::Event::kIoWake, t, t->id, revents);
       DetachWaiter(s, t);
       t->io_ready = true;
       kernel::MakeReady(t);
@@ -531,7 +531,7 @@ void PollOnce(int64_t timeout_ns) {
   }
   const int64_t deadline_ns = timeout_ns < 0 ? -1 : NowNs() + timeout_ns;
   const int woke = g_backend == Backend::kEpoll ? EpollPass(deadline_ns) : PollPass(deadline_ns);
-  debug::replay::OnIoDone(static_cast<uint32_t>(woke));
+  debug::obs::Emit(debug::obs::Event::kIdlePollDone, nullptr, static_cast<uint32_t>(woke), 0);
 }
 
 int WaitFdReady(int fd, short events) {

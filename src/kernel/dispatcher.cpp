@@ -32,10 +32,9 @@ void SwitchTo(Tcb* next) {
   // The paper swaps UNIX's global error number with the thread's on every switch.
   cur->err_no = errno;
 
-  // The switch is a verified replay decision; its event fires after the decision (so the trace
-  // record carries the switch's own decision stamp) and before any mutation (so the metrics
-  // epoch-lazy reset can still read the state `next` held since enable time).
-  debug::replay::OnSwitch(cur->id, next->id);
+  // The switch is a logged (or, in replay, verified) decision. Its event fires before any
+  // mutation, so the metrics epoch-lazy reset can still read the state `next` held since
+  // enable time.
   debug::obs::Emit(debug::obs::Event::kSwitch, next, cur->id, next->id);
   next->state = ThreadState::kRunning;
   next->block_reason = BlockReason::kNone;

@@ -35,13 +35,6 @@ Tcb* PrioBuckets::PopHighest() {
   return PopFrom(TopPrio());
 }
 
-Tcb* PrioBuckets::PopLowest() {
-  if (bitmap_ == 0) {
-    return nullptr;
-  }
-  return PopFrom(BottomPrio());
-}
-
 void PrioBuckets::Erase(Tcb* t) {
   if (t->queued_level < 0) {
     return;

@@ -29,12 +29,8 @@ class PrioBuckets {
  public:
   void Push(Tcb* t, int level, bool front);
 
-  // Removes and returns the first thread of the given level, which must be occupied.
-  Tcb* PopFrom(int level);
-
-  // Removes and returns the first thread of the highest / lowest occupied level, or nullptr.
+  // Removes and returns the first thread of the highest occupied level, or nullptr.
   Tcb* PopHighest();
-  Tcb* PopLowest();
 
   // Highest / lowest occupied level, or -1 when empty. O(1).
   int TopPrio() const { return bitmap_ == 0 ? -1 : 31 - __builtin_clz(bitmap_); }
@@ -48,9 +44,11 @@ class PrioBuckets {
 
   bool empty() const { return bitmap_ == 0; }
   uint32_t size() const { return count_; }  // maintained by Push/Pop/Erase — O(1)
-  uint32_t bitmap() const { return bitmap_; }
 
  private:
+  // Removes and returns the first thread of the given level, which must be occupied.
+  Tcb* PopFrom(int level);
+
   IntrusiveList<Tcb, &Tcb::link> level_[kNumPrios];
   uint32_t bitmap_ = 0;
   uint32_t count_ = 0;

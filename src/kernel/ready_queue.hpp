@@ -28,10 +28,6 @@ class ReadyQueue {
   // Removes and returns the first thread of the highest occupied priority, or nullptr.
   Tcb* PopHighest() { return b_.PopHighest(); }
 
-  // Removes and returns the first thread of the *lowest* occupied priority (used by the
-  // perverted RR-ordered policy's "tail of the lowest priority queue" counterpart checks).
-  Tcb* PopLowest() { return b_.PopLowest(); }
-
   // Highest occupied priority, or -1 when empty.
   int TopPrio() const { return b_.TopPrio(); }
 

@@ -3,11 +3,13 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sync/fastpath.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/counters.hpp"
+#include "src/util/hash.hpp"
 
 namespace fsup::sched {
 
@@ -33,15 +35,6 @@ uint64_t g_ordinal = 0;  // gates passed since arming or the session start
 
 void SetExitBit(uint8_t bit, bool on) {
   g_exit_hook = static_cast<uint8_t>(on ? g_exit_hook | bit : g_exit_hook & ~bit);
-}
-
-// Stateless splitmix64 hash: a pure function of (seed, count), so re-running a seed
-// reproduces the same draws exactly.
-uint64_t Hash(uint64_t seed, uint64_t count) {
-  uint64_t z = seed + (count + 1) * 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
 }
 
 uint64_t Draw() { return Hash(g_policy_seed, g_draws++); }
@@ -90,7 +83,7 @@ bool GateFires(bool can_demote) {
   if (!can_demote || !FireAt(ordinal)) {
     return false;
   }
-  debug::replay::OnForced(ordinal);
+  debug::obs::Emit(debug::obs::Event::kForcedSwitch, nullptr, static_cast<uint32_t>(ordinal), 0);
   return true;
 }
 

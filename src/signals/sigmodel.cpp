@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include "src/cancel/cancel.hpp"
+#include "src/debug/obs.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/unix_if.hpp"
@@ -181,7 +182,8 @@ void DeliverAsync(int signo, debug::replay::AsyncSite site) {
   }
   // An asynchronous process-level signal is a scheduling decision: its arrival point is
   // recorded, and a replayed run refires it from the log at the same decision index and site.
-  debug::replay::OnExtSignal(signo, site);
+  debug::obs::Emit(debug::obs::Event::kExtSignal, nullptr, static_cast<uint32_t>(signo),
+                   static_cast<uint32_t>(site));
   DeliverToProcess(signo);
 }
 

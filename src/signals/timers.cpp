@@ -118,10 +118,12 @@ uint32_t TickImpl(bool forced, uint32_t forced_expired, bool forced_slice,
   counters::Bump(counters::kKernelTimerTicks);
   k.itimer_deadline_ns = -1;  // the programmed shot has fired (or we are past it)
   const int64_t now = NowNs();
-  // Reserve the decision slot before any delivery below logs trace records, so the inner
-  // records carry the same decision stamps in record and replay. Forced ticks pass the
-  // no-slot sentinel: their decision was already consumed from the log.
-  const size_t slot = forced ? ~static_cast<size_t>(0) : debug::replay::BeginTick(site);
+  // Open the tick's decision before any delivery below logs trace records, so the inner
+  // records carry the same decision stamps in record and replay. A forced tick's decision
+  // was already consumed from the log.
+  if (!forced) {
+    debug::obs::Emit(debug::obs::Event::kTickBegin, nullptr, static_cast<uint32_t>(site), 0);
+  }
   uint32_t expired = 0;
 
   for (;;) {
@@ -163,12 +165,11 @@ uint32_t TickImpl(bool forced, uint32_t forced_expired, bool forced_slice,
     }
   }
 
-  debug::replay::EndTick(slot, expired, slice_fired);
-  // The tick event also drives the deterministic-mode profiler sample: the tick is a
-  // recorded/replayed decision, so hanging the sample off it (instead of an unsynchronized
-  // ITIMER_PROF) gives record and replay bit-identical sample sequences.
+  // The tick event closes the tick's decision and drives the deterministic-mode profiler
+  // sample: the tick is a recorded/replayed decision, so hanging the sample off it (instead
+  // of an unsynchronized ITIMER_PROF) gives record and replay bit-identical sample sequences.
   debug::obs::Emit(debug::obs::Event::kTimerTick, k.current,
-                   k.current != nullptr ? k.current->id : 0, expired);
+                   k.current != nullptr ? k.current->id : 0, expired, slice_fired);
   ProgramItimer();
   return expired;
 }

@@ -186,6 +186,35 @@ TEST_F(CondTest, SignalWakesHighestPriorityWaiter) {
   w.Destroy();
 }
 
+TEST_F(CondTest, PriorityRaisedWhileWaitingReordersTheWaiters) {
+  // B waits before A at equal priority; raising A while it waits moves it ahead of B, so one
+  // signal wakes A first.
+  PredWait w;
+  w.Init();
+  std::vector<int> order;
+  OrderArg b{&w, &order, 1};
+  OrderArg a{&w, &order, 2};
+  pt_thread_t t_b, t_a;
+  ASSERT_EQ(0, pt_create(&t_b, nullptr, &WaitThenRecord, &b));
+  pt_yield();  // B blocks on the cond
+  ASSERT_EQ(0, pt_create(&t_a, nullptr, &WaitThenRecord, &a));
+  pt_yield();  // A blocks behind B
+  ASSERT_EQ(0, pt_setprio(t_a, kDefaultPrio + 1));
+  ASSERT_EQ(0, pt_mutex_lock(&w.m));
+  w.flag = true;
+  ASSERT_EQ(0, pt_cond_signal(&w.c));
+  ASSERT_EQ(0, pt_mutex_unlock(&w.m));
+  pt_yield();  // the woken waiter runs and records before the second signal
+  ASSERT_EQ((std::vector<int>{2}), order);
+  ASSERT_EQ(0, pt_mutex_lock(&w.m));
+  ASSERT_EQ(0, pt_cond_signal(&w.c));
+  ASSERT_EQ(0, pt_mutex_unlock(&w.m));
+  ASSERT_EQ(0, pt_join(t_a, nullptr));
+  ASSERT_EQ(0, pt_join(t_b, nullptr));
+  EXPECT_EQ((std::vector<int>{2, 1}), order);
+  w.Destroy();
+}
+
 TEST_F(CondTest, TimedWaitTimesOut) {
   PredWait w;
   w.Init();

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <vector>
 
 #include "src/core/attr.hpp"
 #include "src/core/bench_probes.hpp"
@@ -20,6 +21,7 @@
 #include "src/kernel/kernel.hpp"
 #include "src/util/counters.hpp"
 #include "src/util/dual_loop_timer.hpp"
+#include "src/util/hash.hpp"
 
 namespace fsup {
 namespace {
@@ -141,6 +143,36 @@ TEST_F(FaultTest, SameSpecReplaysTheIdenticalCallCountTrajectory) {
     EXPECT_EQ(first[c], second[c]) << "call " << fault::CallName(static_cast<Call>(c));
   }
   EXPECT_GT(first[static_cast<int>(Call::kMmap)], 0u);
+}
+
+// The seeded random rule fires invocation i (0-based since arming) exactly when
+// Hash(seed, i) % 1000 < P, and re-arming the same seed repeats the same ordinals.
+TEST_F(FaultTest, SeededRandomRuleFiresTheHashedOrdinalsAndRepeats) {
+  constexpr int kCalls = 1000;
+  std::vector<int> want;
+  for (int i = 0; i < kCalls; ++i) {
+    if (Hash(42, static_cast<uint64_t>(i)) % 1000 < 250) {
+      want.push_back(i);
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  auto fired = [] {
+    std::vector<int> out;
+    for (int i = 0; i < kCalls; ++i) {
+      const int err = fault::ShouldFail(Call::kSigaction);
+      if (err != 0) {
+        EXPECT_EQ(EINVAL, err);
+        out.push_back(i);
+      }
+    }
+    return out;
+  };
+  ASSERT_TRUE(fault::ParseSpec("sigaction:p=250@42:EINVAL"));
+  const std::vector<int> first = fired();
+  EXPECT_EQ(want, first);
+  EXPECT_EQ(want.size(), fault::InjectedCount(Call::kSigaction));
+  ASSERT_TRUE(fault::ParseSpec("sigaction:p=250@42:EINVAL"));
+  EXPECT_EQ(first, fired());
 }
 
 TEST_F(FaultTest, InjectedSetitimerEintrIsRetriedInsideTheWrapper) {

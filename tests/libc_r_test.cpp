@@ -176,6 +176,26 @@ TEST_F(LibcRTest, TimeFormattersPerThread) {
   EXPECT_NE(nullptr, std::strstr(text, "1971"));
 }
 
+TEST_F(LibcRTest, AsctimeAndLocaltimeMatchTheReentrantLibc) {
+  const time_t stamp = 86400LL * 365 * 30 + 12345;
+  struct tm want_tm {};
+  ASSERT_NE(nullptr, localtime_r(&stamp, &want_tm));
+  struct tm* got_tm = pt_localtime(&stamp);
+  ASSERT_NE(nullptr, got_tm);
+  EXPECT_EQ(want_tm.tm_year, got_tm->tm_year);
+  EXPECT_EQ(want_tm.tm_yday, got_tm->tm_yday);
+  EXPECT_EQ(want_tm.tm_hour, got_tm->tm_hour);
+  EXPECT_EQ(want_tm.tm_min, got_tm->tm_min);
+  EXPECT_EQ(want_tm.tm_sec, got_tm->tm_sec);
+  EXPECT_EQ(want_tm.tm_isdst, got_tm->tm_isdst);
+
+  char want_text[26];
+  ASSERT_NE(nullptr, asctime_r(&want_tm, want_text));
+  const char* got_text = pt_asctime(got_tm);
+  ASSERT_NE(nullptr, got_text);
+  EXPECT_STREQ(want_text, got_text);
+}
+
 TEST_F(LibcRTest, StateBlocksFreedAtThreadExit) {
   const int before = libc_internal::LiveStateBlocks();
   auto body = +[](void*) -> void* {

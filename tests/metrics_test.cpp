@@ -8,6 +8,7 @@
 #include <cctype>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -99,6 +100,20 @@ TEST_F(MetricsTest, DisabledByDefaultAndKernelTotalsStillLive) {
   EXPECT_GT(s.block[counters::kKernelEntries], 0u);
   EXPECT_EQ(0u, s.mutex_wait.count);
   EXPECT_EQ(0, s.mutex_wait.PercentileNs(50));
+}
+
+TEST_F(MetricsTest, MetricsFromTheEnvironmentAreOnAfterInit) {
+  const char* orig = std::getenv("FSUP_METRICS");
+  const std::string saved = orig != nullptr ? orig : "";
+  ASSERT_FALSE(pt_metrics_enabled());
+  ASSERT_EQ(0, ::setenv("FSUP_METRICS", "1", 1));
+  pt_reinit();
+  EXPECT_TRUE(pt_metrics_enabled());
+  if (orig != nullptr) {
+    ASSERT_EQ(0, ::setenv("FSUP_METRICS", saved.c_str(), 1));
+  } else {
+    ASSERT_EQ(0, ::unsetenv("FSUP_METRICS"));
+  }
 }
 
 TEST_F(MetricsTest, EnableResetsAndStartsAccounting) {

@@ -133,6 +133,7 @@ volatile bool g_stop = false;
 volatile int g_count = 0;  // work done
 int g_turn = 0;            // the cond round trip: 1 = the peer's move, 0 = main's
 int g_ops = 0;             // the running row's ops
+bool g_sampling = false;   // the row started the sampler's recording session
 
 void* PeerLoop(void* row) {
   while (!g_stop) {
@@ -286,6 +287,7 @@ void StartSampling() {
     ASSERT_EQ(0, pt_profile_stop());
   }
   debug::replay::StartRecording();
+  g_sampling = true;
   ASSERT_EQ(0, pt_profile_start(0));
 }
 
@@ -453,7 +455,7 @@ TEST_P(OpCountTest, ExactPerOpCounts) {
   g_ops = row.ops;
   Window w;
   RunRow(row, w);
-  if (debug::replay::Recording()) {  // the sampler's session
+  if (std::exchange(g_sampling, false)) {
     EXPECT_EQ(0, pt_profile_stop());
     debug::replay::StopRecording();
     EXPECT_GE(pt_profile_samples(), static_cast<uint64_t>(row.ops));

@@ -361,6 +361,15 @@ TEST_F(ProfilerTest, SampleCountIsPerSession) {
   ::unsetenv("FSUP_PROFILE");
 }
 
+TEST_F(ProfilerTest, ProfileHzFromTheEnvironmentSetsTheInitSessionRate) {
+  ASSERT_EQ(0, ::setenv("FSUP_PROFILE", "1", 1));
+  ASSERT_EQ(0, ::setenv("FSUP_PROFILE_HZ", "250", 1));
+  pt_reinit();  // stops any live session; init starts one at FSUP_PROFILE_HZ
+  EXPECT_TRUE(pt_profile_active());
+  EXPECT_EQ(250u, debug::profiler::SampleHz());
+  ::unsetenv("FSUP_PROFILE_HZ");
+}
+
 // -- long paths --------------------------------------------------------------------------
 
 TEST_F(ProfilerTest, DumpKeepsSidecarsOnLongPaths) {

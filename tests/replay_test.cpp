@@ -532,7 +532,8 @@ TEST_F(ReplayTest, OlderLogVersionIsRefused) {
   EXPECT_EQ(debug::replay::Mode::kOff, debug::replay::CurrentMode());
 }
 
-// The decision counter advances in off mode too, and every trace record carries it.
+// With the trace on, the decision counter advances outside record and replay too, and every
+// trace record carries it.
 TEST_F(ReplayTest, DecisionCounterStampsTraceRecords) {
   debug::trace::Clear();
   debug::trace::Enable(true);
@@ -546,6 +547,13 @@ TEST_F(ReplayTest, DecisionCounterStampsTraceRecords) {
     EXPECT_LE(keys[i - 1].d, keys[i].d) << "decision stamps must be nondecreasing";
   }
   EXPECT_LE(keys.back().d, after);
+}
+
+// With the trace, recording and replay all off, no decision is counted.
+TEST_F(ReplayTest, DecisionCounterStandsStillWithEveryObserverOff) {
+  const uint64_t before = debug::replay::DecisionCount();
+  SyncWorkload();
+  EXPECT_EQ(before, debug::replay::DecisionCount());
 }
 
 // C interface smoke: record through fsup_*, replay through fsup_*, counter visible.
