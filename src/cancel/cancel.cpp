@@ -36,7 +36,7 @@ bool IsInterruptionPoint(BlockReason r) {
 void ActOn(Tcb* t) {
   debug::obs::Emit(debug::obs::Event::kCancel, t, t->id, 1);
   t->intr_enabled = false;
-  sig::NoteSigmaskSet(t, kSigSetAll);
+  t->sigmask = kSigSetAll;
   t->pending &= ~SigBit(kSigCancel);
   sig::FakeCallCancel(t);
 }
@@ -78,7 +78,7 @@ void TestIntrInKernel() {
   }
   self->pending &= ~SigBit(kSigCancel);
   self->intr_enabled = false;
-  sig::NoteSigmaskSet(self, kSigSetAll);
+  self->sigmask = kSigSetAll;
   kernel::ExitProtocol();
   api::ExitCurrent(kCanceled);
 }

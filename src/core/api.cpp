@@ -74,11 +74,11 @@ void ExitCurrent(void* retval) {
   Tcb* self = kernel::Current();
   FSUP_CHECK_MSG(kernel::ks().in_kernel == 0, "pt_exit from inside the kernel");
 
-  // No further interruptions: the thread is committed to terminating. The mask write takes a
-  // brief monitor section so the masked-thread counter update cannot be torn by a signal.
+  // No further interruptions: the thread is committed to terminating. The mask is written
+  // inside the monitor, where recipient selection reads it.
   self->intr_enabled = false;
   kernel::Enter();
-  sig::NoteSigmaskSet(self, kSigSetAll);
+  self->sigmask = kSigSetAll;
   kernel::Exit();
 
   cleanup::RunAll(self);      // newest first — user code, outside the kernel
@@ -192,7 +192,7 @@ int pt_create(pt_thread_t* thread, const ThreadAttr* attr, void* (*fn)(void*), v
   t->base_prio = a.priority != -1 ? a.priority : self->base_prio;
   t->prio = t->base_prio;
   t->policy = a.inherit_policy ? self->policy : a.policy;
-  sig::NoteSigmaskSet(t, self->sigmask);  // inherited, as in POSIX
+  t->sigmask = self->sigmask;  // inherited, as in POSIX
   if (a.name != nullptr) {
     std::strncpy(t->name, a.name, sizeof(t->name) - 1);
   }
@@ -423,13 +423,13 @@ int pt_sigmask(SigMaskHow how, SigSet set, SigSet* old_set) {
   }
   switch (how) {
     case SigMaskHow::kBlock:
-      sig::NoteSigmaskSet(self, self->sigmask | set);
+      self->sigmask |= set;
       break;
     case SigMaskHow::kUnblock:
-      sig::NoteSigmaskSet(self, self->sigmask & ~set);
+      self->sigmask &= ~set;
       break;
     case SigMaskHow::kSetMask:
-      sig::NoteSigmaskSet(self, set);
+      self->sigmask = set;
       break;
   }
   sig::CheckPendingAfterUnmask(self);

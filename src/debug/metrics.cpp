@@ -142,12 +142,16 @@ void OnUnlock(Tcb* t, uint32_t tag, uint16_t gen, int64_t now) {
   }
 }
 
-void FillThreadSnap(const Tcb* t, ThreadSnap* out) {
+// The accumulators from TcbMetrics only while metrics are enabled (`gated`).
+void FillThreadSnap(const Tcb* t, bool gated, ThreadSnap* out) {
   out->id = t->id;
   std::memcpy(out->name, t->name, sizeof(out->name));
   out->state = static_cast<uint8_t>(t->state);
   out->switches_in = t->switches_in;
   out->signals_taken = t->signals_taken;
+  if (!gated) {
+    return;
+  }
   out->voluntary = t->metrics.voluntary;
   out->preempted = t->metrics.preempted;
   out->fake_calls = t->metrics.fake_calls;
@@ -275,17 +279,27 @@ void Capture(MetricsSnapshot* out) {
   }
   KernelState& k = kernel::ks();
 
-  out->enabled = obs::On(obs::kMetrics);
-  out->enabled_since_ns = g_state.enabled_since_ns;
+  // With metrics off the gated fields stay zero: the last session's histograms, counters and
+  // per-thread accumulators are not this run's.
+  const bool enabled = obs::On(obs::kMetrics);
+  out->enabled = enabled;
   CaptureCounters(&out->block);
-  out->sched_latency = g_state.sched_latency;
-  out->mutex_wait = g_state.mutex_wait;
-  out->mutex_hold = g_state.mutex_hold;
+  if (enabled) {
+    out->enabled_since_ns = g_state.enabled_since_ns;
+    out->sched_latency = g_state.sched_latency;
+    out->mutex_wait = g_state.mutex_wait;
+    out->mutex_hold = g_state.mutex_hold;
+  } else {
+    for (int c = 0; c < counters::kCount; ++c) {
+      if (counters::SameGroup(counters::kNames[c], "metrics")) {
+        out->block.counters[c] = 0;
+      }
+    }
+  }
 
   // Bring the snapshotted threads' time-in-state current so a snapshot taken mid-run does
   // not hide the open interval of the running thread. Only the threads being copied out are
   // folded — a capture must stay O(kMaxSnapshotThreads) even with a million threads live.
-  const bool enabled = obs::On(obs::kMetrics);
   const int64_t now = enabled ? NowNs() : 0;
   uint32_t n = 0;
   for (Tcb* t : k.all_threads) {
@@ -296,7 +310,7 @@ void Capture(MetricsSnapshot* out) {
       Touch(t);
       FoldStateTime(t, now);
     }
-    FillThreadSnap(t, &out->threads[n]);
+    FillThreadSnap(t, enabled, &out->threads[n]);
     ++n;
   }
   out->thread_count = n;

@@ -44,7 +44,6 @@ struct FdState {
   int fd = -1;
   uint32_t interest = 0;    // epoll event mask the kernel currently watches for us
   bool registered = false;  // fd is present in the kernel's epoll interest set
-  uint32_t waiter_count = 0;
   IntrusiveList<Tcb, &Tcb::link> waiters;
   FdState* next = nullptr;  // hash chain / freelist link
   // Linked on g_unverified while a waiter sleeps on a cache hit the kernel has not confirmed
@@ -129,7 +128,6 @@ FdState* GetOrCreate(int fd) {
   s->fd = fd;
   s->interest = 0;
   s->registered = false;
-  s->waiter_count = 0;
   s->next = *bucket;
   *bucket = s;
   ++g_cached;
@@ -137,7 +135,7 @@ FdState* GetOrCreate(int fd) {
 }
 
 void FreeFdState(FdState* s) {
-  FSUP_ASSERT(s->waiter_count == 0 && !s->unverified.linked());
+  FSUP_ASSERT(s->waiters.empty() && !s->unverified.linked());
   FdState** at = &g_buckets[BucketOf(s->fd)];
   while (*at != s) {
     at = &(*at)->next;
@@ -153,7 +151,7 @@ void FreeFdState(FdState* s) {
 // node is deliberately kept: it is the interest cache that lets the next wait on this fd skip
 // epoll_ctl entirely.
 void MaybeReclaim(FdState* s) {
-  if (s->waiter_count == 0 && !s->registered) {
+  if (s->waiters.empty() && !s->registered) {
     FreeFdState(s);
   }
 }
@@ -192,11 +190,9 @@ int EnsureInterest(FdState* s, uint32_t mask) {
 
 void DetachWaiter(FdState* s, Tcb* t) {
   t->link.Unlink();
-  FSUP_ASSERT(s->waiter_count > 0);
-  --s->waiter_count;
   --g_active;
   t->io_wait_node = nullptr;
-  if (s->waiter_count == 0) {
+  if (s->waiters.empty()) {
     s->unverified.Unlink();  // a stale registration can only strand a waiter
   }
 }
@@ -377,7 +373,7 @@ int PollPass(int64_t deadline_ns) {
   if (GrowPollScratch(static_cast<uint32_t>(g_cached))) {
     for (FdState* bucket : g_buckets) {
       for (FdState* s = bucket; s != nullptr; s = s->next) {
-        if (s->waiter_count == 0) {
+        if (s->waiters.empty()) {
           continue;
         }
         short ev = 0;
@@ -569,7 +565,6 @@ int WaitFdReady(int fd, short events) {
   self->io_ready = false;
   self->io_wait_node = s;
   s->waiters.PushBack(self);
-  ++s->waiter_count;
   ++g_active;
 
   kernel::Suspend(BlockReason::kIo);

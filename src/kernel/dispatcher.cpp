@@ -60,8 +60,8 @@ void SwitchTo(Tcb* next) {
 // the poll fallback) so fd readiness and signals both end it. A signal deferred after the
 // dispatch loop's check but before the sleep starts ends it too: the sleep syscall is the
 // tail of a restartable sequence that first re-reads the deferred set (arch/ras.S), so it is
-// never entered over a logged signal. Deadlock detection is O(1) — NextDeadlineNs reads the
-// timer-heap head and ExternalWakeupPossible reads two counters.
+// never entered over a logged signal. Deadlock detection reads the timer-heap head, the I/O
+// waiter count and, only when both are empty, ExternalWakeupPossible's derived answer.
 // A deadline ITIMER_REAL is armed for is served by its SIGALRM alone, one tick per shot: a
 // timeout racing the signal would tick twice. The timeout is for a deadline not armed.
 // Cancelling a timer leaves the interval timer alone, so the wait first settles it exactly:

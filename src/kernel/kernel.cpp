@@ -135,14 +135,11 @@ void MakeReady(Tcb* t, bool front) {
   KernelState& k = ks();
   FSUP_ASSERT(k.in_kernel != 0);
   FSUP_ASSERT(t->state != ThreadState::kTerminated);
-  // Every sigwait wakeup funnels through here — including the cancellation fake call, which
-  // never returns control to SigwaitInternal — so this is the one place the sigwait-blocked
-  // count (deadlock detection, O(1) ExternalWakeupPossible) can be maintained without leaks.
-  // The woken thread stops counting as unmasked for its wait set at once: a second signal
-  // that arrives before it runs must pend, not find a recipient that can no longer take it.
+  // Every sigwait wakeup funnels through here, including the cancellation fake call, which
+  // never returns control to SigwaitInternal. The woken thread stops counting as unmasked for
+  // its wait set at once: a second signal that arrives before it runs must pend, not find a
+  // recipient that can no longer take it.
   if (t->state == ThreadState::kBlocked && t->block_reason == BlockReason::kSigwait) {
-    FSUP_ASSERT(k.sigwait_blocked > 0);
-    --k.sigwait_blocked;
     t->sigwait_set = 0;
   }
   // t may be the current thread: a blocked thread with no runnable peer idles on its own
@@ -169,9 +166,6 @@ void Suspend(BlockReason reason) {
   debug::obs::Emit(debug::obs::Event::kSuspend, self, self->id, static_cast<uint32_t>(reason));
   self->state = ThreadState::kBlocked;
   self->block_reason = reason;
-  if (reason == BlockReason::kSigwait) {
-    ++k.sigwait_blocked;  // paired with the decrement in MakeReady
-  }
   DispatchKeepKernel();
   // Resumed: made ready by a waker and selected by the dispatcher. Still in the kernel.
   FSUP_ASSERT(k.current == self);
@@ -238,7 +232,6 @@ void Reap(Tcb* t) {
   FSUP_ASSERT(t != k.current);
   t->link.Unlink();  // the zombie list, if queued there
   t->all_link.Unlink();
-  sig::NoteThreadUnlinked(t);
   if (t != k.main_tcb) {
     k.pool->Free(t);  // the main TCB is static storage, never pooled
   }

@@ -67,24 +67,10 @@ struct KernelState {
   // -- signals ---------------------------------------------------------------------------
   SigSet process_pending = 0;  // step 6 of the delivery model: pend at process level
   VSigAction actions[kMaxSignal + 1];
-  bool os_handlers_installed = false;
 
   // -- timers ----------------------------------------------------------------------------
   TimerHeap timers;                 // armed per-thread timers, min-heap on deadline
   int64_t itimer_deadline_ns = -1;  // what the interval timer is set to
-
-  // -- deadlock-detection counters (sig::ExternalWakeupPossible in O(1)) -------------------
-  // Maintained at the sigwait block/wake funnel (Suspend/MakeReady) and at sigaction-install
-  // time (SetAction), instead of scanning all_threads + actions[] on every idle pass.
-  uint32_t sigwait_blocked = 0;     // threads currently suspended in sigwait
-  uint32_t handlers_installed = 0;  // virtual dispositions with a user handler function
-
-  // Linked threads whose sigmask blocks at least one signal. Maintained by the
-  // sig::NoteSigmaskSet funnel (every sigmask write goes through it) and decremented when a
-  // masked thread is unlinked from all_threads. Zero means every live thread takes any
-  // signal, so recipient-selection step 5 picks the first live thread without probing a
-  // million per-thread masks.
-  uint32_t masked_threads = 0;
 
   bool initialized = false;
 

@@ -37,7 +37,7 @@ void RunHandler(Tcb* self, FakeRec* rec) {
   errno = saved_errno;  // step 4
 
   kernel::Enter();  // step 5: restore the mask and deliver what it was hiding
-  NoteSigmaskSet(self, rec->saved_mask);
+  self->sigmask = rec->saved_mask;
   rec->in_use = false;
   CheckPendingAfterUnmask(self);
   kernel::Exit();  // runs any handler the unmask queued for this very thread
@@ -88,7 +88,7 @@ void InstallOnThread(Tcb* t, void (*tramp)(void*), FakeRec* rec) {
     // The deferred stack cannot be allocated, so there is no frame to doctor. Undo the
     // record and leave the signal pending on the thread: activation re-examines pending
     // signals, so nothing is lost — only delayed, like a masked signal.
-    NoteSigmaskSet(t, rec->saved_mask);
+    t->sigmask = rec->saved_mask;
     t->pending |= SigBit(rec->signo);
     rec->in_use = false;
     return;
@@ -149,7 +149,7 @@ void FakeCallUserHandler(Tcb* t, int signo, const VSigAction& action) {
   rec->handler = action.handler;
   rec->saved_mask = t->sigmask;
   // During the handler: the sigaction mask plus the delivered signal are blocked.
-  NoteSigmaskSet(t, t->sigmask | action.mask | SigBit(signo));
+  t->sigmask |= action.mask | SigBit(signo);
   ++t->signals_taken;
   debug::obs::Emit(debug::obs::Event::kSignal, t, t->id, static_cast<uint32_t>(signo));
 

@@ -100,55 +100,18 @@ void DeliverToProcess(int signo) {
   KernelState& k = kernel::ks();
   const SigSet bit = SigBit(signo);
 
-  // Step 5: find a thread with the signal unmasked. Fast path: the masked-thread counter
-  // says no linked thread blocks anything, so the first live thread (almost always main, at
-  // the head of the list) is eligible without probing a million per-thread masks.
-  if (k.masked_threads == 0) {
-    for (Tcb* t : k.all_threads) {
-      if (t->state != ThreadState::kTerminated) {
-        DeliverToThread(t, signo);
-        return;
-      }
-    }
-  } else {
-    for (Tcb* t : k.all_threads) {
-      if (t->state == ThreadState::kTerminated) {
-        continue;
-      }
-      if ((EffectiveMask(t) & bit) == 0) {
-        DeliverToThread(t, signo);
-        return;
-      }
+  // Step 5: the first live thread with the signal unmasked. With no thread masking anything
+  // the first live thread (almost always main, at the head of the list) is the answer, so
+  // the search probes one mask.
+  for (Tcb* t : k.all_threads) {
+    if (t->state != ThreadState::kTerminated && (EffectiveMask(t) & bit) == 0) {
+      DeliverToThread(t, signo);
+      return;
     }
   }
 
   // Step 6: pend the signal at the process level until a thread becomes eligible.
   k.process_pending |= bit;
-}
-
-void NoteSigmaskSet(Tcb* t, SigSet mask) {
-  KernelState& k = kernel::ks();
-  const bool was_masked = t->sigmask != 0;
-  const bool now_masked = mask != 0;
-  t->sigmask = mask;
-  if (was_masked == now_masked) {
-    return;
-  }
-  if (now_masked) {
-    ++k.masked_threads;
-  } else {
-    FSUP_ASSERT(k.masked_threads > 0);
-    --k.masked_threads;
-  }
-}
-
-void NoteThreadUnlinked(Tcb* t) {
-  if (t->sigmask != 0) {
-    KernelState& k = kernel::ks();
-    FSUP_ASSERT(k.masked_threads > 0);
-    --k.masked_threads;
-    t->sigmask = 0;  // the slot is leaving the census; a recycled TCB starts unmasked
-  }
 }
 
 void CheckPendingAfterUnmask(Tcb* t) {
@@ -197,11 +160,20 @@ void HandleDeferred(SigSet set) {
 }
 
 bool ExternalWakeupPossible() {
-  // Runs on every idle pass as part of deadlock detection: O(1) on counters maintained where
-  // the state actually changes (Suspend/MakeReady for sigwait blocks, SetAction for handler
-  // installs) instead of rescanning every thread and every disposition.
+  // Read only on an idle pass with no timer deadline and no I/O waiter, which sleeps anyway;
+  // the thread walk runs only when no user handler is installed.
   KernelState& k = kernel::ks();
-  return k.sigwait_blocked > 0 || k.handlers_installed > 0;
+  for (const VSigAction& a : k.actions) {
+    if (a.installed && a.handler != nullptr) {
+      return true;
+    }
+  }
+  for (const Tcb* t : k.all_threads) {
+    if (t->state == ThreadState::kBlocked && t->block_reason == BlockReason::kSigwait) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void LeaveHandlerFrame(Tcb* t) {

@@ -47,17 +47,6 @@ void DeliverToThread(Tcb* t, int signo);
 // return, sigwait re-mask) and delivers anything now deliverable.
 void CheckPendingAfterUnmask(Tcb* t);
 
-// The one funnel through which every t->sigmask write flows: keeps the masked-thread counter
-// (recipient step 5's O(1) fast path) in step with the masks. Call with the kernel entered,
-// or from a signal handler running with every OS signal blocked — anywhere an interrupting
-// handler could itself reach this funnel mid-update would corrupt the counter.
-void NoteSigmaskSet(Tcb* t, SigSet mask);
-
-// Counter bookkeeping for a thread leaving all_threads (reap paths): a terminated thread
-// keeps its everything-masked sigmask until the TCB is recycled, and must stop counting
-// against the fast path the moment it is unlinked.
-void NoteThreadUnlinked(Tcb* t);
-
 // Delivers an asynchronous process-level signal (SIGALRM = the timer tick) that reached the
 // library at `site`: the universal handler's out-of-kernel path, or the dispatcher replaying a
 // deferred one. The arrival is a recorded scheduling decision. In kernel.
@@ -69,8 +58,10 @@ void HandleDeferred(SigSet set);
 // Dispatcher hook: called when `next` is about to be switched to (arms the RR slice).
 void OnDispatch(Tcb* next);
 
-// True if a thread blocked in sigwait or an installed user handler could ever consume an
-// external signal — used by the idle loop's deadlock detection.
+// True if an installed user handler or a thread blocked in sigwait could ever consume an
+// external signal — used by the idle loop's deadlock detection. Derived on each call: the
+// disposition table first, then (no handler installed) all_threads up to the first sigwait
+// blocker.
 bool ExternalWakeupPossible();
 
 // The host process mask is empty on every thread except inside a live universal-handler or

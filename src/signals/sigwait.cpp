@@ -66,7 +66,7 @@ int SigwaitInternal(SigSet set, int* signo_out, int64_t deadline_ns) {
   }
 
   // Paper action 3: the signals specified in the call are masked for the thread on return.
-  NoteSigmaskSet(self, self->sigmask | set);
+  self->sigmask |= set;
   *signo_out = got;
   kernel::Exit();
   return 0;

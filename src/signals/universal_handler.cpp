@@ -188,16 +188,13 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
   if (a.installed && a.handler != nullptr) {
     Tcb* self = k.current;
     const SigSet saved = self->sigmask;
-    // Not in the kernel here, but the funnel is safe: this handler runs with every OS
-    // signal blocked (sa_mask is the full set), so nothing can interleave with the
-    // masked-thread counter update.
-    NoteSigmaskSet(self, saved | a.mask | SigBit(signo));
+    self->sigmask = saved | a.mask | SigBit(signo);
     ++self->signals_taken;
     debug::obs::Emit(debug::obs::Event::kSignal, self, self->id, static_cast<uint32_t>(signo));
     const bool outer = self->in_handler_frame;
     self->in_handler_frame = true;  // the handler may block: every signal is blocked here
     a.handler(signo);
-    NoteSigmaskSet(self, saved);
+    self->sigmask = saved;
     ApplyRedirectIfAny();
     self->in_handler_frame = outer;
     return;
@@ -216,8 +213,6 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
 }  // namespace
 
 void InstallOsHandlers() {
-  KernelState& k = kernel::ks();
-
   // A runtime whose universal handler is only half-installed delivers some signals through
   // the library and others straight to default dispositions — undefined behavior the first
   // time a timer fires. Any failure here (including an injected one) is fatal, with the
@@ -262,7 +257,6 @@ void InstallOsHandlers() {
     }
   }
 
-  k.os_handlers_installed = true;
   g_installed = true;
 }
 
@@ -277,7 +271,6 @@ void UninstallOsHandlers() {
     hostos::Sigaction(signo, &g_saved_actions[signo], nullptr);
   }
   g_installed = false;
-  kernel::ks().os_handlers_installed = false;
 }
 
 int SetAction(int signo, void (*handler)(int), SigSet mask, bool ignore, VSigAction* old) {
@@ -292,7 +285,6 @@ int SetAction(int signo, void (*handler)(int), SigSet mask, bool ignore, VSigAct
     *old = k.actions[signo];
   }
   VSigAction& a = k.actions[signo];
-  const bool had_handler = a.installed && a.handler != nullptr;
   if (handler == nullptr && !ignore) {
     a = VSigAction{};  // back to default disposition
   } else {
@@ -300,16 +292,6 @@ int SetAction(int signo, void (*handler)(int), SigSet mask, bool ignore, VSigAct
     a.mask = mask;
     a.ignore = ignore;
     a.installed = true;
-  }
-  // Keep the O(1) deadlock-detection counter in step with the disposition table.
-  const bool has_handler = a.installed && a.handler != nullptr;
-  if (had_handler != has_handler) {
-    if (has_handler) {
-      ++k.handlers_installed;
-    } else {
-      FSUP_ASSERT(k.handlers_installed > 0);
-      --k.handlers_installed;
-    }
   }
   kernel::Exit();
   return 0;

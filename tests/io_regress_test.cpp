@@ -6,9 +6,9 @@
 //   2. A cancelled head deadline's shot is settled when its thread exits: ITIMER_REAL is
 //      disarmed or reprogrammed there (a cancel alone leaves it), so a create/cancel storm
 //      fires no stale SIGALRM ticks. The seed left the interval timer programmed.
-//   3. sig::ExternalWakeupPossible runs on counters: handler-install churn and sigwait wake
-//      (and cancellation) cycles must leave the counters balanced, or deadlock detection
-//      either misfires or goes blind.
+//   3. Deadlock detection after handler-install churn and sigwait wake (and cancellation)
+//      cycles: once every handler is uninstalled and every sigwait thread has left, nothing
+//      can wake the process, so a full deadlock must still be reported.
 //   4. A reused fd number wakes its reader: closing an fd drops its epoll registration in the
 //      kernel, but the interest cache used to keep claiming it, so a later wait on a new file
 //      with the same number was a cache hit and slept forever.
@@ -172,12 +172,12 @@ void* DlJoinT1(void*) {
 }
 
 void RunDeadlockAfterChurn() {
-  // Handler churn: install/uninstall cycles must leave handlers_installed at zero...
+  // Handler churn: install/uninstall cycles end with no handler installed...
   for (int i = 0; i < 25; ++i) {
     pt_sigaction(SIGUSR1, +[](int) {}, 0);
     pt_sigaction(SIGUSR1, nullptr, 0);  // back to default disposition
   }
-  // ...and sigwait wake + cancellation cycles must leave sigwait_blocked at zero. The
+  // ...and sigwait wake + cancellation cycles end with no thread in sigwait. The
   // cancellation path is the treacherous one: the fake call exits the thread without ever
   // returning into the sigwait loop.
   for (int i = 0; i < 5; ++i) {
@@ -191,8 +191,8 @@ void RunDeadlockAfterChurn() {
     }
     pt_join(t, nullptr);
   }
-  // Counters balanced → ExternalWakeupPossible() is false → the full deadlock below must
-  // still be detected. A leaked count would leave the process idling forever instead.
+  // Nothing left to take a signal → ExternalWakeupPossible() is false → the full deadlock
+  // below must still be detected, not idled on forever.
   pt_thread_t t2;
   pt_create(&g_dl_t1, nullptr, &DlBlockForever, nullptr);
   pt_create(&t2, nullptr, &DlJoinT1, nullptr);

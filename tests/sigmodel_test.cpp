@@ -119,6 +119,53 @@ TEST_F(SigModelTest, Recipient5LinearSearchSkipsMaskedThreads) {
   ASSERT_EQ(0, pt_sigmask(SigMaskHow::kUnblock, SigBit(SIGUSR2), nullptr));
 }
 
+TEST_F(SigModelTest, Recipient5ProcessSignalPassesMaskersAndRecycledTcbsTakeTheCreatorsMask) {
+  // The search passes every thread that masks the signal (main, then a parked masker) and
+  // lands on the first unmasked one behind them.
+  ASSERT_EQ(0, pt_sigaction(SIGUSR2, &Recorder, 0));
+  ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR2), nullptr));
+  Parked masker;
+  masker.Start(SigBit(SIGUSR2));
+  Parked open;
+  open.Start();
+  kernel::Enter();
+  sig::DeliverToProcess(SIGUSR2);
+  kernel::Exit();
+  masker.Finish();
+  open.Finish();
+  EXPECT_EQ(open.t, g_handled_on);
+  EXPECT_EQ(1, g_handled_count);
+
+  // An exited thread holds every signal masked until its TCB is reaped. A thread created on
+  // that recycled TCB starts with its creator's mask, not the leftover full one, so it is
+  // still found.
+  pt_thread_t gone;
+  ASSERT_EQ(0, pt_create(&gone, nullptr, +[](void*) -> void* { return nullptr; }, nullptr));
+  ASSERT_EQ(0, pt_join(gone, nullptr));
+  ASSERT_EQ(0, pt_sigmask(SigMaskHow::kSetMask, SigBit(SIGUSR1), nullptr));
+  static pt_sem_t sem;
+  ASSERT_EQ(0, pt_sem_init(&sem, 0));
+  pt_thread_t reborn;
+  ASSERT_EQ(0, pt_create(&reborn, nullptr, +[](void*) -> void* {
+    pt_sem_wait(&sem);
+    return nullptr;
+  }, nullptr));
+  ASSERT_EQ(gone, reborn) << "the TCB was not recycled";
+  EXPECT_EQ(SigBit(SIGUSR1), reborn->sigmask);
+  pt_yield();  // let it park
+  ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR2), nullptr));
+  kernel::Enter();
+  sig::DeliverToProcess(SIGUSR2);
+  kernel::Exit();
+  ASSERT_EQ(0, pt_sem_post(&sem));
+  ASSERT_EQ(0, pt_join(reborn, nullptr));
+  pt_sem_destroy(&sem);
+  EXPECT_EQ(reborn, g_handled_on);
+  EXPECT_EQ(2, g_handled_count);
+  EXPECT_FALSE(SigIsMember(pt_sigpending(), SIGUSR2));
+  ASSERT_EQ(0, pt_sigmask(SigMaskHow::kSetMask, 0, nullptr));
+}
+
 TEST_F(SigModelTest, Recipient6PendsOnProcessWhenAllMask) {
   ASSERT_EQ(0, pt_sigaction(SIGUSR2, &Recorder, 0));
   ASSERT_EQ(0, pt_sigmask(SigMaskHow::kBlock, SigBit(SIGUSR2), nullptr));
@@ -226,15 +273,34 @@ TEST_F(SigModelTest, SamePendingSignalNotQueued) {
   EXPECT_EQ(1, g_handled_count);
 }
 
+bool ExternalWakeupPossibleNow() {
+  kernel::Enter();
+  const bool possible = sig::ExternalWakeupPossible();
+  kernel::Exit();
+  return possible;
+}
+
 TEST_F(SigModelTest, ExternalWakeupPossibleReflectsState) {
-  kernel::Enter();
-  const bool baseline = sig::ExternalWakeupPossible();
-  kernel::Exit();
-  EXPECT_FALSE(baseline);  // fresh runtime: no handlers, nobody in sigwait
+  EXPECT_FALSE(ExternalWakeupPossibleNow());  // fresh runtime: no handlers, nobody in sigwait
   ASSERT_EQ(0, pt_sigaction(SIGUSR1, &Recorder, 0));
-  kernel::Enter();
-  EXPECT_TRUE(sig::ExternalWakeupPossible());
-  kernel::Exit();
+  EXPECT_TRUE(ExternalWakeupPossibleNow());
+  ASSERT_EQ(0, pt_sigaction(SIGUSR1, nullptr, 0));  // back to default disposition
+  EXPECT_FALSE(ExternalWakeupPossibleNow());
+
+  // No handler, one peer blocked in sigwait: it could take an external signal.
+  static int got;
+  got = 0;
+  pt_thread_t waiter;
+  ASSERT_EQ(0, pt_create(&waiter, nullptr, +[](void*) -> void* {
+    pt_sigwait(SigBit(SIGUSR2), &got);
+    return nullptr;
+  }, nullptr));
+  pt_yield();  // let it block
+  EXPECT_TRUE(ExternalWakeupPossibleNow());
+  ASSERT_EQ(0, pt_kill(waiter, SIGUSR2));
+  ASSERT_EQ(0, pt_join(waiter, nullptr));
+  EXPECT_EQ(SIGUSR2, got);
+  EXPECT_FALSE(ExternalWakeupPossibleNow());
 }
 
 }  // namespace
